@@ -13,9 +13,9 @@
 
 use std::time::Instant;
 
-use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig, NoFilter, ReplaySession};
+use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig};
 use mnm_bench::{allocations, render_report, ScenarioResult, LEGACY_ALLOCS_PER_ACCESS};
-use mnm_core::{Mnm, MnmConfig, PerfectFilter};
+use mnm_core::{Mnm, MnmConfig, ReplayFilter};
 use mnm_experiments::json::Json;
 use trace_synth::{profiles, InstrKind, Program};
 
@@ -151,13 +151,12 @@ fn main() {
     assert!(stream.len() == WARMUP + MEASURE, "trace too short");
     let mut results = Vec::new();
 
-    // Baseline: explicit session, no filter.
+    // Baseline: the per-access protocol with no filter.
     {
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-        let mut session = ReplaySession::new(&mut hier, NoFilter);
         results.push(scenario("session_baseline", &stream, |s| {
             for &a in s {
-                session.step(a);
+                hier.step(&mut ReplayFilter::Baseline, a);
             }
         }));
     }
@@ -198,10 +197,9 @@ fn main() {
     // the oracle is held to the same zero-allocation standard.
     {
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-        let mut session = ReplaySession::new(&mut hier, PerfectFilter);
         results.push(scenario("session_perfect", &stream, |s| {
             for &a in s {
-                session.step(a);
+                hier.step(&mut ReplayFilter::Perfect, a);
             }
         }));
     }

@@ -1,29 +1,24 @@
 //! Multi-core scaling harness for the sharded simulation: sweeps core
-//! counts, running each configuration through all three engines —
-//! single-threaded reference, stop-the-world barrier baseline, and the
-//! pipelined engine — over identical streams. Emits
-//! `BENCH_shard_scaling.json` and enforces the committed floors in
-//! `shard_floors.json`.
+//! counts, running each configuration through both engines — the
+//! single-threaded reference and the pipelined engine — over identical
+//! streams. Emits `BENCH_shard_scaling.json` and enforces the committed
+//! floors in `shard_floors.json`.
 //!
-//! Three gates, in increasing host-sensitivity:
+//! Two gates, in increasing host-sensitivity:
 //!
-//! 1. **Correctness** (always on): all three reports must be
-//!    bit-identical at every core count — the workspace's race-freedom
-//!    proof — and no run may produce an unsound verdict.
+//! 1. **Correctness** (always on): both reports must be bit-identical at
+//!    every core count — the workspace's race-freedom proof — and no run
+//!    may produce an unsound verdict.
 //! 2. **Floors** (skipped when `JSN_BENCH_NO_FLOORS=1`): pipelined
 //!    throughput and pipelined-over-single speedup must clear the
 //!    committed per-core-count minimums, but only for configurations the
 //!    host can actually run in parallel (simulated cores ≤ host cores).
-//! 3. **Pipeline win** (hosts with ≥ 4 cores only): at 4+ simulated
-//!    cores that fit the host, the pipelined engine must beat the
-//!    barrier baseline in the same run — overlap of compute with
-//!    resolution is the whole point of the engine, and losing to the
-//!    baseline means the overlap regressed.
 
+use std::path::Path;
 use std::time::Instant;
 
 use mnm_core::MnmConfig;
-use mnm_experiments::json::Json;
+use mnm_experiments::{fsio, json::Json};
 use mnm_shard::{sharded_streams, Engine, ShardConfig, ShardedSim};
 use trace_synth::{profiles, SharingSpec};
 
@@ -63,7 +58,6 @@ struct Point {
     cores: usize,
     accesses: u64,
     single_nanos: u64,
-    barrier_nanos: u64,
     pipelined_nanos: u64,
     resolver_occupancy: f64,
     /// Whether the host could run this configuration truly in parallel
@@ -75,9 +69,6 @@ impl Point {
     fn maccs(&self, nanos: u64) -> f64 {
         self.accesses as f64 * 1e3 / nanos as f64
     }
-    fn barrier_speedup(&self) -> f64 {
-        self.single_nanos as f64 / self.barrier_nanos as f64
-    }
     fn pipelined_speedup(&self) -> f64 {
         self.single_nanos as f64 / self.pipelined_nanos as f64
     }
@@ -88,12 +79,9 @@ impl Point {
             ("accesses", Json::num(self.accesses as f64)),
             ("parallel_capable", Json::num(if self.parallel_capable { 1.0 } else { 0.0 })),
             ("single_nanos", Json::num(self.single_nanos as f64)),
-            ("barrier_nanos", Json::num(self.barrier_nanos as f64)),
             ("pipelined_nanos", Json::num(self.pipelined_nanos as f64)),
             ("single_maccs_per_sec", Json::num(round2(self.maccs(self.single_nanos)))),
-            ("barrier_maccs_per_sec", Json::num(round2(self.maccs(self.barrier_nanos)))),
             ("pipelined_maccs_per_sec", Json::num(round2(self.maccs(self.pipelined_nanos)))),
-            ("barrier_speedup", Json::num(round2(self.barrier_speedup()))),
             ("pipelined_speedup", Json::num(round2(self.pipelined_speedup()))),
             ("resolver_occupancy", Json::num(round2(self.resolver_occupancy))),
         ])
@@ -156,13 +144,8 @@ fn main() {
             (report, t.elapsed().as_nanos() as u64)
         };
         let (single, single_nanos) = run(Engine::Single);
-        let (barrier, barrier_nanos) = run(Engine::Barrier);
         let (pipelined, pipelined_nanos) = run(Engine::Pipelined);
 
-        assert_eq!(
-            single, barrier,
-            "barrier and single-threaded reports diverged at {cores} cores"
-        );
         assert_eq!(
             single, pipelined,
             "pipelined and single-threaded reports diverged at {cores} cores"
@@ -173,34 +156,20 @@ fn main() {
             cores,
             accesses: pipelined.total_accesses(),
             single_nanos,
-            barrier_nanos,
             pipelined_nanos,
             resolver_occupancy: pipelined.timing.resolver_occupancy(),
             parallel_capable: cores <= host,
         };
         println!(
-            "  {:>2} cores: single {:>7.2} | barrier {:>7.2} ({:.2}x) | pipelined {:>7.2} \
-             Maccs/s ({:.2}x, resolver {:.0}%){}",
+            "  {:>2} cores: single {:>7.2} | pipelined {:>7.2} Maccs/s ({:.2}x, resolver \
+             {:.0}%){}",
             cores,
             point.maccs(point.single_nanos),
-            point.maccs(point.barrier_nanos),
-            point.barrier_speedup(),
             point.maccs(point.pipelined_nanos),
             point.pipelined_speedup(),
             100.0 * point.resolver_occupancy,
             if point.parallel_capable { "" } else { "  [host too small: floors skipped]" },
         );
-
-        // The pipeline-win gate: on hosts with real parallelism, overlap
-        // must beat stop-the-world in the same run.
-        if host >= 4 && cores >= 4 && point.parallel_capable {
-            assert!(
-                point.pipelined_speedup() > point.barrier_speedup(),
-                "pipelined speedup {:.2}x did not beat barrier {:.2}x at {cores} cores",
-                point.pipelined_speedup(),
-                point.barrier_speedup()
-            );
-        }
         points.push(point);
     }
 
@@ -213,7 +182,8 @@ fn main() {
         ("points", Json::Arr(points.iter().map(Point::to_json).collect())),
     ])
     .render_pretty();
-    std::fs::write("BENCH_shard_scaling.json", &doc).expect("write BENCH_shard_scaling.json");
+    fsio::write_artifact(Path::new("BENCH_shard_scaling.json"), doc.as_bytes())
+        .expect("write BENCH_shard_scaling.json");
     println!(
         "wrote BENCH_shard_scaling.json ({} configurations, all reports identical)",
         points.len()

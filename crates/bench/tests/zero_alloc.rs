@@ -3,12 +3,16 @@
 //! (explicit scratch, internal scratch, full MNM protocol for every filter
 //! family, the perfect oracle, and the batched APIs) performs no heap
 //! allocation at all.
+//!
+//! The allocation counter is process-global, so a check that ran while a
+//! sibling test allocated on another thread would count that thread's
+//! allocations too. Every check therefore runs in sequence inside one
+//! `#[test]`: nothing else in this binary allocates while a measured
+//! region is open.
 
-use cache_sim::{
-    Access, BypassSet, Hierarchy, HierarchyConfig, NoFilter, ReplayScratch, ReplaySession,
-};
+use cache_sim::{Access, BypassSet, Hierarchy, HierarchyConfig, ReplayScratch};
 use mnm_bench::allocations;
-use mnm_core::{Mnm, MnmConfig, PerfectFilter};
+use mnm_core::{Mnm, MnmConfig, ReplayFilter};
 
 #[global_allocator]
 static ALLOC: mnm_bench::CountingAlloc = mnm_bench::CountingAlloc;
@@ -24,85 +28,69 @@ fn stream(i: u64) -> Access {
     }
 }
 
-#[test]
-fn explicit_scratch_path_is_allocation_free() {
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+fn hierarchy() -> Hierarchy {
+    Hierarchy::new(HierarchyConfig::paper_five_level())
+}
+
+/// Warm with accesses `0..2000`, then assert that `2000..10000` allocate
+/// nothing.
+fn assert_steady_state_free(what: &str, mut drive: impl FnMut(Access)) {
+    for i in 0..2_000 {
+        drive(stream(i));
+    }
+    let before = allocations();
+    for i in 2_000..10_000 {
+        drive(stream(i));
+    }
+    assert_eq!(allocations() - before, 0, "steady-state {what} allocated");
+}
+
+fn explicit_scratch_path() {
+    let mut hier = hierarchy();
     let mut scratch = ReplayScratch::new();
     let none = BypassSet::none();
-    for i in 0..2_000 {
-        hier.access_with_events(stream(i), &none, &mut scratch);
-    }
-    let before = allocations();
-    for i in 2_000..10_000 {
-        hier.access_with_events(stream(i), &none, &mut scratch);
-    }
-    assert_eq!(allocations() - before, 0, "steady-state access_with_events allocated");
+    assert_steady_state_free("access_with_events", |a| {
+        hier.access_with_events(a, &none, &mut scratch);
+    });
 }
 
-#[test]
-fn internal_scratch_wrapper_is_allocation_free() {
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+fn internal_scratch_wrapper() {
+    let mut hier = hierarchy();
     let none = BypassSet::none();
-    for i in 0..2_000 {
-        hier.access(stream(i), &none);
-    }
-    let before = allocations();
-    for i in 2_000..10_000 {
-        hier.access(stream(i), &none);
-    }
-    assert_eq!(allocations() - before, 0, "steady-state access() allocated");
+    assert_steady_state_free("access()", |a| {
+        hier.access(a, &none);
+    });
 }
 
-#[test]
-fn replay_session_is_allocation_free() {
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let mut session = ReplaySession::new(&mut hier, NoFilter);
-    for i in 0..2_000 {
-        session.step(stream(i));
-    }
-    let before = allocations();
-    for i in 2_000..10_000 {
-        session.step(stream(i));
-    }
-    assert_eq!(allocations() - before, 0, "steady-state ReplaySession allocated");
+fn baseline_step() {
+    let mut hier = hierarchy();
+    assert_steady_state_free("baseline Hierarchy::step", |a| {
+        hier.step(&mut ReplayFilter::Baseline, a);
+    });
 }
 
-#[test]
-fn mnm_protocol_is_allocation_free_for_every_family() {
+fn mnm_protocol_for_every_family() {
     for label in ["RMNM_512_2", "SMNM_13x2", "TMNM_12x3", "CMNM_8_12", "BLOOM_12x2", "HMNM4"] {
-        let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+        let mut hier = hierarchy();
         let mut mnm = Mnm::new(&hier, MnmConfig::parse(label).unwrap());
-        for i in 0..2_000 {
-            mnm.run_access(&mut hier, stream(i));
-        }
-        let before = allocations();
-        for i in 2_000..10_000 {
-            mnm.run_access(&mut hier, stream(i));
-        }
-        assert_eq!(allocations() - before, 0, "{label}: steady-state Mnm::run_access allocated");
+        assert_steady_state_free(&format!("{label} Mnm::run_access"), |a| {
+            mnm.run_access(&mut hier, a);
+        });
     }
 }
 
-#[test]
-fn perfect_oracle_session_is_allocation_free() {
+fn perfect_oracle_step() {
     // `perfect_bypass` builds its verdict with `dry_run_bypass`, which
     // returns a stack `BypassSet` instead of collecting a Vec — the
-    // regression this test pins down (the Vec cost ~50k allocs/1M).
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let mut session = ReplaySession::new(&mut hier, PerfectFilter);
-    for i in 0..2_000 {
-        session.step(stream(i));
-    }
-    let before = allocations();
-    for i in 2_000..10_000 {
-        session.step(stream(i));
-    }
-    assert_eq!(allocations() - before, 0, "steady-state perfect-oracle session allocated");
+    // regression this check pins down (the Vec cost ~50k allocs/1M).
+    let mut hier = hierarchy();
+    assert_steady_state_free("perfect-oracle Hierarchy::step", |a| {
+        hier.step(&mut ReplayFilter::Perfect, a);
+    });
 }
 
-#[test]
-fn batched_run_many_is_allocation_free() {
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+fn batched_run_many() {
+    let mut hier = hierarchy();
     let mut mnm = Mnm::new(&hier, MnmConfig::hmnm(4));
     // Chunks are materialized before the measured region, as a trace
     // reader would refill a fixed buffer.
@@ -119,9 +107,8 @@ fn batched_run_many_is_allocation_free() {
     assert_eq!(total.accesses, 8_000);
 }
 
-#[test]
-fn batched_query_many_is_allocation_free_once_warm() {
-    let hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+fn batched_query_many_once_warm() {
+    let hier = hierarchy();
     let mut mnm = Mnm::new(&hier, MnmConfig::hmnm(4));
     let chunk: Vec<Access> = (0..1_000).map(stream).collect();
     let mut out = Vec::new();
@@ -135,15 +122,25 @@ fn batched_query_many_is_allocation_free_once_warm() {
     assert_eq!(out.len(), chunk.len());
 }
 
-#[test]
-fn batched_session_process_many_is_allocation_free() {
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let mut session = ReplaySession::new(&mut hier, NoFilter);
+fn batched_hierarchy_run() {
+    let mut hier = hierarchy();
     let warm: Vec<Access> = (0..2_000).map(stream).collect();
     let chunk: Vec<Access> = (2_000..10_000).map(stream).collect();
-    session.process_many(&warm);
+    hier.run(&mut ReplayFilter::Baseline, &warm);
     let before = allocations();
-    let summary = session.process_many(&chunk);
-    assert_eq!(allocations() - before, 0, "steady-state process_many allocated");
+    let summary = hier.run(&mut ReplayFilter::Baseline, &chunk);
+    assert_eq!(allocations() - before, 0, "steady-state Hierarchy::run allocated");
     assert_eq!(summary.accesses, 8_000);
+}
+
+#[test]
+fn every_replay_entry_point_is_allocation_free() {
+    explicit_scratch_path();
+    internal_scratch_wrapper();
+    baseline_step();
+    mnm_protocol_for_every_family();
+    perfect_oracle_step();
+    batched_run_many();
+    batched_query_many_once_warm();
+    batched_hierarchy_run();
 }

@@ -4,7 +4,7 @@ use crate::access::{Access, AccessResult, BypassSet, ProbeOutcome, ProbeRecord};
 use crate::cache::{Cache, FillOutcome};
 use crate::config::{HierarchyConfig, LevelConfig, WritePolicy};
 use crate::events::{CacheEvent, EventKind};
-use crate::replay::ReplayScratch;
+use crate::replay::{AccessFilter, BatchSummary, ReplayScratch};
 use crate::stats::HierarchyStats;
 
 /// Opaque index identifying one cache structure in a hierarchy
@@ -57,9 +57,10 @@ pub struct Hierarchy {
     instr_path: Vec<StructureId>,
     data_path: Vec<StructureId>,
     stats: HierarchyStats,
-    /// Reusable buffers backing the [`Hierarchy::access`] convenience
-    /// wrapper, so casual callers get the same allocation-free steady
-    /// state as [`Hierarchy::access_with_events`] users.
+    /// Reusable buffers backing [`Hierarchy::access`], [`Hierarchy::step`]
+    /// and [`Hierarchy::run`], so those callers get the same
+    /// allocation-free steady state as [`Hierarchy::access_with_events`]
+    /// users.
     scratch: ReplayScratch,
 }
 
@@ -416,37 +417,6 @@ impl Hierarchy {
         AccessResult { supply_level, latency, misses, bypassed, probed_beyond_l1 }
     }
 
-    /// Drive a batch of requests through the hierarchy with a per-request
-    /// bypass decision, reusing one scratch buffer for the whole walk.
-    ///
-    /// This is the batched entry point for epoch resolvers (the sharded
-    /// simulation's shared-L3 drain): `decide` sees the hierarchy *before*
-    /// the request runs — exactly the [`AccessFilter::query`] shape — so it
-    /// can classify the request against current residency, and `observe`
-    /// receives the request's result plus its probe trail and event stream
-    /// before the next request mutates the scratch. Requests execute
-    /// strictly in slice order; each observes every earlier request's
-    /// fills, which is what makes a core-major resolver walk
-    /// deterministic.
-    ///
-    /// [`AccessFilter::query`]: crate::AccessFilter::query
-    pub fn run_requests<D, O>(
-        &mut self,
-        accesses: &[Access],
-        scratch: &mut ReplayScratch,
-        mut decide: D,
-        mut observe: O,
-    ) where
-        D: FnMut(&Hierarchy, Access) -> BypassSet,
-        O: FnMut(Access, AccessResult, &ReplayScratch),
-    {
-        for &access in accesses {
-            let bypass = decide(self, access);
-            let result = self.access_with_events(access, &bypass, scratch);
-            observe(access, result, scratch);
-        }
-    }
-
     fn fill_structure(&mut self, sid: StructureId, addr: u64, events: &mut Vec<CacheEvent>) {
         let block_bytes = self.caches[sid.0].config().block_bytes;
         let block_base = addr & !(block_bytes - 1);
@@ -570,6 +540,62 @@ impl Hierarchy {
         let mut scratch = std::mem::take(&mut self.scratch);
         let result = self.access_with_events(access, bypass, &mut scratch);
         self.scratch = scratch;
+        result
+    }
+
+    /// Drive one access under `filter`: query it, walk the hierarchy with
+    /// the resulting bypass set, then feed the event stream and probe
+    /// trail back — the full per-access protocol. Reuses the internal
+    /// scratch, so it allocates nothing in steady state.
+    ///
+    /// ```
+    /// use cache_sim::{Access, Hierarchy, HierarchyConfig, NoFilter};
+    ///
+    /// let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+    /// let cold = hier.step(&mut NoFilter, Access::load(0x1000));
+    /// assert_eq!(cold.supply_level, hier.memory_level());
+    /// assert!(hier.step(&mut NoFilter, Access::load(0x1000)).l1_hit());
+    /// ```
+    pub fn step<F: AccessFilter + ?Sized>(
+        &mut self,
+        filter: &mut F,
+        access: Access,
+    ) -> AccessResult {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let result = self.step_with(filter, access, &mut scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    /// [`Hierarchy::step`] over a batch, folding the outcomes into one
+    /// [`BatchSummary`]. State evolution is identical to stepping each
+    /// access; the batch form takes the scratch out of the hierarchy once
+    /// per call instead of once per access.
+    pub fn run<F: AccessFilter + ?Sized>(
+        &mut self,
+        filter: &mut F,
+        accesses: &[Access],
+    ) -> BatchSummary {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut summary = BatchSummary::default();
+        for &access in accesses {
+            summary.absorb(self.step_with(filter, access, &mut scratch));
+        }
+        self.scratch = scratch;
+        summary
+    }
+
+    #[inline(always)]
+    fn step_with<F: AccessFilter + ?Sized>(
+        &mut self,
+        filter: &mut F,
+        access: Access,
+        scratch: &mut ReplayScratch,
+    ) -> AccessResult {
+        let bypass = filter.query(self, access);
+        let result = self.access_with_events(access, &bypass, scratch);
+        filter.observe_events(self, &scratch.events);
+        filter.note_probes(access, &scratch.probes);
         result
     }
 

@@ -55,6 +55,6 @@ pub use events::{CacheEvent, EventKind};
 pub use hierarchy::{Hierarchy, StructureId, StructureInfo};
 pub use pad::CachePadded;
 pub use replacement::ReplacementPolicy;
-pub use replay::{AccessFilter, BatchSummary, NoFilter, ReplayScratch, ReplaySession};
+pub use replay::{AccessFilter, BatchSummary, NoFilter, ReplayScratch};
 pub use stats::{HierarchyStats, StructureStats};
 pub use tlb::{TlbAccessResult, TlbConfig, TlbEvent, TlbLevelStats, TwoLevelTlb};

@@ -1,4 +1,4 @@
-//! Reusable per-access scratch buffers and the streaming replay session.
+//! Reusable per-access scratch buffers and the filter protocol.
 //!
 //! The replay hot path is deliberately **zero-allocation in steady state**:
 //! every access needs somewhere to record its probe trail and the cache
@@ -6,14 +6,15 @@
 //! access dominated the profile of long trace replays. [`ReplayScratch`]
 //! owns both buffers and is cleared — not reallocated — between accesses.
 //!
-//! [`ReplaySession`] packages the common replay loop: an access stream is
-//! driven through a [`Hierarchy`] with a pluggable [`AccessFilter`]
-//! (the MNM, a perfect oracle, or [`NoFilter`] for baselines) while the
+//! [`AccessFilter`] is the one per-access protocol every replay driver
+//! speaks: [`Hierarchy::step`] and [`Hierarchy::run`] drive an access
+//! stream through a hierarchy with a pluggable filter (the MNM, a perfect
+//! oracle, or [`NoFilter`] for baselines) while the hierarchy's internal
 //! scratch buffers are reused across the whole run.
 
-use crate::access::{Access, AccessResult, BypassSet, ProbeOutcome, ProbeRecord};
+use crate::access::{Access, AccessResult, BypassSet, ProbeRecord};
 use crate::events::CacheEvent;
-use crate::hierarchy::{Hierarchy, StructureId};
+use crate::hierarchy::Hierarchy;
 
 /// Reusable per-access buffers for probes and cache events.
 ///
@@ -52,11 +53,6 @@ impl ReplayScratch {
     pub fn events(&self) -> &[CacheEvent] {
         &self.events
     }
-
-    /// Structures the most recent access probed and missed in.
-    pub fn missed_structures(&self) -> impl Iterator<Item = StructureId> + '_ {
-        self.probes.iter().filter(|p| p.outcome == ProbeOutcome::Miss).map(|p| p.structure)
-    }
 }
 
 /// A per-access bypass decision source driving a replay.
@@ -77,6 +73,14 @@ pub trait AccessFilter {
 
     /// Observe the probe trail of the completed access.
     fn note_probes(&mut self, _access: Access, _probes: &[ProbeRecord]) {}
+
+    /// Flush the caches *and* this filter's state in one step. The default
+    /// suits stateless filters; stateful ones must clear themselves here —
+    /// clearing only one side either leaves stale state (lossy) or flags
+    /// still-resident blocks (unsound).
+    fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
+        hierarchy.flush();
+    }
 }
 
 /// The no-op filter: never bypasses, observes nothing. Baseline runs.
@@ -89,25 +93,11 @@ impl AccessFilter for NoFilter {
     }
 }
 
-impl<F: AccessFilter + ?Sized> AccessFilter for &mut F {
-    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        (**self).query(hierarchy, access)
-    }
-
-    fn observe_events(&mut self, hierarchy: &Hierarchy, events: &[CacheEvent]) {
-        (**self).observe_events(hierarchy, events);
-    }
-
-    fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
-        (**self).note_probes(access, probes);
-    }
-}
-
 /// Accumulated outcome of a batch of accesses driven through
-/// [`ReplaySession::process_many`] (or `Mnm::run_many` in `mnm-core`).
+/// [`Hierarchy::run`].
 ///
-/// The per-access [`AccessResult`]s fold into plain sums; batch drivers
-/// that need the individual results should step the session instead.
+/// The per-access [`AccessResult`]s fold into plain sums; drivers that
+/// need the individual results should use [`Hierarchy::step`] instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchSummary {
     /// Accesses driven.
@@ -143,114 +133,48 @@ impl BatchSummary {
     }
 }
 
-/// A streaming replay of an access trace through a hierarchy and filter,
-/// reusing one [`ReplayScratch`] for the whole run.
-///
-/// ```
-/// use cache_sim::{Access, Hierarchy, HierarchyConfig, NoFilter, ReplaySession};
-///
-/// let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-/// let mut session = ReplaySession::new(&mut hier, NoFilter);
-/// for addr in [0x1000u64, 0x1040, 0x1000] {
-///     session.step(Access::load(addr));
-/// }
-/// assert_eq!(session.accesses(), 3);
-/// ```
-#[derive(Debug)]
-pub struct ReplaySession<'h, F> {
-    hierarchy: &'h mut Hierarchy,
-    filter: F,
-    scratch: ReplayScratch,
-    accesses: u64,
-}
-
-impl<'h, F: AccessFilter> ReplaySession<'h, F> {
-    /// Start a session over `hierarchy` driven by `filter`.
-    pub fn new(hierarchy: &'h mut Hierarchy, filter: F) -> Self {
-        ReplaySession { hierarchy, filter, scratch: ReplayScratch::new(), accesses: 0 }
-    }
-
-    /// Drive one access: query the filter, walk the hierarchy, feed the
-    /// outcome back to the filter. No per-access heap allocation.
-    pub fn step(&mut self, access: Access) -> AccessResult {
-        let bypass = self.filter.query(self.hierarchy, access);
-        let result = self.hierarchy.access_with_events(access, &bypass, &mut self.scratch);
-        self.filter.observe_events(self.hierarchy, &self.scratch.events);
-        self.filter.note_probes(access, &self.scratch.probes);
-        self.accesses += 1;
-        result
-    }
-
-    /// Drive a batch of accesses through the session, folding the
-    /// outcomes into one [`BatchSummary`]. Identical protocol and state
-    /// evolution as calling [`ReplaySession::step`] per access — the batch
-    /// form exists so trace drivers can hand the replay loop a whole chunk
-    /// at a time (one call per chunk instead of one per access) without
-    /// touching per-access results they would only sum anyway.
-    pub fn process_many(&mut self, accesses: &[Access]) -> BatchSummary {
-        let mut summary = BatchSummary::default();
-        for &access in accesses {
-            let bypass = self.filter.query(self.hierarchy, access);
-            let result = self.hierarchy.access_with_events(access, &bypass, &mut self.scratch);
-            self.filter.observe_events(self.hierarchy, &self.scratch.events);
-            self.filter.note_probes(access, &self.scratch.probes);
-            summary.absorb(result);
-        }
-        self.accesses += summary.accesses;
-        summary
-    }
-
-    /// Number of accesses driven so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Scratch state of the most recent access (probe trail and events).
-    pub fn last(&self) -> &ReplayScratch {
-        &self.scratch
-    }
-
-    /// The underlying hierarchy.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        self.hierarchy
-    }
-
-    /// The filter.
-    pub fn filter(&self) -> &F {
-        &self.filter
-    }
-
-    /// The filter, mutably (e.g. to reset its statistics mid-run).
-    pub fn filter_mut(&mut self) -> &mut F {
-        &mut self.filter
-    }
-
-    /// End the session, returning the filter.
-    pub fn into_filter(self) -> F {
-        self.filter
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
 
-    #[test]
-    fn session_replays_and_reports_probes() {
-        let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-        let mut session = ReplaySession::new(&mut hier, NoFilter);
-        let cold = session.step(Access::load(0x4000));
-        assert_eq!(cold.supply_level, session.hierarchy().memory_level());
-        assert!(!session.last().probes().is_empty());
-        assert!(!session.last().events().is_empty());
-        assert!(session.last().missed_structures().count() > 0);
+    /// Counts what the protocol feeds back to a filter.
+    #[derive(Default)]
+    struct Recorder {
+        queries: u64,
+        events: usize,
+        probes: usize,
+    }
 
-        let warm = session.step(Access::load(0x4000));
+    impl AccessFilter for Recorder {
+        fn query(&mut self, _hierarchy: &Hierarchy, _access: Access) -> BypassSet {
+            self.queries += 1;
+            BypassSet::none()
+        }
+
+        fn observe_events(&mut self, _hierarchy: &Hierarchy, events: &[CacheEvent]) {
+            self.events = events.len();
+        }
+
+        fn note_probes(&mut self, _access: Access, probes: &[ProbeRecord]) {
+            self.probes = probes.len();
+        }
+    }
+
+    #[test]
+    fn step_feeds_events_and_probes_back_to_the_filter() {
+        let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+        let mut rec = Recorder::default();
+        let cold = hier.step(&mut rec, Access::load(0x4000));
+        assert_eq!(cold.supply_level, hier.memory_level());
+        assert!(cold.misses > 0);
+        assert!(rec.probes > 0 && rec.events > 0);
+
+        let warm = hier.step(&mut rec, Access::load(0x4000));
         assert!(warm.l1_hit());
-        assert_eq!(session.last().probes().len(), 1);
-        assert!(session.last().events().is_empty());
-        assert_eq!(session.accesses(), 2);
+        assert_eq!(rec.probes, 1);
+        assert_eq!(rec.events, 0);
+        assert_eq!(rec.queries, 2);
     }
 
     #[test]
@@ -268,11 +192,18 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_mut_ref_also_works() {
-        let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-        let mut filter = NoFilter;
-        let mut session = ReplaySession::new(&mut hier, &mut filter);
-        session.step(Access::fetch(0x100));
-        assert_eq!(session.accesses(), 1);
+    fn run_matches_stepping_each_access() {
+        let stream: Vec<Access> =
+            (0..500u64).map(|i| Access::load((i * 0x9E37) % 0x8000)).collect();
+        let mut stepped = Hierarchy::new(HierarchyConfig::paper_five_level());
+        let mut expect = BatchSummary::default();
+        for &a in &stream {
+            expect.absorb(stepped.step(&mut NoFilter, a));
+        }
+        let mut batched = Hierarchy::new(HierarchyConfig::paper_five_level());
+        let summary = batched.run(&mut NoFilter, &stream);
+        assert_eq!(summary, expect);
+        assert_eq!(summary.accesses, 500);
+        assert_eq!(batched.stats(), stepped.stats());
     }
 }

@@ -19,13 +19,15 @@
 //!
 //! [`UnsoundFlag`]: crate::harness::ViolationKind::UnsoundFlag
 
-use cache_sim::{Access, AccessKind, BypassSet, CacheEvent, Hierarchy, ProbeRecord};
-use mnm_core::Mnm;
+use cache_sim::{Access, AccessFilter, AccessKind, BypassSet, CacheEvent, Hierarchy, ProbeRecord};
+use mnm_core::{FilterPreset, Mnm, ReplayFilter};
 
-use crate::generate::{splitmix64, Op};
-use crate::harness::{check_ops, CheckFilter};
+use trace_synth::rng::splitmix64;
+
+use crate::generate::Op;
+use crate::harness::check_ops;
 use crate::shrink::shrink_ops;
-use crate::{build_filter, AnyFilter, Scenario, ScenarioReport};
+use crate::{Scenario, ScenarioReport};
 
 /// The fault-injection site of a scenario: `{filter}:{gen}:{seed}`.
 pub fn scenario_site(s: &Scenario) -> String {
@@ -63,7 +65,7 @@ impl CorruptedMnm {
     }
 }
 
-impl CheckFilter for CorruptedMnm {
+impl AccessFilter for CorruptedMnm {
     fn query(&mut self, _hierarchy: &Hierarchy, access: Access) -> BypassSet {
         if !self.applied && self.seen == self.spec.after_accesses {
             self.applied = true;
@@ -100,8 +102,8 @@ fn find_unsound_flip(
     flip_seed: u64,
 ) -> Result<Option<(FlipSpec, Access)>, String> {
     let mut hier = scenario.hierarchy();
-    let AnyFilter::Mnm(mut mnm) = build_filter(&scenario.filter, &hier)? else {
-        return Ok(None); // the oracle has no corruptible state
+    let ReplayFilter::Mnm(mut mnm) = FilterPreset::parse(&scenario.filter)?.build(&hier) else {
+        return Ok(None); // the baseline and the oracle have no corruptible state
     };
     // Drive the prefix through the same harness the corrupted replay will
     // use, so the machine state here is exactly the pre-flip state there.
@@ -199,9 +201,9 @@ pub fn run_corrupted_scenario(
 
     let build_corrupted = |spec: FlipSpec| -> Result<CorruptedMnm, String> {
         let hier = scenario.hierarchy();
-        match build_filter(&scenario.filter, &hier)? {
-            AnyFilter::Mnm(mnm) => Ok(CorruptedMnm::new(mnm, spec)),
-            AnyFilter::Perfect(_) => Err("oracle cannot be corrupted".to_owned()),
+        match FilterPreset::parse(&scenario.filter)?.build(&hier) {
+            ReplayFilter::Mnm(mnm) => Ok(CorruptedMnm::new(mnm, spec)),
+            _ => Err("a stateless filter cannot be corrupted".to_owned()),
         }
     };
 

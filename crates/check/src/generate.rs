@@ -8,6 +8,7 @@
 //! and saturation (sticky counters pinned at their ceiling).
 
 use cache_sim::Access;
+use trace_synth::rng::{fnv1a, splitmix64};
 use trace_synth::{profiles, Prng, Program};
 
 /// One step of a checked replay: a memory access or a full system flush
@@ -167,22 +168,10 @@ pub fn render_ops(ops: &[Op]) -> String {
     out
 }
 
-/// splitmix64 — the checker's seed derivation primitive.
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derive the deterministic seed of scenario `k` for `(filter, gen)`:
 /// FNV-1a over the names, finalized with splitmix64 per index.
 pub fn scenario_seed(filter: &str, gen: TraceGen, k: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in filter.bytes().chain(gen.name().bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
+    let h = fnv1a(&format!("{filter}{}", gen.name()));
     splitmix64(h ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 

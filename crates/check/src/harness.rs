@@ -21,8 +21,7 @@
 
 use std::collections::HashSet;
 
-use cache_sim::{Access, BypassSet, CacheEvent, EventKind, Hierarchy, ProbeRecord, ReplayScratch};
-use mnm_core::{perfect_bypass, Mnm, PerfectFilter};
+use cache_sim::{AccessFilter, EventKind, Hierarchy, ReplayScratch};
 
 use crate::generate::Op;
 use crate::reference::RefModel;
@@ -30,52 +29,6 @@ use crate::reference::RefModel;
 /// Residency and stats are fully reconciled every this many accesses (and
 /// once more at the end of the stream).
 const FULL_AUDIT_PERIOD: u64 = 1024;
-
-/// A filter that can be driven by the checker: the
-/// [`AccessFilter`](cache_sim::AccessFilter) protocol plus the combined
-/// flush step of a full-system flush.
-pub trait CheckFilter {
-    /// Decide which structures `access` may bypass.
-    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet;
-
-    /// Observe the placement/replacement events the access caused.
-    fn observe_events(&mut self, _hierarchy: &Hierarchy, _events: &[CacheEvent]) {}
-
-    /// Observe the probe trail of the completed access.
-    fn note_probes(&mut self, _access: Access, _probes: &[ProbeRecord]) {}
-
-    /// Flush the caches *and* this filter's state in one step. The default
-    /// suits stateless filters; stateful ones must clear themselves here —
-    /// clearing only one side is exactly the bug class the flush-heavy
-    /// generator hunts.
-    fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
-        hierarchy.flush();
-    }
-}
-
-impl CheckFilter for Mnm {
-    fn query(&mut self, _hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        Mnm::query(self, access)
-    }
-
-    fn observe_events(&mut self, _hierarchy: &Hierarchy, events: &[CacheEvent]) {
-        Mnm::observe_events(self, events);
-    }
-
-    fn note_probes(&mut self, _access: Access, probes: &[ProbeRecord]) {
-        Mnm::note_probes(self, probes);
-    }
-
-    fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
-        Mnm::flush_system(self, hierarchy);
-    }
-}
-
-impl CheckFilter for PerfectFilter {
-    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        perfect_bypass(hierarchy, access)
-    }
-}
 
 /// What kind of invariant a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +83,7 @@ pub struct CheckCounters {
 /// The hierarchy must be fresh (empty caches, zero stats) and must use
 /// `Lru`/`Fifo` replacement and the non-inclusive fill policy — the
 /// invariants are stated against that regime.
-pub fn check_ops<F: CheckFilter>(
+pub fn check_ops<F: AccessFilter + ?Sized>(
     ops: &[Op],
     hierarchy: &mut Hierarchy,
     filter: &mut F,
@@ -390,8 +343,11 @@ fn audit(
 mod tests {
     use super::*;
     use crate::generate::TraceGen;
-    use cache_sim::{CacheConfig, HierarchyConfig, LevelConfig, StructureId};
-    use mnm_core::MnmConfig;
+    use cache_sim::{
+        Access, BypassSet, CacheConfig, CacheEvent, HierarchyConfig, LevelConfig, ProbeRecord,
+        StructureId,
+    };
+    use mnm_core::{Mnm, MnmConfig, ReplayFilter};
 
     fn tiny() -> Hierarchy {
         Hierarchy::new(HierarchyConfig {
@@ -425,7 +381,7 @@ mod tests {
     fn perfect_filter_passes_and_flags_aggressively() {
         let ops = TraceGen::Aliasing.generate(3, 2000);
         let mut hier = tiny();
-        let (counters, violation) = check_ops(&ops, &mut hier, &mut PerfectFilter);
+        let (counters, violation) = check_ops(&ops, &mut hier, &mut ReplayFilter::Perfect);
         assert!(violation.is_none(), "{}", violation.unwrap());
         assert!(counters.flags > 0, "the oracle must flag misses in a thrashing arena");
     }
@@ -440,9 +396,9 @@ mod tests {
         n: u64,
     }
 
-    impl CheckFilter for Evil {
+    impl AccessFilter for Evil {
         fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-            let mut set = CheckFilter::query(&mut self.inner, hierarchy, access);
+            let mut set = AccessFilter::query(&mut self.inner, hierarchy, access);
             if !access.kind.is_instruction() && hierarchy.contains(self.target, access.addr) {
                 self.n += 1;
                 if self.n.is_multiple_of(self.every) {
@@ -453,15 +409,15 @@ mod tests {
         }
 
         fn observe_events(&mut self, hierarchy: &Hierarchy, events: &[CacheEvent]) {
-            CheckFilter::observe_events(&mut self.inner, hierarchy, events);
+            AccessFilter::observe_events(&mut self.inner, hierarchy, events);
         }
 
         fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
-            CheckFilter::note_probes(&mut self.inner, access, probes);
+            AccessFilter::note_probes(&mut self.inner, access, probes);
         }
 
         fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
-            CheckFilter::flush_system(&mut self.inner, hierarchy);
+            AccessFilter::flush_system(&mut self.inner, hierarchy);
         }
     }
 

@@ -35,8 +35,8 @@ pub mod multicore;
 pub mod reference;
 pub mod shrink;
 
-pub use generate::{render_ops, scenario_seed, splitmix64, Op, TraceGen};
-pub use harness::{check_ops, CheckCounters, CheckFilter, Violation, ViolationKind};
+pub use generate::{render_ops, scenario_seed, Op, TraceGen};
+pub use harness::{check_ops, CheckCounters, Violation, ViolationKind};
 pub use multicore::{
     run_multicore_scenario, run_multicore_suite, MulticoreChecker, MulticoreReport,
     MulticoreScenario, ShardWorkload, MULTICORE_FILTERS,
@@ -44,11 +44,8 @@ pub use multicore::{
 pub use reference::{RefCache, RefModel};
 pub use shrink::shrink_ops;
 
-use cache_sim::{
-    Access, BypassSet, CacheConfig, CacheEvent, Hierarchy, HierarchyConfig, LevelConfig,
-    ProbeRecord, ReplacementPolicy,
-};
-use mnm_core::{Mnm, MnmConfig, PerfectFilter};
+use cache_sim::{CacheConfig, Hierarchy, HierarchyConfig, LevelConfig, ReplacementPolicy};
+use mnm_core::FilterPreset;
 use mnm_experiments::json::Json;
 
 /// Filter labels the default suite sweeps: at least one preset per
@@ -68,62 +65,10 @@ pub const DEFAULT_FILTERS: [&str; 11] = [
     "PERFECT",
 ];
 
-/// Either filter implementation the suite can drive.
-pub enum AnyFilter {
-    /// A real MNM configuration.
-    Mnm(Box<Mnm>),
-    /// The perfect oracle.
-    Perfect(PerfectFilter),
-}
-
-impl CheckFilter for AnyFilter {
-    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        match self {
-            AnyFilter::Mnm(m) => CheckFilter::query(m.as_mut(), hierarchy, access),
-            AnyFilter::Perfect(p) => CheckFilter::query(p, hierarchy, access),
-        }
-    }
-
-    fn observe_events(&mut self, hierarchy: &Hierarchy, events: &[CacheEvent]) {
-        match self {
-            AnyFilter::Mnm(m) => CheckFilter::observe_events(m.as_mut(), hierarchy, events),
-            AnyFilter::Perfect(p) => CheckFilter::observe_events(p, hierarchy, events),
-        }
-    }
-
-    fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
-        match self {
-            AnyFilter::Mnm(m) => CheckFilter::note_probes(m.as_mut(), access, probes),
-            AnyFilter::Perfect(p) => CheckFilter::note_probes(p, access, probes),
-        }
-    }
-
-    fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
-        match self {
-            AnyFilter::Mnm(m) => CheckFilter::flush_system(m.as_mut(), hierarchy),
-            AnyFilter::Perfect(p) => CheckFilter::flush_system(p, hierarchy),
-        }
-    }
-}
-
-/// Build the filter named by `label` against `hierarchy`.
-///
-/// # Errors
-///
-/// Returns a message when the label is neither `PERFECT` nor a valid
-/// [`MnmConfig`] label.
-pub fn build_filter(label: &str, hierarchy: &Hierarchy) -> Result<AnyFilter, String> {
-    if label.eq_ignore_ascii_case("perfect") {
-        return Ok(AnyFilter::Perfect(PerfectFilter));
-    }
-    let config = MnmConfig::parse(label).map_err(|e| e.to_string())?;
-    Ok(AnyFilter::Mnm(Box::new(Mnm::new(hierarchy, config))))
-}
-
 /// One fully-specified checker run, replayable from its fields alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
-    /// Filter label (`PERFECT` or an [`MnmConfig`] label).
+    /// Filter label (any [`FilterPreset::parse`] label).
     pub filter: String,
     /// Trace generator family.
     pub gen: TraceGen,
@@ -223,7 +168,7 @@ impl ScenarioReport {
 /// [`corrupt::run_corrupted_scenario`] instead: one filter-state bit is
 /// flipped mid-trace and the checker is expected to catch the lie.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
-    if !scenario.filter.eq_ignore_ascii_case("perfect") {
+    if matches!(FilterPreset::parse(&scenario.filter)?, FilterPreset::Mnm(_)) {
         if let Some(seed) = mnm_experiments::faults::flip_seed(&corrupt::scenario_site(scenario)) {
             return corrupt::run_corrupted_scenario(scenario, seed);
         }
@@ -235,17 +180,16 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
 /// flip exists for a fault-selected scenario).
 pub(crate) fn run_plain_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
     let ops = scenario.gen.generate(scenario.seed, scenario.len);
+    let preset = FilterPreset::parse(&scenario.filter)?;
     let mut hierarchy = scenario.hierarchy();
-    let mut filter = build_filter(&scenario.filter, &hierarchy)?;
+    let mut filter = preset.build(&hierarchy);
     let (counters, violation) = check_ops(&ops, &mut hierarchy, &mut filter);
 
     let reproducer = violation.as_ref().map(|_| {
         shrink_ops(&ops, |candidate| {
             let mut h = scenario.hierarchy();
-            match build_filter(&scenario.filter, &h) {
-                Ok(mut f) => check_ops(candidate, &mut h, &mut f).1.is_some(),
-                Err(_) => false,
-            }
+            let mut f = preset.build(&h);
+            check_ops(candidate, &mut h, &mut f).1.is_some()
         })
     });
 
@@ -366,12 +310,10 @@ mod tests {
 
     #[test]
     fn default_filter_labels_all_build() {
-        let scenario = Scenario { filter: String::new(), gen: TraceGen::Aliasing, seed: 0, len: 0 };
-        let hier = scenario.hierarchy();
         for label in DEFAULT_FILTERS {
-            assert!(build_filter(label, &hier).is_ok(), "{label}");
+            assert!(FilterPreset::parse(label).is_ok(), "{label}");
         }
-        assert!(build_filter("NOPE_1", &hier).is_err());
+        assert!(FilterPreset::parse("NOPE_1").is_err());
     }
 
     #[test]

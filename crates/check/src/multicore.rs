@@ -25,7 +25,7 @@
 //!   condition than the simulator's resolution-time classification.
 //!
 //! Every scenario additionally verifies **engine identity**: the
-//! pipelined and barrier drivers must reproduce the observed
+//! pipelined driver must reproduce the observed
 //! single-threaded run bit-for-bit (the report equality that proves the
 //! SPSC handoff and the overlap of compute with resolution change
 //! nothing observable).
@@ -43,7 +43,7 @@ use std::collections::HashSet;
 use trace_synth::profiles;
 use trace_synth::sharing::SharingSpec;
 
-use crate::splitmix64;
+use trace_synth::rng::splitmix64;
 
 /// Filter labels the multi-core suite sweeps (the single-core defaults
 /// minus the perfect oracle, which is not a buildable `MnmConfig`).
@@ -426,15 +426,11 @@ pub fn run_multicore_scenario(scenario: &MulticoreScenario) -> Result<MulticoreR
             ));
         }
     }
-    // Engine identity: both parallel drivers must reproduce the observed
+    // Engine identity: the pipelined driver must reproduce the observed
     // single-threaded run bit-for-bit.
-    let pipelined = ShardedSim::new(config.clone(), streams.clone()).run();
+    let pipelined = ShardedSim::new(config, streams).run();
     if pipelined != report {
         violations.push("pipelined engine report diverges from single-threaded".to_owned());
-    }
-    let barrier = ShardedSim::new(config, streams).run_barrier();
-    if barrier != report {
-        violations.push("barrier engine report diverges from single-threaded".to_owned());
     }
     Ok(MulticoreReport { scenario: scenario.clone(), report, violations })
 }

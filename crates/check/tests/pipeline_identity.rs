@@ -1,5 +1,5 @@
-//! Engine-identity property sweep: the pipelined and barrier drivers
-//! must reproduce the single-threaded reference bit-for-bit across
+//! Engine-identity property sweep: the pipelined driver must reproduce
+//! the single-threaded reference bit-for-bit across
 //! epoch lengths (including degenerate epoch = 1 and the `auto` tuner),
 //! core counts, and every adversarial sharing workload — and stay sound
 //! while doing it.
@@ -32,11 +32,9 @@ fn identity_case(workload: ShardWorkload, cores: usize, epoch: Option<usize>) {
         None => autotune_epoch(&config, &streams).0,
     };
     let single = ShardedSim::new(config.clone(), streams.clone()).run_single_threaded();
-    let pipelined = ShardedSim::new(config.clone(), streams.clone()).run();
-    let barrier = ShardedSim::new(config, streams).run_barrier();
+    let pipelined = ShardedSim::new(config, streams).run();
     let label = format!("{} cores={cores} epoch={epoch:?}", workload.name());
     assert_eq!(pipelined, single, "pipelined diverged from single: {label}");
-    assert_eq!(barrier, single, "barrier diverged from single: {label}");
     assert_eq!(single.total_unsound(), 0, "unsound verdicts: {label}");
 }
 

@@ -6,10 +6,9 @@
 //! Quick mode: trace lengths are sized so the whole sweep stays in the
 //! normal `cargo test` budget; `jsn check --seeds 64` is the deep sweep.
 
-use cache_sim::{Access, BypassSet, CacheEvent, Hierarchy, ProbeRecord, StructureId};
+use cache_sim::{Access, AccessFilter, BypassSet, CacheEvent, Hierarchy, ProbeRecord, StructureId};
 use mnm_check::{
-    check_ops, render_ops, shrink_ops, CheckFilter, Scenario, TraceGen, ViolationKind,
-    DEFAULT_FILTERS,
+    check_ops, render_ops, shrink_ops, Scenario, TraceGen, ViolationKind, DEFAULT_FILTERS,
 };
 use mnm_core::{Mnm, MnmConfig};
 use trace_synth::profiles;
@@ -55,9 +54,9 @@ struct InjectedUnsound {
     lies_told: u64,
 }
 
-impl CheckFilter for InjectedUnsound {
+impl AccessFilter for InjectedUnsound {
     fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        let mut set = CheckFilter::query(&mut self.inner, hierarchy, access);
+        let mut set = AccessFilter::query(&mut self.inner, hierarchy, access);
         if !access.kind.is_instruction() && hierarchy.contains(self.target, access.addr) {
             self.lies_told += 1;
             if self.lies_told.is_multiple_of(self.period) {
@@ -68,15 +67,15 @@ impl CheckFilter for InjectedUnsound {
     }
 
     fn observe_events(&mut self, hierarchy: &Hierarchy, events: &[CacheEvent]) {
-        CheckFilter::observe_events(&mut self.inner, hierarchy, events);
+        AccessFilter::observe_events(&mut self.inner, hierarchy, events);
     }
 
     fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
-        CheckFilter::note_probes(&mut self.inner, access, probes);
+        AccessFilter::note_probes(&mut self.inner, access, probes);
     }
 
     fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
-        CheckFilter::flush_system(&mut self.inner, hierarchy);
+        AccessFilter::flush_system(&mut self.inner, hierarchy);
     }
 }
 
@@ -132,17 +131,17 @@ fn hierarchy_only_flush_is_caught_as_unsound() {
     /// warm: the filter goes cold and starts flagging resident blocks.
     struct FilterOnlyFlush(Mnm);
 
-    impl CheckFilter for FilterOnlyFlush {
+    impl AccessFilter for FilterOnlyFlush {
         fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-            CheckFilter::query(&mut self.0, hierarchy, access)
+            AccessFilter::query(&mut self.0, hierarchy, access)
         }
 
         fn observe_events(&mut self, hierarchy: &Hierarchy, events: &[CacheEvent]) {
-            CheckFilter::observe_events(&mut self.0, hierarchy, events);
+            AccessFilter::observe_events(&mut self.0, hierarchy, events);
         }
 
         fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
-            CheckFilter::note_probes(&mut self.0, access, probes);
+            AccessFilter::note_probes(&mut self.0, access, probes);
         }
 
         fn flush_system(&mut self, _hierarchy: &mut Hierarchy) {

@@ -26,6 +26,10 @@
 //! | [`CmnmFilter`](Cmnm) | 3.4 | **virtual-tag finder** over the high address bits feeding a counter table |
 //! | [`hybrid`] (HMNM) | 3.5 | combinations of the above, different mixes per level group |
 //!
+//! [`FilterPreset`] names the three configurations every experiment
+//! compares (no filter, a real MNM, the perfect MNM of §4.3) and builds a
+//! [`ReplayFilter`] that drives `Hierarchy::step` / `Hierarchy::run`.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -48,6 +52,7 @@ mod config;
 mod filter;
 mod machine;
 mod perfect;
+mod preset;
 mod rmnm;
 mod smnm;
 mod stats;
@@ -61,7 +66,8 @@ pub use cmnm::{Cmnm, CmnmConfig};
 pub use config::{Assignment, MnmConfig, MnmPlacement, ParseConfigError, TechniqueConfig};
 pub use filter::{FilterOccupancy, MissFilter};
 pub use machine::{ComponentStorage, FilterKind, Mnm};
-pub use perfect::{perfect_bypass, PerfectFilter};
+pub use perfect::perfect_bypass;
+pub use preset::{FilterPreset, ReplayFilter};
 pub use rmnm::{Rmnm, RmnmConfig};
 pub use smnm::{SmnmChecker, SmnmConfig, SmnmFilter};
 pub use stats::{MnmStats, SlotStats};

@@ -2,7 +2,7 @@
 
 use cache_sim::{
     Access, AccessFilter, AccessResult, BatchSummary, BypassSet, CacheEvent, EventKind, Hierarchy,
-    ProbeOutcome, ProbeRecord, ReplayScratch, StructureId,
+    ProbeOutcome, ProbeRecord, StructureId,
 };
 
 use crate::block::Granularity;
@@ -214,9 +214,6 @@ pub struct Mnm {
     data_slots: Vec<usize>,
     rmnm: Option<Rmnm>,
     stats: MnmStats,
-    /// Reusable probe/event buffers for [`Mnm::run_access`]: the full
-    /// per-access protocol allocates nothing in steady state.
-    scratch: ReplayScratch,
 }
 
 impl Mnm {
@@ -270,17 +267,7 @@ impl Mnm {
         let rmnm = config.rmnm.map(|rc| Rmnm::new(rc, slots.len()));
         let stats = MnmStats::new(slots.len());
 
-        Mnm {
-            config,
-            granularity,
-            slots,
-            slot_of_structure,
-            instr_slots,
-            data_slots,
-            rmnm,
-            stats,
-            scratch: ReplayScratch::new(),
-        }
+        Mnm { config, granularity, slots, slot_of_structure, instr_slots, data_slots, rmnm, stats }
     }
 
     /// The machine's configuration.
@@ -419,53 +406,17 @@ impl Mnm {
         }
     }
 
-    /// Absorb one epoch resolution in a single batched call: the shared
-    /// level's global event list (every core applies the identical list,
-    /// keeping shared-slot filter state bit-identical everywhere) followed
-    /// by this core's probe records for coverage accounting.
-    ///
-    /// This is the filter-side entry point of the pipelined sharded
-    /// simulation's inbox application; the event/probe order matches the
-    /// per-access protocol ([`Mnm::observe_events`] before
-    /// [`Mnm::note_probes`]), so a batched refresh is indistinguishable
-    /// from having observed each access individually.
-    pub fn absorb_resolution(&mut self, events: &[CacheEvent], probes: &[ProbeRecord]) {
-        self.observe_events(events);
-        self.note_probes(probes);
-    }
-
-    /// Query, drive the access through the hierarchy with the resulting
-    /// bypass set, feed the event stream back, and record coverage — the
-    /// full per-access MNM protocol in one call. Reuses the machine's
-    /// internal scratch buffers: zero heap allocations per access in
-    /// steady state.
+    /// The full per-access MNM protocol in one call: query, walk, feed
+    /// events and probes back ([`Hierarchy::step`] with this machine as
+    /// the filter). Zero heap allocations per access in steady state.
     pub fn run_access(&mut self, hierarchy: &mut Hierarchy, access: Access) -> AccessResult {
-        let bypass = self.query(access);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = hierarchy.access_with_events(access, &bypass, &mut scratch);
-        self.observe_events(scratch.events());
-        self.note_probes(scratch.probes());
-        self.scratch = scratch;
-        result
+        hierarchy.step(self, access)
     }
 
-    /// [`Mnm::run_access`] over a batch, folding the per-access outcomes
-    /// into one [`BatchSummary`]. State evolution, verdicts, and statistics
-    /// are identical to running each access individually; the batch form
-    /// hoists the scratch-buffer swap out of the per-access loop and gives
-    /// trace drivers a chunk-at-a-time entry point.
+    /// [`Mnm::run_access`] over a batch ([`Hierarchy::run`]), folding the
+    /// per-access outcomes into one [`BatchSummary`].
     pub fn run_many(&mut self, hierarchy: &mut Hierarchy, accesses: &[Access]) -> BatchSummary {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut summary = BatchSummary::default();
-        for &access in accesses {
-            let bypass = self.query(access);
-            let result = hierarchy.access_with_events(access, &bypass, &mut scratch);
-            self.observe_events(scratch.events());
-            self.note_probes(scratch.probes());
-            summary.absorb(result);
-        }
-        self.scratch = scratch;
-        summary
+        hierarchy.run(self, accesses)
     }
 
     /// The access latency including MNM placement effects: a serial MNM
@@ -639,9 +590,8 @@ impl Mnm {
     }
 }
 
-/// The MNM plugs directly into [`cache_sim::ReplaySession`]: queries
-/// produce the miss tags, and the session feeds events and probe trails
-/// back into the filters — the same protocol as [`Mnm::run_access`].
+/// The MNM as a [`Hierarchy::step`] filter: queries produce the miss tags,
+/// and the hierarchy feeds events and probe trails back into the filters.
 impl AccessFilter for Mnm {
     fn query(&mut self, _hierarchy: &Hierarchy, access: Access) -> BypassSet {
         Mnm::query(self, access)
@@ -653,6 +603,10 @@ impl AccessFilter for Mnm {
 
     fn note_probes(&mut self, _access: Access, probes: &[ProbeRecord]) {
         Mnm::note_probes(self, probes);
+    }
+
+    fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
+        Mnm::flush_system(self, hierarchy);
     }
 }
 

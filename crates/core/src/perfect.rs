@@ -28,17 +28,6 @@ pub fn perfect_bypass(hierarchy: &Hierarchy, access: Access) -> BypassSet {
     hierarchy.dry_run_bypass(access)
 }
 
-/// [`perfect_bypass`] as an [`cache_sim::AccessFilter`], for driving a
-/// [`cache_sim::ReplaySession`] with the oracle.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PerfectFilter;
-
-impl cache_sim::AccessFilter for PerfectFilter {
-    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        perfect_bypass(hierarchy, access)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,5 +31,5 @@ mod pipeline;
 mod stats;
 
 pub use config::{CpuConfig, LoadSpeculation};
-pub use pipeline::{simulate, MemPolicy};
+pub use pipeline::simulate;
 pub use stats::CpuStats;

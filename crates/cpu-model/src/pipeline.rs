@@ -1,7 +1,7 @@
 //! The dataflow pipeline scheduler.
 
-use cache_sim::{Access, BypassSet, Hierarchy};
-use mnm_core::{perfect_bypass, Mnm};
+use cache_sim::{Access, Hierarchy};
+use mnm_core::ReplayFilter;
 use trace_synth::{Instr, InstrKind};
 
 use crate::config::{CpuConfig, LoadSpeculation};
@@ -19,40 +19,15 @@ struct MemOutcome {
     known_long: bool,
 }
 
-/// How the core's memory accesses are filtered.
-pub enum MemPolicy<'a> {
-    /// No MNM: every level is probed normally.
-    Baseline,
-    /// A real MNM (parallel or serial per its configuration) filters every
-    /// access; its coverage statistics accumulate as a side effect.
-    Mnm(&'a mut Mnm),
-    /// The perfect oracle of paper §4.3: every actual miss beyond L1 is
-    /// bypassed, at zero delay and zero energy.
-    Perfect,
-}
-
-impl MemPolicy<'_> {
-    fn access(&mut self, hierarchy: &mut Hierarchy, access: Access) -> MemOutcome {
-        match self {
-            MemPolicy::Baseline => {
-                let r = hierarchy.access(access, &BypassSet::none());
-                MemOutcome { latency: r.latency, supply_level: r.supply_level, known_long: false }
-            }
-            MemPolicy::Mnm(mnm) => {
-                let r = mnm.run_access(hierarchy, access);
-                MemOutcome {
-                    latency: mnm.adjusted_latency(&r),
-                    supply_level: r.supply_level,
-                    known_long: r.bypassed > 0,
-                }
-            }
-            MemPolicy::Perfect => {
-                let bypass = perfect_bypass(hierarchy, access);
-                let r = hierarchy.access(access, &bypass);
-                MemOutcome { latency: r.latency, supply_level: r.supply_level, known_long: true }
-            }
-        }
-    }
+/// Drive one access under `filter` and report what the scheduler sees.
+fn mem_access(hierarchy: &mut Hierarchy, filter: &mut ReplayFilter, access: Access) -> MemOutcome {
+    let r = hierarchy.step(filter, access);
+    let known_long = match filter {
+        ReplayFilter::Baseline => false,
+        ReplayFilter::Mnm(_) => r.bypassed > 0,
+        ReplayFilter::Perfect => true,
+    };
+    MemOutcome { latency: filter.adjusted_latency(&r), supply_level: r.supply_level, known_long }
 }
 
 /// Index of the earliest-free resource port.
@@ -72,7 +47,7 @@ fn cheapest(ports: &[u64]) -> usize {
 pub fn simulate(
     config: &CpuConfig,
     hierarchy: &mut Hierarchy,
-    mut policy: MemPolicy<'_>,
+    filter: &mut ReplayFilter,
     trace: impl Iterator<Item = Instr>,
     max_instrs: u64,
 ) -> CpuStats {
@@ -123,7 +98,7 @@ pub fn simulate(
         }
         let block = instr.pc >> l1i_block_shift;
         if cur_block != Some(block) {
-            let lat = policy.access(hierarchy, Access::fetch(instr.pc)).latency;
+            let lat = mem_access(hierarchy, filter, Access::fetch(instr.pc)).latency;
             stats.fetch_accesses += 1;
             stats.fetch_latency_sum += lat;
             let bubble = lat.saturating_sub(l1i_latency);
@@ -169,7 +144,7 @@ pub fn simulate(
         let done = match instr.kind {
             InstrKind::Op { latency } => issue + u64::from(latency),
             InstrKind::Load { addr } => {
-                let out = policy.access(hierarchy, Access::load(addr));
+                let out = mem_access(hierarchy, filter, Access::load(addr));
                 let lat = out.latency;
                 stats.loads += 1;
                 stats.load_latency_sum += lat;
@@ -193,7 +168,7 @@ pub fn simulate(
             InstrKind::Store { addr } => {
                 // Write-allocate for cache contents/energy; retirement does
                 // not wait for the write to drain.
-                policy.access(hierarchy, Access::store(addr));
+                mem_access(hierarchy, filter, Access::store(addr));
                 stats.stores += 1;
                 let port = cheapest(&dcache_ports);
                 let start = issue.max(mem_ring[mem_count % lsq]).max(dcache_ports[port]);
@@ -243,7 +218,7 @@ pub fn simulate(
 mod tests {
     use super::*;
     use cache_sim::HierarchyConfig;
-    use mnm_core::MnmConfig;
+    use mnm_core::{FilterPreset, MnmConfig};
     use trace_synth::{profiles, Program};
 
     fn hier() -> Hierarchy {
@@ -268,7 +243,7 @@ mod tests {
         let cfg = CpuConfig::paper_eight_way();
         let mut h = hier();
         let trace = ops(100_000, 0);
-        let s = simulate(&cfg, &mut h, MemPolicy::Baseline, trace.into_iter(), u64::MAX);
+        let s = simulate(&cfg, &mut h, &mut ReplayFilter::Baseline, trace.into_iter(), u64::MAX);
         assert_eq!(s.instructions, 100_000);
         assert!(s.ipc() > 6.0, "independent ops should sustain near-width IPC, got {}", s.ipc());
     }
@@ -278,7 +253,7 @@ mod tests {
         let cfg = CpuConfig::paper_eight_way();
         let mut h = hier();
         let trace = ops(10_000, 1); // each op depends on its predecessor
-        let s = simulate(&cfg, &mut h, MemPolicy::Baseline, trace.into_iter(), u64::MAX);
+        let s = simulate(&cfg, &mut h, &mut ReplayFilter::Baseline, trace.into_iter(), u64::MAX);
         assert!(s.ipc() < 1.2, "a serial chain cannot exceed IPC 1, got {}", s.ipc());
     }
 
@@ -300,9 +275,11 @@ mod tests {
                 .collect()
         };
         let mut h1 = hier();
-        let clean = simulate(&cfg, &mut h1, MemPolicy::Baseline, mk(false).into_iter(), u64::MAX);
+        let clean =
+            simulate(&cfg, &mut h1, &mut ReplayFilter::Baseline, mk(false).into_iter(), u64::MAX);
         let mut h2 = hier();
-        let dirty = simulate(&cfg, &mut h2, MemPolicy::Baseline, mk(true).into_iter(), u64::MAX);
+        let dirty =
+            simulate(&cfg, &mut h2, &mut ReplayFilter::Baseline, mk(true).into_iter(), u64::MAX);
         assert!(dirty.cycles > clean.cycles);
         assert_eq!(dirty.mispredicts, 5000 / 25);
     }
@@ -321,9 +298,11 @@ mod tests {
                 .collect()
         };
         let mut h1 = hier();
-        let warm = simulate(&cfg, &mut h1, MemPolicy::Baseline, mk(0).into_iter(), u64::MAX);
+        let warm =
+            simulate(&cfg, &mut h1, &mut ReplayFilter::Baseline, mk(0).into_iter(), u64::MAX);
         let mut h2 = hier();
-        let cold = simulate(&cfg, &mut h2, MemPolicy::Baseline, mk(4096).into_iter(), u64::MAX);
+        let cold =
+            simulate(&cfg, &mut h2, &mut ReplayFilter::Baseline, mk(4096).into_iter(), u64::MAX);
         assert!(cold.cycles > 2 * warm.cycles, "cold {} vs warm {}", cold.cycles, warm.cycles);
         assert!(cold.mean_load_latency() > warm.mean_load_latency());
     }
@@ -345,10 +324,12 @@ mod tests {
         small_cfg.window_size = 16;
         small_cfg.lsq_size = 8;
         let mut h1 = hier();
-        let small = simulate(&small_cfg, &mut h1, MemPolicy::Baseline, mk().into_iter(), u64::MAX);
+        let small =
+            simulate(&small_cfg, &mut h1, &mut ReplayFilter::Baseline, mk().into_iter(), u64::MAX);
         let big_cfg = CpuConfig::paper_eight_way();
         let mut h2 = hier();
-        let big = simulate(&big_cfg, &mut h2, MemPolicy::Baseline, mk().into_iter(), u64::MAX);
+        let big =
+            simulate(&big_cfg, &mut h2, &mut ReplayFilter::Baseline, mk().into_iter(), u64::MAX);
         assert!(big.cycles < small.cycles, "big window {} vs small {}", big.cycles, small.cycles);
     }
 
@@ -359,16 +340,21 @@ mod tests {
         let n = 60_000u64;
 
         let mut h_base = hier();
-        let base =
-            simulate(&cfg, &mut h_base, MemPolicy::Baseline, Program::new(profile.clone()), n);
+        let base = simulate(
+            &cfg,
+            &mut h_base,
+            &mut ReplayFilter::Baseline,
+            Program::new(profile.clone()),
+            n,
+        );
 
         let mut h_mnm = hier();
-        let mut mnm = Mnm::new(&h_mnm, MnmConfig::hmnm(4));
-        let with_mnm =
-            simulate(&cfg, &mut h_mnm, MemPolicy::Mnm(&mut mnm), Program::new(profile.clone()), n);
+        let mut mnm = FilterPreset::Mnm(MnmConfig::hmnm(4)).build(&h_mnm);
+        let with_mnm = simulate(&cfg, &mut h_mnm, &mut mnm, Program::new(profile.clone()), n);
 
         let mut h_perfect = hier();
-        let perfect = simulate(&cfg, &mut h_perfect, MemPolicy::Perfect, Program::new(profile), n);
+        let perfect =
+            simulate(&cfg, &mut h_perfect, &mut ReplayFilter::Perfect, Program::new(profile), n);
 
         assert!(with_mnm.cycles <= base.cycles, "MNM {} vs base {}", with_mnm.cycles, base.cycles);
         assert!(
@@ -377,7 +363,10 @@ mod tests {
             perfect.cycles,
             with_mnm.cycles
         );
-        assert!(mnm.stats().coverage() > 0.0, "the MNM must identify some misses on mcf");
+        assert!(
+            mnm.mnm().unwrap().stats().coverage() > 0.0,
+            "the MNM must identify some misses on mcf"
+        );
         // Identical functional behaviour: same cache supply pattern.
         assert_eq!(base.loads, with_mnm.loads);
         assert_eq!(
@@ -408,18 +397,21 @@ mod tests {
         let cfg = CpuConfig::paper_eight_way()
             .with_load_speculation(LoadSpeculation::Replay { penalty: 50 });
         let mut h1 = hier();
-        let with_replay = simulate(&cfg, &mut h1, MemPolicy::Baseline, mk().into_iter(), u64::MAX);
+        let with_replay =
+            simulate(&cfg, &mut h1, &mut ReplayFilter::Baseline, mk().into_iter(), u64::MAX);
         assert_eq!(with_replay.replays, 1, "the cold load replays its dependents");
 
         let mut h2 = hier();
-        let oracle = simulate(&cfg, &mut h2, MemPolicy::Perfect, mk().into_iter(), u64::MAX);
+        let oracle =
+            simulate(&cfg, &mut h2, &mut ReplayFilter::Perfect, mk().into_iter(), u64::MAX);
         assert_eq!(oracle.replays, 0, "full knowledge avoids the replay");
         assert!(oracle.cycles + 50 <= with_replay.cycles, "the penalty is visible in cycles");
 
         // Without the replay model the baseline pays nothing either.
         let plain_cfg = CpuConfig::paper_eight_way();
         let mut h3 = hier();
-        let plain = simulate(&plain_cfg, &mut h3, MemPolicy::Baseline, mk().into_iter(), u64::MAX);
+        let plain =
+            simulate(&plain_cfg, &mut h3, &mut ReplayFilter::Baseline, mk().into_iter(), u64::MAX);
         assert_eq!(plain.replays, 0);
         assert!(plain.cycles < with_replay.cycles);
     }
@@ -441,10 +433,12 @@ mod tests {
         let mut narrow = CpuConfig::paper_eight_way();
         narrow.dcache_ports = 1;
         let mut h1 = hier();
-        let one = simulate(&narrow, &mut h1, MemPolicy::Baseline, mk().into_iter(), u64::MAX);
+        let one =
+            simulate(&narrow, &mut h1, &mut ReplayFilter::Baseline, mk().into_iter(), u64::MAX);
         let wide = CpuConfig::paper_eight_way(); // 4 ports
         let mut h2 = hier();
-        let four = simulate(&wide, &mut h2, MemPolicy::Baseline, mk().into_iter(), u64::MAX);
+        let four =
+            simulate(&wide, &mut h2, &mut ReplayFilter::Baseline, mk().into_iter(), u64::MAX);
         assert!(one.cycles > four.cycles * 2, "1 port {} vs 4 ports {}", one.cycles, four.cycles);
     }
 
@@ -452,7 +446,7 @@ mod tests {
     fn trace_shorter_than_budget_ends_cleanly() {
         let cfg = CpuConfig::paper_eight_way();
         let mut h = hier();
-        let s = simulate(&cfg, &mut h, MemPolicy::Baseline, ops(10, 0).into_iter(), 1000);
+        let s = simulate(&cfg, &mut h, &mut ReplayFilter::Baseline, ops(10, 0).into_iter(), 1000);
         assert_eq!(s.instructions, 10);
         assert!(s.cycles > 0);
     }

@@ -3,7 +3,8 @@
 //! sweeps (formerly proptest).
 
 use cache_sim::{Hierarchy, HierarchyConfig};
-use ooo_model::{simulate, CpuConfig, LoadSpeculation, MemPolicy};
+use mnm_core::ReplayFilter;
+use ooo_model::{simulate, CpuConfig, LoadSpeculation};
 use trace_synth::{profiles, Instr, InstrKind, Program};
 
 /// Minimal deterministic generator for test inputs (splitmix64).
@@ -53,7 +54,7 @@ fn cycles_within_structural_bounds() {
         let cfg = CpuConfig::paper_eight_way();
         let n = t.len() as u64;
         let mut h = hier();
-        let s = simulate(&cfg, &mut h, MemPolicy::Baseline, t.into_iter(), u64::MAX);
+        let s = simulate(&cfg, &mut h, &mut ReplayFilter::Baseline, t.into_iter(), u64::MAX);
         assert_eq!(s.instructions, n);
         assert!(s.cycles >= n / u64::from(cfg.commit_width));
         // Generous serial upper bound: every instruction pays a full
@@ -90,9 +91,10 @@ fn resources_are_monotone() {
             load_speculation: LoadSpeculation::None,
         };
         let mut h1 = hier();
-        let a = simulate(&small, &mut h1, MemPolicy::Baseline, t.clone().into_iter(), u64::MAX);
+        let a =
+            simulate(&small, &mut h1, &mut ReplayFilter::Baseline, t.clone().into_iter(), u64::MAX);
         let mut h2 = hier();
-        let b = simulate(&big, &mut h2, MemPolicy::Baseline, t.into_iter(), u64::MAX);
+        let b = simulate(&big, &mut h2, &mut ReplayFilter::Baseline, t.into_iter(), u64::MAX);
         assert!(b.cycles <= a.cycles, "big {} vs small {}", b.cycles, a.cycles);
     }
 }
@@ -106,9 +108,10 @@ fn perfect_policy_dominates_baseline() {
         let t = trace(&mut gen);
         let cfg = CpuConfig::paper_eight_way();
         let mut h1 = hier();
-        let base = simulate(&cfg, &mut h1, MemPolicy::Baseline, t.clone().into_iter(), u64::MAX);
+        let base =
+            simulate(&cfg, &mut h1, &mut ReplayFilter::Baseline, t.clone().into_iter(), u64::MAX);
         let mut h2 = hier();
-        let perfect = simulate(&cfg, &mut h2, MemPolicy::Perfect, t.into_iter(), u64::MAX);
+        let perfect = simulate(&cfg, &mut h2, &mut ReplayFilter::Perfect, t.into_iter(), u64::MAX);
         assert!(perfect.cycles <= base.cycles);
         assert_eq!(perfect.instructions, base.instructions);
         // Functional equivalence: same supply distribution.
@@ -126,7 +129,7 @@ fn budget_truncates_exactly() {
         let cfg = CpuConfig::paper_eight_way();
         let mut h = hier();
         let n = t.len() as u64;
-        let s = simulate(&cfg, &mut h, MemPolicy::Baseline, t.into_iter(), budget);
+        let s = simulate(&cfg, &mut h, &mut ReplayFilter::Baseline, t.into_iter(), budget);
         assert_eq!(s.instructions, budget.min(n));
     }
 }
@@ -139,9 +142,9 @@ fn phased_simulation_keeps_caches_warm() {
     let profile = profiles::by_name("164.gzip").unwrap();
     let mut h = hier();
     let mut program = Program::new(profile);
-    let first = simulate(&cfg, &mut h, MemPolicy::Baseline, &mut program, 30_000);
+    let first = simulate(&cfg, &mut h, &mut ReplayFilter::Baseline, &mut program, 30_000);
     let warm_misses = h.stats().structures[1].misses;
-    let second = simulate(&cfg, &mut h, MemPolicy::Baseline, &mut program, 30_000);
+    let second = simulate(&cfg, &mut h, &mut ReplayFilter::Baseline, &mut program, 30_000);
     let total_misses = h.stats().structures[1].misses;
     // The second phase misses less than the first did (warm caches).
     assert!(total_misses - warm_misses <= warm_misses);

@@ -2,7 +2,7 @@
 //! leaves open, quantified.
 
 use cache_sim::HierarchyConfig;
-use mnm_core::{Assignment, MnmConfig, MnmPlacement, TechniqueConfig, TmnmConfig};
+use mnm_core::{Assignment, FilterPreset, MnmConfig, MnmPlacement, TechniqueConfig, TmnmConfig};
 use ooo_model::CpuConfig;
 use power_model::EnergyModel;
 use trace_synth::{profiles, PhaseDrift};
@@ -10,7 +10,7 @@ use trace_synth::{profiles, PhaseDrift};
 use crate::params::RunParams;
 use crate::power::run_energy_nj;
 use crate::report::Table;
-use crate::runner::{parallel_run, run_app_functional, run_app_timed, ConfigKind};
+use crate::runner::{parallel_run, preset, run_app_functional, run_app_timed};
 
 /// Representative applications for the (more expensive) ablation sweeps:
 /// a tight-loop integer code, a pointer chaser, a streaming FP code and the
@@ -30,13 +30,13 @@ pub fn placement_table(params: RunParams) -> Table {
         ablation_apps().into_iter().map(|n| profiles::by_name(n).expect("known app")).collect();
 
     let rows = parallel_run(apps, |app| {
-        let base_t = run_app_timed(app, &hier_cfg, &cpu_cfg, &ConfigKind::Baseline, params);
-        let base_e = run_app_functional(app, &hier_cfg, &ConfigKind::Baseline, params);
+        let base_t = run_app_timed(app, &hier_cfg, &cpu_cfg, &FilterPreset::Baseline, params);
+        let base_e = run_app_functional(app, &hier_cfg, &FilterPreset::Baseline, params);
         let e_base = run_energy_nj(&base_e, &hier_cfg, &model);
 
         let mut out = vec![0.0; 4];
         for (i, placement) in [MnmPlacement::Parallel, MnmPlacement::Serial].iter().enumerate() {
-            let cfg = ConfigKind::Mnm(MnmConfig::hmnm(4).with_placement(*placement));
+            let cfg = FilterPreset::Mnm(MnmConfig::hmnm(4).with_placement(*placement));
             let t = run_app_timed(app, &hier_cfg, &cpu_cfg, &cfg, params);
             let e_run = run_app_functional(app, &hier_cfg, &cfg, params);
             let e = run_energy_nj(&e_run, &hier_cfg, &model);
@@ -79,7 +79,7 @@ pub fn counter_width_table(params: RunParams) -> Table {
             delay: 2,
             placement: MnmPlacement::Parallel,
         };
-        let run = run_app_functional(&apps[a], &hier_cfg, &ConfigKind::Mnm(cfg), params);
+        let run = run_app_functional(&apps[a], &hier_cfg, &FilterPreset::Mnm(cfg), params);
         run.mnm.map(|m| m.coverage() * 100.0).unwrap_or(0.0)
     });
 
@@ -115,9 +115,9 @@ pub fn delay_table(params: RunParams) -> Table {
         (0..apps.len()).flat_map(|a| (0..=delays.len()).map(move |d| (a, d))).collect();
     let cycles = parallel_run(jobs, |&(a, d)| {
         let kind = if d == 0 {
-            ConfigKind::Baseline
+            FilterPreset::Baseline
         } else {
-            ConfigKind::Mnm(
+            FilterPreset::Mnm(
                 MnmConfig::hmnm(4).with_placement(MnmPlacement::Serial).with_delay(delays[d - 1]),
             )
         };
@@ -148,7 +148,7 @@ pub fn inclusion_table(params: RunParams) -> Table {
     let results = parallel_run(jobs, |&(a, inclusive)| {
         let mut hier_cfg = HierarchyConfig::paper_five_level();
         hier_cfg.inclusive = inclusive;
-        let run = run_app_functional(&apps[a], &hier_cfg, &ConfigKind::parse("HMNM4"), params);
+        let run = run_app_functional(&apps[a], &hier_cfg, &preset("HMNM4"), params);
         run.mnm.map(|m| m.coverage() * 100.0).unwrap_or(0.0)
     });
 
@@ -184,7 +184,7 @@ pub fn phase_drift_table(params: RunParams) -> Table {
         if drift {
             app.phase_drift = Some(PhaseDrift { period: 200_000, drift_bytes: 1 << 24 });
         }
-        let run = run_app_functional(&app, &hier_cfg, &ConfigKind::parse(techniques[t]), params);
+        let run = run_app_functional(&app, &hier_cfg, &preset(techniques[t]), params);
         run.mnm.map(|m| m.coverage() * 100.0).unwrap_or(0.0)
     });
 
@@ -225,7 +225,7 @@ pub fn l1_size_table(params: RunParams) -> Table {
             data: cache_sim::CacheConfig::new("dl1", sizes_kb[s] * 1024, 1, 32, 2),
         };
         let kind =
-            if with_mnm { ConfigKind::Mnm(MnmConfig::hmnm(4)) } else { ConfigKind::Baseline };
+            if with_mnm { FilterPreset::Mnm(MnmConfig::hmnm(4)) } else { FilterPreset::Baseline };
         run_app_timed(&apps[a], &hier_cfg, &cpu_cfg, &kind, params).cpu.cycles as f64
     });
 

@@ -2,8 +2,9 @@
 //! against the simulator for every application.
 
 use cache_sim::AccessKind;
+use mnm_core::FilterPreset;
 use mnm_experiments::analytic::{eq1_access_time, LevelModel};
-use mnm_experiments::runner::{run_app_functional, ConfigKind};
+use mnm_experiments::runner::run_app_functional;
 use mnm_experiments::{RunParams, Table};
 use trace_synth::profiles;
 
@@ -23,7 +24,7 @@ fn main() {
     // The analytic model is per-path; validate on the data path by
     // rebuilding the per-level conditional miss rates from the counters.
     for app in profiles::all() {
-        let run = run_app_functional(&app, &hier_cfg, &ConfigKind::Baseline, params);
+        let run = run_app_functional(&app, &hier_cfg, &FilterPreset::Baseline, params);
         let hier = cache_sim::Hierarchy::new(hier_cfg.clone());
         let mut levels = Vec::new();
         let mut reach_refs = 0u64;

@@ -10,7 +10,7 @@ use trace_synth::profiles;
 
 use crate::params::RunParams;
 use crate::report::Table;
-use crate::runner::{parallel_run, run_app_functional, ConfigKind};
+use crate::runner::{parallel_run, preset, run_app_functional};
 
 /// Run the coverage experiment for a set of configuration labels over all
 /// 20 applications on the paper's 5-level hierarchy. Returns coverage in
@@ -22,8 +22,7 @@ pub fn coverage_table(title: &str, config_labels: &[&str], params: RunParams) ->
     let jobs: Vec<(usize, usize)> =
         (0..apps.len()).flat_map(|a| (0..config_labels.len()).map(move |c| (a, c))).collect();
     let results = parallel_run(jobs, |&(a, c)| {
-        let run =
-            run_app_functional(&apps[a], &hier_cfg, &ConfigKind::parse(config_labels[c]), params);
+        let run = run_app_functional(&apps[a], &hier_cfg, &preset(config_labels[c]), params);
         run.mnm.map(|m| m.coverage() * 100.0).unwrap_or(0.0)
     });
 

@@ -3,12 +3,13 @@
 //! cache levels grows.
 
 use cache_sim::HierarchyConfig;
+use mnm_core::FilterPreset;
 use power_model::EnergyModel;
 use trace_synth::profiles;
 
 use crate::params::RunParams;
 use crate::report::Table;
-use crate::runner::{parallel_run, run_app_functional, ConfigKind};
+use crate::runner::{parallel_run, run_app_functional};
 
 /// The hierarchy depths compared in Figures 2 and 3.
 pub const DEPTHS: [usize; 4] = [2, 3, 5, 7];
@@ -25,7 +26,7 @@ pub fn depth_fractions(params: RunParams) -> (Table, Table) {
     let results = parallel_run(jobs, |&(a, depth)| {
         // Rebuild the hierarchy per job; depths use the motivation configs.
         let hier_cfg = HierarchyConfig::motivation_levels(depth);
-        let run = run_app_functional(&apps[a], &hier_cfg, &ConfigKind::Baseline, params);
+        let run = run_app_functional(&apps[a], &hier_cfg, &FilterPreset::Baseline, params);
         let time_fraction = run.hierarchy.miss_time_fraction() * 100.0;
         let energy_fraction = energy_fraction_from_run(&run, depth, &model) * 100.0;
         (time_fraction, energy_fraction)
@@ -118,13 +119,13 @@ mod tests {
         let shallow = run_app_functional(
             &apps[mcf],
             &HierarchyConfig::motivation_levels(2),
-            &ConfigKind::Baseline,
+            &FilterPreset::Baseline,
             params,
         );
         let deep = run_app_functional(
             &apps[mcf],
             &HierarchyConfig::motivation_levels(7),
-            &ConfigKind::Baseline,
+            &FilterPreset::Baseline,
             params,
         );
         assert!(

@@ -3,14 +3,14 @@
 //! distributed-MNM placement.
 
 use cache_sim::{HierarchyConfig, TlbEvent, TwoLevelTlb};
-use mnm_core::{MissFilter, MnmConfig, MnmPlacement, TmnmConfig, TmnmFilter};
+use mnm_core::{FilterPreset, MissFilter, MnmConfig, MnmPlacement, TmnmConfig, TmnmFilter};
 use ooo_model::{CpuConfig, LoadSpeculation};
 use power_model::EnergyModel;
 use trace_synth::{profiles, Program};
 
 use crate::params::RunParams;
 use crate::report::Table;
-use crate::runner::{parallel_run, run_app_timed, ConfigKind};
+use crate::runner::{parallel_run, preset, run_app_timed};
 
 /// ext01 — TLB filtering (paper §4.5: "reduce the power consumption of
 /// other caching structures such as the TLBs").
@@ -107,8 +107,7 @@ pub fn scheduler_replay_table(params: RunParams) -> Table {
     let jobs: Vec<(usize, usize)> =
         (0..apps.len()).flat_map(|a| (0..labels.len()).map(move |c| (a, c))).collect();
     let outcomes = parallel_run(jobs, |&(a, c)| {
-        let run =
-            run_app_timed(&apps[a], &hier_cfg, &cpu_cfg, &ConfigKind::parse(labels[c]), params);
+        let run = run_app_timed(&apps[a], &hier_cfg, &cpu_cfg, &preset(labels[c]), params);
         (run.cpu.cycles as f64, run.cpu.replays as f64)
     });
 
@@ -150,9 +149,9 @@ pub fn distributed_table(params: RunParams) -> Table {
         (0..apps.len()).flat_map(|a| (0..=placements.len()).map(move |p| (a, p))).collect();
     let cycles = parallel_run(jobs, |&(a, p)| {
         let kind = if p == 0 {
-            ConfigKind::Baseline
+            FilterPreset::Baseline
         } else {
-            ConfigKind::Mnm(MnmConfig::hmnm(4).with_placement(placements[p - 1]))
+            FilterPreset::Mnm(MnmConfig::hmnm(4).with_placement(placements[p - 1]))
         };
         run_app_timed(&apps[a], &hier_cfg, &cpu_cfg, &kind, params).cpu.cycles as f64
     });
@@ -219,9 +218,9 @@ mod tests {
         let cpu = CpuConfig::paper_eight_way()
             .with_load_speculation(LoadSpeculation::Replay { penalty: 6 });
         let app = profiles::by_name("181.mcf").unwrap();
-        let base = run_app_timed(&app, &hier_cfg, &cpu, &ConfigKind::Baseline, params);
-        let hmnm = run_app_timed(&app, &hier_cfg, &cpu, &ConfigKind::parse("HMNM4"), params);
-        let perfect = run_app_timed(&app, &hier_cfg, &cpu, &ConfigKind::Perfect, params);
+        let base = run_app_timed(&app, &hier_cfg, &cpu, &FilterPreset::Baseline, params);
+        let hmnm = run_app_timed(&app, &hier_cfg, &cpu, &preset("HMNM4"), params);
+        let perfect = run_app_timed(&app, &hier_cfg, &cpu, &FilterPreset::Perfect, params);
         assert!(base.cpu.replays > 0, "mcf must replay under speculation");
         assert!(hmnm.cpu.replays < base.cpu.replays, "MNM knowledge avoids replays");
         assert_eq!(perfect.cpu.replays, 0, "the oracle never replays");

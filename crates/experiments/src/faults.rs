@@ -22,6 +22,8 @@
 
 use std::sync::Mutex;
 
+use trace_synth::rng::{fnv1a, splitmix64};
+
 use crate::json::Json;
 
 /// Environment variable holding the fault plan.
@@ -99,24 +101,6 @@ pub struct FaultPlan {
     flip: Select,
 }
 
-/// FNV-1a over a string, for site/kind hashing.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// The splitmix64 finalizer: one well-mixed value per input.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// Parse a plan like `seed=42,panic=1/8,stall=1/6:250,torn=1/2,flip=1/4`.
     ///
@@ -129,58 +113,28 @@ impl FaultPlan {
     /// hard errors. A long-running process armed with a subtly-wrong plan
     /// would otherwise run for hours with faults that silently never fire.
     pub fn parse(input: &str) -> Result<FaultPlan, String> {
+        let clauses = PlanClauses::parse(ENV_FAULT, input, &["panic", "stall", "torn", "flip"])?;
         let mut plan = FaultPlan {
-            seed: 0,
+            seed: clauses.seed,
             panic: Select::Never,
             stall: Select::Never,
             stall_ms: DEFAULT_STALL_MS,
             torn: Select::Never,
             flip: Select::Never,
         };
-        let mut seen: Vec<&str> = Vec::new();
-        for clause in input.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("{ENV_FAULT}: clause `{clause}` is not `key=value`"))?;
-            let key = key.trim();
-            if seen.contains(&key) {
-                return Err(format!(
-                    "{ENV_FAULT}: duplicate `{key}` clause (the first would be silently ignored)"
-                ));
-            }
+        for &(key, value) in &clauses.clauses {
             match key {
-                "seed" => {
-                    plan.seed = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("{ENV_FAULT}: bad seed `{value}`"))?;
-                }
-                "panic" => plan.panic = parse_select(value)?,
-                "torn" => plan.torn = parse_select(value)?,
-                "flip" => plan.flip = parse_select(value)?,
-                "stall" => {
-                    // `sel:ms` — the duration is the numeric tail after the
-                    // LAST colon; stall sites are job names, which never
-                    // contain one, so a colon whose tail is not a number is
-                    // a typo (`stall=1/6:25x`), not a site name.
-                    let (sel, ms) = match value.rsplit_once(':') {
-                        Some((head, tail)) => {
-                            let ms = tail.trim().parse::<u64>().map_err(|_| {
-                                format!(
-                                    "{ENV_FAULT}: stall duration `{tail}` is not a \
-                                     millisecond count"
-                                )
-                            })?;
-                            (head, ms)
-                        }
-                        None => (value, DEFAULT_STALL_MS),
-                    };
-                    plan.stall = parse_select(sel)?;
+                "panic" => plan.panic = parse_select(&clauses, value)?,
+                "torn" => plan.torn = parse_select(&clauses, value)?,
+                "flip" => plan.flip = parse_select(&clauses, value)?,
+                _ => {
+                    // Stall sites are job names, which never contain a
+                    // colon, so a colon always starts the `:ms` tail.
+                    let (sel, ms) = clauses.with_ms(key, value, DEFAULT_STALL_MS)?;
+                    plan.stall = parse_select(&clauses, sel)?;
                     plan.stall_ms = ms;
                 }
-                other => return Err(format!("{ENV_FAULT}: unknown clause `{other}`")),
             }
-            seen.push(key);
         }
         Ok(plan)
     }
@@ -189,14 +143,7 @@ impl FaultPlan {
     /// A value that is set but unreadable (non-unicode) or malformed is an
     /// error — never silently ignored.
     pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(ENV_FAULT) {
-            Ok(v) if !v.trim().is_empty() => FaultPlan::parse(&v).map(Some),
-            Ok(_) => Ok(None),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{ENV_FAULT}: value is not valid unicode"))
-            }
-        }
+        PlanClauses::env(ENV_FAULT)?.map(|v| FaultPlan::parse(&v)).transpose()
     }
 
     /// Whether `kind` fires at `site` under this plan.
@@ -224,7 +171,7 @@ impl FaultPlan {
     }
 }
 
-fn parse_select(value: &str) -> Result<Select, String> {
+fn parse_select(clauses: &PlanClauses<'_>, value: &str) -> Result<Select, String> {
     let value = value.trim();
     if value.is_empty() {
         return Err(format!("{ENV_FAULT}: empty fault selector"));
@@ -232,21 +179,104 @@ fn parse_select(value: &str) -> Result<Select, String> {
     // Site names (job names, artifact file names, scenario labels) never
     // contain `/`, so a slash means the user meant a ratio; a malformed
     // one (`1/2x`, `a/b`) must not silently become a never-matching site.
-    if let Some((m, n)) = value.split_once('/') {
-        let m = m
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| format!("{ENV_FAULT}: ratio `{value}` has a bad numerator"))?;
-        let n = n
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| format!("{ENV_FAULT}: ratio `{value}` has a bad denominator"))?;
-        if n == 0 {
-            return Err(format!("{ENV_FAULT}: ratio `{value}` has zero denominator"));
-        }
+    if value.contains('/') {
+        let (m, n) = clauses.ratio(value)?;
         return Ok(Select::Ratio(m, n));
     }
     Ok(Select::Site(value.to_owned()))
+}
+
+/// The strict clause grammar shared by `JSN_FAULT` and `JSN_CHAOS`:
+/// comma-separated `key=value` clauses, an optional `seed=N`, and each
+/// other key drawn from a fixed set and given at most once.
+///
+/// Strictness is the point: a long soak or sweep armed with a plan whose
+/// typo silently disabled a fault would run clean and prove nothing.
+#[derive(Debug)]
+pub struct PlanClauses<'a> {
+    env: &'static str,
+    /// The `seed` clause (0 when absent).
+    pub seed: u64,
+    /// Every other clause as `(key, value)`, in input order.
+    pub clauses: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> PlanClauses<'a> {
+    /// The plan text in environment variable `env`: `Ok(None)` when unset
+    /// or blank, an error when set but not unicode.
+    pub fn env(env: &str) -> Result<Option<String>, String> {
+        match std::env::var(env) {
+            Ok(v) if !v.trim().is_empty() => Ok(Some(v)),
+            Ok(_) | Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(std::env::VarError::NotUnicode(_)) => {
+                Err(format!("{env}: value is not valid unicode"))
+            }
+        }
+    }
+
+    /// Split `input` into clauses, rejecting anything not `key=value`,
+    /// keys outside `keys` (besides `seed`), duplicates, and a bad seed.
+    /// Errors are prefixed with `env`, the variable the plan came from.
+    pub fn parse(env: &'static str, input: &'a str, keys: &[&str]) -> Result<Self, String> {
+        let mut out = PlanClauses { env, seed: 0, clauses: Vec::new() };
+        let mut seen: Vec<&str> = Vec::new();
+        for clause in input.split(',').map(str::trim).filter(|c| !c.is_empty()) {
+            let (key, value) = clause
+                .split_once('=')
+                .ok_or_else(|| format!("{env}: clause `{clause}` is not `key=value`"))?;
+            let key = key.trim();
+            if seen.contains(&key) {
+                return Err(format!(
+                    "{env}: duplicate `{key}` clause (the first would be silently ignored)"
+                ));
+            }
+            seen.push(key);
+            if key == "seed" {
+                out.seed =
+                    value.trim().parse().map_err(|_| format!("{env}: bad seed `{value}`"))?;
+            } else if keys.contains(&key) {
+                out.clauses.push((key, value));
+            } else {
+                return Err(format!("{env}: unknown clause `{key}`"));
+            }
+        }
+        Ok(out)
+    }
+
+    /// Parse an `m/n` ratio (fire at ~m of n sites); `n` must be nonzero.
+    pub fn ratio(&self, value: &str) -> Result<(u64, u64), String> {
+        let env = self.env;
+        let value = value.trim();
+        let (m, n) = value
+            .split_once('/')
+            .ok_or_else(|| format!("{env}: selector `{value}` is not an `m/n` ratio"))?;
+        let m = m.trim().parse::<u64>();
+        let n = n.trim().parse::<u64>();
+        match (m, n) {
+            (Err(_), _) => Err(format!("{env}: ratio `{value}` has a bad numerator")),
+            (_, Err(_)) => Err(format!("{env}: ratio `{value}` has a bad denominator")),
+            (_, Ok(0)) => Err(format!("{env}: ratio `{value}` has zero denominator")),
+            (Ok(m), Ok(n)) => Ok((m, n)),
+        }
+    }
+
+    /// Split an optional `:ms` duration tail off `value` (the numeric tail
+    /// after the last colon), defaulting to `default_ms`. A tail that is
+    /// not a millisecond count is an error, not part of the selector.
+    pub fn with_ms(
+        &self,
+        key: &str,
+        value: &'a str,
+        default_ms: u64,
+    ) -> Result<(&'a str, u64), String> {
+        let Some((head, tail)) = value.rsplit_once(':') else {
+            return Ok((value, default_ms));
+        };
+        let ms = tail.trim().parse::<u64>().map_err(|_| {
+            format!("{}: {key} duration `{tail}` is not a millisecond count", self.env)
+        })?;
+        Ok((head, ms))
+    }
 }
 
 /// One fault the plan actually fired, for the run manifest.

@@ -9,13 +9,13 @@
 //! * perfect: all bypassable miss probes saved, zero MNM energy.
 
 use cache_sim::HierarchyConfig;
-use mnm_core::MnmPlacement;
+use mnm_core::{FilterPreset, MnmPlacement};
 use power_model::EnergyModel;
 use trace_synth::profiles;
 
 use crate::params::RunParams;
 use crate::report::Table;
-use crate::runner::{parallel_run, run_app_functional, AppRun, ConfigKind};
+use crate::runner::{parallel_run, preset, run_app_functional, AppRun};
 use crate::FIG15_CONFIGS;
 
 /// Total cache-system energy of a run, including MNM energy when present.
@@ -114,8 +114,8 @@ pub fn power_reduction_table(params: RunParams) -> Table {
     let jobs: Vec<(usize, usize)> =
         (0..apps.len()).flat_map(|a| (0..labels.len()).map(move |c| (a, c))).collect();
     let energies = parallel_run(jobs, |&(a, c)| {
-        let kind = match ConfigKind::parse(&labels[c]) {
-            ConfigKind::Mnm(cfg) => ConfigKind::Mnm(cfg.with_placement(MnmPlacement::Serial)),
+        let kind = match preset(&labels[c]) {
+            FilterPreset::Mnm(cfg) => FilterPreset::Mnm(cfg.with_placement(MnmPlacement::Serial)),
             other => other,
         };
         let run = run_app_functional(&apps[a], &hier_cfg, &kind, params);
@@ -138,6 +138,7 @@ pub fn power_reduction_table(params: RunParams) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mnm_core::MnmConfig;
 
     #[test]
     fn perfect_saves_the_most_energy() {
@@ -146,17 +147,14 @@ mod tests {
         let model = EnergyModel::default();
         let app = profiles::by_name("181.mcf").unwrap();
 
-        let base = run_app_functional(&app, &hier_cfg, &ConfigKind::Baseline, params);
+        let base = run_app_functional(&app, &hier_cfg, &FilterPreset::Baseline, params);
         let e_base = run_energy_nj(&base, &hier_cfg, &model);
 
-        let hmnm_cfg = match ConfigKind::parse("HMNM4") {
-            ConfigKind::Mnm(c) => ConfigKind::Mnm(c.with_placement(MnmPlacement::Serial)),
-            _ => unreachable!(),
-        };
+        let hmnm_cfg = FilterPreset::Mnm(MnmConfig::hmnm(4).with_placement(MnmPlacement::Serial));
         let hmnm = run_app_functional(&app, &hier_cfg, &hmnm_cfg, params);
         let e_hmnm = run_energy_nj(&hmnm, &hier_cfg, &model);
 
-        let perfect = run_app_functional(&app, &hier_cfg, &ConfigKind::Perfect, params);
+        let perfect = run_app_functional(&app, &hier_cfg, &FilterPreset::Perfect, params);
         let e_perfect = run_energy_nj(&perfect, &hier_cfg, &model);
 
         assert!(e_perfect < e_base, "perfect must save energy: {e_perfect} vs {e_base}");
@@ -171,10 +169,7 @@ mod tests {
         let hier_cfg = HierarchyConfig::paper_five_level();
         let model = EnergyModel::default();
         let app = profiles::by_name("164.gzip").unwrap();
-        let cfg = match ConfigKind::parse("HMNM2") {
-            ConfigKind::Mnm(c) => ConfigKind::Mnm(c.with_placement(MnmPlacement::Serial)),
-            _ => unreachable!(),
-        };
+        let cfg = FilterPreset::Mnm(MnmConfig::hmnm(2).with_placement(MnmPlacement::Serial));
         let run = run_app_functional(&app, &hier_cfg, &cfg, params);
         let with_mnm = run_energy_nj(&run, &hier_cfg, &model);
         let mut stripped = run.clone();

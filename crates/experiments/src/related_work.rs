@@ -17,14 +17,14 @@
 //! compose almost additively, which this experiment verifies.
 
 use cache_sim::{CacheConfig, HierarchyConfig};
-use mnm_core::MnmPlacement;
+use mnm_core::{FilterPreset, MnmConfig, MnmPlacement};
 use power_model::EnergyModel;
 use trace_synth::profiles;
 
 use crate::params::RunParams;
 use crate::power::run_energy_nj;
 use crate::report::Table;
-use crate::runner::{parallel_run, run_app_functional, AppRun, ConfigKind};
+use crate::runner::{parallel_run, run_app_functional, AppRun};
 
 /// Cache energy under MRU way prediction, recomputed from the per-probe
 /// counters (`mru_hits` vs other probes).
@@ -62,14 +62,11 @@ pub fn way_prediction_table(params: RunParams) -> Table {
     let apps = profiles::all();
 
     let rows = parallel_run(apps, |app| {
-        let base = run_app_functional(app, &hier_cfg, &ConfigKind::Baseline, params);
+        let base = run_app_functional(app, &hier_cfg, &FilterPreset::Baseline, params);
         let e_base = run_energy_nj(&base, &hier_cfg, &model);
         let e_waypred = way_predicted_cache_energy_nj(&base, &hier_cfg, &model);
 
-        let mnm_cfg = match ConfigKind::parse("HMNM4") {
-            ConfigKind::Mnm(c) => ConfigKind::Mnm(c.with_placement(MnmPlacement::Serial)),
-            _ => unreachable!(),
-        };
+        let mnm_cfg = FilterPreset::Mnm(MnmConfig::hmnm(4).with_placement(MnmPlacement::Serial));
         let mnm_run = run_app_functional(app, &hier_cfg, &mnm_cfg, params);
         let e_mnm = run_energy_nj(&mnm_run, &hier_cfg, &model);
         // Combined: the MNM removes miss probes, way prediction cheapens
@@ -123,13 +120,14 @@ pub fn bloom_table(params: RunParams) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::preset;
 
     #[test]
     fn bloom_configs_run_end_to_end() {
         let params = RunParams { warmup: 1_000, measure: 10_000 };
         let hier_cfg = HierarchyConfig::paper_five_level();
         let app = profiles::by_name("181.mcf").unwrap();
-        let run = run_app_functional(&app, &hier_cfg, &ConfigKind::parse("BLOOM_12x2"), params);
+        let run = run_app_functional(&app, &hier_cfg, &preset("BLOOM_12x2"), params);
         let cov = run.mnm.unwrap().coverage();
         assert!((0.0..=1.0).contains(&cov));
         assert!(cov > 0.0, "Bloom filter must catch some cold misses on mcf");
@@ -141,7 +139,7 @@ mod tests {
         let hier_cfg = HierarchyConfig::paper_five_level();
         let model = EnergyModel::default();
         let app = profiles::by_name("164.gzip").unwrap();
-        let run = run_app_functional(&app, &hier_cfg, &ConfigKind::Baseline, params);
+        let run = run_app_functional(&app, &hier_cfg, &FilterPreset::Baseline, params);
         let plain = run_energy_nj(&run, &hier_cfg, &model);
         let predicted = way_predicted_cache_energy_nj(&run, &hier_cfg, &model);
         assert!(predicted < plain, "way prediction must save energy: {predicted} vs {plain}");
@@ -152,7 +150,7 @@ mod tests {
         let params = RunParams { warmup: 1_000, measure: 15_000 };
         let hier_cfg = HierarchyConfig::paper_five_level();
         let app = profiles::by_name("175.vpr").unwrap();
-        let run = run_app_functional(&app, &hier_cfg, &ConfigKind::Baseline, params);
+        let run = run_app_functional(&app, &hier_cfg, &FilterPreset::Baseline, params);
         for st in &run.hierarchy.structures {
             assert!(st.mru_hits <= st.hits);
         }
@@ -171,13 +169,11 @@ mod tests {
             let hier_cfg = HierarchyConfig::paper_five_level();
             let model = EnergyModel::default();
             let app = profiles::by_name("300.twolf").unwrap();
-            let base = run_app_functional(&app, &hier_cfg, &ConfigKind::Baseline, params);
+            let base = run_app_functional(&app, &hier_cfg, &FilterPreset::Baseline, params);
             let e_base = run_energy_nj(&base, &hier_cfg, &model);
             let e_way = way_predicted_cache_energy_nj(&base, &hier_cfg, &model);
-            let mnm_cfg = match ConfigKind::parse("HMNM4") {
-                ConfigKind::Mnm(c) => ConfigKind::Mnm(c.with_placement(MnmPlacement::Serial)),
-                _ => unreachable!(),
-            };
+            let mnm_cfg =
+                FilterPreset::Mnm(MnmConfig::hmnm(4).with_placement(MnmPlacement::Serial));
             let mnm_run = run_app_functional(&app, &hier_cfg, &mnm_cfg, params);
             let stripped = AppRun { mnm: None, mnm_storage: Vec::new(), ..mnm_run.clone() };
             let mnm_cost = run_energy_nj(&mnm_run, &hier_cfg, &model)

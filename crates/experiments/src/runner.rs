@@ -4,52 +4,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use cache_sim::{
-    Access, AccessFilter, BypassSet, CacheEvent, Hierarchy, HierarchyConfig, HierarchyStats,
-    ProbeRecord, ReplaySession,
-};
-use mnm_core::{perfect_bypass, Mnm, MnmConfig, MnmStats};
-use ooo_model::{simulate, CpuConfig, CpuStats, MemPolicy};
+use cache_sim::{Access, Hierarchy, HierarchyConfig, HierarchyStats};
+use mnm_core::{FilterPreset, MnmStats, ReplayFilter};
+use ooo_model::{simulate, CpuConfig, CpuStats};
 use trace_synth::{AppProfile, InstrKind, Program};
 
 use crate::params::{worker_threads, RunParams};
 
-/// Which memory-filtering configuration a run uses.
-#[derive(Debug, Clone)]
-pub enum ConfigKind {
-    /// Plain hierarchy, no filtering.
-    Baseline,
-    /// A real MNM built from the given configuration.
-    Mnm(MnmConfig),
-    /// The perfect oracle (paper §4.3).
-    Perfect,
-}
-
-impl ConfigKind {
-    /// Display label for tables.
-    pub fn label(&self) -> String {
-        match self {
-            ConfigKind::Baseline => "Baseline".to_owned(),
-            ConfigKind::Mnm(c) => c.name.clone(),
-            ConfigKind::Perfect => "Perfect".to_owned(),
-        }
-    }
-
-    /// Parse a table label: `"Baseline"`, `"Perfect"`, or any
-    /// [`MnmConfig::parse`] label.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown label (experiment configuration is static).
-    pub fn parse(label: &str) -> Self {
-        match label {
-            "Baseline" => ConfigKind::Baseline,
-            "Perfect" => ConfigKind::Perfect,
-            other => ConfigKind::Mnm(
-                MnmConfig::parse(other).unwrap_or_else(|e| panic!("bad experiment config: {e}")),
-            ),
-        }
-    }
+/// Parse an experiment's filter label ([`FilterPreset::parse`]).
+///
+/// # Panics
+///
+/// Panics on an unknown label (experiment configuration is static).
+pub fn preset(label: &str) -> FilterPreset {
+    FilterPreset::parse(label).unwrap_or_else(|e| panic!("bad experiment config: {e}"))
 }
 
 /// Everything measured in one application run.
@@ -95,41 +63,16 @@ pub fn run_app_timed(
     profile: &AppProfile,
     hier_cfg: &HierarchyConfig,
     cpu_cfg: &CpuConfig,
-    kind: &ConfigKind,
+    preset: &FilterPreset,
     params: RunParams,
 ) -> AppRun {
     let mut hierarchy = Hierarchy::new(hier_cfg.clone());
-    let mut mnm = match kind {
-        ConfigKind::Mnm(cfg) => Some(Mnm::new(&hierarchy, cfg.clone())),
-        _ => None,
-    };
+    let mut filter = preset.build(&hierarchy);
     let mut program = Program::new(profile.clone());
-
-    // Warmup.
-    {
-        let policy = match (&mut mnm, kind) {
-            (Some(m), _) => MemPolicy::Mnm(m),
-            (None, ConfigKind::Perfect) => MemPolicy::Perfect,
-            (None, _) => MemPolicy::Baseline,
-        };
-        simulate(cpu_cfg, &mut hierarchy, policy, &mut program, params.warmup);
-    }
-    hierarchy.reset_stats();
-    if let Some(m) = &mut mnm {
-        m.reset_stats();
-    }
-
-    // Measured phase.
-    let cpu = {
-        let policy = match (&mut mnm, kind) {
-            (Some(m), _) => MemPolicy::Mnm(m),
-            (None, ConfigKind::Perfect) => MemPolicy::Perfect,
-            (None, _) => MemPolicy::Baseline,
-        };
-        simulate(cpu_cfg, &mut hierarchy, policy, &mut program, params.measure)
-    };
-
-    finish(profile, kind, hierarchy, mnm, cpu)
+    simulate(cpu_cfg, &mut hierarchy, &mut filter, &mut program, params.warmup);
+    reset_stats(&mut hierarchy, &mut filter);
+    let cpu = simulate(cpu_cfg, &mut hierarchy, &mut filter, &mut program, params.measure);
+    finish(profile, preset, hierarchy, filter, cpu)
 }
 
 /// Drive one application through the hierarchy only (no core timing):
@@ -139,14 +82,11 @@ pub fn run_app_timed(
 pub fn run_app_functional(
     profile: &AppProfile,
     hier_cfg: &HierarchyConfig,
-    kind: &ConfigKind,
+    preset: &FilterPreset,
     params: RunParams,
 ) -> AppRun {
     let mut hierarchy = Hierarchy::new(hier_cfg.clone());
-    let mut mnm = match kind {
-        ConfigKind::Mnm(cfg) => Some(Mnm::new(&hierarchy, cfg.clone())),
-        _ => None,
-    };
+    let mut filter = preset.build(&hierarchy);
     let fetch_shift = hierarchy
         .structures()
         .iter()
@@ -157,30 +97,22 @@ pub fn run_app_functional(
     let mut program = Program::new(profile.clone());
     // Mirrors the timed model's fetch behaviour exactly (including the
     // refetch after a mispredict and the fresh fetch block per phase) so
-    // functional and timed runs see identical reference streams. The whole
-    // phase streams through one ReplaySession: scratch buffers are reused
-    // across every access, so the loop never allocates.
-    let mut drive = |hierarchy: &mut Hierarchy, mnm: &mut Option<Mnm>, n: u64| {
-        let filter = match (mnm, kind) {
-            (Some(m), _) => RunFilter::Mnm(m),
-            (None, ConfigKind::Perfect) => RunFilter::Perfect,
-            (None, _) => RunFilter::Baseline,
-        };
-        let mut session = ReplaySession::new(hierarchy, filter);
+    // functional and timed runs see identical reference streams.
+    let mut drive = |hierarchy: &mut Hierarchy, filter: &mut ReplayFilter, n: u64| {
         let mut cur_block = u64::MAX;
         let mut done = 0;
         for instr in &mut program {
             let block = instr.pc >> fetch_shift;
             if block != cur_block {
                 cur_block = block;
-                session.step(Access::fetch(instr.pc));
+                hierarchy.step(filter, Access::fetch(instr.pc));
             }
             match instr.kind {
                 InstrKind::Load { addr } => {
-                    session.step(Access::load(addr));
+                    hierarchy.step(filter, Access::load(addr));
                 }
                 InstrKind::Store { addr } => {
-                    session.step(Access::store(addr));
+                    hierarchy.step(filter, Access::store(addr));
                 }
                 InstrKind::Branch { mispredicted } => {
                     if mispredicted {
@@ -196,61 +128,37 @@ pub fn run_app_functional(
         }
     };
 
-    drive(&mut hierarchy, &mut mnm, params.warmup);
+    drive(&mut hierarchy, &mut filter, params.warmup);
+    reset_stats(&mut hierarchy, &mut filter);
+    drive(&mut hierarchy, &mut filter, params.measure);
+
+    finish(profile, preset, hierarchy, filter, CpuStats::default())
+}
+
+/// End of warm-up: zero the counters, keep cache and filter state.
+fn reset_stats(hierarchy: &mut Hierarchy, filter: &mut ReplayFilter) {
     hierarchy.reset_stats();
-    if let Some(m) = &mut mnm {
+    if let Some(m) = filter.mnm_mut() {
         m.reset_stats();
-    }
-    drive(&mut hierarchy, &mut mnm, params.measure);
-
-    finish(profile, kind, hierarchy, mnm, CpuStats::default())
-}
-
-/// The three experiment configurations as one [`AccessFilter`], so every
-/// functional run drives the same [`ReplaySession`] loop.
-enum RunFilter<'a> {
-    Baseline,
-    Perfect,
-    Mnm(&'a mut Mnm),
-}
-
-impl AccessFilter for RunFilter<'_> {
-    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        match self {
-            RunFilter::Baseline => BypassSet::none(),
-            RunFilter::Perfect => perfect_bypass(hierarchy, access),
-            RunFilter::Mnm(m) => Mnm::query(m, access),
-        }
-    }
-
-    fn observe_events(&mut self, _hierarchy: &Hierarchy, events: &[CacheEvent]) {
-        if let RunFilter::Mnm(m) = self {
-            Mnm::observe_events(m, events);
-        }
-    }
-
-    fn note_probes(&mut self, _access: Access, probes: &[ProbeRecord]) {
-        if let RunFilter::Mnm(m) = self {
-            Mnm::note_probes(m, probes);
-        }
     }
 }
 
 fn finish(
     profile: &AppProfile,
-    kind: &ConfigKind,
+    preset: &FilterPreset,
     hierarchy: Hierarchy,
-    mnm: Option<Mnm>,
+    filter: ReplayFilter,
     cpu: CpuStats,
 ) -> AppRun {
+    let mnm = filter.mnm();
     let run = AppRun {
         app: profile.name.clone(),
-        config: kind.label(),
+        config: preset.label(),
         level_of_structure: hierarchy.structures().iter().map(|s| s.level).collect(),
         structure_names: hierarchy.structures().iter().map(|s| s.name.clone()).collect(),
         hierarchy: hierarchy.stats().clone(),
-        mnm_storage: mnm.as_ref().map(|m| m.storage()).unwrap_or_default(),
-        mnm_placement: mnm.as_ref().map(|m| m.config().placement),
+        mnm_storage: mnm.map(|m| m.storage()).unwrap_or_default(),
+        mnm_placement: mnm.map(|m| m.config().placement),
         mnm: mnm.map(|m| m.stats().clone()),
         cpu,
     };
@@ -352,12 +260,12 @@ mod tests {
         let profile = profiles::by_name("164.gzip").unwrap();
         let params = RunParams { warmup: 2_000, measure: 20_000 };
         let cfg = HierarchyConfig::paper_five_level();
-        let f = run_app_functional(&profile, &cfg, &ConfigKind::Baseline, params);
+        let f = run_app_functional(&profile, &cfg, &FilterPreset::Baseline, params);
         let t = run_app_timed(
             &profile,
             &cfg,
             &CpuConfig::paper_eight_way(),
-            &ConfigKind::Baseline,
+            &FilterPreset::Baseline,
             params,
         );
         // The same reference stream hits the same levels.
@@ -372,7 +280,7 @@ mod tests {
         let profile = profiles::by_name("181.mcf").unwrap();
         let params = RunParams { warmup: 5_000, measure: 30_000 };
         let cfg = HierarchyConfig::paper_five_level();
-        let run = run_app_functional(&profile, &cfg, &ConfigKind::parse("HMNM4"), params);
+        let run = run_app_functional(&profile, &cfg, &preset("HMNM4"), params);
         let st = run.mnm.expect("mnm stats");
         assert!(st.bypassable_misses() > 0);
         assert!(st.coverage() > 0.0);
@@ -384,7 +292,7 @@ mod tests {
         let profile = profiles::by_name("181.mcf").unwrap();
         let params = RunParams { warmup: 2_000, measure: 20_000 };
         let cfg = HierarchyConfig::paper_five_level();
-        let run = run_app_functional(&profile, &cfg, &ConfigKind::Perfect, params);
+        let run = run_app_functional(&profile, &cfg, &FilterPreset::Perfect, params);
         // Every probed non-L1 structure miss should have been bypassed:
         // only L1 misses remain.
         for (st, lvl) in run.hierarchy.structures.iter().zip(&run.level_of_structure) {
@@ -426,9 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn config_kind_labels_round_trip() {
+    fn experiment_labels_round_trip() {
         for label in ["Baseline", "Perfect", "HMNM3", "TMNM_12x3"] {
-            assert_eq!(ConfigKind::parse(label).label(), label);
+            assert_eq!(preset(label).label(), label);
         }
     }
 }

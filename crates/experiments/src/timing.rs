@@ -2,12 +2,13 @@
 //! characterization (Table 2).
 
 use cache_sim::HierarchyConfig;
+use mnm_core::FilterPreset;
 use ooo_model::CpuConfig;
 use trace_synth::profiles;
 
 use crate::params::RunParams;
 use crate::report::Table;
-use crate::runner::{parallel_run, run_app_timed, AppRun, ConfigKind};
+use crate::runner::{parallel_run, preset, run_app_timed, AppRun};
 use crate::FIG15_CONFIGS;
 
 /// Figure 15: percentage reduction in execution cycles of the parallel MNM
@@ -24,8 +25,7 @@ pub fn execution_reduction_table(params: RunParams) -> Table {
     let jobs: Vec<(usize, usize)> =
         (0..apps.len()).flat_map(|a| (0..labels.len()).map(move |c| (a, c))).collect();
     let cycles = parallel_run(jobs, |&(a, c)| {
-        let run =
-            run_app_timed(&apps[a], &hier_cfg, &cpu_cfg, &ConfigKind::parse(&labels[c]), params);
+        let run = run_app_timed(&apps[a], &hier_cfg, &cpu_cfg, &preset(&labels[c]), params);
         run.cpu.cycles as f64
     });
 
@@ -50,7 +50,7 @@ pub fn characteristics_table(params: RunParams) -> Table {
     let apps = profiles::all();
 
     let runs: Vec<AppRun> = parallel_run(apps.clone(), |app| {
-        run_app_timed(app, &hier_cfg, &cpu_cfg, &ConfigKind::Baseline, params)
+        run_app_timed(app, &hier_cfg, &cpu_cfg, &FilterPreset::Baseline, params)
     });
 
     let columns: Vec<String> = [
@@ -109,12 +109,10 @@ mod tests {
         let cpu_cfg = CpuConfig::paper_eight_way();
         let app = profiles::by_name("181.mcf").unwrap();
         let base =
-            run_app_timed(&app, &hier_cfg, &cpu_cfg, &ConfigKind::Baseline, params).cpu.cycles;
-        let hmnm = run_app_timed(&app, &hier_cfg, &cpu_cfg, &ConfigKind::parse("HMNM4"), params)
-            .cpu
-            .cycles;
+            run_app_timed(&app, &hier_cfg, &cpu_cfg, &FilterPreset::Baseline, params).cpu.cycles;
+        let hmnm = run_app_timed(&app, &hier_cfg, &cpu_cfg, &preset("HMNM4"), params).cpu.cycles;
         let perfect =
-            run_app_timed(&app, &hier_cfg, &cpu_cfg, &ConfigKind::Perfect, params).cpu.cycles;
+            run_app_timed(&app, &hier_cfg, &cpu_cfg, &FilterPreset::Perfect, params).cpu.cycles;
         assert!(hmnm <= base, "parallel MNM can only help: {hmnm} vs {base}");
         assert!(perfect <= hmnm, "perfect bounds the real technique: {perfect} vs {hmnm}");
     }
@@ -125,7 +123,7 @@ mod tests {
         let hier_cfg = HierarchyConfig::paper_five_level();
         let cpu_cfg = CpuConfig::paper_eight_way();
         let app = profiles::by_name("164.gzip").unwrap();
-        let run = run_app_timed(&app, &hier_cfg, &cpu_cfg, &ConfigKind::Baseline, params);
+        let run = run_app_timed(&app, &hier_cfg, &cpu_cfg, &FilterPreset::Baseline, params);
         for st in &run.hierarchy.structures {
             let h = st.reference_hit_rate();
             assert!((0.0..=1.0).contains(&h));

@@ -98,7 +98,10 @@ fn injected_stall_blows_the_deadline_then_recovers() {
 
     let dir = fresh_dir("stall");
     let mut o = opts(&dir);
-    o.supervisor.deadline = Some(Duration::from_millis(200));
+    // Far below the 5000 ms stall, far above a normal job of this tiny
+    // sweep (a debug-build fig12_tmnm_coverage takes ~0.4 s on a loaded
+    // 2-vCPU host, which a 200 ms deadline timed out three times over).
+    o.supervisor.deadline = Some(Duration::from_millis(2000));
     let summary = run_sweep(&o).unwrap();
     assert!(summary.failed.is_empty(), "stalled attempt abandoned, retry succeeds");
     assert_eq!(summary.injected.len(), 1);

@@ -71,6 +71,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use mnm_experiments::faults::PlanClauses;
+use trace_synth::rng::{fnv1a, splitmix64};
+
 use crate::server::{Conn, Endpoint};
 use crate::signal;
 
@@ -137,22 +140,6 @@ impl Direction {
     }
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A parsed `JSN_CHAOS` plan: a seed plus one optional `m/n` ratio per
 /// fault kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,8 +172,10 @@ impl ChaosPlan {
     /// errors — a chaos soak with a silently inert plan would pass
     /// while proving nothing.
     pub fn parse(input: &str) -> Result<ChaosPlan, String> {
+        let clauses =
+            PlanClauses::parse(ENV_CHAOS, input, &["corrupt", "dup", "delay", "tear", "drop"])?;
         let mut plan = ChaosPlan {
-            seed: 0,
+            seed: clauses.seed,
             corrupt: None,
             dup: None,
             delay: None,
@@ -194,61 +183,25 @@ impl ChaosPlan {
             tear: None,
             drop: None,
         };
-        let mut seen: Vec<&str> = Vec::new();
-        for clause in input.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("{ENV_CHAOS}: clause `{clause}` is not `key=value`"))?;
-            let key = key.trim();
-            if seen.contains(&key) {
-                return Err(format!(
-                    "{ENV_CHAOS}: duplicate `{key}` clause (the first would be silently ignored)"
-                ));
-            }
+        for &(key, value) in &clauses.clauses {
             match key {
-                "seed" => {
-                    plan.seed = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("{ENV_CHAOS}: bad seed `{value}`"))?;
-                }
-                "corrupt" => plan.corrupt = Some(parse_ratio(value)?),
-                "dup" => plan.dup = Some(parse_ratio(value)?),
-                "tear" => plan.tear = Some(parse_ratio(value)?),
-                "drop" => plan.drop = Some(parse_ratio(value)?),
-                "delay" => {
-                    let (sel, ms) = match value.rsplit_once(':') {
-                        Some((head, tail)) => {
-                            let ms = tail.trim().parse::<u64>().map_err(|_| {
-                                format!(
-                                    "{ENV_CHAOS}: delay duration `{tail}` is not a \
-                                     millisecond count"
-                                )
-                            })?;
-                            (head, ms)
-                        }
-                        None => (value, DEFAULT_DELAY_MS),
-                    };
-                    plan.delay = Some(parse_ratio(sel)?);
+                "corrupt" => plan.corrupt = Some(clauses.ratio(value)?),
+                "dup" => plan.dup = Some(clauses.ratio(value)?),
+                "tear" => plan.tear = Some(clauses.ratio(value)?),
+                "drop" => plan.drop = Some(clauses.ratio(value)?),
+                _ => {
+                    let (sel, ms) = clauses.with_ms(key, value, DEFAULT_DELAY_MS)?;
+                    plan.delay = Some(clauses.ratio(sel)?);
                     plan.delay_ms = ms;
                 }
-                other => return Err(format!("{ENV_CHAOS}: unknown clause `{other}`")),
             }
-            seen.push(key);
         }
         Ok(plan)
     }
 
     /// Read the plan from `JSN_CHAOS`; `Ok(None)` when unset or empty.
     pub fn from_env() -> Result<Option<ChaosPlan>, String> {
-        match std::env::var(ENV_CHAOS) {
-            Ok(v) if !v.trim().is_empty() => ChaosPlan::parse(&v).map(Some),
-            Ok(_) => Ok(None),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{ENV_CHAOS}: value is not valid unicode"))
-            }
-        }
+        PlanClauses::env(ENV_CHAOS)?.map(|v| ChaosPlan::parse(&v)).transpose()
     }
 
     /// The configured delay duration.
@@ -311,25 +264,6 @@ impl ChaosPlan {
             fmt(self.drop),
         )
     }
-}
-
-fn parse_ratio(value: &str) -> Result<(u64, u64), String> {
-    let value = value.trim();
-    let (m, n) = value
-        .split_once('/')
-        .ok_or_else(|| format!("{ENV_CHAOS}: selector `{value}` is not an `m/n` ratio"))?;
-    let m = m
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{ENV_CHAOS}: ratio `{value}` has a bad numerator"))?;
-    let n = n
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| format!("{ENV_CHAOS}: ratio `{value}` has a bad denominator"))?;
-    if n == 0 {
-        return Err(format!("{ENV_CHAOS}: ratio `{value}` has zero denominator"));
-    }
-    Ok((m, n))
 }
 
 /// One fault the proxy actually fired.

@@ -39,5 +39,5 @@ pub use chaos::{ChaosHandle, ChaosOptions, ChaosPlan, ChaosProxy};
 pub use metrics::{Registry, SessionGauge};
 pub use protocol::{FrameType, SessionStatsWire, WireError, MAX_FRAME_BYTES, VERSION};
 pub use server::{Endpoint, Server, ServerConfig, ServerHandle};
-pub use session::{SessionCore, SessionFilter};
+pub use session::SessionCore;
 pub use slam::{run_slam, SlamOptions, SlamReport};

@@ -7,7 +7,8 @@
 //! magic "JSNS" (4) | version u16 LE | config_len u16 LE | config utf-8 | resume_token u64 LE
 //! ```
 //!
-//! where `config` is a filter preset label: `baseline`, `perfect`, or any
+//! where `config` is a filter preset label (`FilterPreset::parse`):
+//! `baseline` or `perfect` in any case, or any
 //! label accepted by `MnmConfig::parse` (`HMNM4`, `TMNM_12x1`, ...), and
 //! `resume_token` is 0 for a new session or a token a previous hello
 //! reply issued (the connection then *resumes* that parked session).
@@ -79,7 +80,7 @@ pub const FRAME_HEADER_BYTES: usize = 9;
 pub const SEQ_BYTES: usize = 8;
 
 /// Default upper bound on a frame payload. 64 KiB holds ~3276 records,
-/// far above the useful batch size for `process_many`.
+/// far above the useful batch size for `Hierarchy::run`.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024;
 
 /// Upper bound on the hello config-label length.

@@ -74,6 +74,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cache_sim::{Hierarchy, HierarchyConfig, StructureStats};
+use trace_synth::rng::splitmix64;
 
 use crate::metrics::{Registry, SessionGauge};
 use crate::protocol::{
@@ -323,13 +324,6 @@ struct Parking {
 
 fn lock_table(m: &Mutex<HashMap<u64, Parked>>) -> std::sync::MutexGuard<'_, HashMap<u64, Parked>> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl Parking {

@@ -10,71 +10,16 @@
 //! `jsn run`: loads and stores become data-side cache accesses; ops and
 //! branches advance the record count but touch no cache.
 
-use cache_sim::{
-    Access, AccessFilter, BatchSummary, BypassSet, CacheEvent, Hierarchy, HierarchyConfig,
-    NoFilter, ProbeRecord, ReplaySession, StructureStats,
-};
-use mnm_core::{FilterOccupancy, Mnm, MnmConfig, PerfectFilter};
+use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig, StructureStats};
+use mnm_core::{FilterOccupancy, FilterPreset, ReplayFilter};
 use trace_synth::{Instr, InstrKind};
 
 use crate::protocol::{SessionStatsWire, StructureVerdictsWire};
 
-/// The filter presets a session can request in its hello.
-pub enum SessionFilter {
-    /// No filter: every probe is a normal probe.
-    Baseline(NoFilter),
-    /// The oracle filter (paper §4.3): bypasses exactly the true misses.
-    Perfect(PerfectFilter),
-    /// A Mostly No Machine built from an `MnmConfig` label.
-    Mnm(Box<Mnm>),
-}
-
-impl AccessFilter for SessionFilter {
-    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
-        match self {
-            SessionFilter::Baseline(f) => f.query(hierarchy, access),
-            SessionFilter::Perfect(f) => f.query(hierarchy, access),
-            SessionFilter::Mnm(f) => <Mnm as AccessFilter>::query(f, hierarchy, access),
-        }
-    }
-
-    fn observe_events(&mut self, hierarchy: &Hierarchy, events: &[CacheEvent]) {
-        match self {
-            SessionFilter::Baseline(f) => f.observe_events(hierarchy, events),
-            SessionFilter::Perfect(f) => f.observe_events(hierarchy, events),
-            SessionFilter::Mnm(f) => <Mnm as AccessFilter>::observe_events(f, hierarchy, events),
-        }
-    }
-
-    fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
-        match self {
-            SessionFilter::Baseline(f) => f.note_probes(access, probes),
-            SessionFilter::Perfect(f) => f.note_probes(access, probes),
-            SessionFilter::Mnm(f) => <Mnm as AccessFilter>::note_probes(f, access, probes),
-        }
-    }
-}
-
-/// Parse a hello config label into a filter for `hierarchy`.
-///
-/// Accepts `baseline`, `perfect`, or any `MnmConfig` label
-/// (`HMNM4`, `TMNM_12x1`, `BLOOM_13x4`, ...).
-pub fn parse_preset(label: &str, hierarchy: &Hierarchy) -> Result<SessionFilter, String> {
-    match label {
-        "baseline" => Ok(SessionFilter::Baseline(NoFilter)),
-        "perfect" => Ok(SessionFilter::Perfect(PerfectFilter)),
-        other => {
-            let config = MnmConfig::parse(other)
-                .map_err(|e| format!("unknown filter preset `{other}`: {e} (try `baseline`, `perfect`, or an MNM label like `HMNM4`)"))?;
-            Ok(SessionFilter::Mnm(Box::new(Mnm::new(hierarchy, config))))
-        }
-    }
-}
-
 /// A session's replay state: its own hierarchy, filter, and counters.
 pub struct SessionCore {
     hierarchy: Hierarchy,
-    filter: SessionFilter,
+    filter: ReplayFilter,
     /// Scratch buffer of converted accesses, reused across frames.
     batch: Vec<Access>,
     /// Trace records seen (including non-memory records).
@@ -93,10 +38,11 @@ impl SessionCore {
         SessionCore::with_config(preset, HierarchyConfig::paper_five_level())
     }
 
-    /// Build a session on a specific hierarchy configuration.
+    /// Build a session on a specific hierarchy configuration. `preset` is
+    /// any [`FilterPreset::parse`] label.
     pub fn with_config(preset: &str, config: HierarchyConfig) -> Result<SessionCore, String> {
         let hierarchy = Hierarchy::new(config);
-        let filter = parse_preset(preset, &hierarchy)?;
+        let filter = FilterPreset::parse(preset)?.build(&hierarchy);
         Ok(SessionCore {
             hierarchy,
             filter,
@@ -121,8 +67,7 @@ impl SessionCore {
         }
         self.records += instrs.len() as u64;
         self.frames += 1;
-        let summary =
-            ReplaySession::new(&mut self.hierarchy, &mut self.filter).process_many(&self.batch);
+        let summary = self.hierarchy.run(&mut self.filter, &self.batch);
         self.accesses += summary.accesses;
         self.total_latency += summary.total_latency;
         summary
@@ -152,10 +97,7 @@ impl SessionCore {
     /// The filter's dynamic occupancy (zero for baseline/perfect, which
     /// track no state).
     pub fn occupancy(&self) -> FilterOccupancy {
-        match &self.filter {
-            SessionFilter::Baseline(_) | SessionFilter::Perfect(_) => FilterOccupancy::default(),
-            SessionFilter::Mnm(m) => m.occupancy(),
-        }
+        self.filter.occupancy()
     }
 
     /// Final session stats in wire form.

@@ -32,6 +32,7 @@ use std::io::{Read, Write};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use trace_synth::rng::splitmix64;
 use trace_synth::{profiles, Instr, Program};
 
 use crate::protocol::{
@@ -149,13 +150,6 @@ impl SlamReport {
     pub fn dropped_frames(&self) -> u64 {
         self.frames_sent.saturating_sub(self.frames_resent).saturating_sub(self.frames_acked)
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The deterministic trace for slam session `k`: one of the 20

@@ -14,7 +14,7 @@ use mnm_core::MnmConfig;
 pub struct ShardConfig {
     /// Number of simulated cores (= worker threads in the parallel run).
     pub cores: usize,
-    /// Accesses each core executes per epoch between barriers.
+    /// Accesses each core executes per epoch.
     pub epoch: usize,
     /// MNM filter configuration instantiated once per core.
     pub mnm: MnmConfig,
@@ -63,7 +63,7 @@ impl ShardConfig {
 
     /// One core's private two-level hierarchy. Its memory latency is
     /// zero: whatever spills past the private L2 is priced by the shared
-    /// L3 at the next barrier, not here.
+    /// L3 when the epoch resolves, not here.
     pub fn private_hierarchy(&self) -> HierarchyConfig {
         HierarchyConfig {
             levels: vec![

@@ -14,10 +14,10 @@
 //! resident (harmless) or, worse, un-counted state that drifts from the
 //! cache. The default engine is **pipelined**: a dedicated resolver
 //! thread drains epoch E's shared-L3 queues while the cores already
-//! compute epoch E+1, with per-core bounded SPSC rings instead of a
-//! stop-the-world barrier. See [`sim`] for the execution model, the
-//! frozen-view soundness argument, and the three engines (pipelined /
-//! barrier / single) whose reports are bit-identical by contract.
+//! compute epoch E+1, handing off over per-core bounded SPSC rings. See
+//! [`sim`] for the execution model, the
+//! frozen-view soundness argument, and the two engines (pipelined /
+//! single) whose reports are bit-identical by contract.
 //!
 //! ```
 //! use mnm_core::MnmConfig;

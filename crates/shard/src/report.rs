@@ -23,9 +23,8 @@ pub struct CoreReport {
     /// L3 requests whose definite-miss verdict skipped the L3 probe —
     /// the block was indeed absent.
     pub l3_bypasses: u64,
-    /// Bypass verdicts that found the block resident because *this
-    /// barrier* placed it (after the verdict was issued against the
-    /// epoch-start L3 image). Sound: demoted to a normal probe.
+    /// Bypass verdicts that found the block resident because a
+    /// resolution round after the verdict's frozen L3 image placed it. Sound: demoted to a normal probe.
     pub stale_bypass_rescues: u64,
     /// Bypass verdicts that found the block resident although it was
     /// already resident at epoch start. These are genuine soundness
@@ -48,7 +47,7 @@ pub struct CoreReport {
 /// bit-identity contract between engines covers simulation results only.
 #[derive(Debug, Clone)]
 pub struct ShardTiming {
-    /// Which engine produced the run (`pipelined`, `barrier`, `single`).
+    /// Which engine produced the run (`pipelined` or `single`).
     pub engine: String,
     /// Wall-clock nanoseconds for the whole run.
     pub wall_nanos: u64,

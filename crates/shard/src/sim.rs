@@ -12,33 +12,26 @@
 //!
 //! ## The one-epoch-deep pipeline
 //!
-//! The original engine alternated: all cores compute epoch E, a barrier,
-//! one thread serially resolves epoch E's shared-L3 queue while every
-//! core idles, repeat — a textbook Amdahl ceiling (the serial resolve
-//! phase bounded `shard_scaling` speedup no matter the core count). The
-//! paper's own pitch is hiding latency by deciding misses *early*; the
-//! engine now hides its resolution latency the same way:
+//! Resolution of the shared level is serial, so it is overlapped with
+//! compute rather than alternated with it:
 //!
 //! * cores compute epoch **E+1** while the resolver drains epoch **E**'s
-//!   queues — compute and resolution overlap instead of alternating;
+//!   queues;
 //! * the results of resolving epoch E (coherence invalidations, the
 //!   global L3 event list, probe records, per-core counter deltas) are
 //!   applied at the start of epoch **E+2**, the first epoch that begins
 //!   after the resolution is guaranteed complete.
 //!
 //! Epoch E therefore runs against the L3 image left by resolution of
-//! epoch E−2 — a *frozen view*, exactly as before, just one resolution
-//! round deeper. Everything that made the frozen-view argument sound is
-//! unchanged: requests still resolve serially in core-major program
-//! order (deterministic regardless of thread scheduling), every core
-//! still applies the identical global event list (so shared-slot filter
-//! state is bit-identical everywhere), and verdicts are still classified
-//! at resolution time as sound bypass / stale rescue / unsound. Only
-//! *when* resolution happens relative to the next epoch's compute moved.
+//! epoch E−2 — a *frozen view*. Requests resolve serially in core-major
+//! program order (deterministic regardless of thread scheduling), every
+//! core applies the identical global event list (so shared-slot filter
+//! state is bit-identical everywhere), and verdicts are classified at
+//! resolution time as sound bypass / stale rescue / unsound.
 //!
 //! ## Engines
 //!
-//! Three drivers execute the identical schedule and must produce
+//! Two drivers execute the identical schedule and must produce
 //! bit-identical [`ShardReport`]s (asserted in tests, the
 //! `shard_scaling` bench, and CI):
 //!
@@ -46,12 +39,7 @@
 //!   thread per core plus a dedicated resolver thread. Handoff is
 //!   per-core bounded SPSC rings ([`crate::spsc`]): an outbox (epoch
 //!   requests + published store lines) and an inbox (resolution
-//!   results). Cores never touch a shared lock; the old
-//!   `Mutex<CoreState>` + `Barrier` pair is gone.
-//! * [`Engine::Barrier`] ([`ShardedSim::run_barrier`]) — the
-//!   stop-the-world baseline: same schedule, but resolution happens
-//!   inside the barrier window while cores wait. Kept as the speedup
-//!   baseline the bench compares against (`--pipeline off`).
+//!   results). Cores never touch a shared lock.
 //! * [`Engine::Single`] ([`ShardedSim::run_single_threaded`]) — the
 //!   whole schedule on the calling thread; the reference execution and
 //!   the only driver that invokes a [`ShardObserver`].
@@ -89,8 +77,7 @@ use cache_sim::{
 };
 use mnm_core::Mnm;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How one shared-L3 request was resolved.
@@ -117,9 +104,6 @@ pub enum Engine {
     /// Cores compute epoch E+1 while a dedicated resolver thread drains
     /// epoch E; SPSC handoff, no shared locks. The default.
     Pipelined,
-    /// Stop-the-world baseline: resolution runs inside the barrier
-    /// window while every core idles (`--pipeline off`).
-    Barrier,
     /// Everything on the calling thread; the reference execution.
     Single,
 }
@@ -129,7 +113,6 @@ impl Engine {
     pub fn label(self) -> &'static str {
         match self {
             Engine::Pipelined => "pipelined",
-            Engine::Barrier => "barrier",
             Engine::Single => "single",
         }
     }
@@ -291,9 +274,8 @@ struct CoreState {
     stall_nanos: u64,
 }
 
-/// State only the resolver touches (the leader thread in the barrier
-/// engine, the dedicated resolver thread in the pipelined engine, the
-/// calling thread in the single engine).
+/// State only the resolver touches (the dedicated resolver thread in the
+/// pipelined engine, the calling thread in the single engine).
 struct ResolverState {
     l3: Hierarchy,
     /// L3 lines placed during the current resolution round.
@@ -303,7 +285,6 @@ struct ResolverState {
     /// rescue window, see the module docs).
     placed_prev: HashSet<u64>,
     scratch: ReplayScratch,
-    access_buf: Vec<Access>,
     /// Rounds executed — the number of epochs the schedule ran.
     rounds: u64,
     /// Nanoseconds spent inside [`resolve_round`].
@@ -382,7 +363,6 @@ impl ShardedSim {
             placed_cur: HashSet::new(),
             placed_prev: HashSet::new(),
             scratch: ReplayScratch::new(),
-            access_buf: Vec::new(),
             rounds: 0,
             resolve_nanos: 0,
         };
@@ -408,12 +388,6 @@ impl ShardedSim {
         self.run_engine(Engine::Pipelined)
     }
 
-    /// Run the stop-the-world barrier baseline. Produces a report
-    /// bit-identical to [`ShardedSim::run_single_threaded`].
-    pub fn run_barrier(&mut self) -> ShardReport {
-        self.run_engine(Engine::Barrier)
-    }
-
     /// Run everything on the calling thread (the reference execution the
     /// parallel drivers must match).
     pub fn run_single_threaded(&mut self) -> ShardReport {
@@ -424,7 +398,6 @@ impl ShardedSim {
     pub fn run_engine(&mut self, engine: Engine) -> ShardReport {
         match engine {
             Engine::Pipelined => self.run_pipelined(),
-            Engine::Barrier => self.run_barrier_engine(),
             Engine::Single => self.run_single_threaded_observed(&mut NoopObserver),
         }
     }
@@ -548,75 +521,6 @@ impl ShardedSim {
         self.build_report()
     }
 
-    /// The stop-the-world baseline: same schedule, but resolution runs
-    /// inside the barrier window while every core idles.
-    fn run_barrier_engine(&mut self) -> ShardReport {
-        let ctx = self.ctx;
-        let wall = Instant::now();
-        let n = self.config.cores;
-        let barrier = Barrier::new(n);
-        let done = AtomicBool::new(false);
-        let out_slots: Vec<Mutex<Option<OutMsg>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let in_slots: Vec<Mutex<Option<ResolvedMsg>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let prev_outs: Mutex<Vec<OutMsg>> = Mutex::new((0..n).map(|_| OutMsg::empty()).collect());
-        let resolver = Mutex::new(&mut self.resolver);
-        let cores = &mut self.cores;
-        std::thread::scope(|scope| {
-            for (t, core) in cores.iter_mut().enumerate() {
-                let barrier = &barrier;
-                let done = &done;
-                let out_slots = &out_slots;
-                let in_slots = &in_slots;
-                let prev_outs = &prev_outs;
-                let resolver = &resolver;
-                scope.spawn(move || {
-                    let mut noop = NoopObserver;
-                    loop {
-                        let t0 = Instant::now();
-                        let msg = in_slots[t].lock().unwrap().take();
-                        if let Some(msg) = msg {
-                            apply_inbox(ctx, core, &msg, &mut noop);
-                        }
-                        let out = run_epoch_compute(ctx, core, &mut noop);
-                        *out_slots[t].lock().unwrap() = Some(out);
-                        core.compute_nanos += elapsed_nanos(t0);
-                        let t1 = Instant::now();
-                        if barrier.wait().is_leader() {
-                            let mut rs = resolver.lock().unwrap();
-                            rs.rounds += 1;
-                            let cur: Vec<OutMsg> = out_slots
-                                .iter()
-                                .map(|s| s.lock().unwrap().take().expect("core missed a round"))
-                                .collect();
-                            let mut prev = prev_outs.lock().unwrap();
-                            let outs = std::mem::replace(&mut *prev, cur);
-                            let msgs = resolve_round(ctx, outs, &mut rs, &mut noop);
-                            let all_done = prev.iter().all(|o| o.exhausted && o.is_empty())
-                                && msgs.iter().all(ResolvedMsg::is_empty);
-                            for (ci, m) in msgs.into_iter().enumerate() {
-                                *in_slots[ci].lock().unwrap() = Some(m);
-                            }
-                            done.store(all_done, Ordering::SeqCst);
-                        }
-                        barrier.wait();
-                        core.stall_nanos += elapsed_nanos(t1);
-                        if done.load(Ordering::SeqCst) {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        self.timing = ShardTiming {
-            engine: Engine::Barrier.label().to_owned(),
-            wall_nanos: elapsed_nanos(wall),
-            compute_nanos: self.cores.iter().map(|c| c.compute_nanos).sum(),
-            resolve_nanos: self.resolver.resolve_nanos,
-            stall_nanos: self.cores.iter().map(|c| c.stall_nanos).sum(),
-        };
-        self.build_report()
-    }
-
     fn build_report(&self) -> ShardReport {
         let cores = self
             .cores
@@ -661,7 +565,8 @@ fn apply_inbox(ctx: Ctx, core: &mut CoreState, msg: &ResolvedMsg, obs: &mut dyn 
             obs.coherence_invalidation(core.id, line, removed, &core.ev_buf);
         }
     }
-    core.mnm.absorb_resolution(&msg.events, &msg.probes);
+    core.mnm.observe_events(&msg.events);
+    core.mnm.note_probes(&msg.probes);
     let d = &msg.delta;
     core.report.l3_requests += d.l3_requests;
     core.report.l3_hits += d.l3_hits;
@@ -710,9 +615,8 @@ fn run_epoch_compute(ctx: Ctx, core: &mut CoreState, obs: &mut dyn ShardObserver
 }
 
 /// The serial resolution phase: resolve every queued L3 request in
-/// core-major program order through the hierarchy's batched
-/// [`run_requests`](Hierarchy::run_requests) walk, then package per-core
-/// results (invalidations, the global event list, probe records, counter
+/// core-major program order — each request sees every earlier request's
+/// fills — then package per-core results (invalidations, the global event list, probe records, counter
 /// deltas) for application two epochs after the requests were issued.
 fn resolve_round(
     ctx: Ctx,
@@ -735,81 +639,68 @@ fn resolve_round(
     let mut probes_out: Vec<Vec<ProbeRecord>> = (0..n).map(|_| Vec::new()).collect();
     let mut deltas: Vec<ResolveDelta> = vec![ResolveDelta::default(); n];
 
-    let ResolverState { l3, placed_cur, placed_prev, scratch, access_buf, .. } = rs;
+    let ResolverState { l3, placed_cur, placed_prev, scratch, .. } = rs;
     for (ci, out) in outs.into_iter().enumerate() {
-        let reqs = out.requests;
         let delta = &mut deltas[ci];
-        delta.l3_requests += reqs.len() as u64;
-        access_buf.clear();
-        access_buf.extend(reqs.iter().map(|r| r.access));
-        // `decide` and `observe` alternate strictly per request; the
-        // cursor advances in `observe` so both see the same index.
-        let cursor = std::cell::Cell::new(0usize);
+        delta.l3_requests += out.requests.len() as u64;
         let probes = &mut probes_out[ci];
-        l3.run_requests(
-            access_buf,
-            scratch,
-            |hier, access| {
-                let mut bypass = BypassSet::none();
-                if reqs[cursor.get()].bypass_l3 && !hier.contains(l3_sid, access.addr) {
-                    bypass.insert(l3_sid);
-                }
-                bypass
-            },
-            |access, res, scratch| {
-                let i = cursor.get();
-                cursor.set(i + 1);
-                let line = access.addr & !(ctx.l3_block_bytes - 1);
-                // Classify before absorbing this request's own events:
-                // the rescue window must not include the fill this very
-                // request is about to cause.
-                let outcome = if res.bypassed > 0 {
-                    L3Outcome::Bypassed
-                } else if reqs[i].bypass_l3 {
-                    if placed_cur.contains(&line) || placed_prev.contains(&line) {
-                        L3Outcome::Rescued
-                    } else {
-                        L3Outcome::Unsound
-                    }
-                } else if res.misses == 0 {
-                    L3Outcome::Hit
+        for req in &out.requests {
+            let access = req.access;
+            let mut bypass = BypassSet::none();
+            if req.bypass_l3 && !l3.contains(l3_sid, access.addr) {
+                bypass.insert(l3_sid);
+            }
+            let res = l3.access_with_events(access, &bypass, scratch);
+            let line = access.addr & !(ctx.l3_block_bytes - 1);
+            // Classify before absorbing this request's own events: the
+            // rescue window must not include the fill this very request
+            // just caused.
+            let outcome = if res.bypassed > 0 {
+                L3Outcome::Bypassed
+            } else if req.bypass_l3 {
+                if placed_cur.contains(&line) || placed_prev.contains(&line) {
+                    L3Outcome::Rescued
                 } else {
-                    L3Outcome::Miss
-                };
-                delta.cycles += res.latency;
-                match outcome {
-                    L3Outcome::Hit => delta.l3_hits += 1,
-                    L3Outcome::Miss => delta.l3_misses += 1,
-                    L3Outcome::Bypassed => delta.l3_bypasses += 1,
-                    L3Outcome::Rescued => {
-                        delta.stale_bypass_rescues += 1;
-                        delta.l3_hits += 1;
-                    }
-                    L3Outcome::Unsound => {
-                        delta.unsound_verdicts += 1;
-                        delta.l3_hits += 1;
-                    }
+                    L3Outcome::Unsound
                 }
-                obs.l3_resolution(ci, access, outcome);
-                for ev in scratch.events() {
-                    global_events.push(CacheEvent { structure: ctx.l3_template_id, ..*ev });
-                    match ev.kind {
-                        EventKind::Placed => {
-                            placed_cur.insert(ev.block_base);
+            } else if res.misses == 0 {
+                L3Outcome::Hit
+            } else {
+                L3Outcome::Miss
+            };
+            delta.cycles += res.latency;
+            match outcome {
+                L3Outcome::Hit => delta.l3_hits += 1,
+                L3Outcome::Miss => delta.l3_misses += 1,
+                L3Outcome::Bypassed => delta.l3_bypasses += 1,
+                L3Outcome::Rescued => {
+                    delta.stale_bypass_rescues += 1;
+                    delta.l3_hits += 1;
+                }
+                L3Outcome::Unsound => {
+                    delta.unsound_verdicts += 1;
+                    delta.l3_hits += 1;
+                }
+            }
+            obs.l3_resolution(ci, access, outcome);
+            for ev in scratch.events() {
+                global_events.push(CacheEvent { structure: ctx.l3_template_id, ..*ev });
+                match ev.kind {
+                    EventKind::Placed => {
+                        placed_cur.insert(ev.block_base);
+                    }
+                    EventKind::Replaced => {
+                        if victim_seen.insert(ev.block_base) {
+                            victims.push(ev.block_base);
                         }
-                        EventKind::Replaced => {
-                            if victim_seen.insert(ev.block_base) {
-                                victims.push(ev.block_base);
-                            }
-                        }
-                        EventKind::Invalidated => {}
                     }
+                    EventKind::Invalidated => {}
                 }
-                for p in scratch.probes() {
-                    probes.push(ProbeRecord { structure: ctx.l3_template_id, ..*p });
-                }
-            },
-        );
+            }
+            for p in scratch.probes() {
+                probes.push(ProbeRecord { structure: ctx.l3_template_id, ..*p });
+            }
+        }
         deltas[ci].store_lines_published += out.stores.len() as u64;
         store_pub.push(out.stores);
     }

@@ -7,9 +7,8 @@
 //! Both endpoints are single-threaded by construction — one core thread,
 //! one resolver thread — so the ring needs no CAS loops: the producer
 //! owns `tail`, the consumer owns `head`, and a pair of
-//! acquire/release `AtomicUsize` sequence numbers publishes each slot.
-//! Cores therefore never contend on a shared lock the way the old
-//! `Mutex<CoreState>` + `Barrier` handoff made them do.
+//! acquire/release `AtomicUsize` sequence numbers publishes each slot,
+//! and cores never contend on a shared lock.
 //!
 //! The sequence numbers and every slot are cache-line padded
 //! ([`CachePadded`]): `head` is written by the consumer on every pop and

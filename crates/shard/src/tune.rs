@@ -22,7 +22,7 @@
 //!
 //! The tuner returns a **concrete** epoch, and the caller runs every
 //! engine with it — so `--epoch auto` preserves the pipelined ==
-//! barrier == single bit-identity contract (identity is a property of
+//! single bit-identity contract (identity is a property of
 //! the chosen epoch, not of the tuning procedure).
 
 use crate::config::ShardConfig;

@@ -41,10 +41,10 @@ mod io;
 mod program;
 mod record;
 mod regions;
-mod rng;
 mod stats;
 
 pub mod profiles;
+pub mod rng;
 pub mod sharing;
 
 pub use crc::{crc32, Crc32};

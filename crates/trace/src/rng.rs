@@ -1,4 +1,6 @@
-//! A small deterministic pseudo-random number generator.
+//! A small deterministic pseudo-random number generator, plus the
+//! workspace's one copy of the two hash helpers every seeded component
+//! derives its decisions from ([`splitmix64`], [`fnv1a`]).
 //!
 //! The synthetic workload generator needs fast, seed-reproducible draws,
 //! not cryptographic quality. This is xoshiro256++ (Blackman & Vigna)
@@ -8,6 +10,22 @@
 //! Determinism is part of the trace format contract: a profile's `seed`
 //! fully determines its instruction stream, so changing this algorithm
 //! changes every synthetic trace. Do not swap it casually.
+
+/// The SplitMix64 finalizer (Steele, Lea & Flood): one well-mixed value
+/// per input. `splitmix64(x)` is the generator's output after its state
+/// was `x`, so `splitmix64(seed + k·γ)` is the k-th output of a SplitMix64
+/// stream seeded with `seed`.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over the bytes of `s`, for hashing names and sites.
+pub fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
 
 /// xoshiro256++ generator state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,15 +37,8 @@ impl Prng {
     /// Build a generator whose full 256-bit state is derived from `seed`
     /// with SplitMix64 (the initialisation the xoshiro authors recommend).
     pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next_sm = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        Prng { s: [next_sm(), next_sm(), next_sm(), next_sm()] }
+        let k = |i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        Prng { s: [k(0), k(1), k(2), k(3)] }
     }
 
     /// Next 64 uniformly distributed bits.
@@ -81,6 +92,21 @@ impl Prng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The hash helpers are part of every seeded artifact (traces, fault
+    /// sites, checker scenarios, chaos schedules): pin their outputs.
+    #[test]
+    fn hash_helpers_are_pinned() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+        assert_eq!(splitmix64(42), 0xbdd7_3226_2feb_6e95);
+        assert_eq!(splitmix64(u64::MAX), 0xe4d9_7177_1b65_2c20);
+        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a("flip-seed"), 0xc9e5_74fc_d293_17d0);
+        let mut r = Prng::seed_from_u64(42);
+        assert_eq!([r.next_u64(), r.next_u64()], [0xd076_4d4f_4476_689f, 0x519e_4174_576f_3791]);
+    }
 
     #[test]
     fn same_seed_same_stream() {

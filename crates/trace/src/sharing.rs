@@ -15,6 +15,7 @@
 
 use crate::program::{AppProfile, Program};
 use crate::record::{Instr, InstrKind};
+use crate::rng::splitmix64;
 
 /// How per-core streams are derived and how much of the data footprint
 /// is shared.
@@ -69,13 +70,6 @@ pub const PRIVATE_BASE: u64 = 0x6000_0000_0000;
 /// Distance between consecutive cores' private windows (larger than any
 /// profile's data footprint).
 pub const PRIVATE_STRIDE: u64 = 0x0100_0000_0000;
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One core's remapped instruction stream.
 #[derive(Debug)]

@@ -13,30 +13,15 @@ use just_say_no::prelude::*;
 
 const INSTRUCTIONS: u64 = 300_000;
 
-fn run(label: &str, mut policy_for: impl FnMut(&Hierarchy) -> Policy) -> u64 {
+fn run(label: &str) -> u64 {
     let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let policy = policy_for(&hier);
+    let mut filter = FilterPreset::parse(label).expect("preset label").build(&hier);
     let profile = profiles::by_name("181.mcf").expect("bundled profile");
     let cpu = CpuConfig::paper_eight_way();
-    let stats = match policy {
-        Policy::Baseline => {
-            simulate(&cpu, &mut hier, MemPolicy::Baseline, Program::new(profile), INSTRUCTIONS)
-        }
-        Policy::Hmnm(mut mnm) => {
-            let s = simulate(
-                &cpu,
-                &mut hier,
-                MemPolicy::Mnm(&mut mnm),
-                Program::new(profile),
-                INSTRUCTIONS,
-            );
-            println!("  [{label}] coverage: {:.1}%", mnm.stats().coverage() * 100.0);
-            s
-        }
-        Policy::Perfect => {
-            simulate(&cpu, &mut hier, MemPolicy::Perfect, Program::new(profile), INSTRUCTIONS)
-        }
-    };
+    let stats = simulate(&cpu, &mut hier, &mut filter, Program::new(profile), INSTRUCTIONS);
+    if let Some(mnm) = filter.mnm() {
+        println!("  [{label}] coverage: {:.1}%", mnm.stats().coverage() * 100.0);
+    }
     println!(
         "  [{label}] {} cycles, IPC {:.3}, mean load latency {:.1} cycles",
         stats.cycles,
@@ -46,18 +31,11 @@ fn run(label: &str, mut policy_for: impl FnMut(&Hierarchy) -> Policy) -> u64 {
     stats.cycles
 }
 
-#[allow(clippy::large_enum_variant)] // example-local, one instance lives on the stack
-enum Policy {
-    Baseline,
-    Hmnm(Mnm),
-    Perfect,
-}
-
 fn main() {
     println!("181.mcf-like pointer chase, {INSTRUCTIONS} instructions, 8-way OoO core\n");
-    let base = run("baseline", |_| Policy::Baseline);
-    let hmnm = run("HMNM4   ", |h| Policy::Hmnm(Mnm::new(h, MnmConfig::hmnm(4))));
-    let perfect = run("perfect ", |_| Policy::Perfect);
+    let base = run("baseline");
+    let hmnm = run("HMNM4");
+    let perfect = run("perfect");
 
     println!();
     println!("HMNM4 cycle reduction:   {:.1}%", 100.0 * (base - hmnm) as f64 / base as f64);

@@ -6,9 +6,8 @@
 
 use just_say_no::prelude::*;
 
-fn drive(hier: &mut Hierarchy, mnm: Option<&mut Mnm>, n: usize) {
+fn drive(hier: &mut Hierarchy, filter: &mut ReplayFilter, n: usize) {
     let profile = profiles::by_name("300.twolf").expect("bundled profile");
-    let mut mnm = mnm;
     for instr in Program::new(profile).take(n) {
         if let Some(addr) = instr.data_addr() {
             let access = if matches!(instr.kind, InstrKind::Store { .. }) {
@@ -16,14 +15,7 @@ fn drive(hier: &mut Hierarchy, mnm: Option<&mut Mnm>, n: usize) {
             } else {
                 Access::load(addr)
             };
-            match &mut mnm {
-                Some(m) => {
-                    m.run_access(hier, access);
-                }
-                None => {
-                    hier.access(access, &BypassSet::none());
-                }
-            }
+            hier.step(filter, access);
         }
     }
 }
@@ -34,13 +26,15 @@ fn main() {
 
     // Baseline energy.
     let mut plain = Hierarchy::new(HierarchyConfig::paper_five_level());
-    drive(&mut plain, None, N);
+    drive(&mut plain, &mut ReplayFilter::Baseline, N);
     let base = account_hierarchy(&plain, &model);
 
     // Serial HMNM2: queried only after L1 misses.
     let mut guarded = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let mut mnm = Mnm::new(&guarded, MnmConfig::hmnm(2).with_placement(MnmPlacement::Serial));
-    drive(&mut guarded, Some(&mut mnm), N);
+    let serial = MnmConfig::hmnm(2).with_placement(MnmPlacement::Serial);
+    let mut filter = FilterPreset::Mnm(serial).build(&guarded);
+    drive(&mut guarded, &mut filter, N);
+    let mnm = filter.mnm().expect("an MNM preset builds an MNM");
     let with_mnm = account_hierarchy(&guarded, &model);
     let l1_misses: u64 = guarded
         .structures()
@@ -48,7 +42,7 @@ fn main() {
         .filter(|s| s.level == 1)
         .map(|s| guarded.stats().structures[s.id.index()].misses)
         .sum();
-    let mnm_energy = mnm_total_energy(&mnm, &model, l1_misses);
+    let mnm_energy = mnm_total_energy(mnm, &model, l1_misses);
 
     println!("300.twolf-like workload, {N} instructions, serial HMNM2\n");
     println!("{:<8}{:>14}{:>16}{:>14}", "cache", "probe [nJ]", "miss share [%]", "fills [nJ]");

@@ -21,8 +21,8 @@
 //! ```
 //!
 //! Configuration labels follow the paper's grammar (`TMNM_12x3`, `HMNM4`,
-//! `RMNM_512_2`, `CMNM_8_12`, `SMNM_13x2`, `BLOOM_13x4`) plus `Baseline`
-//! and `Perfect`.
+//! `RMNM_512_2`, `CMNM_8_12`, `SMNM_13x2`, `BLOOM_13x4`) plus `baseline`
+//! and `perfect` in any letter case (`FilterPreset::parse`).
 
 use std::process::ExitCode;
 
@@ -72,10 +72,10 @@ fn print_help() {
          jsn diff <a.json> <b.json> [--tol X]\n  \
          jsn check [--seeds N] [--len N] [--filter LABEL] [--gen G] [--seed S] [--json] [-o FILE]\n  \
          jsn shard [--app NAME] [--cores N] [-n N] [--epoch N|auto] [--sharing R]\n            \
-         [--config LABEL] [--seed S] [--pipeline on|off] [--single] [--json]\n            \
+         [--config LABEL] [--seed S] [--single] [--json]\n            \
          [--bench] [--check [--quick] [--workload W]]\n\
          \n\
-         Labels: Baseline, Perfect, HMNM1..4, TMNM_<b>x<r>, CMNM_<k>_<m>,\n\
+         Labels: baseline, perfect (any case), HMNM1..4, TMNM_<b>x<r>, CMNM_<k>_<m>,\n\
          RMNM_<blocks>_<assoc>, SMNM_<w>x<r>, BLOOM_<b>x<k>.\n\
          \n\
          run-all regenerates every table/figure under supervision: each job\n\
@@ -98,16 +98,15 @@ fn print_help() {
          store and L3-victim invalidations driven through the filter event\n\
          stream. Defaults come from JSN_CORES/JSN_EPOCH/JSN_SHARING. The\n\
          default engine is pipelined (cores compute epoch E+1 while a\n\
-         resolver thread drains epoch E); `--pipeline off` selects the\n\
-         stop-the-world barrier baseline and `--single` the single-threaded\n\
-         reference — all three are bit-identical by contract. `--epoch auto`\n\
-         calibrates the epoch length before the run; `--bench` times all\n\
-         engines over identical streams and verifies identity; `--check`\n\
-         sweeps adversarial sharing workloads (pingpong, falsesharing,\n\
-         evictionrace, profile) across every filter family under a lockstep\n\
-         multi-core reference model, re-verifying engine identity per\n\
-         scenario. JSON output includes per-phase timing (compute, resolve,\n\
-         stall nanos and resolver occupancy).\n\
+         resolver thread drains epoch E); `--single` selects the\n\
+         single-threaded reference — the two are bit-identical by contract.\n\
+         `--epoch auto` calibrates the epoch length before the run; `--bench`\n\
+         times both engines over identical streams and verifies identity;\n\
+         `--check` sweeps adversarial sharing workloads (pingpong,\n\
+         falsesharing, evictionrace, profile) across every filter family\n\
+         under a lockstep multi-core reference model, re-verifying engine\n\
+         identity per scenario. JSON output includes per-phase timing\n\
+         (compute, resolve, stall nanos and resolver occupancy).\n\
          \n\
          serve runs a long-lived trace-stream replay service:\n  \
          jsn serve [--listen EP] [--max-sessions N] [--queue FRAMES]\n            \
@@ -197,22 +196,16 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let timed = args.iter().any(|a| a == "--cpu");
     let json = args.iter().any(|a| a == "--json");
 
+    let preset = FilterPreset::parse(label)?;
+    let label = &preset.label();
     let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let mut mnm = match label {
-        "Baseline" | "Perfect" => None,
-        other => Some(Mnm::new(&hier, MnmConfig::parse(other).map_err(|e| e.to_string())?)),
-    };
+    let mut filter = preset.build(&hier);
 
     if timed {
         let cpu = CpuConfig::paper_eight_way();
-        let policy = match (&mut mnm, label) {
-            (Some(m), _) => MemPolicy::Mnm(m),
-            (None, "Perfect") => MemPolicy::Perfect,
-            (None, _) => MemPolicy::Baseline,
-        };
-        let stats = simulate(&cpu, &mut hier, policy, Program::new(profile), n);
+        let stats = simulate(&cpu, &mut hier, &mut filter, Program::new(profile), n);
         if json {
-            print!("{}", run_json(app, label, &hier, mnm.as_ref(), Some(&stats)).render_pretty());
+            print!("{}", run_json(app, label, &hier, filter.mnm(), Some(&stats)).render_pretty());
             return Ok(());
         }
         println!("app: {app}   config: {label}   instructions: {}", stats.instructions);
@@ -230,22 +223,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                     InstrKind::Store { .. } => Access::store(addr),
                     _ => Access::load(addr),
                 };
-                match (&mut mnm, label) {
-                    (Some(m), _) => {
-                        m.run_access(&mut hier, access);
-                    }
-                    (None, "Perfect") => {
-                        let bypass = perfect_bypass(&hier, access);
-                        hier.access(access, &bypass);
-                    }
-                    (None, _) => {
-                        hier.access(access, &BypassSet::none());
-                    }
-                }
+                hier.step(&mut filter, access);
             }
         }
         if json {
-            print!("{}", run_json(app, label, &hier, mnm.as_ref(), None).render_pretty());
+            print!("{}", run_json(app, label, &hier, filter.mnm(), None).render_pretty());
             return Ok(());
         }
         println!("app: {app}   config: {label}   data accesses: {}", hier.stats().accesses);
@@ -253,7 +235,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         println!("miss-time fraction: {:.1}%", hier.stats().miss_time_fraction() * 100.0);
     }
 
-    if let Some(m) = &mnm {
+    if let Some(m) = filter.mnm() {
         println!(
             "coverage: {:.1}%   MNM state: {} bits in {} components",
             m.stats().coverage() * 100.0,
@@ -727,7 +709,9 @@ fn cmd_shard(args: &[String]) -> ExitCode {
 /// knobs `JSN_CORES`, `JSN_EPOCH`, and `JSN_SHARING` provide defaults
 /// for `--cores`, `--epoch`, and `--sharing`.
 fn run_shard(args: &[String]) -> Result<ExitCode, String> {
-    use just_say_no::mnm_check::{run_multicore_scenario, run_multicore_suite, MulticoreScenario};
+    use just_say_no::mnm_check::{
+        run_multicore_scenario, run_multicore_suite, MulticoreScenario, ShardWorkload,
+    };
     use just_say_no::mnm_core::MnmConfig;
     use just_say_no::mnm_shard::{
         autotune_epoch, sharded_streams, Engine, ShardConfig, ShardedSim,
@@ -755,12 +739,7 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     };
     let json = args.iter().any(|a| a == "--json");
     let single = args.iter().any(|a| a == "--single");
-    let engine = match parse_opt(args, "--pipeline") {
-        Some("on") | None if !single => Engine::Pipelined,
-        Some("off") if !single => Engine::Barrier,
-        None | Some("on") | Some("off") => Engine::Single,
-        Some(other) => return Err(format!("--pipeline {other}: expected `on` or `off`")),
-    };
+    let engine = if single { Engine::Single } else { Engine::Pipelined };
 
     if args.iter().any(|a| a == "--check") {
         if epoch_auto {
@@ -770,7 +749,12 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
         }
         // Replay mode (a failure's reproducer line) or the full sweep.
         let failures = if let Some(w) = parse_opt(args, "--workload") {
-            let workload = w.parse_workload()?;
+            let workload = ShardWorkload::parse(w).ok_or_else(|| {
+                format!(
+                    "unknown workload `{w}` (expected pingpong, falsesharing, evictionrace, \
+                     or profile)"
+                )
+            })?;
             let scenario = MulticoreScenario {
                 filter: label.to_owned(),
                 workload,
@@ -799,7 +783,7 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
             if failures.is_empty() {
                 println!(
                     "shard check passed: {total} scenario(s) — every definite-miss verdict \
-                     sound under cross-core stores, shared-L3 victims, and barrier races"
+                     sound under cross-core stores, shared-L3 victims, and epoch-boundary races"
                 );
             }
             failures
@@ -845,8 +829,8 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     let build = || ShardedSim::new(config.clone(), streams.clone());
 
     if args.iter().any(|a| a == "--bench") {
-        // Throughput benchmark: all three engines over identical streams,
-        // and every report must be bit-identical (the race-freedom check).
+        // Throughput benchmark: both engines over identical streams, and
+        // the reports must be bit-identical (the race-freedom check).
         let run = |engine: Engine| {
             let mut sim = build();
             let t = std::time::Instant::now();
@@ -854,10 +838,11 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
             (report, t.elapsed())
         };
         let (baseline, t_single) = run(Engine::Single);
-        let (barrier, t_barrier) = run(Engine::Barrier);
         let (pipelined, t_pipelined) = run(Engine::Pipelined);
-        if barrier != baseline || pipelined != baseline {
-            eprintln!("shard bench FAILED: a parallel engine diverged from single-threaded replay");
+        if pipelined != baseline {
+            eprintln!(
+                "shard bench FAILED: the pipelined engine diverged from single-threaded replay"
+            );
             return Ok(ExitCode::FAILURE);
         }
         let total = baseline.total_accesses();
@@ -867,12 +852,9 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
             "shard bench: {cores} cores, {total} accesses, {app} ({label}, sharing {sharing}, \
              epoch {epoch})\n  \
              single:    {:>8.2} Maccs/s\n  \
-             barrier:   {:>8.2} Maccs/s  (speedup {:.2}x)\n  \
              pipelined: {:>8.2} Maccs/s  (speedup {:.2}x, resolver occupancy {:.0}%)\n  \
              reports identical: yes",
             rate(t_single),
-            rate(t_barrier),
-            speedup(t_barrier),
             rate(t_pipelined),
             speedup(t_pipelined),
             100.0 * pipelined.timing.resolver_occupancy(),
@@ -928,22 +910,6 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Adapter so `--workload` parsing reads naturally above.
-trait ParseWorkload {
-    fn parse_workload(&self) -> Result<just_say_no::mnm_check::ShardWorkload, String>;
-}
-
-impl ParseWorkload for &str {
-    fn parse_workload(&self) -> Result<just_say_no::mnm_check::ShardWorkload, String> {
-        just_say_no::mnm_check::ShardWorkload::parse(self).ok_or_else(|| {
-            format!(
-                "unknown workload `{self}` (expected pingpong, falsesharing, evictionrace, \
-                 or profile)"
-            )
-        })
-    }
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {

@@ -5,25 +5,13 @@ use just_say_no::prelude::*;
 
 const N: u64 = 40_000;
 
-fn run_cycles(policy_name: &str) -> (u64, Option<f64>) {
+fn run_cycles(label: &str) -> (u64, Option<f64>) {
     let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+    let mut filter = FilterPreset::parse(label).unwrap().build(&hier);
     let cpu = CpuConfig::paper_eight_way();
     let profile = profiles::by_name("300.twolf").unwrap();
-    match policy_name {
-        "baseline" => {
-            let s = simulate(&cpu, &mut hier, MemPolicy::Baseline, Program::new(profile), N);
-            (s.cycles, None)
-        }
-        "perfect" => {
-            let s = simulate(&cpu, &mut hier, MemPolicy::Perfect, Program::new(profile), N);
-            (s.cycles, None)
-        }
-        label => {
-            let mut mnm = Mnm::new(&hier, MnmConfig::parse(label).unwrap());
-            let s = simulate(&cpu, &mut hier, MemPolicy::Mnm(&mut mnm), Program::new(profile), N);
-            (s.cycles, Some(mnm.stats().coverage()))
-        }
-    }
+    let s = simulate(&cpu, &mut hier, &mut filter, Program::new(profile), N);
+    (s.cycles, filter.mnm().map(|m| m.stats().coverage()))
 }
 
 #[test]
@@ -104,14 +92,8 @@ fn all_twenty_profiles_run_through_the_full_stack() {
     let cpu = CpuConfig::paper_eight_way();
     for profile in profiles::all() {
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-        let mut mnm = Mnm::new(&hier, MnmConfig::hmnm(1));
-        let s = simulate(
-            &cpu,
-            &mut hier,
-            MemPolicy::Mnm(&mut mnm),
-            Program::new(profile.clone()),
-            5_000,
-        );
+        let mut mnm = ReplayFilter::from(Mnm::new(&hier, MnmConfig::hmnm(1)));
+        let s = simulate(&cpu, &mut hier, &mut mnm, Program::new(profile.clone()), 5_000);
         assert_eq!(s.instructions, 5_000, "{}", profile.name);
         assert!(s.cycles > 0, "{}", profile.name);
     }
@@ -124,10 +106,9 @@ fn mnm_delay_only_hurts_serial_placement() {
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         let cfg =
             MnmConfig::parse("TMNM_10x1").unwrap().with_placement(placement).with_delay(delay);
-        let mut mnm = Mnm::new(&hier, cfg);
+        let mut mnm = ReplayFilter::from(Mnm::new(&hier, cfg));
         let cpu = CpuConfig::paper_eight_way();
-        simulate(&cpu, &mut hier, MemPolicy::Mnm(&mut mnm), Program::new(profile.clone()), 20_000)
-            .cycles
+        simulate(&cpu, &mut hier, &mut mnm, Program::new(profile.clone()), 20_000).cycles
     };
     assert_eq!(
         cycles_with_delay(MnmPlacement::Parallel, 2),

@@ -19,9 +19,9 @@ fn persisted_trace_replays_identically() {
     // Drive both through identical simulators.
     let cpu = CpuConfig::paper_eight_way();
     let mut h1 = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let s1 = simulate(&cpu, &mut h1, MemPolicy::Baseline, original.into_iter(), u64::MAX);
+    let s1 = simulate(&cpu, &mut h1, &mut ReplayFilter::Baseline, original.into_iter(), u64::MAX);
     let mut h2 = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let s2 = simulate(&cpu, &mut h2, MemPolicy::Baseline, restored.into_iter(), u64::MAX);
+    let s2 = simulate(&cpu, &mut h2, &mut ReplayFilter::Baseline, restored.into_iter(), u64::MAX);
 
     assert_eq!(s1, s2);
     assert_eq!(h1.stats(), h2.stats());
