@@ -2,7 +2,8 @@
 //! short warmup, driving accesses through every supported entry point
 //! (explicit scratch, internal scratch, full MNM protocol for every filter
 //! family, the perfect oracle, and the batched APIs) performs no heap
-//! allocation at all.
+//! allocation at all. So does a CMNM's per-block tag table under long
+//! place/replace churn once it has been reserved.
 //!
 //! The allocation counter is process-global, so a check that ran while a
 //! sibling test allocated on another thread would count that thread's
@@ -12,7 +13,7 @@
 
 use cache_sim::{Access, BypassSet, Hierarchy, HierarchyConfig, ReplayScratch};
 use mnm_bench::allocations;
-use mnm_core::{Mnm, MnmConfig, ReplayFilter};
+use mnm_core::{Cmnm, CmnmConfig, MissFilter, Mnm, MnmConfig, ReplayFilter};
 
 #[global_allocator]
 static ALLOC: mnm_bench::CountingAlloc = mnm_bench::CountingAlloc;
@@ -133,6 +134,26 @@ fn batched_hierarchy_run() {
     assert_eq!(summary.accesses, 8_000);
 }
 
+fn cmnm_churn_after_reserve() {
+    // A CMNM guarding a structure of `n` MNM blocks: fill it, then run
+    // 100 × n replace/place pairs, so at most `n` blocks are ever live.
+    let n: u64 = 4_096;
+    let block = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 37;
+    let mut f = Cmnm::new(CmnmConfig::new(8, 12));
+    f.reserve(n as usize);
+    let before = allocations();
+    for i in 0..n {
+        f.on_place(block(i));
+    }
+    for i in n..101 * n {
+        f.on_replace(block(i - n));
+        f.on_place(block(i));
+    }
+    assert_eq!(allocations() - before, 0, "CMNM place/replace churn allocated");
+    let live = f.occupancy().tracked;
+    assert!(live > 0 && live <= n, "{live} live blocks");
+}
+
 #[test]
 fn every_replay_entry_point_is_allocation_free() {
     explicit_scratch_path();
@@ -143,4 +164,5 @@ fn every_replay_entry_point_is_allocation_free() {
     batched_run_many();
     batched_query_many_once_warm();
     batched_hierarchy_run();
+    cmnm_churn_after_reserve();
 }

@@ -25,9 +25,8 @@
 //! the register index is conceptually tagged onto the block when it is
 //! filled (the paper already requires caches to report replaced block
 //! addresses to the MNM, §2) — which keeps the counters exact and the
-//! filter sound.
-
-use std::collections::HashMap;
+//! filter sound. The tags live in [`TagTable`], a flat open-addressed
+//! table sized once from the guarded structure's capacity.
 
 use crate::filter::MissFilter;
 
@@ -97,7 +96,7 @@ pub struct Cmnm {
     counter_max: u8,
     /// Register index each live block was counted under (the per-block tag
     /// described in the module docs). Keyed by MNM block address.
-    live: HashMap<u64, u32>,
+    live: TagTable,
     high_bits: u32,
     label: String,
 }
@@ -110,7 +109,7 @@ impl Cmnm {
             regs: vec![Register { value: 0, shift: 0, valid: false }; config.registers as usize],
             counters: vec![0; table_len],
             counter_max: ((1u32 << config.counter_bits) - 1) as u8,
-            live: HashMap::new(),
+            live: TagTable::new(),
             high_bits: config.addr_bits - config.table_bits,
             label: config.label(),
             config,
@@ -178,16 +177,16 @@ impl MissFilter for Cmnm {
         if self.counters[idx] < self.counter_max {
             self.counters[idx] += 1;
         }
-        self.live.insert(block, reg);
+        self.live.insert(block, reg as u8);
     }
 
     fn on_replace(&mut self, block: u64) {
         // Pair the decrement with the exact counter the placement used.
-        let Some(reg) = self.live.remove(&block) else {
+        let Some(reg) = self.live.remove(block) else {
             return; // replacement of a block placed before a flush
         };
         let (_, low) = self.split(block);
-        let idx = self.table_index(reg, low);
+        let idx = self.table_index(u32::from(reg), low);
         let c = self.counters[idx];
         if c > 0 && c < self.counter_max {
             self.counters[idx] = c - 1;
@@ -200,17 +199,11 @@ impl MissFilter for Cmnm {
         // register it was counted under, whose counter is then positive.
         // So "every matching register's counter is zero" implies absent;
         // "no register matches" likewise.
-        let mut any_match = false;
         for (i, r) in self.regs.iter().enumerate() {
-            if r.matches(high) {
-                any_match = true;
-                if self.counters[self.table_index(i as u32, low)] > 0 {
-                    return false;
-                }
+            if r.matches(high) && self.counters[self.table_index(i as u32, low)] > 0 {
+                return false;
             }
         }
-        // No match at all, or all matching counters are zero.
-        let _ = any_match;
         true
     }
 
@@ -238,16 +231,9 @@ impl MissFilter for Cmnm {
     }
 
     fn reserve(&mut self, max_live_blocks: usize) {
-        // The live map holds at most one entry per resident block of the
-        // guarded structure. Reserving twice that keeps on_place free of
-        // rehash allocations permanently, not just until the first wrap:
-        // insert/remove churn accumulates tombstones until the map's
-        // growth budget empties, and a table occupied to at most half its
-        // reserved capacity is then rehashed in place instead of being
-        // reallocated. (Sizing to exactly max_live_blocks allocated once
-        // per run when a near-full structure churned long enough.)
-        let target = 2 * max_live_blocks + 1;
-        self.live.reserve(target.saturating_sub(self.live.capacity()));
+        // The tag table holds at most one entry per resident block of the
+        // guarded structure, so once sized here it never grows.
+        self.live.reserve(max_live_blocks);
     }
 
     fn state_bits(&self) -> u64 {
@@ -276,14 +262,169 @@ impl MissFilter for Cmnm {
 
     fn occupancy(&self) -> crate::filter::FilterOccupancy {
         crate::filter::FilterOccupancy {
-            tracked: self.live.len() as u64,
+            tracked: self.live.len as u64,
             capacity: self.counters.len() as u64,
         }
     }
 }
 
+/// One slot of the [`TagTable`].
+#[derive(Debug, Clone, Copy)]
+struct Tag {
+    block: u64,
+    reg: u8,
+    used: bool,
+}
+
+impl Tag {
+    const EMPTY: Tag = Tag { block: 0, reg: 0, used: false };
+}
+
+/// The per-block register tags of the live blocks: MNM block address →
+/// register index, the few tag bits per line the module docs describe.
+///
+/// Open addressing with linear probing over a power-of-two array of
+/// 16-byte slots. A multiplicative (Fibonacci) hash of `block / GROUP`
+/// picks a group of `GROUP` adjacent slots and the block's low bits its
+/// home slot in it, so the sub-blocks of one cache line (four at the
+/// paper's 128-byte outer lines and 32-byte MNM grain) share one 64-byte
+/// stretch of the table: one cache event touches one place, not four.
+/// Removal shifts the rest of the probe run back into the hole, so the
+/// table keeps no tombstones. [`TagTable::reserve`] sizes it to at least
+/// twice the guarded structure's block capacity, which keeps the load at
+/// or below one half for good; only a table that was never reserved
+/// grows, by doubling. Every `u64` is a valid key: an explicit `used`
+/// flag, not a sentinel key, marks empty slots.
+#[derive(Debug, Clone)]
+struct TagTable {
+    slots: Vec<Tag>,
+    len: usize,
+    /// `64 - log2(slots.len() / GROUP)`: the hash keeps the product's top
+    /// bits, one group index.
+    shift: u32,
+}
+
+impl TagTable {
+    /// Slots per hash group: consecutive block addresses stay adjacent.
+    const GROUP: u64 = 4;
+    /// Smallest slot array a table allocates.
+    const MIN_SLOTS: usize = 16;
+
+    fn new() -> Self {
+        TagTable { slots: Vec::new(), len: 0, shift: 64 }
+    }
+
+    /// Size the table for up to `max_live` entries at load ≤ ½.
+    fn reserve(&mut self, max_live: usize) {
+        let want = (2 * max_live).next_power_of_two().max(Self::MIN_SLOTS);
+        if want > self.slots.len() {
+            self.resize(want);
+        }
+    }
+
+    /// The slot `block`'s probe run starts at: the multiplicative hash
+    /// of `block / GROUP` picks a group, `block % GROUP` a slot in it.
+    fn home(&self, block: u64) -> usize {
+        let group = (block / Self::GROUP).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift;
+        (group * Self::GROUP + block % Self::GROUP) as usize
+    }
+
+    /// The slot holding `block`, or `Err` with the empty slot that ends
+    /// its probe run. The table must have slots.
+    fn find(&self, block: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(block);
+        loop {
+            let t = &self.slots[i];
+            if !t.used {
+                return Err(i);
+            }
+            if t.block == block {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Tag `block` with `reg`, overwriting any previous tag.
+    fn insert(&mut self, block: u64, reg: u8) {
+        if self.slots.is_empty() {
+            self.resize(Self::MIN_SLOTS);
+        }
+        match self.find(block) {
+            Ok(i) => self.slots[i].reg = reg,
+            Err(mut i) => {
+                if 2 * (self.len + 1) > self.slots.len() {
+                    self.resize(2 * self.slots.len());
+                    i = self.find(block).unwrap_err();
+                }
+                self.slots[i] = Tag { block, reg, used: true };
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Remove `block`'s tag, returning it; `None` for an untagged block.
+    fn remove(&mut self, block: u64) -> Option<u8> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut hole = self.find(block).ok()?;
+        let reg = self.slots[hole].reg;
+        // Backward-shift deletion: walk the rest of the probe run and
+        // move each entry whose home does not lie cyclically in
+        // (hole, j] back into the hole.
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let t = self.slots[j];
+            if !t.used {
+                break;
+            }
+            let displacement = j.wrapping_sub(self.home(t.block)) & mask;
+            if displacement >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = t;
+                hole = j;
+            }
+        }
+        self.slots[hole] = Tag::EMPTY;
+        self.len -= 1;
+        Some(reg)
+    }
+
+    /// Drop every tag, keeping the slot array.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.fill(Tag::EMPTY);
+            self.len = 0;
+        }
+    }
+
+    /// Rehash into `slots` slots (a power of two, above twice `len`).
+    fn resize(&mut self, slots: usize) {
+        debug_assert!(slots.is_power_of_two() && slots >= 2 * self.len);
+        let old = std::mem::replace(&mut self.slots, vec![Tag::EMPTY; slots]);
+        self.shift = 64 - (slots as u64 / Self::GROUP).trailing_zeros();
+        for t in old.into_iter().filter(|t| t.used) {
+            let Err(i) = self.find(t.block) else { unreachable!("keys are unique") };
+            self.slots[i] = t;
+        }
+    }
+
+    #[cfg(test)]
+    fn get(&self, block: u64) -> Option<u8> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.find(block).ok().map(|i| self.slots[i].reg)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn cmnm(k: u32, m: u32) -> Cmnm {
@@ -379,6 +520,141 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn rejects_non_power_of_two_registers() {
         CmnmConfig::new(3, 10);
+    }
+
+    /// Check `t` against `model`: same length, every model entry found
+    /// with its register, no tombstones (used slots == len), load ≤ ½.
+    fn assert_matches_model(t: &TagTable, model: &HashMap<u64, u8>, what: &str) {
+        assert_eq!(t.len, model.len(), "{what}: len");
+        assert_eq!(t.slots.iter().filter(|s| s.used).count(), t.len, "{what}: used slots");
+        assert!(2 * t.len <= t.slots.len(), "{what}: load above one half");
+        for (&k, &r) in model {
+            assert_eq!(t.get(k), Some(r), "{what}: key {k:#x}");
+        }
+    }
+
+    /// Seeded differential test of the tag table against `HashMap`:
+    /// inserts of new keys and overwrites, removes of present and absent
+    /// keys, clears, growth from empty and the extreme keys.
+    #[test]
+    fn tag_table_matches_a_hash_map_model() {
+        use trace_synth::rng::splitmix64;
+        for seed in 0..16u64 {
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = move || {
+                x = x.wrapping_add(1);
+                splitmix64(x)
+            };
+            // Half the seeds start from a reserved table, half grow one.
+            let mut t = TagTable::new();
+            if seed % 2 == 0 {
+                t.reserve(64);
+            }
+            let mut model = HashMap::new();
+            // A small universe makes overwrites and present removes
+            // common; a dense run exercises whole hash groups.
+            let universe = 1 + next() % 300;
+            let key = |r: u64| match r % 8 {
+                0 => 0,
+                1 => u64::MAX,
+                2 => u64::MAX - r % 5,
+                3 | 4 => 0x1000 + (r >> 8) % 16,
+                _ => (r >> 8) % universe * 0x10_0001,
+            };
+            for step in 0..4_000 {
+                let r = next();
+                let k = key(next());
+                match r % 16 {
+                    0..=8 => {
+                        let reg = (r >> 8) as u8;
+                        t.insert(k, reg);
+                        model.insert(k, reg);
+                    }
+                    9..=14 => assert_eq!(t.remove(k), model.remove(&k), "seed {seed} step {step}"),
+                    _ if r % 512 == 15 => {
+                        t.clear();
+                        model.clear();
+                    }
+                    _ => assert_eq!(t.get(k), model.get(&k).copied()),
+                }
+                assert_eq!(t.len, model.len(), "seed {seed} step {step}");
+                if step % 97 == 0 {
+                    assert_matches_model(&t, &model, &format!("seed {seed} step {step}"));
+                }
+            }
+            assert_matches_model(&t, &model, &format!("seed {seed} end"));
+        }
+    }
+
+    #[test]
+    fn tag_table_grows_only_when_never_reserved() {
+        let mut grown = TagTable::new();
+        let mut reserved = TagTable::new();
+        reserved.reserve(1_000);
+        let slots = reserved.slots.len();
+        assert_eq!(slots, 2_048);
+        let mut model = HashMap::new();
+        for k in 0..1_000u64 {
+            let key = k.wrapping_mul(0xD1B5_4A32_D192_ED03);
+            grown.insert(key, k as u8);
+            reserved.insert(key, k as u8);
+            model.insert(key, k as u8);
+        }
+        assert_eq!(reserved.slots.len(), slots, "a reserved table never grows");
+        assert_eq!(grown.slots.len(), 2_048, "doubling keeps the load at most one half");
+        assert_matches_model(&grown, &model, "grown");
+        assert_matches_model(&reserved, &model, "reserved");
+        // Removing everything leaves empty slots behind, not tombstones.
+        for &k in model.keys() {
+            assert!(reserved.remove(k).is_some());
+        }
+        assert!(reserved.slots.iter().all(|s| !s.used));
+    }
+
+    /// Keys whose home slots sit at the end of the table share one probe
+    /// run across the wrap-around to slot 0; removing them in every
+    /// rotation of insertion order exercises backward-shift deletion
+    /// across the wrap.
+    #[test]
+    fn backward_shift_deletion_across_the_wrap() {
+        let mut probe = TagTable::new();
+        probe.reserve(8); // 16 slots
+        let last = probe.slots.len() - 1;
+        let table = &probe;
+        let homed = |slot: usize| (0..u64::MAX).filter(move |&k| table.home(k) == slot).take(3);
+        // Three keys homed at the last slot wrap into slots 0 and 1; three
+        // homed one slot earlier then sit behind them, displaced past the
+        // wrap, so a removal must tell the two homes apart.
+        let keys: Vec<u64> = homed(last).chain(homed(last - 1)).chain([0, u64::MAX]).collect();
+        assert!(!keys[..6].contains(&0) && !keys[..6].contains(&u64::MAX));
+        for rot in 0..keys.len() {
+            let mut t = probe.clone();
+            let mut model = HashMap::new();
+            for (i, &k) in keys.iter().enumerate() {
+                t.insert(k, i as u8);
+                model.insert(k, i as u8);
+            }
+            assert!(t.slots[0].used && t.slots[1].used, "the run wraps past slot 0");
+            for j in 0..keys.len() {
+                let k = keys[(rot + j) % keys.len()];
+                assert_eq!(t.remove(k), model.remove(&k));
+                assert_eq!(t.remove(k), None, "a removed key is gone");
+                assert_matches_model(&t, &model, &format!("rotation {rot}, removal {j}"));
+            }
+            assert_eq!(t.slots.len(), 16);
+        }
+    }
+
+    #[test]
+    fn tag_table_keeps_every_key_and_overwrites() {
+        let mut t = TagTable::new();
+        assert_eq!(t.remove(7), None, "removing from an empty table is a no-op");
+        for (k, r) in [(0, 1), (u64::MAX, 2), (0, 3), (u64::MAX, 4)] {
+            t.insert(k, r);
+        }
+        assert_eq!((t.len, t.get(0), t.get(u64::MAX)), (2, Some(3), Some(4)));
+        t.clear();
+        assert_eq!((t.len, t.get(0), t.remove(u64::MAX)), (0, None, None));
     }
 
     #[test]

@@ -185,6 +185,33 @@ struct Slot {
     capacity_blocks: u64,
 }
 
+/// Apply one cache event's MNM sub-blocks to slot `si`, in order: for
+/// each sub-block, `filter_op` on every filter of the slot, then `rmnm_op`
+/// on the shared RMNM. Generic over the two operations, so each event
+/// kind compiles to its own loop with the calls inlined. Returns the
+/// number of sub-blocks.
+#[inline(always)]
+fn feed(
+    blocks: impl Iterator<Item = u64>,
+    si: usize,
+    slot: &mut Slot,
+    mut rmnm: Option<&mut Rmnm>,
+    filter_op: impl Fn(&mut FilterKind, u64),
+    rmnm_op: impl Fn(&mut Rmnm, usize, u64),
+) -> u64 {
+    let mut n = 0;
+    for block in blocks {
+        for f in &mut slot.filters {
+            filter_op(f, block);
+        }
+        if let Some(r) = rmnm.as_deref_mut() {
+            rmnm_op(r, si, block);
+        }
+        n += 1;
+    }
+    n
+}
+
 /// Storage cost of one MNM component, for the power model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentStorage {
@@ -343,45 +370,43 @@ impl Mnm {
     /// larger than the MNM granularity expand into multiple updates
     /// (paper §3.1).
     pub fn observe_events(&mut self, events: &[CacheEvent]) {
+        let grain = self.granularity.bytes();
         for ev in events {
             let Some(si) = self.slot_of_structure[ev.structure.index()] else {
                 continue; // L1 structures are not tracked
             };
-            for block in ev.sub_blocks(self.granularity.bytes()) {
-                match ev.kind {
-                    EventKind::Placed => {
-                        for f in &mut self.slots[si].filters {
-                            f.on_place(block);
-                        }
-                        if let Some(r) = &mut self.rmnm {
-                            r.on_place(si, block);
-                            self.stats.rmnm_updates += 1;
-                        }
-                        self.slots[si].live_blocks += 1;
-                    }
-                    EventKind::Replaced => {
-                        for f in &mut self.slots[si].filters {
-                            f.on_replace(block);
-                        }
-                        if let Some(r) = &mut self.rmnm {
-                            r.on_replace(si, block);
-                            self.stats.rmnm_updates += 1;
-                        }
-                        self.slots[si].live_blocks = self.slots[si].live_blocks.saturating_sub(1);
-                    }
-                    EventKind::Invalidated => {
-                        for f in &mut self.slots[si].filters {
-                            f.on_invalidate(block);
-                        }
-                        if let Some(r) = &mut self.rmnm {
-                            r.on_invalidate(si, block);
-                            self.stats.rmnm_updates += 1;
-                        }
-                        self.slots[si].live_blocks = self.slots[si].live_blocks.saturating_sub(1);
-                        self.stats.slots[si].invalidations += 1;
-                    }
+            let slot = &mut self.slots[si];
+            let st = &mut self.stats.slots[si];
+            let rmnm = self.rmnm.as_mut();
+            let blocks = ev.sub_blocks(grain);
+            let n = match ev.kind {
+                EventKind::Placed => {
+                    let n = feed(blocks, si, slot, rmnm, FilterKind::on_place, Rmnm::on_place);
+                    slot.live_blocks += n;
+                    n
                 }
-                self.stats.slots[si].updates += 1;
+                EventKind::Replaced => {
+                    let n = feed(blocks, si, slot, rmnm, FilterKind::on_replace, Rmnm::on_replace);
+                    slot.live_blocks = slot.live_blocks.saturating_sub(n);
+                    n
+                }
+                EventKind::Invalidated => {
+                    let n = feed(
+                        blocks,
+                        si,
+                        slot,
+                        rmnm,
+                        FilterKind::on_invalidate,
+                        Rmnm::on_invalidate,
+                    );
+                    slot.live_blocks = slot.live_blocks.saturating_sub(n);
+                    st.invalidations += n;
+                    n
+                }
+            };
+            st.updates += n;
+            if self.rmnm.is_some() {
+                self.stats.rmnm_updates += n;
             }
         }
     }

@@ -256,7 +256,14 @@ enum Listener {
 impl Listener {
     fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            // Summaries are small writes answering pipelined frames:
+            // with Nagle on, one written while an earlier one is still
+            // unacknowledged waits for that ACK, which a client with
+            // nothing left to send delays by up to 40 ms.
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                s.set_nodelay(true)?;
+                Ok(Conn::Tcp(s))
+            }),
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
     }
@@ -274,20 +281,38 @@ impl Listener {
 struct SessionState {
     /// The filter preset label the session was created with.
     label: String,
-    /// The replay state itself.
-    core: SessionCore,
+    /// The replay state, or what is left of it after `Finish`.
+    phase: Phase,
     /// Highest `Records` sequence number applied.
     last_acked: u64,
     /// Recent `(seq, summary)` pairs for re-acking duplicates.
     ring: VecDeque<(u64, [u8; 48])>,
+}
+
+/// Whether a session still replays, or has served its final `Stats`.
+enum Phase {
+    /// The replay state itself.
+    Live(Box<SessionCore>),
     /// The encoded final `Stats` payload, once `Finish` has been
     /// served — kept so a client that lost the reply can ask again.
-    finished: Option<Vec<u8>>,
+    /// The replay state (megabytes of simulated caches and filters) is
+    /// dropped: a finished tombstone only re-serves `Stats` and re-acks
+    /// duplicates from the ring.
+    Finished(Vec<u8>),
 }
 
 impl SessionState {
     fn new(label: String, core: SessionCore) -> SessionState {
-        SessionState { label, core, last_acked: 0, ring: VecDeque::new(), finished: None }
+        SessionState {
+            label,
+            phase: Phase::Live(Box::new(core)),
+            last_acked: 0,
+            ring: VecDeque::new(),
+        }
+    }
+
+    fn is_finished(&self) -> bool {
+        matches!(self.phase, Phase::Finished(_))
     }
 
     fn remember_summary(&mut self, seq: u64, summary: [u8; 48]) {
@@ -361,7 +386,7 @@ impl Parking {
         while table.len() >= config.max_parked.max(1) {
             let victim = table
                 .iter()
-                .min_by_key(|(_, p)| (p.state.finished.is_none(), p.parked_at))
+                .min_by_key(|(_, p)| (!p.state.is_finished(), p.parked_at))
                 .map(|(t, _)| *t);
             match victim {
                 Some(t) => {
@@ -882,7 +907,7 @@ fn handle_connection(
         return;
     }
 
-    let was_finished = state.finished.is_some();
+    let was_finished = state.is_finished();
     let (end, state) = run_session(&mut conn, id, state, registry, config, shutdown);
 
     registry.remove_session_gauge(id);
@@ -962,7 +987,10 @@ fn run_session(
     // start: on a resume this is the parked cumulative state, so the
     // global verdict counters never re-count work a previous
     // connection already reported.
-    let mut prev: Vec<StructureStats> = state.core.structure_stats().to_vec();
+    let mut prev: Vec<StructureStats> = match &state.phase {
+        Phase::Live(core) => core.structure_stats().to_vec(),
+        Phase::Finished(_) => Vec::new(),
+    };
     let mut deltas: Vec<(u64, u64, u64)> = Vec::with_capacity(prev.len());
     let mut records_scratch = Vec::new();
     // Once shutdown is observed the session may keep serving until the
@@ -1014,18 +1042,27 @@ fn run_session(
                             }
                             continue;
                         }
-                        if seq != state.last_acked + 1 {
-                            registry.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = write_all_frame(
-                                conn,
-                                FrameType::Error,
-                                WireError::SeqGap { acked: state.last_acked, got: seq }
-                                    .to_string()
-                                    .as_bytes(),
-                            );
-                            break SessionEnd::Failed;
-                        }
-                        let summary = state.core.feed(&records_scratch);
+                        let core = match &mut state.phase {
+                            Phase::Live(core) if seq == state.last_acked + 1 => core,
+                            phase => {
+                                let e = match phase {
+                                    Phase::Finished(_) => {
+                                        WireError::Unexpected("new records after finish")
+                                    }
+                                    Phase::Live(_) => {
+                                        WireError::SeqGap { acked: state.last_acked, got: seq }
+                                    }
+                                };
+                                registry.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                                let _ = write_all_frame(
+                                    conn,
+                                    FrameType::Error,
+                                    e.to_string().as_bytes(),
+                                );
+                                break SessionEnd::Failed;
+                            }
+                        };
+                        let summary = core.feed(&records_scratch);
                         state.last_acked = seq;
                         registry.frames_in.fetch_add(1, Ordering::Relaxed);
                         registry.frames_applied.fetch_add(1, Ordering::Relaxed);
@@ -1034,7 +1071,7 @@ fn run_session(
                             .fetch_add(records_scratch.len() as u64, Ordering::Relaxed);
                         registry.accesses.fetch_add(summary.accesses, Ordering::Relaxed);
                         deltas.clear();
-                        for (now, before) in state.core.structure_stats().iter().zip(&prev) {
+                        for (now, before) in core.structure_stats().iter().zip(&prev) {
                             deltas.push((
                                 now.hits - before.hits,
                                 now.misses - before.misses,
@@ -1043,15 +1080,15 @@ fn run_session(
                         }
                         registry.add_verdicts(&deltas);
                         prev.clear();
-                        prev.extend_from_slice(state.core.structure_stats());
-                        let occ = state.core.occupancy();
+                        prev.extend_from_slice(core.structure_stats());
+                        let occ = core.occupancy();
                         registry.set_session_gauge(
                             id,
                             SessionGauge {
                                 config: state.label.clone(),
                                 occupancy_tracked: occ.tracked,
                                 occupancy_capacity: occ.capacity,
-                                accesses: state.core.accesses(),
+                                accesses: core.accesses(),
                             },
                         );
                         let reply = crate::protocol::encode_summary(
@@ -1071,21 +1108,26 @@ fn run_session(
                         registry.latency.observe(t0.elapsed().as_micros() as u64);
                     }
                     FrameType::Finish => {
-                        if let Some(stats) = &state.finished {
-                            // A client that lost the first Stats reply
-                            // asks again; serve the cached payload.
-                            let payload = stats.clone();
-                            let _ = write_all_frame(conn, FrameType::Stats, &payload);
-                            break SessionEnd::ReCompleted;
+                        match &state.phase {
+                            Phase::Finished(stats) => {
+                                // A client that lost the first Stats
+                                // reply asks again; serve the cached
+                                // payload.
+                                let _ = write_all_frame(conn, FrameType::Stats, stats);
+                                break SessionEnd::ReCompleted;
+                            }
+                            Phase::Live(core) => {
+                                // Even if the reply write fails, the
+                                // session IS complete: the tombstone
+                                // parked under Completed lets the
+                                // client's retry re-fetch the cached
+                                // Stats.
+                                let stats = core.stats_wire().encode();
+                                let _ = write_all_frame(conn, FrameType::Stats, &stats);
+                                state.phase = Phase::Finished(stats);
+                                break SessionEnd::Completed;
+                            }
                         }
-                        // Even if the reply write fails, the session
-                        // IS complete: the tombstone parked under
-                        // Completed lets the client's retry re-fetch
-                        // the cached Stats.
-                        let stats = state.core.stats_wire().encode();
-                        let _ = write_all_frame(conn, FrameType::Stats, &stats);
-                        state.finished = Some(stats);
-                        break SessionEnd::Completed;
                     }
                     FrameType::Summary | FrameType::Stats | FrameType::Error => {
                         registry.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -1185,4 +1227,19 @@ fn serve_metrics(
     );
     let _ = write_with_timeouts(conn, response.as_bytes());
     conn.shutdown_both();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_tcp_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = Listener::Tcp(listener).accept().unwrap();
+        let Conn::Tcp(s) = &conn else { panic!("a tcp listener yields a tcp connection") };
+        assert!(s.nodelay().unwrap(), "TCP_NODELAY set on the accepted socket");
+        drop(client);
+    }
 }

@@ -164,10 +164,15 @@ pub fn session_instrs(base_seed: u64, k: usize, records: u64) -> Vec<Instr> {
 
 fn connect(endpoint: &Endpoint) -> Result<Conn, String> {
     let conn = match endpoint {
-        Endpoint::Tcp(addr) => Conn::Tcp(
-            std::net::TcpStream::connect(addr.as_str())
-                .map_err(|e| format!("connect {addr}: {e}"))?,
-        ),
+        Endpoint::Tcp(addr) => {
+            let s = std::net::TcpStream::connect(addr.as_str())
+                .map_err(|e| format!("connect {addr}: {e}"))?;
+            // Frames are pipelined: with Nagle on, a small one written
+            // while an earlier one is still unacknowledged waits for
+            // that ACK, which the server may delay by up to 40 ms.
+            s.set_nodelay(true).map_err(|e| format!("connect {addr}: {e}"))?;
+            Conn::Tcp(s)
+        }
         Endpoint::Unix(path) => Conn::Unix(
             std::os::unix::net::UnixStream::connect(path)
                 .map_err(|e| format!("connect {}: {e}", path.display()))?,
@@ -766,6 +771,15 @@ mod tests {
         let b = offline_verdicts(&opts).unwrap();
         assert_eq!(a, b);
         assert!(a.values().any(|&v| v > 0), "a 2k-record replay produces verdicts");
+    }
+
+    #[test]
+    fn tcp_client_sockets_disable_nagle() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = Endpoint::Tcp(listener.local_addr().unwrap().to_string());
+        let conn = connect(&endpoint).unwrap();
+        let Conn::Tcp(s) = &conn else { panic!("a tcp endpoint yields a tcp connection") };
+        assert!(s.nodelay().unwrap(), "TCP_NODELAY set on the client socket");
     }
 
     #[test]
