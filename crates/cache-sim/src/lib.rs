@@ -37,12 +37,13 @@
 //! assert!(res.latency > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod access;
 mod cache;
 mod config;
 mod events;
 mod hierarchy;
-mod pad;
 mod replacement;
 mod replay;
 mod stats;
@@ -53,7 +54,6 @@ pub use cache::{Cache, Eviction};
 pub use config::{CacheConfig, ConfigError, HierarchyConfig, LevelConfig, WritePolicy};
 pub use events::{CacheEvent, EventKind};
 pub use hierarchy::{Hierarchy, StructureId, StructureInfo};
-pub use pad::CachePadded;
 pub use replacement::ReplacementPolicy;
 pub use replay::{AccessFilter, BatchSummary, NoFilter, ReplayScratch};
 pub use stats::{HierarchyStats, StructureStats};

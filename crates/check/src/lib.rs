@@ -28,6 +28,8 @@
 //! `Random` replacement draws from a private per-cache stream that a
 //! bypass would desynchronize, so the checker rejects it up front.
 
+#![forbid(unsafe_code)]
+
 pub mod corrupt;
 pub mod generate;
 pub mod harness;

@@ -27,7 +27,7 @@
 //! Every scenario additionally verifies **engine identity**: the
 //! pipelined driver must reproduce the observed
 //! single-threaded run bit-for-bit (the report equality that proves the
-//! SPSC handoff and the overlap of compute with resolution change
+//! channel handoff and the overlap of compute with resolution change
 //! nothing observable).
 //!
 //! Adversarial workloads concentrate on the cross-core races:

@@ -4,9 +4,10 @@
 //! core counts, and every adversarial sharing workload — and stay sound
 //! while doing it.
 //!
-//! This is the race-freedom proof for the SPSC pipeline: any lost
-//! message, reordered handoff, or mis-rotated rescue window shows up as
-//! a report mismatch somewhere in this matrix.
+//! This is the race-freedom proof for the channel pipeline: any lost
+//! message, reordered handoff, early or late end of the run, or
+//! mis-rotated rescue window shows up as a report mismatch somewhere in
+//! this matrix.
 
 use mnm_check::{MulticoreChecker, MulticoreScenario, ShardWorkload};
 use mnm_core::MnmConfig;
@@ -82,11 +83,11 @@ fn observed_runs_stay_sound_under_the_pipelined_schedule() {
     }
 }
 
-/// Thread-oversubscription stress for the SPSC handoff: many short
+/// Thread-oversubscription stress for the channel handoff: many short
 /// 8-core pipelined runs (9 live threads per run) on whatever host this
-/// is — including single-core CI containers, where every handoff forces
-/// a scheduler round-trip through the ring's yield path. Any dropped or
-/// duplicated message diverges the report.
+/// is — including single-core CI containers, where every handoff parks
+/// a thread and forces a scheduler round-trip. Any dropped or duplicated
+/// message diverges the report.
 #[test]
 fn spsc_handoff_survives_oversubscription() {
     let mnm = MnmConfig::parse("CMNM_8_12").unwrap();
@@ -97,5 +98,35 @@ fn spsc_handoff_survives_oversubscription() {
         let single = ShardedSim::new(config.clone(), streams.clone()).run_single_threaded();
         let pipelined = ShardedSim::new(config, streams).run();
         assert_eq!(pipelined, single, "round {round} diverged");
+    }
+}
+
+/// The run ends when every stream is drained and a resolution round
+/// comes back empty, so cores whose streams run out early keep handing
+/// off empty epochs until the last core finishes. Covers one core
+/// ending several epochs before the others, one with no accesses at
+/// all, and a run where every stream is empty.
+#[test]
+fn identity_holds_when_streams_end_at_different_epochs() {
+    let mnm = MnmConfig::parse("HMNM4").unwrap();
+    for cores in [2, 4, 8] {
+        for epoch in [1, 64] {
+            let mut config = ShardConfig::new(cores, mnm.clone());
+            config.epoch = epoch;
+            let mut streams = ShardWorkload::PingPong.generate(&config, cores as u64, 1_200, 0.5);
+            streams[0].truncate(3 * epoch + 5);
+            streams[cores - 1].clear();
+            let single = ShardedSim::new(config.clone(), streams.clone()).run_single_threaded();
+            let pipelined = ShardedSim::new(config.clone(), streams).run();
+            assert_eq!(pipelined, single, "uneven streams: cores={cores} epoch={epoch}");
+            assert_eq!(single.cores[0].accesses, (3 * epoch + 5) as u64);
+            assert_eq!(single.cores[cores - 1].accesses, 0);
+
+            let empty = vec![Vec::new(); cores];
+            let single = ShardedSim::new(config.clone(), empty.clone()).run_single_threaded();
+            let pipelined = ShardedSim::new(config, empty).run();
+            assert_eq!(pipelined, single, "empty streams: cores={cores} epoch={epoch}");
+            assert_eq!(single.total_accesses(), 0);
+        }
     }
 }

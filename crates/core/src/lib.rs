@@ -45,6 +45,8 @@
 //! assert!((0.0..=1.0).contains(&cov));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod block;
 mod bloom;
 mod cmnm;

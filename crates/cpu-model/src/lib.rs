@@ -26,6 +26,8 @@
 //! shrink total execution cycles once filtered through ILP, MLP and
 //! resource limits.
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod pipeline;
 mod stats;

@@ -17,6 +17,8 @@
 //! [`metrics`] for the run-manifest schema behind
 //! `results/all_experiments.json` and `jsn diff`.
 
+#![forbid(unsafe_code)]
+
 pub mod ablation;
 pub mod analytic;
 pub mod coverage;

@@ -23,6 +23,8 @@
 //! assert!(large > 4.0 * small);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod accounting;
 mod cacti;
 mod mnm_energy;

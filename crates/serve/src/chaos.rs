@@ -64,8 +64,6 @@
 //! crash-safe `fsio` writer on shutdown.
 
 use std::io::{Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,7 +72,7 @@ use std::time::Duration;
 use mnm_experiments::faults::PlanClauses;
 use trace_synth::rng::{fnv1a, splitmix64};
 
-use crate::server::{Conn, Endpoint};
+use crate::server::{Conn, Endpoint, Listener};
 use crate::signal;
 
 /// Environment variable holding the chaos plan.
@@ -305,34 +303,6 @@ pub struct ChaosOptions {
     pub log_path: Option<PathBuf>,
 }
 
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-        }
-    }
-
-    fn set_nonblocking(&self, v: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(v),
-            Listener::Unix(l) => l.set_nonblocking(v),
-        }
-    }
-}
-
-fn connect_upstream(endpoint: &Endpoint) -> std::io::Result<Conn> {
-    match endpoint {
-        Endpoint::Tcp(addr) => std::net::TcpStream::connect(addr.as_str()).map(Conn::Tcp),
-        Endpoint::Unix(path) => std::os::unix::net::UnixStream::connect(path).map(Conn::Unix),
-    }
-}
-
 /// A handle for stopping a running proxy and reading its fault log.
 #[derive(Clone)]
 pub struct ChaosHandle {
@@ -379,15 +349,7 @@ impl ChaosProxy {
     /// Bind the listen endpoint. A stale unix socket file is removed
     /// first.
     pub fn bind(options: ChaosOptions) -> std::io::Result<ChaosProxy> {
-        let listener = match &options.listen {
-            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
-            Endpoint::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path)?;
-                }
-                Listener::Unix(UnixListener::bind(path)?)
-            }
-        };
+        let listener = Listener::bind(&options.listen)?;
         Ok(ChaosProxy {
             listener,
             options,
@@ -399,13 +361,7 @@ impl ChaosProxy {
 
     /// The bound listen endpoint (resolves TCP port 0).
     pub fn local_endpoint(&self) -> Endpoint {
-        match (&self.listener, &self.options.listen) {
-            (Listener::Tcp(l), _) => match l.local_addr() {
-                Ok(a) => Endpoint::Tcp(a.to_string()),
-                Err(_) => self.options.listen.clone(),
-            },
-            (Listener::Unix(_), e) => e.clone(),
-        }
+        self.listener.local_endpoint(&self.options.listen)
     }
 
     /// A handle for shutdown and fault-log access.
@@ -425,7 +381,7 @@ impl ChaosProxy {
             match self.listener.accept() {
                 Ok(client) => {
                     let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-                    let upstream = match connect_upstream(&self.options.upstream) {
+                    let upstream = match self.options.upstream.connect() {
                         Ok(u) => u,
                         Err(_) => {
                             client.shutdown_both();

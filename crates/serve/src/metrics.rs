@@ -8,23 +8,17 @@
 //! from poisoning rather than cascading a panic, like the experiment
 //! telemetry recorder.
 //!
-//! The global counters are each cache-line padded ([`CachePadded`]):
-//! unpadded, all twelve `AtomicU64`s share two cache lines, so e.g.
-//! `bytes_in` adds from one session thread steal line ownership from
-//! another thread bumping `records_in` — counters that are logically
-//! independent false-share. Measured alongside the shard SPSC work:
-//! free on a single-core host (same instruction stream, just spaced
-//! loads), and on multi-core hosts it removes the cross-counter
-//! coherence traffic entirely. The `VerdictCell` triples stay unpadded
-//! on purpose — a frame updates hits/maybe/definite together, so
-//! keeping each triple on one line is the batching win, not a hazard.
+//! The global counters are plain, unpadded `AtomicU64`s. Neighbouring
+//! counters share cache lines, but a frame does fewer than ten relaxed
+//! adds beside its one gauge-table lock, so at serve's frame rates the
+//! cross-thread line traffic is negligible next to the socket I/O.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use cache_sim::{CachePadded, Hierarchy};
+use cache_sim::Hierarchy;
 
 /// Upper bounds (microseconds) of the request-latency histogram buckets.
 /// The final implicit bucket is `+Inf`.
@@ -117,45 +111,45 @@ pub struct SessionGauge {
 pub struct Registry {
     started: Instant,
     /// Sessions whose hello was accepted.
-    pub sessions_accepted: CachePadded<AtomicU64>,
+    pub sessions_accepted: AtomicU64,
     /// Sessions turned away (session cap, bad hello).
-    pub sessions_rejected: CachePadded<AtomicU64>,
+    pub sessions_rejected: AtomicU64,
     /// Sessions evicted for stalling past the read budget.
-    pub sessions_evicted: CachePadded<AtomicU64>,
+    pub sessions_evicted: AtomicU64,
     /// Sessions that finished cleanly (`Finish` acknowledged).
-    pub sessions_completed: CachePadded<AtomicU64>,
+    pub sessions_completed: AtomicU64,
     /// Sessions that ended on a protocol or socket error.
-    pub sessions_failed: CachePadded<AtomicU64>,
+    pub sessions_failed: AtomicU64,
     /// Sessions currently live.
-    pub sessions_active: CachePadded<AtomicU64>,
+    pub sessions_active: AtomicU64,
     /// Hellos shed by admission control (queue-depth watermark).
-    pub sessions_shed: CachePadded<AtomicU64>,
+    pub sessions_shed: AtomicU64,
     /// Sessions parked for resume after a retryable wire failure.
-    pub sessions_parked: CachePadded<AtomicU64>,
+    pub sessions_parked: AtomicU64,
     /// Parked sessions picked back up by a reconnecting client.
-    pub sessions_resumed: CachePadded<AtomicU64>,
+    pub sessions_resumed: AtomicU64,
     /// Parked sessions dropped (resume window expired or table full).
-    pub sessions_expired: CachePadded<AtomicU64>,
+    pub sessions_expired: AtomicU64,
     /// Frames rejected for a CRC mismatch (wire corruption detected).
-    pub crc_errors: CachePadded<AtomicU64>,
+    pub crc_errors: AtomicU64,
     /// `Records` frames applied to a session (first delivery).
-    pub frames_applied: CachePadded<AtomicU64>,
+    pub frames_applied: AtomicU64,
     /// Duplicate `Records` frames re-acked without replay.
-    pub frames_replayed: CachePadded<AtomicU64>,
+    pub frames_replayed: AtomicU64,
     /// Frames currently queued between readers and workers (gauge).
-    pub queue_depth: CachePadded<AtomicU64>,
+    pub queue_depth: AtomicU64,
     /// Bytes read off session sockets.
-    pub bytes_in: CachePadded<AtomicU64>,
+    pub bytes_in: AtomicU64,
     /// `Records` frames processed.
-    pub frames_in: CachePadded<AtomicU64>,
+    pub frames_in: AtomicU64,
     /// Trace records processed.
-    pub records_in: CachePadded<AtomicU64>,
+    pub records_in: AtomicU64,
     /// Cache accesses replayed.
-    pub accesses: CachePadded<AtomicU64>,
+    pub accesses: AtomicU64,
     /// Frames or hellos that failed to decode.
-    pub protocol_errors: CachePadded<AtomicU64>,
+    pub protocol_errors: AtomicU64,
     /// `/metrics` scrapes served.
-    pub scrapes: CachePadded<AtomicU64>,
+    pub scrapes: AtomicU64,
     /// Per-frame service latency (decode + replay + summary write).
     pub latency: LatencyHistogram,
     verdicts: Vec<VerdictCell>,
@@ -188,26 +182,26 @@ impl Registry {
             .collect();
         Registry {
             started: Instant::now(),
-            sessions_accepted: CachePadded::new(AtomicU64::new(0)),
-            sessions_rejected: CachePadded::new(AtomicU64::new(0)),
-            sessions_evicted: CachePadded::new(AtomicU64::new(0)),
-            sessions_completed: CachePadded::new(AtomicU64::new(0)),
-            sessions_failed: CachePadded::new(AtomicU64::new(0)),
-            sessions_active: CachePadded::new(AtomicU64::new(0)),
-            sessions_shed: CachePadded::new(AtomicU64::new(0)),
-            sessions_parked: CachePadded::new(AtomicU64::new(0)),
-            sessions_resumed: CachePadded::new(AtomicU64::new(0)),
-            sessions_expired: CachePadded::new(AtomicU64::new(0)),
-            crc_errors: CachePadded::new(AtomicU64::new(0)),
-            frames_applied: CachePadded::new(AtomicU64::new(0)),
-            frames_replayed: CachePadded::new(AtomicU64::new(0)),
-            queue_depth: CachePadded::new(AtomicU64::new(0)),
-            bytes_in: CachePadded::new(AtomicU64::new(0)),
-            frames_in: CachePadded::new(AtomicU64::new(0)),
-            records_in: CachePadded::new(AtomicU64::new(0)),
-            accesses: CachePadded::new(AtomicU64::new(0)),
-            protocol_errors: CachePadded::new(AtomicU64::new(0)),
-            scrapes: CachePadded::new(AtomicU64::new(0)),
+            sessions_accepted: AtomicU64::new(0),
+            sessions_rejected: AtomicU64::new(0),
+            sessions_evicted: AtomicU64::new(0),
+            sessions_completed: AtomicU64::new(0),
+            sessions_failed: AtomicU64::new(0),
+            sessions_active: AtomicU64::new(0),
+            sessions_shed: AtomicU64::new(0),
+            sessions_parked: AtomicU64::new(0),
+            sessions_resumed: AtomicU64::new(0),
+            sessions_expired: AtomicU64::new(0),
+            crc_errors: AtomicU64::new(0),
+            frames_applied: AtomicU64::new(0),
+            frames_replayed: AtomicU64::new(0),
+            queue_depth: AtomicU64::new(0),
+            bytes_in: AtomicU64::new(0),
+            frames_in: AtomicU64::new(0),
+            records_in: AtomicU64::new(0),
+            accesses: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            scrapes: AtomicU64::new(0),
             latency: LatencyHistogram::default(),
             verdicts,
             sessions: Mutex::new(BTreeMap::new()),

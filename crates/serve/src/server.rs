@@ -117,6 +117,21 @@ impl Endpoint {
             Err(format!("endpoint `{s}` is neither unix:<path> nor <host>:<port>"))
         }
     }
+
+    /// Connect to this endpoint. TCP connections turn Nagle off: every
+    /// leg carries small pipelined frames, and with Nagle on one written
+    /// while an earlier one is still unacknowledged waits for that ACK,
+    /// which a peer with nothing to send delays by up to 40 ms.
+    pub(crate) fn connect(&self) -> std::io::Result<Conn> {
+        match self {
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr.as_str())?;
+                s.set_nodelay(true)?;
+                Ok(Conn::Tcp(s))
+            }
+            Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
+        }
+    }
 }
 
 impl std::fmt::Display for Endpoint {
@@ -248,18 +263,31 @@ impl Write for Conn {
     }
 }
 
-enum Listener {
+/// A bound listening socket, TCP or unix.
+pub(crate) enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener),
 }
 
 impl Listener {
-    fn accept(&self) -> std::io::Result<Conn> {
+    /// Bind `endpoint`. A stale unix socket file from a previous run is
+    /// removed first.
+    pub(crate) fn bind(endpoint: &Endpoint) -> std::io::Result<Listener> {
+        Ok(match endpoint {
+            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
+            Endpoint::Unix(path) => {
+                if path.exists() {
+                    std::fs::remove_file(path)?;
+                }
+                Listener::Unix(UnixListener::bind(path)?)
+            }
+        })
+    }
+
+    /// Accept one connection, with Nagle off on TCP (see
+    /// [`Endpoint::connect`]).
+    pub(crate) fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            // Summaries are small writes answering pipelined frames:
-            // with Nagle on, one written while an earlier one is still
-            // unacknowledged waits for that ACK, which a client with
-            // nothing left to send delays by up to 40 ms.
             Listener::Tcp(l) => l.accept().and_then(|(s, _)| {
                 s.set_nodelay(true)?;
                 Ok(Conn::Tcp(s))
@@ -268,10 +296,22 @@ impl Listener {
         }
     }
 
-    fn set_nonblocking(&self, v: bool) -> std::io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, v: bool) -> std::io::Result<()> {
         match self {
             Listener::Tcp(l) => l.set_nonblocking(v),
             Listener::Unix(l) => l.set_nonblocking(v),
+        }
+    }
+
+    /// The bound TCP address (resolves port 0), or `configured` for unix
+    /// sockets.
+    pub(crate) fn local_endpoint(&self, configured: &Endpoint) -> Endpoint {
+        match self {
+            Listener::Tcp(l) => match l.local_addr() {
+                Ok(a) => Endpoint::Tcp(a.to_string()),
+                Err(_) => configured.clone(),
+            },
+            Listener::Unix(_) => configured.clone(),
         }
     }
 }
@@ -447,15 +487,7 @@ impl Server {
     /// Bind `endpoint`. A stale unix socket file from a previous run is
     /// removed first.
     pub fn bind(endpoint: Endpoint, config: ServerConfig) -> std::io::Result<Server> {
-        let listener = match &endpoint {
-            Endpoint::Tcp(addr) => Listener::Tcp(TcpListener::bind(addr.as_str())?),
-            Endpoint::Unix(path) => {
-                if path.exists() {
-                    std::fs::remove_file(path)?;
-                }
-                Listener::Unix(UnixListener::bind(path)?)
-            }
-        };
+        let listener = Listener::bind(&endpoint)?;
         let hierarchy = Hierarchy::new(HierarchyConfig::paper_five_level());
         Ok(Server {
             listener,
@@ -471,13 +503,7 @@ impl Server {
     /// The bound TCP address (resolves port 0), or the configured
     /// endpoint for unix sockets.
     pub fn local_endpoint(&self) -> Endpoint {
-        match (&self.listener, &self.endpoint) {
-            (Listener::Tcp(l), _) => match l.local_addr() {
-                Ok(a) => Endpoint::Tcp(a.to_string()),
-                Err(_) => self.endpoint.clone(),
-            },
-            (Listener::Unix(_), e) => e.clone(),
-        }
+        self.listener.local_endpoint(&self.endpoint)
     }
 
     /// The bound TCP socket address, if TCP.

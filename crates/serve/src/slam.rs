@@ -163,21 +163,7 @@ pub fn session_instrs(base_seed: u64, k: usize, records: u64) -> Vec<Instr> {
 }
 
 fn connect(endpoint: &Endpoint) -> Result<Conn, String> {
-    let conn = match endpoint {
-        Endpoint::Tcp(addr) => {
-            let s = std::net::TcpStream::connect(addr.as_str())
-                .map_err(|e| format!("connect {addr}: {e}"))?;
-            // Frames are pipelined: with Nagle on, a small one written
-            // while an earlier one is still unacknowledged waits for
-            // that ACK, which the server may delay by up to 40 ms.
-            s.set_nodelay(true).map_err(|e| format!("connect {addr}: {e}"))?;
-            Conn::Tcp(s)
-        }
-        Endpoint::Unix(path) => Conn::Unix(
-            std::os::unix::net::UnixStream::connect(path)
-                .map_err(|e| format!("connect {}: {e}", path.display()))?,
-        ),
-    };
+    let conn = endpoint.connect().map_err(|e| format!("connect {endpoint}: {e}"))?;
     conn.set_timeouts(CLIENT_READ_TIMEOUT).map_err(|e| e.to_string())?;
     Ok(conn)
 }

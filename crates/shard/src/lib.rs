@@ -14,7 +14,7 @@
 //! resident (harmless) or, worse, un-counted state that drifts from the
 //! cache. The default engine is **pipelined**: a dedicated resolver
 //! thread drains epoch E's shared-L3 queues while the cores already
-//! compute epoch E+1, handing off over per-core bounded SPSC rings. See
+//! compute epoch E+1, handing off over per-core bounded channels. See
 //! [`sim`] for the execution model, the
 //! frozen-view soundness argument, and the two engines (pipelined /
 //! single) whose reports are bit-identical by contract.
@@ -34,10 +34,11 @@
 //! assert_eq!(report.total_unsound(), 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod report;
 mod sim;
-mod spsc;
 mod stream;
 mod tune;
 

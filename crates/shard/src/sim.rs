@@ -36,21 +36,24 @@
 //! `shard_scaling` bench, and CI):
 //!
 //! * [`Engine::Pipelined`] (the default, [`ShardedSim::run`]) — one host
-//!   thread per core plus a dedicated resolver thread. Handoff is
-//!   per-core bounded SPSC rings ([`crate::spsc`]): an outbox (epoch
+//!   thread per core plus a dedicated resolver thread. Each core hands
+//!   off over two bounded `std::sync::mpsc` channels: an outbox (epoch
 //!   requests + published store lines) and an inbox (resolution
 //!   results). Cores never touch a shared lock.
 //! * [`Engine::Single`] ([`ShardedSim::run_single_threaded`]) — the
 //!   whole schedule on the calling thread; the reference execution and
 //!   the only driver that invokes a [`ShardObserver`].
 //!
-//! ### Why the SPSC depth is bounded
+//! ### Why the handoff channels never fill
 //!
 //! A core entering epoch E+2 blocks until resolution of epoch E arrives
 //! in its inbox, so a core can run at most ~1.5 epochs ahead of the
 //! resolver; symmetrically the resolver blocks on each core's outbox.
-//! Per direction at most two messages are ever in flight (plus the final
-//! stop message), so a 4-slot ring never deadlocks.
+//! Per direction at most two messages are ever in flight, so a channel
+//! of `HANDOFF_DEPTH` slots never blocks a sender. The resolver ends
+//! the run by dropping its inbox senders; a thread that panics drops
+//! its channel ends too, so its peers stop instead of waiting forever
+//! and the scope re-raises the panic.
 //!
 //! ## Verdict soundness across the pipeline
 //!
@@ -70,15 +73,19 @@
 
 use crate::config::ShardConfig;
 use crate::report::{CoreReport, ShardReport, ShardTiming};
-use crate::spsc::SpscRing;
 use cache_sim::{
     Access, AccessKind, BypassSet, CacheEvent, EventKind, Hierarchy, ProbeRecord, ReplayScratch,
     StructureId,
 };
 use mnm_core::Mnm;
 use std::collections::HashSet;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Slots per handoff channel: at least the two messages a direction can
+/// have in flight (see the module docs).
+const HANDOFF_DEPTH: usize = 4;
 
 /// How one shared-L3 request was resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +109,7 @@ pub enum L3Outcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Cores compute epoch E+1 while a dedicated resolver thread drains
-    /// epoch E; SPSC handoff, no shared locks. The default.
+    /// epoch E; channel handoff, no shared locks. The default.
     Pipelined,
     /// Everything on the calling thread; the reference execution.
     Single,
@@ -226,8 +233,6 @@ struct ResolvedMsg {
     probes: Vec<ProbeRecord>,
     /// Counter deltas this core folds into its report.
     delta: ResolveDelta,
-    /// The simulation is complete; the core thread exits.
-    stop: bool,
 }
 
 impl ResolvedMsg {
@@ -237,12 +242,7 @@ impl ResolvedMsg {
             events: Arc::new(Vec::new()),
             probes: Vec::new(),
             delta: ResolveDelta::default(),
-            stop: false,
         }
-    }
-
-    fn stop() -> Self {
-        ResolvedMsg { stop: true, ..ResolvedMsg::prime() }
     }
 
     fn is_empty(&self) -> bool {
@@ -449,64 +449,74 @@ impl ShardedSim {
     }
 
     /// The pipelined engine: compute overlaps resolution, handoff over
-    /// per-core SPSC rings, no shared locks anywhere on the hot path.
+    /// per-core bounded channels, no shared locks anywhere on the hot path.
     fn run_pipelined(&mut self) -> ShardReport {
         let ctx = self.ctx;
         let wall = Instant::now();
         let n = self.config.cores;
-        let outboxes: Vec<SpscRing<OutMsg>> = (0..n).map(|_| SpscRing::new()).collect();
-        let inboxes: Vec<SpscRing<ResolvedMsg>> = (0..n).map(|_| SpscRing::new()).collect();
+        let (out_tx, out_rx): (Vec<SyncSender<OutMsg>>, Vec<Receiver<OutMsg>>) =
+            (0..n).map(|_| sync_channel(HANDOFF_DEPTH)).unzip();
+        let (in_tx, in_rx): (Vec<SyncSender<ResolvedMsg>>, Vec<Receiver<ResolvedMsg>>) =
+            (0..n).map(|_| sync_channel(HANDOFF_DEPTH)).unzip();
         let cores = &mut self.cores;
         let resolver = &mut self.resolver;
         std::thread::scope(|scope| {
-            for (t, core) in cores.iter_mut().enumerate() {
-                let outbox = &outboxes[t];
-                let inbox = &inboxes[t];
+            for ((core, outbox), inbox) in cores.iter_mut().zip(out_tx).zip(in_rx) {
                 scope.spawn(move || {
                     let mut noop = NoopObserver;
                     // Epoch 0 primes the pipeline: no results exist yet.
                     let t0 = Instant::now();
                     let out = run_epoch_compute(ctx, core, &mut noop);
                     core.compute_nanos += elapsed_nanos(t0);
-                    outbox.push(out);
+                    if outbox.send(out).is_err() {
+                        return;
+                    }
                     loop {
                         let t1 = Instant::now();
-                        let msg = inbox.pop();
+                        let msg = inbox.recv();
                         core.stall_nanos += elapsed_nanos(t1);
-                        if msg.stop {
-                            break;
-                        }
+                        // Disconnected: the resolver finished the run
+                        // (or panicked).
+                        let Ok(msg) = msg else { break };
                         let t2 = Instant::now();
                         apply_inbox(ctx, core, &msg, &mut noop);
                         let out = run_epoch_compute(ctx, core, &mut noop);
                         core.compute_nanos += elapsed_nanos(t2);
-                        outbox.push(out);
+                        if outbox.send(out).is_err() {
+                            break;
+                        }
                     }
                 });
             }
-            scope.spawn(|| {
+            scope.spawn(move || {
                 let mut noop = NoopObserver;
                 // Prime each core with an empty round-(-1) result so
                 // epoch 1 starts without waiting on resolution of epoch 0
                 // — that is the pipeline.
-                for inbox in &inboxes {
-                    inbox.push(ResolvedMsg::prime());
+                for inbox in &in_tx {
+                    if inbox.send(ResolvedMsg::prime()).is_err() {
+                        return;
+                    }
                 }
                 let mut prev_empty = true;
                 loop {
-                    let outs: Vec<OutMsg> = outboxes.iter().map(SpscRing::pop).collect();
+                    // Disconnected: a core panicked; returning drops the
+                    // inbox senders so the other cores stop too.
+                    let Ok(outs) = out_rx.iter().map(Receiver::recv).collect::<Result<Vec<_>, _>>()
+                    else {
+                        return;
+                    };
                     resolver.rounds += 1;
-                    let done = prev_empty && outs.iter().all(|o| o.exhausted && o.is_empty());
-                    if done {
-                        for inbox in &inboxes {
-                            inbox.push(ResolvedMsg::stop());
-                        }
-                        break;
+                    if prev_empty && outs.iter().all(|o| o.exhausted && o.is_empty()) {
+                        // Dropping `in_tx` on return ends every core loop.
+                        return;
                     }
                     let msgs = resolve_round(ctx, outs, resolver, &mut noop);
                     prev_empty = msgs.iter().all(ResolvedMsg::is_empty);
-                    for (ci, m) in msgs.into_iter().enumerate() {
-                        inboxes[ci].push(m);
+                    for (inbox, m) in in_tx.iter().zip(msgs) {
+                        if inbox.send(m).is_err() {
+                            return;
+                        }
                     }
                 }
             });
@@ -732,7 +742,6 @@ fn resolve_round(
                 events: events.clone(),
                 probes: std::mem::take(&mut probes_out[ci]),
                 delta: deltas[ci],
-                stop: false,
             }
         })
         .collect();

@@ -36,6 +36,8 @@
 //! assert_eq!(instrs, replay);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod crc;
 mod io;
 mod program;

@@ -73,7 +73,7 @@ fn print_help() {
          jsn check [--seeds N] [--len N] [--filter LABEL] [--gen G] [--seed S] [--json] [-o FILE]\n  \
          jsn shard [--app NAME] [--cores N] [-n N] [--epoch N|auto] [--sharing R]\n            \
          [--config LABEL] [--seed S] [--single] [--json]\n            \
-         [--bench] [--check [--quick] [--workload W]]\n\
+         [--check [--quick] [--workload W]]\n\
          \n\
          Labels: baseline, perfect (any case), HMNM1..4, TMNM_<b>x<r>, CMNM_<k>_<m>,\n\
          RMNM_<blocks>_<assoc>, SMNM_<w>x<r>, BLOOM_<b>x<k>.\n\
@@ -96,12 +96,11 @@ fn print_help() {
          shard runs an epoch-synchronized N-core simulation: per-core\n\
          private L1/L2 + MNM filters over one shared L3, with cross-core\n\
          store and L3-victim invalidations driven through the filter event\n\
-         stream. Defaults come from JSN_CORES/JSN_EPOCH/JSN_SHARING. The\n\
+         stream (defaults: 4 cores, epoch 2048, sharing 0.25). The\n\
          default engine is pipelined (cores compute epoch E+1 while a\n\
          resolver thread drains epoch E); `--single` selects the\n\
          single-threaded reference — the two are bit-identical by contract.\n\
-         `--epoch auto` calibrates the epoch length before the run; `--bench`\n\
-         times both engines over identical streams and verifies identity;\n\
+         `--epoch auto` calibrates the epoch length before the run;\n\
          `--check` sweeps adversarial sharing workloads (pingpong,\n\
          falsesharing, evictionrace, profile) across every filter family\n\
          under a lockstep multi-core reference model, re-verifying engine\n\
@@ -705,9 +704,7 @@ fn cmd_shard(args: &[String]) -> ExitCode {
     }
 }
 
-/// `jsn shard`: the epoch-synchronized N-core simulation. Environment
-/// knobs `JSN_CORES`, `JSN_EPOCH`, and `JSN_SHARING` provide defaults
-/// for `--cores`, `--epoch`, and `--sharing`.
+/// `jsn shard`: the epoch-synchronized N-core simulation.
 fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     use just_say_no::mnm_check::{
         run_multicore_scenario, run_multicore_suite, MulticoreScenario, ShardWorkload,
@@ -718,20 +715,27 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     };
     use just_say_no::trace_synth::sharing::SharingSpec;
 
-    let env_num = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-    let cores = parse_n(args, "--cores", env_num("JSN_CORES").unwrap_or(4))? as usize;
+    let cores = parse_n(args, "--cores", 4)? as usize;
+    if cores == 0 {
+        return Err("--cores 0: need at least one core".to_owned());
+    }
     // `--epoch` accepts a length or `auto` (calibrate before the run).
-    let epoch_arg =
-        parse_opt(args, "--epoch").map(str::to_owned).or_else(|| std::env::var("JSN_EPOCH").ok());
-    let epoch_auto = epoch_arg.as_deref() == Some("auto");
-    let epoch = match epoch_arg.as_deref() {
+    let epoch_arg = parse_opt(args, "--epoch");
+    let epoch_auto = epoch_arg == Some("auto");
+    let epoch = match epoch_arg {
         None | Some("auto") => 2048,
         Some(text) => parse_flag_num(text, "--epoch")?,
     };
+    if epoch == 0 {
+        return Err("--epoch 0: an epoch needs at least one access".to_owned());
+    }
     let sharing: f64 = match parse_opt(args, "--sharing") {
         Some(text) => text.parse().map_err(|_| format!("--sharing {text}: expected a ratio"))?,
-        None => std::env::var("JSN_SHARING").ok().and_then(|v| v.parse().ok()).unwrap_or(0.25),
+        None => 0.25,
     };
+    if !(0.0..=1.0).contains(&sharing) {
+        return Err(format!("--sharing {sharing}: expected a ratio within [0, 1]"));
+    }
     let label = parse_opt(args, "--config").unwrap_or("HMNM4");
     let seed = match parse_opt(args, "--seed") {
         Some(text) => parse_seed(text)?,
@@ -826,44 +830,7 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
         );
     }
     let epoch = config.epoch;
-    let build = || ShardedSim::new(config.clone(), streams.clone());
-
-    if args.iter().any(|a| a == "--bench") {
-        // Throughput benchmark: both engines over identical streams, and
-        // the reports must be bit-identical (the race-freedom check).
-        let run = |engine: Engine| {
-            let mut sim = build();
-            let t = std::time::Instant::now();
-            let report = sim.run_engine(engine);
-            (report, t.elapsed())
-        };
-        let (baseline, t_single) = run(Engine::Single);
-        let (pipelined, t_pipelined) = run(Engine::Pipelined);
-        if pipelined != baseline {
-            eprintln!(
-                "shard bench FAILED: the pipelined engine diverged from single-threaded replay"
-            );
-            return Ok(ExitCode::FAILURE);
-        }
-        let total = baseline.total_accesses();
-        let rate = |d: std::time::Duration| total as f64 / d.as_secs_f64() / 1e6;
-        let speedup = |d: std::time::Duration| t_single.as_secs_f64() / d.as_secs_f64();
-        println!(
-            "shard bench: {cores} cores, {total} accesses, {app} ({label}, sharing {sharing}, \
-             epoch {epoch})\n  \
-             single:    {:>8.2} Maccs/s\n  \
-             pipelined: {:>8.2} Maccs/s  (speedup {:.2}x, resolver occupancy {:.0}%)\n  \
-             reports identical: yes",
-            rate(t_single),
-            rate(t_pipelined),
-            speedup(t_pipelined),
-            100.0 * pipelined.timing.resolver_occupancy(),
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let mut sim = build();
-    let report = sim.run_engine(engine);
+    let report = ShardedSim::new(config, streams).run_engine(engine);
     if json {
         print!("{}", report.to_json(label, cores, epoch, sharing));
     } else {

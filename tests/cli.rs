@@ -142,3 +142,21 @@ fn diff_rejects_missing_and_malformed_input() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("two JSON files"));
 }
+
+#[test]
+fn shard_rejects_out_of_range_flags() {
+    for (args, flag) in [
+        (&["--cores", "0"][..], "--cores"),
+        (&["--epoch", "0"], "--epoch"),
+        (&["--sharing", "1.5"], "--sharing"),
+        (&["--sharing", "-0.1"], "--sharing"),
+        (&["--check", "--workload", "pingpong", "--cores", "0"], "--cores"),
+        (&["--check", "--workload", "pingpong", "--epoch", "0"], "--epoch"),
+    ] {
+        let out = jsn(&[&["shard", "-n", "1000"][..], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} should name {flag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    }
+}
