@@ -33,7 +33,7 @@
 //! type u8 | payload_len u32 LE | crc32 u32 LE | payload
 //! ```
 //!
-//! The CRC-32 (IEEE, table-driven, from `trace-synth`) covers the type
+//! The CRC-32 (IEEE, slicing-by-16, from `trace-synth`) covers the type
 //! byte, the length field, and the payload, so any wire corruption —
 //! flipped bits, duplicated or sheared writes — is *detected* rather
 //! than mis-decoded into plausible records. A frame whose CRC fails is
@@ -82,6 +82,10 @@ pub const SEQ_BYTES: usize = 8;
 /// Default upper bound on a frame payload. 64 KiB holds ~3276 records,
 /// far above the useful batch size for `Hierarchy::run`.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024;
+
+/// The most records one `Records` frame carries within
+/// [`MAX_FRAME_BYTES`]: 3276.
+pub const MAX_FRAME_RECORDS: usize = (MAX_FRAME_BYTES as usize - SEQ_BYTES) / RECORD_BYTES;
 
 /// Upper bound on the hello config-label length.
 pub const MAX_CONFIG_BYTES: usize = 128;
@@ -359,6 +363,7 @@ pub fn parse_retry_after_ms(detail: &str) -> Option<u64> {
 /// Encode a `Records` payload: the sequence number followed by the
 /// records.
 pub fn encode_records_payload(seq: u64, instrs: &[Instr], out: &mut Vec<u8>) {
+    out.reserve(SEQ_BYTES + instrs.len() * RECORD_BYTES);
     out.extend_from_slice(&seq.to_le_bytes());
     for &i in instrs {
         trace_synth::encode_record(i, out);
@@ -383,6 +388,7 @@ pub fn decode_records(payload: &[u8], out: &mut Vec<Instr>) -> Result<u64, WireE
             body.len()
         )));
     }
+    out.reserve(body.len() / RECORD_BYTES);
     for rec in body.chunks_exact(RECORD_BYTES) {
         out.push(decode_record(rec).map_err(|e| WireError::BadRecords(e.to_string()))?);
     }

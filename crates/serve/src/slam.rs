@@ -13,9 +13,12 @@
 //! learns the server's `last_acked` sequence number from the hello
 //! reply, and re-sends **only** the frames after it from its replay
 //! buffer (the deterministic trace itself, so the buffer costs
-//! nothing). Retries are bounded (`retries`) with exponential backoff
-//! plus deterministic jitter derived from the slam seed, honoring any
-//! `retry_after_ms=` hint the server attached to a BUSY reply.
+//! nothing). `retries` bounds the reconnects *in a row* that make no
+//! progress: an attempt that advances the server's ack watermark
+//! resets the count and the exponential backoff, so a long session on
+//! a lossy wire is not failed for faults it keeps surviving. Backoff
+//! carries deterministic jitter derived from the slam seed and honors
+//! any `retry_after_ms=` hint the server attached to a BUSY reply.
 //!
 //! With `--verify`, after the slam finishes the server's `/metrics`
 //! page is scraped and its global verdict histogram compared against an
@@ -38,7 +41,7 @@ use trace_synth::{profiles, Instr, Program};
 use crate::protocol::{
     decode_summary, encode_frame, encode_hello, encode_records_payload, parse_frame_header,
     parse_retry_after_ms, verify_frame_crc, FrameType, SessionStatsWire, FRAME_HEADER_BYTES, MAGIC,
-    STATUS_BUSY, STATUS_OK, VERSION,
+    MAX_FRAME_BYTES, MAX_FRAME_RECORDS, STATUS_BUSY, STATUS_OK, VERSION,
 };
 use crate::server::{Conn, Endpoint};
 use crate::session::SessionCore;
@@ -66,9 +69,11 @@ pub struct SlamOptions {
     pub seed: u64,
     /// Outstanding unacknowledged frames per session (pipelining).
     pub window: usize,
-    /// Reconnect attempts per session after a retryable failure.
+    /// Reconnect attempts in a row, per session, that may end without
+    /// a newly acknowledged frame; any progress resets the count.
     pub retries: u32,
-    /// Base backoff between attempts; doubles per attempt, jittered.
+    /// Base backoff between attempts; doubles per attempt without
+    /// progress, jittered.
     pub backoff_ms: u64,
     /// Scrape `/metrics` afterwards and compare with an offline replay.
     pub verify: bool,
@@ -465,16 +470,27 @@ fn run_client_session(
 ) -> SessionResult {
     let mut result = SessionResult::default();
     let mut sess = ClientSession {
-        chunks: instrs.chunks(frame_records.max(1)).collect(),
+        chunks: instrs.chunks(frame_records).collect(),
         config,
         window,
         token: 0,
         acked: 0,
         max_sent: 0,
     };
+    // `attempt` counts reconnects in a row that made no progress: an
+    // attempt that advanced the ack watermark past its best so far
+    // resets it (and the backoff exponent). Each reset needs a newly
+    // acked frame, so a session still ends after at most
+    // `(frames + 1) × (retries + 1)` attempts.
     let mut attempt = 0u32;
+    let mut best_acked = 0u64;
     loop {
-        match run_attempt(&mut sess, endpoint, &mut result) {
+        let outcome = run_attempt(&mut sess, endpoint, &mut result);
+        if sess.acked > best_acked {
+            best_acked = sess.acked;
+            attempt = 0;
+        }
+        match outcome {
             Ok(()) => break,
             Err(e) if e.retryable && attempt < retries => {
                 result.retries += 1;
@@ -487,7 +503,10 @@ fn run_client_session(
             }
             Err(e) => {
                 result.error = Some(if e.retryable {
-                    format!("{} (after {} retries)", e.msg, result.retries)
+                    format!(
+                        "{} (after {} retries, {attempt} in a row without progress)",
+                        e.msg, result.retries
+                    )
                 } else {
                     e.msg
                 });
@@ -588,6 +607,15 @@ pub fn verify_against_offline(opts: &SlamOptions, page: &str) -> VerifyReport {
 pub fn run_slam(opts: &SlamOptions) -> Result<SlamReport, String> {
     if opts.sessions == 0 {
         return Err("need at least one session".to_string());
+    }
+    if !(1..=MAX_FRAME_RECORDS).contains(&opts.frame_records) {
+        // A larger frame exceeds the server's default payload bound:
+        // it would be refused on every reconnect until retries ran out.
+        return Err(format!(
+            "--frame {}: expected 1..={MAX_FRAME_RECORDS} records per frame \
+             (a Records payload is bounded by {MAX_FRAME_BYTES} bytes)",
+            opts.frame_records
+        ));
     }
     let started = Instant::now();
     let all_latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());

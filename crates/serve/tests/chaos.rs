@@ -19,9 +19,16 @@ use mnm_serve::chaos::{ChaosOptions, ChaosPlan, ChaosProxy};
 use mnm_serve::server::{Endpoint, Server, ServerConfig};
 use mnm_serve::slam::{run_slam, SlamOptions, SlamReport};
 
-/// Run one full soak: server + chaos proxy + slam, all in process.
+/// Run one full soak: server + chaos proxy + slam, all in process,
+/// allowing `retries` reconnects in a row without progress per session.
 /// Returns the slam report and the proxy's sorted fired-fault log.
-fn soak(plan: &str, sessions: usize, records: u64, seed: u64) -> (SlamReport, String) {
+fn soak(
+    plan: &str,
+    sessions: usize,
+    records: u64,
+    seed: u64,
+    retries: u32,
+) -> (SlamReport, String) {
     let server =
         Server::bind(Endpoint::Tcp("127.0.0.1:0".to_string()), ServerConfig::default()).unwrap();
     let server_endpoint = server.local_endpoint();
@@ -48,7 +55,7 @@ fn soak(plan: &str, sessions: usize, records: u64, seed: u64) -> (SlamReport, St
         config: "HMNM4".to_string(),
         seed,
         window: 2,
-        retries: 20,
+        retries,
         backoff_ms: 2,
         verify: true,
     };
@@ -80,8 +87,8 @@ fn assert_soak_clean(report: &SlamReport, label: &str) {
 #[test]
 fn same_seed_fires_the_same_fault_log_byte_for_byte() {
     let plan = "seed=3,corrupt=1/8,dup=1/16,delay=1/6:1";
-    let (first, log_a) = soak(plan, 1, 2_000, 17);
-    let (second, log_b) = soak(plan, 1, 2_000, 17);
+    let (first, log_a) = soak(plan, 1, 2_000, 17, 20);
+    let (second, log_b) = soak(plan, 1, 2_000, 17, 20);
     assert!(!log_a.is_empty(), "the corrupt-heavy plan fired nothing — inert soak");
     assert_eq!(log_a, log_b, "same seed, different fault sequence");
     assert_soak_clean(&first, "corrupt-heavy run 1");
@@ -96,17 +103,35 @@ fn same_seed_fires_the_same_fault_log_byte_for_byte() {
 /// offline-identical histogram.
 #[test]
 fn disconnect_heavy_soak_survives_with_exactly_once_verdicts() {
-    let (report, log) = soak("seed=2,drop=1/8,tear=1/12", 4, 2_000, 29);
+    let (report, log) = soak("seed=2,drop=1/8,tear=1/12", 4, 2_000, 29, 20);
     assert!(log.contains("kind=drop") || log.contains("kind=tear"), "no disconnects fired:\n{log}");
     assert_soak_clean(&report, "disconnect-heavy");
     assert!(report.resumes > 0, "connections were killed but nothing resumed");
+}
+
+/// `retries` bounds reconnects in a row that make no progress, not
+/// reconnects in total. This single session (so its connections, and
+/// the faults they draw, come in a fixed order) needs 13 reconnects
+/// to finish its 8 frames, but never more than 4 in a row without a
+/// newly acked frame; a budget of 6 must carry it through.
+#[test]
+fn retry_budget_resets_whenever_a_reconnect_makes_progress() {
+    let retries = 6;
+    let (report, log) = soak("seed=8,drop=1/8,tear=1/12", 1, 2_000, 29, retries);
+    assert!(log.contains("kind=drop") || log.contains("kind=tear"), "no disconnects fired:\n{log}");
+    assert_soak_clean(&report, "progress resets the budget");
+    assert!(
+        report.retries > u64::from(retries),
+        "{} reconnects fit the budget of {retries} in total: the soak does not test resets",
+        report.retries
+    );
 }
 
 /// The mixed profile from CI: every fault kind at once.
 #[test]
 fn mixed_fault_soak_survives_with_exactly_once_verdicts() {
     let (report, log) =
-        soak("seed=1,tear=1/24,corrupt=1/24,dup=1/32,delay=1/16:5,drop=1/64", 4, 2_000, 41);
+        soak("seed=1,tear=1/24,corrupt=1/24,dup=1/32,delay=1/16:5,drop=1/64", 4, 2_000, 41, 20);
     assert!(!log.is_empty(), "mixed plan fired nothing — inert soak");
     assert_soak_clean(&report, "mixed");
 }
@@ -115,7 +140,7 @@ fn mixed_fault_soak_survives_with_exactly_once_verdicts() {
 /// the proxy itself must not perturb the protocol.
 #[test]
 fn empty_plan_relays_clean() {
-    let (report, log) = soak("seed=9", 2, 1_000, 5);
+    let (report, log) = soak("seed=9", 2, 1_000, 5, 20);
     assert!(log.is_empty(), "clean relay fired faults:\n{log}");
     assert_soak_clean(&report, "clean relay");
     assert_eq!(report.retries, 0);

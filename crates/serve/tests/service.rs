@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use mnm_serve::protocol::{
     encode_frame, encode_hello, encode_records_payload, FrameType, SessionStatsWire, MAGIC,
-    STATUS_BUSY, STATUS_OK, STATUS_REJECTED, VERSION,
+    MAX_FRAME_RECORDS, STATUS_BUSY, STATUS_OK, STATUS_REJECTED, VERSION,
 };
 use mnm_serve::server::{Endpoint, Server, ServerConfig, ServerHandle};
 use mnm_serve::slam::{run_slam, scrape_metrics, SlamOptions};
@@ -568,6 +568,36 @@ fn slam_32_sessions_verdicts_bit_identical_to_offline() {
     assert!(verify.mismatches.is_empty(), "verdict mismatch: {:?}", verify.mismatches);
     wait_idle(&handle);
     assert_eq!(counter(&handle, "jsn_sessions_completed_total"), 32);
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// The largest frame slam accepts is the largest the server's default
+/// payload bound admits; one record more, or none, is an options error
+/// rather than a session that fails on every reconnect.
+#[test]
+fn slam_frames_up_to_the_payload_bound_and_no_further() {
+    let (handle, endpoint, join) = start_server(ServerConfig::default());
+    let opts = SlamOptions {
+        endpoint: endpoint.clone(),
+        sessions: 1,
+        records: 2 * MAX_FRAME_RECORDS as u64 + 5,
+        frame_records: MAX_FRAME_RECORDS,
+        config: "HMNM4".to_string(),
+        seed: 3,
+        verify: true,
+        ..SlamOptions::default()
+    };
+    let report = run_slam(&opts).expect("slam");
+    assert_eq!(report.sessions_failed, 0, "failures: {:?}", report.failures);
+    assert_eq!(report.frames_acked, 3);
+    assert_eq!(report.retries, 0);
+    let verify = report.verify.as_ref().expect("verify ran");
+    assert!(verify.mismatches.is_empty(), "verdict mismatch: {:?}", verify.mismatches);
+    for frame_records in [0, MAX_FRAME_RECORDS + 1] {
+        let err = run_slam(&SlamOptions { frame_records, ..opts.clone() }).unwrap_err();
+        assert!(err.contains("--frame"), "{frame_records}: {err}");
+    }
     handle.shutdown();
     join.join().unwrap().unwrap();
 }

@@ -24,19 +24,22 @@ const TAG_BRANCH: u8 = 3;
 pub const RECORD_BYTES: usize = 8 + 1 + 1 + 1 + 1 + 8;
 
 /// Append the [`RECORD_BYTES`]-byte encoding of `instr` to `out`.
+#[inline]
 pub fn encode_record(instr: Instr, out: &mut Vec<u8>) {
-    out.extend_from_slice(&instr.pc.to_le_bytes());
-    out.push(instr.src1);
-    out.push(instr.src2);
     let (tag, aux, addr) = match instr.kind {
         InstrKind::Op { latency } => (TAG_OP, latency, 0),
         InstrKind::Load { addr } => (TAG_LOAD, 0, addr),
         InstrKind::Store { addr } => (TAG_STORE, 0, addr),
         InstrKind::Branch { mispredicted } => (TAG_BRANCH, u8::from(mispredicted), 0),
     };
-    out.push(tag);
-    out.push(aux);
-    out.extend_from_slice(&addr.to_le_bytes());
+    let mut rec = [0u8; RECORD_BYTES];
+    rec[0..8].copy_from_slice(&instr.pc.to_le_bytes());
+    rec[8] = instr.src1;
+    rec[9] = instr.src2;
+    rec[10] = tag;
+    rec[11] = aux;
+    rec[12..20].copy_from_slice(&addr.to_le_bytes());
+    out.extend_from_slice(&rec);
 }
 
 /// Decode one [`RECORD_BYTES`]-byte record produced by [`encode_record`].
@@ -45,10 +48,9 @@ pub fn encode_record(instr: Instr, out: &mut Vec<u8>) {
 ///
 /// [`TraceIoError::Truncated`] when `rec` is not exactly [`RECORD_BYTES`]
 /// long; [`TraceIoError::BadRecord`] on an unknown kind tag.
+#[inline]
 pub fn decode_record(rec: &[u8]) -> Result<Instr, TraceIoError> {
-    if rec.len() != RECORD_BYTES {
-        return Err(TraceIoError::Truncated);
-    }
+    let rec: &[u8; RECORD_BYTES] = rec.try_into().map_err(|_| TraceIoError::Truncated)?;
     let pc = u64::from_le_bytes(rec[0..8].try_into().unwrap());
     let src1 = rec[8];
     let src2 = rec[9];

@@ -128,7 +128,10 @@ fn print_help() {
          [--backoff-ms MS] [--metrics EP] [--verify]\n\
          Connections that die mid-session reconnect with exponential\n\
          backoff (deterministic jitter) and resume from the server's\n\
-         acked frame. --verify scrapes /metrics afterwards (from\n\
+         acked frame. --retries (default 5) bounds reconnects in a row\n\
+         that ack no new frame; progress resets the count and the\n\
+         backoff. --frame is 1..=3276 records (default 1024), the most a\n\
+         64 KiB frame holds. --verify scrapes /metrics afterwards (from\n\
          --metrics EP if given, e.g. around a chaos proxy) and requires\n\
          the verdict histogram to be bit-identical to an offline replay\n\
          of the same seeds (exit 1 otherwise).\n\

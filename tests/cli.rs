@@ -160,3 +160,27 @@ fn shard_rejects_out_of_range_flags() {
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     }
 }
+
+#[test]
+fn slam_rejects_out_of_range_frame() {
+    // Rejected before any connection is attempted: nothing listens on
+    // the endpoint, so a slam that ran would fail on connects instead.
+    for frame in ["0", "3277", "4000"] {
+        let out = jsn(&[
+            "slam",
+            "--connect",
+            "127.0.0.1:9",
+            "--sessions",
+            "1",
+            "--records",
+            "100",
+            "--frame",
+            frame,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--frame {frame}: {stderr}");
+        assert!(stderr.contains("--frame"), "--frame {frame} should name the flag: {stderr}");
+        assert!(stderr.contains("3276"), "--frame {frame} should give the bound: {stderr}");
+        assert!(out.stdout.is_empty(), "--frame {frame} ran a slam anyway");
+    }
+}
