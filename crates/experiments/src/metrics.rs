@@ -6,7 +6,7 @@
 //! * [`Table::to_json`] (in `report`) — one table as a JSON object.
 //! * [`emit`] — the shared figure-binary helper: print the table, chart it
 //!   under `JSN_CHART`, and write `<out>/<slug>.json` under `JSN_JSON`.
-//! * [`RunManifest`] — everything one `run_all` invocation measured:
+//! * [`RunManifest`] — everything one `jsn run-all` invocation measured:
 //!   per-experiment wall time, per-app/per-config simulation counters,
 //!   worker-pool telemetry, and the run parameters/environment knobs.
 //! * [`diff_documents`] — per-cell comparison of two JSON artifacts with a

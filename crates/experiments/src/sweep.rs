@@ -29,7 +29,7 @@ use crate::faults;
 use crate::fsio;
 use crate::journal::{self, JobEntry, JournalWriter};
 use crate::metrics::{self, RunManifest};
-use crate::params::{self, RunParams};
+use crate::params::RunParams;
 use crate::power::power_reduction_table;
 use crate::related_work;
 use crate::report::Table;
@@ -396,84 +396,20 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, String> {
     Ok(SweepSummary { out: opts.out.clone(), executed, resumed, failed, interrupted, injected })
 }
 
-/// The `jsn run-all` / `run_all` command line. Returns `Ok(true)` when
-/// every job succeeded, `Ok(false)` when some failed (artifacts still
-/// written), `Err` on configuration/IO errors.
-pub fn cli_main(args: &[String]) -> Result<bool, String> {
+/// The `jsn run-all` sweep: run it and print the summary. Returns
+/// `Ok(true)` when every job succeeded, `Ok(false)` when some failed
+/// (artifacts still written), `Err` on configuration/IO errors.
+pub fn run_cli(opts: &SweepOptions) -> Result<bool, String> {
     let started = Instant::now();
-    let mut out: Option<PathBuf> = None;
-    let mut resume = false;
-    let mut supervisor = SupervisorConfig::default();
-    let mut only: Option<Vec<String>> = None;
-    let mut quiet = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = |what: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("run-all: {flag} needs {what}"))
-        };
-        match flag {
-            "-o" | "--out" => out = Some(PathBuf::from(value("a directory")?)),
-            "--resume" => {
-                out = Some(PathBuf::from(value("a directory")?));
-                resume = true;
-            }
-            "--deadline" => {
-                let secs: u64 = value("seconds")?
-                    .parse()
-                    .map_err(|_| "run-all: --deadline expects whole seconds".to_owned())?;
-                supervisor.deadline = Some(Duration::from_secs(secs));
-            }
-            "--retries" => {
-                supervisor.retries = value("a count")?
-                    .parse()
-                    .map_err(|_| "run-all: --retries expects an unsigned count".to_owned())?;
-            }
-            "--only" => {
-                only = Some(
-                    value("a comma-separated job list")?
-                        .split(',')
-                        .map(|s| s.trim().to_owned())
-                        .filter(|s| !s.is_empty())
-                        .collect(),
-                );
-            }
-            "-q" | "--quiet" => quiet = true,
-            other => return Err(format!("run-all: unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-
-    let plan = faults::FaultPlan::from_env()?;
-    if let Some(p) = &plan {
-        eprintln!("{}", p.summary());
-    }
-    faults::install(plan);
-
-    let opts = SweepOptions {
-        out: out.unwrap_or_else(metrics::out_dir),
-        resume,
-        params: RunParams::try_from_env()?,
-        threads: params::try_worker_threads()?,
-        supervisor,
-        only,
-        stop_after: None,
-        quiet,
-    };
-
-    let summary = run_sweep(&opts)?;
+    let summary = run_sweep(opts)?;
     println!(
         "jobs: {} executed, {} resumed, {} failed",
         summary.executed,
         summary.resumed,
         summary.failed.len()
     );
-    if !summary.failed.is_empty() {
-        for name in &summary.failed {
-            eprintln!("failed: {name}");
-        }
+    for name in &summary.failed {
+        eprintln!("failed: {name}");
     }
     if !summary.injected.is_empty() {
         let count = |kind: &str| summary.injected.iter().filter(|f| f.kind == kind).count();
@@ -515,14 +451,5 @@ mod tests {
             ..SweepOptions::new(std::env::temp_dir().join("jsn-sweep-unused"), RunParams::quick())
         };
         assert!(run_sweep(&opts).unwrap_err().contains("no_such_job"));
-    }
-
-    #[test]
-    fn cli_rejects_unknown_flags_and_bad_values() {
-        assert!(cli_main(&["--frobnicate".to_owned()]).unwrap_err().contains("unknown"));
-        assert!(cli_main(&["--deadline".to_owned(), "soon".to_owned()])
-            .unwrap_err()
-            .contains("seconds"));
-        assert!(cli_main(&["--retries".to_owned()]).unwrap_err().contains("needs"));
     }
 }

@@ -54,7 +54,7 @@
 //! from a bounded summary buffer without touching the replay state —
 //! this is what makes verdict accounting exactly-once under connection
 //! loss. `Finish` is answered by one `Stats`. Payload lengths are
-//! bounded ([`MAX_FRAME_BYTES`] by default, server-configurable) so a
+//! bounded by [`MAX_FRAME_BYTES`] before anything is allocated, so a
 //! hostile or corrupt length field cannot make the server allocate
 //! unbounded memory.
 //!

@@ -10,7 +10,7 @@
 //! worker falls behind, the channel fills, the reader blocks, the
 //! kernel receive buffer fills, and the client's writes stall — classic
 //! TCP back-pressure with a hard bound on per-session buffered memory
-//! (`queue_frames × max_frame_bytes` plus one in-flight frame). The
+//! (`queue_frames × MAX_FRAME_BYTES` plus one in-flight frame). The
 //! aggregate queued-frame count is exported as the `jsn_queue_depth`
 //! gauge, and a hello arriving while the gauge is at or above
 //! `shed_watermark` is **shed**: answered `STATUS_BUSY` with a
@@ -150,8 +150,6 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Bounded frame-queue depth between reader and worker (≥ 1).
     pub queue_frames: usize,
-    /// Maximum frame payload the server will accept.
-    pub max_frame_bytes: u32,
     /// Evict a session making no byte progress *mid-frame* for this long.
     pub stall_timeout: Duration,
     /// Evict a session sending no new frame for this long.
@@ -178,7 +176,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_sessions: 64,
             queue_frames: 32,
-            max_frame_bytes: MAX_FRAME_BYTES,
             stall_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
             resume_window: Duration::from_secs(60),
@@ -636,7 +633,6 @@ fn read_frame(
     idle: Duration,
     shutdown: &AtomicBool,
     registry: &Registry,
-    max_payload: u32,
 ) -> Result<(FrameHeader, Vec<u8>), WireError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     read_exact_budget(
@@ -649,7 +645,7 @@ fn read_frame(
         true,
         "frame header",
     )?;
-    let parsed = parse_frame_header(&header, max_payload)?;
+    let parsed = parse_frame_header(&header, MAX_FRAME_BYTES)?;
     let mut payload = vec![0u8; parsed.payload_len as usize];
     read_exact_budget(conn, &mut payload, stall, None, shutdown, registry, false, "frame payload")?;
     verify_frame_crc(&parsed, &payload)?;
@@ -983,11 +979,10 @@ fn run_session(
         let shutdown = Arc::clone(shutdown);
         let stall = config.stall_timeout;
         let idle = config.idle_timeout;
-        let max_payload = config.max_frame_bytes;
         std::thread::spawn(move || {
             let mut conn = reader_conn;
             loop {
-                match read_frame(&mut conn, stall, idle, &shutdown, &registry, max_payload) {
+                match read_frame(&mut conn, stall, idle, &shutdown, &registry) {
                     Ok((header, payload)) => {
                         // Gauge first, then the blocking send — the
                         // worker only ever decrements what was already

@@ -1,33 +1,22 @@
 //! `jsn` — command-line front end for the Just Say No reproduction.
 //!
-//! ```text
-//! jsn apps                                   list the 20 bundled profiles
-//! jsn run <app> [--config L] [-n N] [--cpu] [--json]   simulate one app
-//! jsn run-all [-o DIR] [--resume DIR] [--deadline S] [--retries N]
-//!                                            supervised full sweep with a
-//!                                            crash-safe checkpoint journal
-//! jsn coverage <app> [labels...]             per-config coverage for one app
-//! jsn trace <app> -o FILE [-n N]             persist a binary trace
-//! jsn diff <a.json> <b.json> [--tol X]       compare two results artifacts
-//! jsn check [--seeds N] [--filter F] [--gen G] [--seed S] [--len N]
-//!                                            differential soundness checker
-//! jsn serve [--listen EP] [--max-sessions N] [--snapshot FILE] ...
-//!                                            trace-stream replay service
-//! jsn slam [--connect EP] [--sessions N] [--verify] ...
-//!                                            load-generate against a server
-//! jsn chaos --upstream EP [--listen EP] [--log FILE] [--plan PLAN]
-//!                                            deterministic fault proxy
-//! jsn help                                   this text
-//! ```
-//!
-//! Configuration labels follow the paper's grammar (`TMNM_12x3`, `HMNM4`,
-//! `RMNM_512_2`, `CMNM_8_12`, `SMNM_13x2`, `BLOOM_13x4`) plus `baseline`
-//! and `perfect` in any letter case (`FilterPreset::parse`).
+//! `jsn help` lists every subcommand with its flags, ranges and defaults.
+//! It is generated from the flag tables in [`COMMANDS`], which also drive
+//! the parsing: an unknown, valueless, malformed or out-of-range flag
+//! exits 1 with `jsn: --flag VALUE: expected …`.
 
+use std::fmt::Debug;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
+use just_say_no::mnm_check::{ShardWorkload, TraceGen};
 use just_say_no::mnm_experiments::json::Json;
 use just_say_no::mnm_experiments::metrics::diff_documents;
+use just_say_no::mnm_serve::chaos::ChaosPlan;
+use just_say_no::mnm_serve::protocol::MAX_FRAME_RECORDS;
+use just_say_no::mnm_serve::server::Endpoint;
 use just_say_no::prelude::*;
 use trace_synth::{characterize, write_trace};
 
@@ -35,139 +24,387 @@ const DEFAULT_INSTRUCTIONS: u64 = 500_000;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("apps") => cmd_apps(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("run-all") => return cmd_run_all(&args[1..]),
-        Some("coverage") => cmd_coverage(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("diff") => return cmd_diff(&args[1..]),
-        Some("check") => return cmd_check(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("slam") => return cmd_slam(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("shard") => return cmd_shard(&args[1..]),
-        Some("help") | None => {
-            print_help();
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}` (try `jsn help`)")),
+    let name = args.first().map_or("help", String::as_str);
+    let result = match COMMANDS.iter().find(|c| c.usage.split(' ').next() == Some(name)) {
+        Some(cmd) => cmd.parse(args.get(1..).unwrap_or(&[])).and_then(|a| (cmd.run)(&a)),
+        None => Err(format!("unknown command `{name}` (try `jsn help`)")),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("jsn: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn print_help() {
-    println!(
-        "jsn — Just Say No (HPCA 2003) reproduction CLI\n\
-         \n\
-         USAGE:\n  jsn apps\n  jsn run <app> [--config LABEL] [-n N] [--cpu] [--json]\n  \
-         jsn run-all [-o DIR] [--resume DIR] [--deadline SECS] [--retries N] [--only a,b] [--quiet]\n  \
-         jsn coverage <app> [LABEL...]\n  jsn trace <app> -o FILE [-n N]\n  \
-         jsn diff <a.json> <b.json> [--tol X]\n  \
-         jsn check [--seeds N] [--len N] [--filter LABEL] [--gen G] [--seed S] [--json] [-o FILE]\n  \
-         jsn shard [--app NAME] [--cores N] [-n N] [--epoch N|auto] [--sharing R]\n            \
-         [--config LABEL] [--seed S] [--single] [--json]\n            \
-         [--check [--quick] [--workload W]]\n\
-         \n\
-         Labels: baseline, perfect (any case), HMNM1..4, TMNM_<b>x<r>, CMNM_<k>_<m>,\n\
-         RMNM_<blocks>_<assoc>, SMNM_<w>x<r>, BLOOM_<b>x<k>.\n\
-         \n\
-         run-all regenerates every table/figure under supervision: each job\n\
-         is retried on panic or deadline overrun, completed jobs are\n\
-         checkpointed to <out>/journal.jsonl (fsynced), and `--resume <dir>`\n\
-         continues an interrupted sweep to the identical manifest. The\n\
-         JSN_FAULT env knob injects deterministic faults (see\n\
-         EXPERIMENTS.md).\n\
-         \n\
-         check sweeps every filter family against the perfect oracle and an\n\
-         independent reference cache model over randomized traces\n\
-         (generators: profile, aliasing, flush, saturation); a failure is\n\
-         shrunk to a minimal reproducer and printed with its replay line.\n\
-         `--filter`/`--gen`/`--seed` restrict the sweep to replay one\n\
-         scenario. Under a JSN_FAULT flip plan, check corrupts filter state\n\
-         mid-trace and must report the lie as an UnsoundFlag violation.\n\
-         \n\
-         shard runs an epoch-synchronized N-core simulation: per-core\n\
-         private L1/L2 + MNM filters over one shared L3, with cross-core\n\
-         store and L3-victim invalidations driven through the filter event\n\
-         stream (defaults: 4 cores, epoch 2048, sharing 0.25). The\n\
-         default engine is pipelined (cores compute epoch E+1 while a\n\
-         resolver thread drains epoch E); `--single` selects the\n\
-         single-threaded reference — the two are bit-identical by contract.\n\
-         `--epoch auto` calibrates the epoch length before the run;\n\
-         `--check` sweeps adversarial sharing workloads (pingpong,\n\
-         falsesharing, evictionrace, profile) across every filter family\n\
-         under a lockstep multi-core reference model, re-verifying engine\n\
-         identity per scenario. JSON output includes per-phase timing\n\
-         (compute, resolve, stall nanos and resolver occupancy).\n\
-         \n\
-         serve runs a long-lived trace-stream replay service:\n  \
-         jsn serve [--listen EP] [--max-sessions N] [--queue FRAMES]\n            \
-         [--max-frame BYTES] [--stall-ms MS] [--idle-ms MS]\n            \
-         [--resume-window-ms MS] [--max-parked N] [--shed-watermark N]\n            \
-         [--retry-after-ms MS] [--drain-ms MS] [--snapshot FILE]\n\
-         EP is <host>:<port> or unix:<path> (default 127.0.0.1:7227).\n\
-         Each connection gets its own hierarchy + filter preset; scrape\n\
-         GET /metrics on the same endpoint for live counters. SIGTERM or\n\
-         ctrl-c drains sessions and flushes a final metrics snapshot.\n\
-         Protocol v2: every frame is CRC32-checked, interrupted sessions\n\
-         park for --resume-window-ms and resume exactly-once by token,\n\
-         idle sessions are evicted after --idle-ms, and new hellos get\n\
-         STATUS_BUSY with a retry_after_ms hint while the worker queue\n\
-         sits at or above --shed-watermark.\n\
-         \n\
-         slam load-generates against a running server:\n  \
-         jsn slam [--connect EP] [--sessions N] [--records N] [--frame N]\n           \
-         [--config LABEL] [--seed S] [--window N] [--retries N]\n           \
-         [--backoff-ms MS] [--metrics EP] [--verify]\n\
-         Connections that die mid-session reconnect with exponential\n\
-         backoff (deterministic jitter) and resume from the server's\n\
-         acked frame. --retries (default 5) bounds reconnects in a row\n\
-         that ack no new frame; progress resets the count and the\n\
-         backoff. --frame is 1..=3276 records (default 1024), the most a\n\
-         64 KiB frame holds. --verify scrapes /metrics afterwards (from\n\
-         --metrics EP if given, e.g. around a chaos proxy) and requires\n\
-         the verdict histogram to be bit-identical to an offline replay\n\
-         of the same seeds (exit 1 otherwise).\n\
-         \n\
-         chaos relays slam <-> serve traffic while injecting seeded,\n\
-         reproducible faults:\n  \
-         jsn chaos --upstream EP [--listen EP] [--log FILE] [--plan P]\n\
-         The plan (or the JSN_CHAOS env var) reads like JSN_FAULT:\n  \
-         seed=42,tear=1/24,delay=1/16:5,drop=1/64,corrupt=1/24,dup=1/32\n\
-         Faults fire at byte offsets decided purely by the seed, so a\n\
-         rerun fires the identical sequence; every fired fault is logged\n\
-         to --log sorted for diffing. See EXPERIMENTS.md."
-    );
-}
-
-fn lookup_app(name: &str) -> Result<AppProfile, String> {
-    profiles::by_name(name).ok_or_else(|| {
-        format!("unknown application `{name}`; `jsn apps` lists the bundled profiles")
+    result.unwrap_or_else(|msg| {
+        eprintln!("jsn: {msg}");
+        ExitCode::FAILURE
     })
 }
 
-fn parse_n(args: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(default),
-        Some(i) => args
-            .get(i + 1)
-            .and_then(|v| v.replace('_', "").parse().ok())
-            .ok_or_else(|| format!("{flag} needs a numeric argument")),
+/// One subcommand: its usage, help text, flag table and handler.
+struct Command {
+    /// The name, then the operands; a trailing `...]` takes any number.
+    usage: &'static str,
+    /// A one-line summary, then behaviour no single flag line explains.
+    help: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<ExitCode, String>,
+}
+
+/// One row of a flag table.
+struct Flag {
+    /// The flag, or `", "`-separated spellings of it.
+    name: &'static str,
+    kind: Kind,
+    /// Parsed as if given when the flag is absent; `""` for none.
+    default: &'static str,
+    help: &'static str,
+}
+
+const fn flag(name: &'static str, kind: Kind, default: &'static str, help: &'static str) -> Flag {
+    Flag { name, kind, default, help }
+}
+
+/// How a flag's value is read and bounded.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Present or absent; takes no value.
+    Switch,
+    /// An integer in `lo..=hi`: decimal or `0x` hex, `_` separators allowed.
+    Int(u64, u64),
+    /// [`Kind::Int`] or the word `auto`.
+    IntOrAuto(u64, u64),
+    /// A number in `[lo, hi]`.
+    Real(f64, f64),
+    /// Text, shown as the given metavariable, that the check accepts; the
+    /// check says what it expected.
+    Text(&'static str, fn(&str) -> Result<(), String>),
+}
+
+use Kind::{Int, IntOrAuto, Real, Switch, Text};
+
+const MAX: u64 = u64::MAX;
+const PRESET: Kind = Text("LABEL", |v| FilterPreset::parse(v).map(drop));
+const MNM: Kind = Text("LABEL", |v| {
+    MnmConfig::parse(v).map(drop).map_err(|e| format!("expected an MNM label ({e})"))
+});
+const ENDPOINT: Kind = Text("EP", |v| {
+    Endpoint::parse(v).map(drop).map_err(|_| "expected <host>:<port> or unix:<path>".to_owned())
+});
+const APP: Kind = Text("APP", |v| lookup_app(v).map(drop));
+const GEN: Kind = Text("GEN", |v| {
+    TraceGen::parse(v).map(drop).ok_or("expected profile, aliasing, flush, or saturation".into())
+});
+const WORKLOAD: Kind = Text("W", |v| {
+    let expected = "expected pingpong, falsesharing, evictionrace, or profile";
+    ShardWorkload::parse(v).map(drop).ok_or(expected.into())
+});
+const PLAN: Kind = Text("PLAN", |v| {
+    ChaosPlan::parse(v).map(drop).map_err(|e| format!("expected a chaos plan ({e})"))
+});
+const JOBS: Kind = Text("JOBS", |v| {
+    let jobs = just_say_no::mnm_experiments::sweep::JOBS;
+    match job_list(v).find(|n| !jobs.iter().any(|j| j.name == *n)) {
+        Some(n) => Err(format!("expected names of run-all jobs (no job `{n}`)")),
+        None if job_list(v).next().is_none() => Err("expected at least one job name".into()),
+        None => Ok(()),
+    }
+});
+
+const fn path(meta: &'static str) -> Kind {
+    Text(meta, |_| Ok(()))
+}
+
+impl Kind {
+    /// The value's metavariable: for a number, its range.
+    fn meta(self) -> String {
+        match self {
+            Switch => String::new(),
+            Int(lo, MAX) => format!("{lo}.."),
+            Int(lo, hi) => format!("{lo}..={hi}"),
+            IntOrAuto(lo, hi) => format!("{}|auto", Int(lo, hi).meta()),
+            Real(lo, hi) => format!("[{lo}, {hi}]"),
+            Text(meta, _) => meta.to_owned(),
+        }
+    }
+
+    /// The value as the handlers read it (integers in decimal), or what
+    /// was expected instead.
+    fn parse(self, raw: &str) -> Result<String, String> {
+        let digits = raw.replace('_', "");
+        let n = match digits.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => digits.parse().ok(),
+        };
+        let parsed = match self {
+            Switch => Some(String::new()),
+            IntOrAuto(..) if raw == "auto" => Some(raw.to_owned()),
+            Int(lo, hi) | IntOrAuto(lo, hi) => {
+                n.filter(|n| (lo..=hi).contains(n)).map(|n| n.to_string())
+            }
+            Real(lo, hi) => {
+                raw.parse().is_ok_and(|x| (lo..=hi).contains(&x)).then(|| raw.to_owned())
+            }
+            Text(_, check) => return check(raw).map(|()| raw.to_owned()),
+        };
+        let what = if matches!(self, Real(..)) { "a number" } else { "an integer" };
+        parsed.ok_or_else(|| format!("expected {what} in {}", self.meta()))
     }
 }
 
-fn parse_opt<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
+impl Flag {
+    fn names(&self) -> impl Iterator<Item = &'static str> {
+        self.name.split(", ")
+    }
 }
 
-fn cmd_apps() -> Result<(), String> {
+impl Command {
+    /// Parse `args` against the table; when a flag repeats, the last wins.
+    fn parse(&'static self, args: &[impl AsRef<str>]) -> Result<Args, String> {
+        let mut values = vec![None; self.flags.len()];
+        let mut operands = Vec::new();
+        let mut it = args.iter().map(AsRef::as_ref);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                operands.push(arg.to_owned());
+                continue;
+            }
+            let Some(i) = self.flags.iter().position(|f| f.names().any(|n| n == arg)) else {
+                let known = self.flags.iter().map(|f| f.name).collect::<Vec<_>>().join(", ");
+                return Err(format!("{arg}: expected one of [{known}] (see `jsn help`)"));
+            };
+            let kind = self.flags[i].kind;
+            values[i] = Some(match kind {
+                Switch => String::new(),
+                _ => {
+                    let raw = it
+                        .next()
+                        .ok_or_else(|| format!("{arg}: expected a value ({})", kind.meta()))?;
+                    kind.parse(raw).map_err(|why| format!("{arg} {raw}: {why}"))?
+                }
+            });
+        }
+        let extra = operands.get(self.usage.split(' ').count() - 1);
+        if let Some(extra) = extra.filter(|_| !self.usage.ends_with("...]")) {
+            return Err(format!("{extra}: expected no more than `jsn {}`", self.usage));
+        }
+        for (f, value) in self.flags.iter().zip(&mut values) {
+            if value.is_none() && !f.default.is_empty() {
+                *value = Some(f.kind.parse(f.default)?);
+            }
+        }
+        Ok(Args { cmd: self, values, operands })
+    }
+}
+
+/// One invocation's flag values, defaults filled in, and operands.
+struct Args {
+    cmd: &'static Command,
+    values: Vec<Option<String>>,
+    operands: Vec<String>,
+}
+
+impl Args {
+    /// The value of flag `name`, given or defaulted, as the type its row
+    /// checked it fits.
+    fn opt<T: FromStr<Err: Debug>>(&self, name: &str) -> Option<T> {
+        let row = self.cmd.flags.iter().position(|f| f.names().any(|n| n == name));
+        let value = &self.values[row.unwrap_or_else(|| panic!("{name} is not in the table"))];
+        value.as_ref().map(|v| v.parse().expect("the table checked the value"))
+    }
+
+    /// The value of a flag whose row has a default.
+    fn get<T: FromStr<Err: Debug>>(&self, name: &str) -> T {
+        self.opt(name).unwrap_or_else(|| panic!("{name} has no default"))
+    }
+
+    fn on(&self, name: &str) -> bool {
+        self.opt::<String>(name).is_some()
+    }
+
+    /// The application the first operand names.
+    fn app(&self) -> Result<(&str, AppProfile), String> {
+        let app = self.operands.first().ok_or_else(|| format!("usage: jsn {}", self.cmd.usage))?;
+        Ok((app, lookup_app(app)?))
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command { usage: "apps", help: "list the bundled applications", flags: &[], run: cmd_apps },
+    Command {
+        usage: "run <app>",
+        help: "simulate one application on the paper's five-level hierarchy\n\
+               LABEL: baseline, perfect (any case), HMNM1..4, TMNM_<b>x<r>, CMNM_<k>_<m>,\n\
+               RMNM_<blocks>_<assoc>, SMNM_<w>x<r> or BLOOM_<b>x<k>.",
+        flags: &[
+            flag("--config", PRESET, "HMNM4", "filter preset"),
+            flag("-n", Int(1, MAX), "500000", "instructions to simulate"),
+            flag("--cpu", Switch, "", "time the run on the 8-wide out-of-order core model"),
+            flag("--json", Switch, "", "print a jsn-run/v1 document"),
+        ],
+        run: cmd_run,
+    },
+    Command {
+        usage: "run-all",
+        help: "regenerate every table and figure under supervision\n\
+               Jobs retry on panic or deadline overrun and are journaled, so --resume\n\
+               finishes a killed sweep with the identical manifest. JSN_WARMUP /\n\
+               JSN_MEASURE set budgets, JSN_FAULT injects faults (EXPERIMENTS.md).\n\
+               Exit 1: a job failed, artifacts still written; 2: configuration/IO error.",
+        flags: &[
+            flag("-o, --out", path("DIR"), "", "output directory (default $JSN_OUT or results)"),
+            flag("--resume", path("DIR"), "", "continue the interrupted sweep in DIR"),
+            flag("--deadline", Int(0, MAX), "", "wall-clock seconds per job attempt"),
+            flag("--retries", Int(0, u32::MAX as u64), "2", "retries after a job's first attempt"),
+            flag("--only", JOBS, "", "comma-separated job names to run"),
+            flag("-q, --quiet", Switch, "", "print no tables"),
+        ],
+        run: cmd_run_all,
+    },
+    Command {
+        usage: "coverage <app> [LABEL...]",
+        help: "per-configuration coverage for one application\n\
+               Default labels: RMNM_4096_8 SMNM_20x3 TMNM_12x3 CMNM_8_12 HMNM4.",
+        flags: &[],
+        run: cmd_coverage,
+    },
+    Command {
+        usage: "trace <app>",
+        help: "persist a binary trace",
+        flags: &[
+            flag("-o", path("FILE"), "", "the trace file to write (required)"),
+            flag("-n", Int(1, MAX), "500000", "instructions to write"),
+        ],
+        run: cmd_trace,
+    },
+    Command {
+        usage: "diff <a.json> <b.json>",
+        help: "compare two results artifacts cell by cell (exit 1 on divergence)",
+        flags: &[flag("--tol", Real(0.0, f64::INFINITY), "1e-9", "absolute tolerance per cell")],
+        run: cmd_diff,
+    },
+    Command {
+        usage: "check",
+        help: "differential soundness sweep against the perfect oracle and a reference\n\
+               cache; a failure is shrunk and printed with its replay line. Under a\n\
+               JSN_FAULT flip plan, check must report the corrupted filter's lie.",
+        flags: &[
+            flag("--seeds", Int(1, MAX), "8", "seeds per filter and generator"),
+            flag("--len", Int(1, MAX), "4000", "operations per scenario"),
+            flag("--filter", PRESET, "", "check only this filter"),
+            flag("--gen", GEN, "", "check only this trace generator"),
+            flag("--seed", Int(0, MAX), "", "replay one scenario (needs --filter and --gen)"),
+            flag("--json", Switch, "", "print the report as JSON"),
+            flag("-o", path("FILE"), "", "also write the JSON report to FILE"),
+        ],
+        run: cmd_check,
+    },
+    Command {
+        usage: "shard",
+        help: "epoch-synchronized N-core simulation over one shared L3\n\
+               The pipelined engine and --single are bit-identical by contract;\n\
+               `--epoch auto` fixes the epoch before the run so that holds. --check\n\
+               re-verifies engine identity per scenario under a lockstep reference.",
+        flags: &[
+            flag("--app", APP, "181.mcf", "application"),
+            flag("--cores", Int(1, MAX), "4", "cores, one host thread each"),
+            flag("-n", Int(1, MAX), "", "accesses per core: 200000, or 6000 with --workload"),
+            flag("--epoch", IntOrAuto(1, MAX), "2048", "accesses per epoch, or calibrate"),
+            flag("--sharing", Real(0.0, 1.0), "0.25", "share of accesses to shared lines"),
+            flag("--config", MNM, "HMNM4", "per-core MNM configuration"),
+            flag("--seed", Int(0, MAX), "42", "sharing-stream seed"),
+            flag("--single", Switch, "", "run the single-threaded reference engine"),
+            flag("--json", Switch, "", "print the report, with per-phase timing, as JSON"),
+            flag("--check", Switch, "", "run the multi-core soundness sweep instead"),
+            flag("--quick", Switch, "", "with --check: the quick sweep"),
+            flag("--workload", WORKLOAD, "", "with --check: replay one"),
+        ],
+        run: cmd_shard,
+    },
+    Command {
+        usage: "serve",
+        help: "trace-stream replay service; GET /metrics on the same endpoint\n\
+               EP is <host>:<port> or unix:<path>. Protocol v2: frames are CRC32-checked\n\
+               and at most 64 KiB; broken sessions park and resume exactly-once by\n\
+               token; hellos at the shed watermark get STATUS_BUSY with a retry hint.\n\
+               SIGTERM drains sessions and flushes a final snapshot.",
+        flags: &[
+            flag("--listen", ENDPOINT, "127.0.0.1:7227", "endpoint to bind"),
+            flag("--max-sessions", Int(1, MAX), "64", "concurrent sessions; more get BUSY"),
+            flag("--queue", Int(1, MAX), "32", "frames queued between reader and worker"),
+            flag("--stall-ms", Int(0, MAX), "10000", "evict a peer stalled mid-frame"),
+            flag("--idle-ms", Int(0, MAX), "30000", "evict a peer sending no frame"),
+            flag("--resume-window-ms", Int(0, MAX), "60000", "how long a parked session lives"),
+            flag("--max-parked", Int(0, MAX), "256", "parked sessions kept for resume"),
+            flag("--shed-watermark", Int(0, MAX), "", "shed hellos at this queue depth"),
+            flag("--retry-after-ms", Int(0, MAX), "200", "retry hint sent with BUSY"),
+            flag("--drain-ms", Int(0, MAX), "5000", "how long shutdown waits for sessions"),
+            flag("--snapshot", path("FILE"), "", "write the final metrics here"),
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        usage: "slam",
+        help: "load-generate against a running server (exit 1 unless all completed)\n\
+               Dead connections reconnect with jittered exponential backoff and resume\n\
+               from the acked frame; progress resets the retry count.",
+        flags: &[
+            flag("--connect", ENDPOINT, "127.0.0.1:7227", "server endpoint"),
+            flag("--sessions", Int(1, MAX), "32", "concurrent sessions"),
+            flag("--records", Int(0, MAX), "50000", "trace records per session"),
+            flag("--frame", Int(1, MAX_FRAME_RECORDS as u64), "1024", "records per frame"),
+            flag("--config", PRESET, "HMNM4", "filter preset sent in each hello"),
+            flag("--seed", Int(0, MAX), "42", "base seed of the session traces"),
+            flag("--window", Int(1, MAX), "4", "unacknowledged frames in flight"),
+            flag("--retries", Int(0, u32::MAX as u64), "5", "fruitless reconnects in a row"),
+            flag("--backoff-ms", Int(0, MAX), "50", "base reconnect backoff"),
+            flag("--metrics", ENDPOINT, "", "scrape endpoint for --verify"),
+            flag("--verify", Switch, "", "require verdicts bit-identical to offline replay"),
+        ],
+        run: cmd_slam,
+    },
+    Command {
+        usage: "chaos",
+        help: "deterministic fault proxy between slam and serve\n\
+               The plan (or JSN_CHAOS) reads like JSN_FAULT, e.g.\n  \
+               seed=42,tear=1/24,delay=1/16:5,drop=1/64,corrupt=1/24,dup=1/32\n\
+               Faults fire at offsets the seed alone decides, so reruns repeat them.",
+        flags: &[
+            flag("--upstream", ENDPOINT, "", "the real server (required)"),
+            flag("--listen", ENDPOINT, "127.0.0.1:7228", "endpoint to bind"),
+            flag("--log", path("FILE"), "", "log every fired fault, sorted"),
+            flag("--plan", PLAN, "", "fault plan (default $JSN_CHAOS)"),
+        ],
+        run: cmd_chaos,
+    },
+    Command { usage: "help", help: "this text", flags: &[], run: cmd_help },
+];
+
+fn job_list(v: &str) -> impl Iterator<Item = &str> {
+    v.split(',').map(str::trim).filter(|s| !s.is_empty())
+}
+
+fn cmd_help(_: &Args) -> Result<ExitCode, String> {
+    println!(
+        "jsn — Just Say No (HPCA 2003) reproduction CLI\n\
+         A bad flag exits 1 with `jsn: --flag VALUE: expected …`.\n\nUSAGE:"
+    );
+    for c in COMMANDS {
+        let flags = if c.flags.is_empty() { "" } else { " [flags]" };
+        println!("  jsn {}{flags}", c.usage);
+        for line in c.help.lines() {
+            println!("      {line}");
+        }
+        for f in c.flags {
+            let synopsis = format!("{} {}", f.name, f.kind.meta());
+            let default =
+                Some(f.default).filter(|d| !d.is_empty()).map(|d| format!(" (default {d})"));
+            println!("      {synopsis:<28}{}{}", f.help, default.unwrap_or_default());
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn lookup_app(name: &str) -> Result<AppProfile, String> {
+    profiles::by_name(name)
+        .ok_or_else(|| format!("unknown application `{name}` (expected one that `jsn apps` lists)"))
+}
+
+fn cmd_apps(_: &Args) -> Result<ExitCode, String> {
     println!(
         "{:<14}{:>6}  {:>10}  {:>9}  {:>8}  {:>7}",
         "app", "suite", "data", "code", "regions", "drift"
@@ -187,29 +424,43 @@ fn cmd_apps() -> Result<(), String> {
             if p.phase_drift.is_some() { "yes" } else { "no" },
         );
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let app = args.first().ok_or("run needs an application name")?;
-    let profile = lookup_app(app)?;
-    let n = parse_n(args, "-n", DEFAULT_INSTRUCTIONS)?;
-    let label = parse_opt(args, "--config").unwrap_or("HMNM4");
-    let timed = args.iter().any(|a| a == "--cpu");
-    let json = args.iter().any(|a| a == "--json");
+/// Replay the data accesses of `profile`'s first `n` instructions through
+/// `hier` and `filter`, stores as stores.
+fn replay(hier: &mut Hierarchy, filter: &mut ReplayFilter, profile: AppProfile, n: u64) {
+    for instr in Program::new(profile).take(n as usize) {
+        if let Some(addr) = instr.data_addr() {
+            let access = match instr.kind {
+                InstrKind::Store { .. } => Access::store(addr),
+                _ => Access::load(addr),
+            };
+            hier.step(filter, access);
+        }
+    }
+}
 
-    let preset = FilterPreset::parse(label)?;
+fn cmd_run(a: &Args) -> Result<ExitCode, String> {
+    let (app, profile) = a.app()?;
+    let n = a.get("-n");
+    let preset = FilterPreset::parse(&a.get::<String>("--config"))?;
     let label = &preset.label();
     let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
     let mut filter = preset.build(&hier);
 
-    if timed {
+    let cpu = if a.on("--cpu") {
         let cpu = CpuConfig::paper_eight_way();
-        let stats = simulate(&cpu, &mut hier, &mut filter, Program::new(profile), n);
-        if json {
-            print!("{}", run_json(app, label, &hier, filter.mnm(), Some(&stats)).render_pretty());
-            return Ok(());
-        }
+        Some(simulate(&cpu, &mut hier, &mut filter, Program::new(profile), n))
+    } else {
+        replay(&mut hier, &mut filter, profile, n);
+        None
+    };
+    if a.on("--json") {
+        print!("{}", run_json(app, label, &hier, filter.mnm(), cpu.as_ref()).render_pretty());
+        return Ok(ExitCode::SUCCESS);
+    }
+    if let Some(stats) = cpu {
         println!("app: {app}   config: {label}   instructions: {}", stats.instructions);
         println!("cycles: {}   IPC: {:.3}", stats.cycles, stats.ipc());
         println!(
@@ -219,19 +470,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
         println!("branches: {} ({} mispredicted)", stats.branches, stats.mispredicts);
     } else {
-        for instr in Program::new(profile).take(n as usize) {
-            if let Some(addr) = instr.data_addr() {
-                let access = match instr.kind {
-                    InstrKind::Store { .. } => Access::store(addr),
-                    _ => Access::load(addr),
-                };
-                hier.step(&mut filter, access);
-            }
-        }
-        if json {
-            print!("{}", run_json(app, label, &hier, filter.mnm(), None).render_pretty());
-            return Ok(());
-        }
         println!("app: {app}   config: {label}   data accesses: {}", hier.stats().accesses);
         println!("mean data access time: {:.2} cycles", hier.stats().mean_access_time());
         println!("miss-time fraction: {:.1}%", hier.stats().miss_time_fraction() * 100.0);
@@ -245,7 +483,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             m.storage().len()
         );
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `jsn run --json` document: one run's counters, schema
@@ -328,31 +566,9 @@ fn run_json(
 /// `jsn diff a.json b.json [--tol X]`: per-cell comparison of two results
 /// artifacts (run manifests or single-table documents). Exits 0 when they
 /// agree within the tolerance, 1 when any cell or structure diverges.
-fn cmd_diff(args: &[String]) -> ExitCode {
-    match run_diff(args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("jsn: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_diff(args: &[String]) -> Result<ExitCode, String> {
-    let mut tolerance = 1e-9_f64;
-    let mut paths: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--tol" {
-            let t = it.next().ok_or("--tol needs a numeric argument")?;
-            tolerance = t.parse().map_err(|_| format!("--tol {t}: expected a number"))?;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown diff option `{arg}`"));
-        } else {
-            paths.push(arg);
-        }
-    }
-    let [a_path, b_path] = paths[..] else {
+fn cmd_diff(a: &Args) -> Result<ExitCode, String> {
+    let tolerance: f64 = a.get("--tol");
+    let [a_path, b_path] = &a.operands[..] else {
         return Err("diff needs two JSON files (and an optional --tol X)".to_owned());
     };
     let load = |path: &str| -> Result<Json, String> {
@@ -377,67 +593,38 @@ fn run_diff(args: &[String]) -> Result<ExitCode, String> {
 /// `jsn check`: the differential soundness sweep. Exits 0 when every
 /// scenario upholds the invariants, 1 when a violation was found (the
 /// shrunk reproducer and its replay line are printed).
-fn cmd_check(args: &[String]) -> ExitCode {
-    match run_check(args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("jsn: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
+fn cmd_check(a: &Args) -> Result<ExitCode, String> {
+    use just_say_no::mnm_check::{run_scenario, run_suite, Scenario, SuiteReport, DEFAULT_FILTERS};
 
-fn run_check(args: &[String]) -> Result<ExitCode, String> {
-    use just_say_no::mnm_check::{run_scenario, run_suite, Scenario, SuiteReport, TraceGen};
-    use just_say_no::mnm_experiments::faults;
+    // A JSN_FAULT `flip` clause corrupts selected scenarios' filter state
+    // mid-trace, which the checker must then catch.
+    arm_faults()?;
 
-    // Honor JSN_FAULT: a `flip` clause corrupts selected scenarios'
-    // filter state mid-trace, which the checker must then catch.
-    if let Some(plan) = faults::FaultPlan::from_env()? {
-        eprintln!("fault injection armed: {}", plan.summary());
-        faults::install(Some(plan));
-    }
+    let len = a.get("--len");
+    let filter_arg: Option<String> = a.opt("--filter");
+    let gen_arg = a.opt::<String>("--gen").and_then(|g| TraceGen::parse(&g));
 
-    let seeds = parse_n(args, "--seeds", 8)?;
-    let len = parse_n(args, "--len", 4000)? as usize;
-    let json = args.iter().any(|a| a == "--json");
-    let out_path = parse_opt(args, "-o");
-    let filter_arg = parse_opt(args, "--filter");
-    let gen_arg = match parse_opt(args, "--gen") {
-        None => None,
-        Some(g) => Some(TraceGen::parse(g).ok_or_else(|| {
-            format!("unknown generator `{g}` (expected profile, aliasing, flush, or saturation)")
-        })?),
-    };
-
-    let report = if let Some(seed_text) = parse_opt(args, "--seed") {
+    let report = if let Some(seed) = a.opt("--seed") {
         // Replay mode: one fully-pinned scenario, as printed in a failure's
         // replay line.
-        let seed = parse_seed(seed_text)?;
         let filter = filter_arg.ok_or("replaying a seed needs --filter")?;
         let gen = gen_arg.ok_or("replaying a seed needs --gen")?;
-        let scenario = Scenario { filter: filter.to_owned(), gen, seed, len };
+        let scenario = Scenario { filter, gen, seed, len };
         SuiteReport { scenarios: vec![run_scenario(&scenario)?] }
     } else {
-        let filters: Vec<&str> = match filter_arg {
-            Some(f) => vec![f],
-            None => just_say_no::mnm_check::DEFAULT_FILTERS.to_vec(),
-        };
-        let gens: Vec<TraceGen> = match gen_arg {
-            Some(g) => vec![g],
-            None => TraceGen::ALL.to_vec(),
-        };
-        run_suite(&filters, &gens, seeds, len)?
+        let filters = filter_arg.as_deref().map_or(DEFAULT_FILTERS.to_vec(), |f| vec![f]);
+        let gens = gen_arg.map_or(TraceGen::ALL.to_vec(), |g| vec![g]);
+        run_suite(&filters, &gens, a.get("--seeds"), len)?
     };
 
-    if let Some(path) = out_path {
+    if let Some(path) = a.opt::<PathBuf>("-o") {
         just_say_no::mnm_experiments::fsio::write_artifact(
-            std::path::Path::new(path),
+            &path,
             report.to_json().render_pretty().as_bytes(),
         )
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
-    if json {
+    if a.on("--json") {
         print!("{}", report.to_json().render_pretty());
     } else if report.passed() {
         println!(
@@ -459,134 +646,78 @@ fn run_check(args: &[String]) -> Result<ExitCode, String> {
     Ok(if report.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// `jsn run-all`: the supervised experiment sweep (same code and flags as
-/// the `run_all` binary). Exit 0 on a clean sweep, 1 when jobs failed
-/// (artifacts still written), 2 on configuration/IO errors.
-fn cmd_run_all(args: &[String]) -> ExitCode {
-    match just_say_no::mnm_experiments::sweep::cli_main(args) {
+/// `jsn run-all`: the supervised experiment sweep. Exit 0 on a clean sweep,
+/// 1 when jobs failed, 2 when the sweep itself fails on configuration or IO.
+fn cmd_run_all(a: &Args) -> Result<ExitCode, String> {
+    use just_say_no::mnm_experiments::{metrics, params, supervisor::SupervisorConfig, sweep};
+
+    let resume: Option<PathBuf> = a.opt("--resume");
+    let out = resume.clone().or(a.opt("--out")).unwrap_or_else(metrics::out_dir);
+    let supervisor = SupervisorConfig {
+        deadline: a.opt("--deadline").map(Duration::from_secs),
+        retries: a.get("--retries"),
+        ..SupervisorConfig::default()
+    };
+    let only = a.opt::<String>("--only").map(|v| job_list(&v).map(str::to_owned).collect());
+    let swept = arm_faults().and_then(|()| {
+        sweep::run_cli(&sweep::SweepOptions {
+            resume: resume.is_some(),
+            threads: params::try_worker_threads()?,
+            supervisor,
+            only,
+            quiet: a.on("--quiet"),
+            ..sweep::SweepOptions::new(out, params::RunParams::try_from_env()?)
+        })
+    });
+    Ok(match swept {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(msg) => {
             eprintln!("jsn: {msg}");
             ExitCode::from(2)
         }
-    }
+    })
 }
 
-fn parse_seed(text: &str) -> Result<u64, String> {
-    let parsed = match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    };
-    parsed.map_err(|_| format!("--seed {text}: expected a decimal or 0x-prefixed integer"))
-}
-
-fn cmd_coverage(args: &[String]) -> Result<(), String> {
-    let app = args.first().ok_or("coverage needs an application name")?;
-    let profile = lookup_app(app)?;
+fn cmd_coverage(a: &Args) -> Result<ExitCode, String> {
+    let (_, profile) = a.app()?;
     let defaults = ["RMNM_4096_8", "SMNM_20x3", "TMNM_12x3", "CMNM_8_12", "HMNM4"];
-    let labels: Vec<&str> = if args.len() > 1 {
-        args[1..].iter().map(String::as_str).collect()
-    } else {
-        defaults.to_vec()
+    let labels: Vec<&str> = match &a.operands[1..] {
+        [] => defaults.to_vec(),
+        given => given.iter().map(String::as_str).collect(),
     };
 
     println!("{:<14}{:>10}", "config", "coverage");
     for label in labels {
+        let config = MnmConfig::parse(label).map_err(|e| e.to_string())?;
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-        let mut mnm = Mnm::new(&hier, MnmConfig::parse(label).map_err(|e| e.to_string())?);
-        for instr in Program::new(profile.clone()).take(DEFAULT_INSTRUCTIONS as usize) {
-            if let Some(addr) = instr.data_addr() {
-                mnm.run_access(&mut hier, Access::load(addr));
-            }
-        }
+        let mut filter = FilterPreset::Mnm(config).build(&hier);
+        replay(&mut hier, &mut filter, profile.clone(), DEFAULT_INSTRUCTIONS);
+        let mnm = filter.mnm().expect("an MNM preset builds an MNM filter");
         println!("{:<14}{:>9.1}%", label, mnm.stats().coverage() * 100.0);
     }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `jsn serve`: bind the replay service and block until SIGTERM/ctrl-c.
-/// Flags are parsed strictly — an unknown or malformed option is a
-/// startup error, never a silently-ignored one, and so is a malformed
-/// JSN_FAULT environment value.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use just_say_no::mnm_serve::server::{Endpoint, Server, ServerConfig};
-    use just_say_no::mnm_serve::signal;
+fn cmd_serve(a: &Args) -> Result<ExitCode, String> {
+    use just_say_no::mnm_serve::{signal, Server, ServerConfig};
 
-    // Validate the fault-injection env up front: a bad plan must stop
-    // the daemon at startup, not lurk until the first injected fault.
-    if let Some(plan) = just_say_no::mnm_experiments::faults::FaultPlan::from_env()? {
-        eprintln!("fault injection armed: {}", plan.summary());
-        just_say_no::mnm_experiments::faults::install(Some(plan));
-    }
-
-    let mut endpoint = Endpoint::Tcp("127.0.0.1:7227".to_string());
-    let mut config = ServerConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--listen" => endpoint = Endpoint::parse(value("--listen")?)?,
-            "--max-sessions" => {
-                config.max_sessions = parse_flag_num(value("--max-sessions")?, "--max-sessions")?;
-                if config.max_sessions == 0 {
-                    return Err("--max-sessions must be at least 1".to_string());
-                }
-            }
-            "--queue" => {
-                config.queue_frames = parse_flag_num(value("--queue")?, "--queue")?;
-                if config.queue_frames == 0 {
-                    return Err("--queue must be at least 1 frame".to_string());
-                }
-            }
-            "--max-frame" => {
-                config.max_frame_bytes =
-                    parse_flag_num::<u32>(value("--max-frame")?, "--max-frame")?;
-            }
-            "--stall-ms" => {
-                config.stall_timeout = std::time::Duration::from_millis(parse_flag_num(
-                    value("--stall-ms")?,
-                    "--stall-ms",
-                )?);
-            }
-            "--idle-ms" => {
-                config.idle_timeout = std::time::Duration::from_millis(parse_flag_num(
-                    value("--idle-ms")?,
-                    "--idle-ms",
-                )?);
-            }
-            "--resume-window-ms" => {
-                config.resume_window = std::time::Duration::from_millis(parse_flag_num(
-                    value("--resume-window-ms")?,
-                    "--resume-window-ms",
-                )?);
-            }
-            "--max-parked" => {
-                config.max_parked = parse_flag_num(value("--max-parked")?, "--max-parked")?;
-            }
-            "--shed-watermark" => {
-                config.shed_watermark =
-                    Some(parse_flag_num(value("--shed-watermark")?, "--shed-watermark")?);
-            }
-            "--retry-after-ms" => {
-                config.retry_after_ms =
-                    parse_flag_num(value("--retry-after-ms")?, "--retry-after-ms")?;
-            }
-            "--drain-ms" => {
-                config.drain = std::time::Duration::from_millis(parse_flag_num(
-                    value("--drain-ms")?,
-                    "--drain-ms",
-                )?);
-            }
-            "--snapshot" => {
-                config.snapshot_path = Some(std::path::PathBuf::from(value("--snapshot")?))
-            }
-            other => return Err(format!("unknown serve option `{other}` (try `jsn help`)")),
-        }
-    }
-
+    arm_faults()?;
+    let ms = |name| Duration::from_millis(a.get(name));
+    let config = ServerConfig {
+        max_sessions: a.get("--max-sessions"),
+        queue_frames: a.get("--queue"),
+        stall_timeout: ms("--stall-ms"),
+        idle_timeout: ms("--idle-ms"),
+        resume_window: ms("--resume-window-ms"),
+        max_parked: a.get("--max-parked"),
+        shed_watermark: a.opt("--shed-watermark"),
+        retry_after_ms: a.get("--retry-after-ms"),
+        drain: ms("--drain-ms"),
+        snapshot_path: a.opt("--snapshot"),
+    };
+    let endpoint = Endpoint::parse(&a.get::<String>("--listen"))?;
     signal::install();
     let server = Server::bind(endpoint.clone(), config)
         .map_err(|e| format!("cannot bind {endpoint}: {e}"))?;
@@ -594,85 +725,57 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         "jsn serve: listening on {} (scrape GET /metrics; SIGTERM drains)",
         server.local_endpoint()
     );
-    server.run().map_err(|e| format!("server error: {e}"))
+    server.run().map_err(|e| format!("server error: {e}"))?;
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Arm the JSN_FAULT plan, if one is set. A malformed plan stops the
+/// command at startup, not at the first injected fault.
+fn arm_faults() -> Result<(), String> {
+    use just_say_no::mnm_experiments::faults;
+
+    if let Some(plan) = faults::FaultPlan::from_env()? {
+        eprintln!("fault injection armed: {}", plan.summary());
+        faults::install(Some(plan));
+    }
+    Ok(())
 }
 
 /// `jsn slam`: load-generate against a running server. Exit 0 only when
 /// every session completed, no frame went unacknowledged, and (with
 /// --verify) the served verdict histogram matches the offline replay.
-fn cmd_slam(args: &[String]) -> ExitCode {
-    match run_slam_cli(args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("jsn: {msg}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_slam_cli(args: &[String]) -> Result<ExitCode, String> {
-    use just_say_no::mnm_serve::server::Endpoint;
+fn cmd_slam(a: &Args) -> Result<ExitCode, String> {
     use just_say_no::mnm_serve::slam::{format_report, run_slam, SlamOptions};
 
-    let mut opts = SlamOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--connect" => opts.endpoint = Endpoint::parse(value("--connect")?)?,
-            "--sessions" => opts.sessions = parse_flag_num(value("--sessions")?, "--sessions")?,
-            "--records" => opts.records = parse_flag_num(value("--records")?, "--records")?,
-            "--frame" => opts.frame_records = parse_flag_num(value("--frame")?, "--frame")?,
-            "--config" => opts.config = value("--config")?.clone(),
-            "--seed" => opts.seed = parse_seed(value("--seed")?)?,
-            "--window" => opts.window = parse_flag_num(value("--window")?, "--window")?,
-            "--retries" => opts.retries = parse_flag_num(value("--retries")?, "--retries")?,
-            "--backoff-ms" => {
-                opts.backoff_ms = parse_flag_num(value("--backoff-ms")?, "--backoff-ms")?;
-            }
-            "--metrics" => opts.metrics = Some(Endpoint::parse(value("--metrics")?)?),
-            "--verify" => opts.verify = true,
-            other => return Err(format!("unknown slam option `{other}` (try `jsn help`)")),
-        }
-    }
-
-    let report = run_slam(&opts)?;
+    let report = run_slam(&SlamOptions {
+        endpoint: Endpoint::parse(&a.get::<String>("--connect"))?,
+        sessions: a.get("--sessions"),
+        records: a.get("--records"),
+        frame_records: a.get("--frame"),
+        config: a.get("--config"),
+        seed: a.get("--seed"),
+        window: a.get("--window"),
+        retries: a.get("--retries"),
+        backoff_ms: a.get("--backoff-ms"),
+        verify: a.on("--verify"),
+        metrics: a.opt::<String>("--metrics").map(|m| Endpoint::parse(&m)).transpose()?,
+    })?;
     print!("{}", format_report(&report));
     let verify_failed = report.verify.as_ref().is_some_and(|v| !v.mismatches.is_empty());
     let ok = report.sessions_failed == 0 && report.dropped_frames() == 0 && !verify_failed;
     Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// `jsn chaos`: the deterministic network-fault proxy. Sits between
-/// `jsn slam` and `jsn serve`; the plan comes from `--plan` or the
-/// JSN_CHAOS env var (same strict grammar). With no plan it relays
-/// clean — useful for measuring the proxy's own overhead.
-fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    use just_say_no::mnm_serve::chaos::{ChaosOptions, ChaosPlan, ChaosProxy};
-    use just_say_no::mnm_serve::server::Endpoint;
+/// `jsn chaos`: the deterministic network-fault proxy. With no plan it
+/// relays clean — useful for measuring the proxy's own overhead.
+fn cmd_chaos(a: &Args) -> Result<ExitCode, String> {
+    use just_say_no::mnm_serve::chaos::{ChaosOptions, ChaosProxy};
     use just_say_no::mnm_serve::signal;
 
-    let mut listen = Endpoint::Tcp("127.0.0.1:7228".to_string());
-    let mut upstream: Option<Endpoint> = None;
-    let mut log_path: Option<std::path::PathBuf> = None;
-    let mut plan_text: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--listen" => listen = Endpoint::parse(value("--listen")?)?,
-            "--upstream" => upstream = Some(Endpoint::parse(value("--upstream")?)?),
-            "--log" => log_path = Some(std::path::PathBuf::from(value("--log")?)),
-            "--plan" => plan_text = Some(value("--plan")?.clone()),
-            other => return Err(format!("unknown chaos option `{other}` (try `jsn help`)")),
-        }
-    }
-    let upstream = upstream.ok_or("chaos needs `--upstream <endpoint>` (the real server)")?;
-    let plan = match plan_text {
+    let listen = Endpoint::parse(&a.get::<String>("--listen"))?;
+    let upstream: String =
+        a.opt("--upstream").ok_or("chaos needs `--upstream <endpoint>` (the real server)")?;
+    let plan = match a.opt::<String>("--plan") {
         Some(text) => ChaosPlan::parse(&text)?,
         None => ChaosPlan::from_env()?.unwrap_or(ChaosPlan::parse("")?),
     };
@@ -680,95 +783,47 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     signal::install();
     let proxy = ChaosProxy::bind(ChaosOptions {
         listen: listen.clone(),
-        upstream,
+        upstream: Endpoint::parse(&upstream)?,
         plan: plan.clone(),
-        log_path,
+        log_path: a.opt("--log"),
     })
     .map_err(|e| format!("cannot bind {listen}: {e}"))?;
     let handle = proxy.handle();
     eprintln!("jsn chaos: listening on {} — {}", proxy.local_endpoint(), plan.summary());
     proxy.run().map_err(|e| format!("chaos proxy error: {e}"))?;
     eprintln!("jsn chaos: fired {} fault(s)", handle.fired().len());
-    Ok(())
-}
-
-/// Strict numeric flag parsing: the whole value must parse.
-fn parse_flag_num<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
-    text.replace('_', "").parse().map_err(|_| format!("{flag} {text}: expected an integer"))
-}
-
-fn cmd_shard(args: &[String]) -> ExitCode {
-    match run_shard(args) {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("jsn: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `jsn shard`: the epoch-synchronized N-core simulation.
-fn run_shard(args: &[String]) -> Result<ExitCode, String> {
-    use just_say_no::mnm_check::{
-        run_multicore_scenario, run_multicore_suite, MulticoreScenario, ShardWorkload,
-    };
-    use just_say_no::mnm_core::MnmConfig;
+fn cmd_shard(a: &Args) -> Result<ExitCode, String> {
+    use just_say_no::mnm_check::{run_multicore_scenario, run_multicore_suite, MulticoreScenario};
     use just_say_no::mnm_shard::{
         autotune_epoch, sharded_streams, Engine, ShardConfig, ShardedSim,
     };
     use just_say_no::trace_synth::sharing::SharingSpec;
 
-    let cores = parse_n(args, "--cores", 4)? as usize;
-    if cores == 0 {
-        return Err("--cores 0: need at least one core".to_owned());
-    }
-    // `--epoch` accepts a length or `auto` (calibrate before the run).
-    let epoch_arg = parse_opt(args, "--epoch");
-    let epoch_auto = epoch_arg == Some("auto");
-    let epoch = match epoch_arg {
-        None | Some("auto") => 2048,
-        Some(text) => parse_flag_num(text, "--epoch")?,
-    };
-    if epoch == 0 {
-        return Err("--epoch 0: an epoch needs at least one access".to_owned());
-    }
-    let sharing: f64 = match parse_opt(args, "--sharing") {
-        Some(text) => text.parse().map_err(|_| format!("--sharing {text}: expected a ratio"))?,
-        None => 0.25,
-    };
-    if !(0.0..=1.0).contains(&sharing) {
-        return Err(format!("--sharing {sharing}: expected a ratio within [0, 1]"));
-    }
-    let label = parse_opt(args, "--config").unwrap_or("HMNM4");
-    let seed = match parse_opt(args, "--seed") {
-        Some(text) => parse_seed(text)?,
-        None => 42,
-    };
-    let json = args.iter().any(|a| a == "--json");
-    let single = args.iter().any(|a| a == "--single");
-    let engine = if single { Engine::Single } else { Engine::Pipelined };
+    let cores = a.get("--cores");
+    // `--epoch auto` (no number) calibrates the epoch before the run.
+    let epoch: Option<usize> = a.get::<String>("--epoch").parse().ok();
+    let sharing: f64 = a.get("--sharing");
+    let label: String = a.get("--config");
+    let seed = a.get("--seed");
+    let engine = if a.on("--single") { Engine::Single } else { Engine::Pipelined };
+    let n = |default| a.opt("-n").unwrap_or(default);
 
-    if args.iter().any(|a| a == "--check") {
-        if epoch_auto {
-            return Err(
-                "--epoch auto is not supported with --check (scenarios pin the epoch)".to_owned()
-            );
-        }
+    if a.on("--check") {
+        let epoch =
+            epoch.ok_or("--epoch auto is not supported with --check (scenarios pin the epoch)")?;
         // Replay mode (a failure's reproducer line) or the full sweep.
-        let failures = if let Some(w) = parse_opt(args, "--workload") {
-            let workload = ShardWorkload::parse(w).ok_or_else(|| {
-                format!(
-                    "unknown workload `{w}` (expected pingpong, falsesharing, evictionrace, \
-                     or profile)"
-                )
-            })?;
+        let failures = if let Some(w) = a.opt::<String>("--workload") {
             let scenario = MulticoreScenario {
-                filter: label.to_owned(),
-                workload,
+                filter: label,
+                workload: ShardWorkload::parse(&w).expect("the table checked --workload"),
                 cores,
                 sharing_ratio: sharing,
                 seed,
-                len: parse_n(args, "-n", 6_000)? as usize,
+                len: n(6_000),
                 epoch,
             };
             let report = run_multicore_scenario(&scenario)?;
@@ -779,14 +834,9 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
                 report.report.cores.iter().map(|c| c.invalidations_received).sum::<u64>(),
                 report.violations.len()
             );
-            if report.passed() {
-                Vec::new()
-            } else {
-                vec![report]
-            }
+            Vec::from_iter((!report.passed()).then_some(report))
         } else {
-            let quick = args.iter().any(|a| a == "--quick");
-            let (failures, total) = run_multicore_suite(quick)?;
+            let (failures, total) = run_multicore_suite(a.on("--quick"))?;
             if failures.is_empty() {
                 println!(
                     "shard check passed: {total} scenario(s) — every definite-miss verdict \
@@ -804,12 +854,10 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
         return Ok(if failures.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE });
     }
 
-    let n = parse_n(args, "-n", 200_000)? as usize;
-    let mnm = MnmConfig::parse(label).map_err(|_| format!("unknown filter label '{label}'"))?;
-    let mut config = ShardConfig::new(cores, mnm);
-    config.epoch = epoch;
-    let app = parse_opt(args, "--app").unwrap_or("181.mcf");
-    let profile = lookup_app(app)?;
+    let n = n(200_000);
+    let mut config = ShardConfig::new(cores, MnmConfig::parse(&label).map_err(|e| e.to_string())?);
+    let app: String = a.get("--app");
+    let profile = lookup_app(&app)?;
     let spec = SharingSpec {
         cores,
         sharing_ratio: sharing,
@@ -818,7 +866,9 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
         seed,
     };
     let streams = sharded_streams(&profile, &spec, n, config.l1.block_bytes);
-    if epoch_auto {
+    if let Some(epoch) = epoch {
+        config.epoch = epoch;
+    } else {
         // Calibrate, then run every engine with the chosen concrete epoch
         // (so `--epoch auto` preserves the engine-identity contract).
         let (chosen, points) = autotune_epoch(&config, &streams);
@@ -834,8 +884,8 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     }
     let epoch = config.epoch;
     let report = ShardedSim::new(config, streams).run_engine(engine);
-    if json {
-        print!("{}", report.to_json(label, cores, epoch, sharing));
+    if a.on("--json") {
+        print!("{}", report.to_json(&label, cores, epoch, sharing));
     } else {
         let l3 = &report.l3.structures[0];
         println!(
@@ -882,20 +932,73 @@ fn run_shard(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let app = args.first().ok_or("trace needs an application name")?;
-    let profile = lookup_app(app)?;
-    let n = parse_n(args, "-n", DEFAULT_INSTRUCTIONS)?;
-    let path = parse_opt(args, "-o").ok_or("trace needs `-o <file>`")?;
+fn cmd_trace(a: &Args) -> Result<ExitCode, String> {
+    let (app, profile) = a.app()?;
+    let path: String = a.opt("-o").ok_or("trace needs `-o <file>`")?;
 
-    let instrs: Vec<Instr> = Program::new(profile.clone()).take(n as usize).collect();
+    let instrs: Vec<Instr> = Program::new(profile).take(a.get("-n")).collect();
     let stats = characterize(instrs.iter().copied());
-    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let file = std::fs::File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
     let written = write_trace(std::io::BufWriter::new(file), instrs).map_err(|e| e.to_string())?;
     println!(
         "wrote {written} instructions of {app} to {path} ({} KB data / {} KB code footprint)",
         stats.data_footprint_bytes() / 1024,
         stats.code_footprint_bytes() / 1024
     );
-    Ok(())
+    Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Values each side of a kind's bounds: `(rejected, accepted)`.
+    fn probes(kind: Kind) -> (Vec<String>, Vec<String>) {
+        match kind {
+            Switch => (vec![], vec![]),
+            // Paths accept anything.
+            Text(_, check) if check("%bogus%").is_ok() => (vec![], vec![]),
+            Text(..) => (vec!["%bogus%".to_owned()], vec![]),
+            Int(lo, hi) | IntOrAuto(lo, hi) => {
+                let mut bad = vec!["x1".to_owned(), (u128::from(hi) + 1).to_string()];
+                bad.extend(lo.checked_sub(1).map(|n| n.to_string()));
+                (bad, vec![lo.to_string(), hi.to_string(), format!("{lo:#x}")])
+            }
+            Real(lo, hi) => {
+                let mut bad = vec!["x".to_owned(), "NaN".to_owned(), (lo - 1.0).to_string()];
+                bad.extend(hi.is_finite().then(|| (hi + 1.0).to_string()));
+                (bad, vec![lo.to_string(), hi.to_string()])
+            }
+        }
+    }
+
+    /// Every row of every table: a missing value, a value that does not
+    /// parse and each side of its range are rejected with a message naming
+    /// the flag; the bounds themselves and every default parse.
+    #[test]
+    fn every_row_rejects_bad_values_naming_the_flag() {
+        for cmd in COMMANDS {
+            assert!(cmd.parse(&[""; 0]).is_ok(), "{} defaults", cmd.usage);
+            let err = cmd.parse(&["--bogus"]).err().expect("unknown flag rejected");
+            assert!(err.starts_with("--bogus: expected"), "{}: {err}", cmd.usage);
+            for (f, name) in cmd.flags.iter().flat_map(|f| f.names().map(move |n| (f, n))) {
+                let (bad, good) = probes(f.kind);
+                for value in &good {
+                    assert!(cmd.parse(&[name, value]).is_ok(), "{name} {value}");
+                }
+                let missing = (!matches!(f.kind, Switch)).then(|| vec![name]);
+                for args in bad.iter().map(|v| vec![name, v]).chain(missing) {
+                    let err = cmd.parse(&args).err().unwrap_or_else(|| panic!("{args:?} accepted"));
+                    assert!(err.starts_with(name) && err.contains("expected"), "{args:?}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_flag_takes_its_last_value() {
+        let run = &COMMANDS[1];
+        let a = run.parse(&["164.gzip", "-n", "5", "-n", "1_000_000"]).unwrap();
+        assert_eq!((run.usage, a.get::<u64>("-n")), ("run <app>", 1_000_000));
+    }
 }

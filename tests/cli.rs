@@ -158,6 +158,7 @@ fn shard_rejects_out_of_range_flags() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(flag), "{args:?} should name {flag}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }
 
@@ -179,8 +180,48 @@ fn slam_rejects_out_of_range_frame() {
         ]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "--frame {frame}: {stderr}");
-        assert!(stderr.contains("--frame"), "--frame {frame} should name the flag: {stderr}");
-        assert!(stderr.contains("3276"), "--frame {frame} should give the bound: {stderr}");
+        let expected = format!("jsn: --frame {frame}: expected an integer in 1..=3276");
+        assert!(stderr.starts_with(&expected), "--frame {frame}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--frame {frame} panicked: {stderr}");
         assert!(out.stdout.is_empty(), "--frame {frame} ran a slam anyway");
+    }
+}
+
+/// Every unknown, valueless, malformed or out-of-range flag exits 1
+/// before doing any work, names the flag on stderr and prints nothing.
+/// The slam rows would fail on connects if they ran: nothing listens on
+/// the endpoint.
+#[test]
+fn bad_flags_exit_1_naming_the_flag() {
+    const SLAM: [&str; 7] =
+        ["slam", "--connect", "127.0.0.1:9", "--sessions", "1", "--records", "100"];
+    let rows: &[(&[&str], &[&str], &str)] = &[
+        (&["shard"], &["-n", "0"], "-n"),
+        (&SLAM, &["--window", "0"], "--window"),
+        (&["run", "164.gzip"], &["--confg", "TMNM_12x3", "--jsno"], "--confg"),
+        (&["run", "164.gzip"], &["-n", "0"], "-n"),
+        (&["run", "164.gzip"], &["-n", "many"], "-n"),
+        (&["run", "164.gzip"], &["--config"], "--config"),
+        (&["check"], &["--seeds", "0"], "--seeds"),
+        (&["check"], &["--len", "0"], "--len"),
+        (&["check"], &["--seed", "0xzz"], "--seed"),
+        (&["trace", "256.bzip2"], &["-n", "0"], "-n"),
+        (&["serve"], &["--max-frame", "65536"], "--max-frame"),
+        (&["serve"], &["--queue", "0"], "--queue"),
+        (&["chaos"], &["--upstream", "nowhere"], "--upstream"),
+        (&["diff", "a.json", "b.json"], &["--tol", "-1"], "--tol"),
+        (&["run-all"], &["--frobnicate"], "--frobnicate"),
+        (&["run-all"], &["--deadline", "soon"], "--deadline"),
+        (&["run-all"], &["--retries"], "--retries"),
+        (&["apps"], &["--json"], "--json"),
+    ];
+    for (command, args, needle) in rows {
+        let out = jsn(&[*command, *args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("jsn: {}", args[0])), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?} should say {needle}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }
