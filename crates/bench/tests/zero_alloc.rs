@@ -135,19 +135,21 @@ fn batched_hierarchy_run() {
 }
 
 fn cmnm_churn_after_reserve() {
-    // A CMNM guarding a structure of `n` MNM blocks: fill it, then run
-    // 100 × n replace/place pairs, so at most `n` blocks are ever live.
+    // A CMNM guarding a structure of `n` frame slots: fill it, then run
+    // 100 × n replace/place pairs, each new block taking the frame slot
+    // its victim left, so at most `n` blocks are ever live.
     let n: u64 = 4_096;
     let block = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 37;
+    let frame_slot = |i: u64| (i % n) as usize;
     let mut f = Cmnm::new(CmnmConfig::new(8, 12));
     f.reserve(n as usize);
     let before = allocations();
     for i in 0..n {
-        f.on_place(block(i));
+        f.on_place(block(i), frame_slot(i));
     }
     for i in n..101 * n {
-        f.on_replace(block(i - n));
-        f.on_place(block(i));
+        f.on_replace(block(i - n), frame_slot(i - n));
+        f.on_place(block(i), frame_slot(i));
     }
     assert_eq!(allocations() - before, 0, "CMNM place/replace churn allocated");
     let live = f.occupancy().tracked;

@@ -16,6 +16,8 @@ pub struct Eviction {
     /// Whether the block was dirty (needs a writeback under
     /// [`WritePolicy::WriteBack`](crate::config::WritePolicy)).
     pub dirty: bool,
+    /// The frame (`set × assoc + way`) the block left.
+    pub frame: u32,
 }
 
 /// What a [`Cache::fill`] did, resolved in a single set scan (callers
@@ -25,9 +27,9 @@ pub(crate) enum FillOutcome {
     /// The block was already resident; its replacement stamp was refreshed
     /// and nothing was evicted.
     Already,
-    /// The block was installed, evicting the contained victim if the set
-    /// was full.
-    Filled(Option<Eviction>),
+    /// The block was installed in `frame` (`set × assoc + way`), evicting
+    /// `victim` from that frame if the set was full.
+    Filled { frame: u32, victim: Option<Eviction> },
 }
 
 /// A set-associative cache holding block tags only (trace-driven simulation
@@ -133,8 +135,9 @@ impl Cache {
     }
 
     /// Install the block containing `addr`, evicting a victim if the set is
-    /// full. Resident blocks, empty ways and victims are resolved in one
-    /// scan of the set.
+    /// full, and report the frame the block entered (the victim, if any,
+    /// left that same frame). Resident blocks, empty ways and victims are
+    /// resolved in one scan of the set.
     ///
     /// Filling a block that is already resident refreshes its stamp and
     /// evicts nothing ([`FillOutcome::Already`]).
@@ -162,7 +165,7 @@ impl Cache {
             self.tags[base + way] = tag;
             self.stamps[base + way] = self.clock;
             self.dirty[base + way] = false;
-            return FillOutcome::Filled(None);
+            return FillOutcome::Filled { frame: (base + way) as u32, victim: None };
         }
 
         // Evict.
@@ -176,10 +179,15 @@ impl Cache {
         self.stamps[base + victim_way] = self.clock;
         self.dirty[base + victim_way] = false;
         let victim_block = (victim_tag << self.tag_shift) | set as u64;
-        FillOutcome::Filled(Some(Eviction {
-            block_base: victim_block << self.block_shift,
-            dirty: victim_dirty,
-        }))
+        let frame = (base + victim_way) as u32;
+        FillOutcome::Filled {
+            frame,
+            victim: Some(Eviction {
+                block_base: victim_block << self.block_shift,
+                dirty: victim_dirty,
+                frame,
+            }),
+        }
     }
 
     /// Mark the block containing `addr` dirty, if resident. Returns whether
@@ -226,8 +234,8 @@ impl Cache {
     }
 
     /// Remove the block containing `addr` if resident. Returns the removed
-    /// block (base address plus whether it was dirty and thus owes a
-    /// writeback) or `None` if the address was not resident. Used by the
+    /// block (base address, whether it was dirty and thus owes a writeback,
+    /// and the frame it left) or `None` if the address was not resident. Used by the
     /// inclusive-hierarchy back-invalidation path and by external coherence
     /// traffic ([`Hierarchy::invalidate_block`](crate::Hierarchy::invalidate_block)).
     pub(crate) fn invalidate(&mut self, addr: u64) -> Option<Eviction> {
@@ -241,7 +249,11 @@ impl Cache {
                 self.tags[base + way] = TAG_INVALID;
                 self.stamps[base + way] = 0;
                 self.dirty[base + way] = false;
-                return Some(Eviction { block_base: block << self.block_shift, dirty: was_dirty });
+                return Some(Eviction {
+                    block_base: block << self.block_shift,
+                    dirty: was_dirty,
+                    frame: (base + way) as u32,
+                });
             }
         }
         None
@@ -288,7 +300,7 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = small_cache(2, ReplacementPolicy::Lru);
         assert!(!c.lookup(0x1000).hit);
-        assert_eq!(c.fill(0x1000), FillOutcome::Filled(None));
+        assert_eq!(c.fill(0x1000), FillOutcome::Filled { frame: 0, victim: None });
         assert!(c.lookup(0x1000).hit);
         assert!(c.contains(0x1000));
         assert!(c.contains(0x101F)); // same 32B block
@@ -304,7 +316,7 @@ mod tests {
         c.fill(0x0080);
         // Touch 0x0000 so 0x0080 becomes LRU.
         assert!(c.lookup(0x0000).hit);
-        let FillOutcome::Filled(victim) = c.fill(0x0100) else {
+        let FillOutcome::Filled { victim, .. } = c.fill(0x0100) else {
             panic!("0x0100 was not resident");
         };
         assert_eq!(victim.map(|v| v.block_base), Some(0x0080));
@@ -319,7 +331,7 @@ mod tests {
         c.fill(0x0000);
         c.fill(0x0080);
         assert!(c.lookup(0x0000).hit); // does not refresh under FIFO
-        let FillOutcome::Filled(victim) = c.fill(0x0100) else {
+        let FillOutcome::Filled { victim, .. } = c.fill(0x0100) else {
             panic!("0x0100 was not resident");
         };
         assert_eq!(victim.map(|v| v.block_base), Some(0x0000));
@@ -339,10 +351,11 @@ mod tests {
         let mut c = small_cache(1, ReplacementPolicy::Lru);
         // Direct-mapped, 4 sets: 0x40 and 0x240 share set 2.
         c.fill(0x40);
-        let FillOutcome::Filled(Some(victim)) = c.fill(0x240) else {
+        let FillOutcome::Filled { frame, victim: Some(victim) } = c.fill(0x240) else {
             panic!("expected a conflict eviction");
         };
         assert_eq!(victim.block_base, 0x40);
+        assert_eq!((frame, victim.frame), (2, 2), "the new block takes the victim's frame");
         assert!(!victim.dirty, "never-written blocks evict clean");
     }
 
@@ -350,7 +363,10 @@ mod tests {
     fn invalidate_removes_block() {
         let mut c = small_cache(2, ReplacementPolicy::Lru);
         c.fill(0x1000);
-        assert_eq!(c.invalidate(0x1008), Some(Eviction { block_base: 0x1000, dirty: false }));
+        assert_eq!(
+            c.invalidate(0x1008),
+            Some(Eviction { block_base: 0x1000, dirty: false, frame: 0 })
+        );
         assert!(!c.contains(0x1000));
         assert_eq!(c.invalidate(0x1000), None);
     }
@@ -360,10 +376,31 @@ mod tests {
         let mut c = small_cache(2, ReplacementPolicy::Lru);
         c.fill(0x1000);
         assert!(c.mark_dirty(0x1000));
-        assert_eq!(c.invalidate(0x1000), Some(Eviction { block_base: 0x1000, dirty: true }));
+        assert_eq!(
+            c.invalidate(0x1000),
+            Some(Eviction { block_base: 0x1000, dirty: true, frame: 0 })
+        );
         // The dirty bit must not leak into the way's next occupant.
         c.fill(0x1000);
         assert!(!c.is_dirty(0x1000));
+    }
+
+    /// Each fill reports `set × assoc + way`: the ways of a set fill in
+    /// order, and an invalidation reports the frame the block left, which
+    /// the next fill of that set reuses.
+    #[test]
+    fn fills_and_invalidations_report_frames() {
+        let mut c = small_cache(2, ReplacementPolicy::Lru);
+        // 4 sets of 32B blocks: 0x20 is set 1; 0xa0 and 0x120 share it.
+        let frame = |o| match o {
+            FillOutcome::Filled { frame, .. } => frame,
+            FillOutcome::Already => panic!("block was resident"),
+        };
+        assert_eq!(frame(c.fill(0x20)), 2);
+        assert_eq!(frame(c.fill(0xa0)), 3);
+        assert_eq!(c.invalidate(0x20).map(|e| e.frame), Some(2));
+        assert_eq!(frame(c.fill(0x120)), 2);
+        assert_eq!(c.fill(0x120), FillOutcome::Already);
     }
 
     #[test]

@@ -143,6 +143,16 @@ impl CacheConfig {
         self.size_bytes / self.block_bytes
     }
 
+    /// Frame slots at MNM granularity `granularity`: one per sub-block of
+    /// every frame, `sets × assoc × max(1, block_bytes / granularity)`.
+    /// Every slot [`CacheEvent::sub_blocks`](crate::CacheEvent::sub_blocks)
+    /// reports for this structure lies below it. With lines smaller than
+    /// the granularity this exceeds `size_bytes / granularity`, because
+    /// two frames can then hold parts of one MNM block.
+    pub fn frame_slots(&self, granularity: u64) -> u64 {
+        self.num_blocks() * (self.block_bytes / granularity).max(1)
+    }
+
     /// log2 of the block size: the shift that turns a byte address into a
     /// block address.
     pub fn block_shift(&self) -> u32 {

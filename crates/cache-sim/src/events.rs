@@ -3,7 +3,7 @@
 //! The MNM's bookkeeping (paper §2) requires knowing, for every cache
 //! structure, which blocks are placed into it and which blocks are replaced
 //! from it. The hierarchy reports both through [`CacheEvent`]s attached to
-//! each access.
+//! each access, each naming the frame the block entered or left.
 
 use crate::hierarchy::StructureId;
 
@@ -48,18 +48,33 @@ pub struct CacheEvent {
     /// larger lines expand to `block_bytes / l2_block_bytes` MNM entries
     /// (paper §3.1).
     pub block_bytes: u64,
+    /// The frame the block entered (`Placed`) or left (`Replaced`,
+    /// `Invalidated`): `set × assoc + way` in the structure, so always
+    /// below its `sets × assoc`.
+    ///
+    /// The frame contract: at any moment every live block of a structure
+    /// holds a distinct frame, and the event removing a block reports the
+    /// frame its placement did. Per-line metadata (CMNM's register tag,
+    /// paper §3.4) can therefore live in an array indexed by frame,
+    /// exactly as it would sit beside the line's tag in hardware.
+    pub frame: u32,
 }
 
 impl CacheEvent {
     /// Expand this event into block addresses of granularity `granularity`
-    /// bytes (the MNM's working block size). Yields
-    /// `max(1, block_bytes / granularity)` shifted block addresses.
-    pub fn sub_blocks(&self, granularity: u64) -> impl Iterator<Item = u64> + '_ {
+    /// bytes (the MNM's working block size), each paired with its frame
+    /// slot. Yields `n = max(1, block_bytes / granularity)` shifted block
+    /// addresses; the `i`-th sits in slot `frame × n + i` of an array with
+    /// one entry per sub-block of every frame
+    /// ([`CacheConfig::frame_slots`](crate::CacheConfig::frame_slots)
+    /// long). The frame contract carries over: live sub-blocks hold
+    /// distinct slots, and a removal reports the slots its placement did.
+    pub fn sub_blocks(&self, granularity: u64) -> impl Iterator<Item = (u64, usize)> {
         debug_assert!(granularity.is_power_of_two());
-        let shift = granularity.trailing_zeros();
         let count = (self.block_bytes / granularity).max(1);
-        let first = self.block_base >> shift;
-        (0..count).map(move |i| first + i)
+        let first = self.block_base >> granularity.trailing_zeros();
+        let first_slot = self.frame as usize * count as usize;
+        (0..count).map(move |i| (first + i, first_slot + i as usize))
     }
 }
 
@@ -74,8 +89,9 @@ mod tests {
             kind: EventKind::Placed,
             block_base: 0x1000,
             block_bytes: 128,
+            frame: 5,
         };
-        let subs: Vec<_> = ev.sub_blocks(32).collect();
+        let subs: Vec<_> = ev.sub_blocks(32).map(|(block, _)| block).collect();
         assert_eq!(
             subs,
             vec![0x1000 >> 5, (0x1000 >> 5) + 1, (0x1000 >> 5) + 2, (0x1000 >> 5) + 3]
@@ -89,9 +105,10 @@ mod tests {
             kind: EventKind::Replaced,
             block_base: 0x2fc0,
             block_bytes: 32,
+            frame: 0,
         };
         let subs: Vec<_> = ev.sub_blocks(32).collect();
-        assert_eq!(subs, vec![0x2fc0 >> 5]);
+        assert_eq!(subs, vec![(0x2fc0 >> 5, 0)]);
     }
 
     #[test]
@@ -103,7 +120,26 @@ mod tests {
             kind: EventKind::Placed,
             block_base: 0x40,
             block_bytes: 16,
+            frame: 3,
         };
-        assert_eq!(ev.sub_blocks(32).count(), 1);
+        assert_eq!(ev.sub_blocks(32).collect::<Vec<_>>(), vec![(0x40 >> 5, 3)]);
+    }
+
+    #[test]
+    fn sub_blocks_number_every_sub_block_slot_of_a_frame() {
+        let ev = CacheEvent {
+            structure: StructureId::new(4),
+            kind: EventKind::Replaced,
+            block_base: 0x1000,
+            block_bytes: 128,
+            frame: 5,
+        };
+        let slots: Vec<_> = ev.sub_blocks(32).map(|(_, slot)| slot).collect();
+        assert_eq!(slots, vec![20, 21, 22, 23]);
+    }
+
+    #[test]
+    fn the_frame_fits_in_the_event_padding() {
+        assert_eq!(std::mem::size_of::<CacheEvent>(), 32);
     }
 }

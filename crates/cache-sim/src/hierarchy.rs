@@ -420,7 +420,7 @@ impl Hierarchy {
     fn fill_structure(&mut self, sid: StructureId, addr: u64, events: &mut Vec<CacheEvent>) {
         let block_bytes = self.caches[sid.0].config().block_bytes;
         let block_base = addr & !(block_bytes - 1);
-        let FillOutcome::Filled(victim) = self.caches[sid.0].fill(addr) else {
+        let FillOutcome::Filled { frame, victim } = self.caches[sid.0].fill(addr) else {
             return; // already resident: stamp refreshed, nothing to report
         };
         self.stats.structures[sid.0].fills += 1;
@@ -438,6 +438,7 @@ impl Hierarchy {
                 kind: EventKind::Replaced,
                 block_base: victim.block_base,
                 block_bytes,
+                frame,
             });
             if self.config.inclusive {
                 self.back_invalidate(sid, victim.block_base, block_bytes, events);
@@ -448,6 +449,7 @@ impl Hierarchy {
             kind: EventKind::Placed,
             block_base,
             block_bytes,
+            frame,
         });
     }
 
@@ -507,6 +509,7 @@ impl Hierarchy {
             kind: EventKind::Invalidated,
             block_base: removed.block_base,
             block_bytes: self.caches[sid.0].config().block_bytes,
+            frame: removed.frame,
         });
         true
     }

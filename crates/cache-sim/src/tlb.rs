@@ -8,7 +8,7 @@
 //! numbers, emitting the same placement/replacement events the MNM
 //! consumes.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, FillOutcome};
 use crate::config::CacheConfig;
 use crate::replacement::ReplacementPolicy;
 
@@ -80,13 +80,26 @@ pub struct TlbAccessResult {
     pub l2_bypassed: bool,
 }
 
-/// An event visible to a TLB-guarding filter.
+/// An event visible to a TLB-guarding filter. Like a
+/// [`CacheEvent`](crate::CacheEvent), each names the L2 TLB frame
+/// (`set × assoc + way`, below the entry count) the translation entered
+/// or left, under the same frame contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbEvent {
-    /// A translation entered the L2 TLB (page number).
-    L2Placed(u64),
-    /// A translation left the L2 TLB (page number).
-    L2Replaced(u64),
+    /// A translation entered the L2 TLB.
+    L2Placed {
+        /// Page number.
+        page: u64,
+        /// Frame it entered.
+        frame: u32,
+    },
+    /// A translation left the L2 TLB.
+    L2Replaced {
+        /// Page number.
+        page: u64,
+        /// Frame it left.
+        frame: u32,
+    },
 }
 
 /// A two-level TLB with an optional miss filter in front of the L2.
@@ -186,10 +199,13 @@ impl TwoLevelTlb {
         if supply == 3 {
             latency += self.walk_latency;
             self.walks += 1;
-            if let crate::cache::FillOutcome::Filled(Some(victim)) = self.l2.fill(addr) {
-                events.push(TlbEvent::L2Replaced(victim.block_base >> self.page_shift));
+            if let FillOutcome::Filled { frame, victim } = self.l2.fill(addr) {
+                if let Some(victim) = victim {
+                    let page = victim.block_base >> self.page_shift;
+                    events.push(TlbEvent::L2Replaced { page, frame });
+                }
+                events.push(TlbEvent::L2Placed { page: self.page_of(addr), frame });
             }
-            events.push(TlbEvent::L2Placed(self.page_of(addr)));
         }
         // L1 refill (its events are not needed: filters guard only L2).
         self.l1.fill(addr);
@@ -237,7 +253,7 @@ mod tests {
         let r = tlb.translate(0x1234_5678, false, &mut ev);
         assert_eq!(r.supply_level, 3);
         assert_eq!(r.latency, 1 + 3 + 50);
-        assert!(matches!(ev.as_slice(), [TlbEvent::L2Placed(_)]));
+        assert!(matches!(ev.as_slice(), [TlbEvent::L2Placed { .. }]));
         let r = tlb.translate(0x1234_5000, false, &mut ev);
         assert_eq!(r.supply_level, 1, "same page hits the L1 TLB");
         assert_eq!(r.latency, 1);
@@ -302,7 +318,37 @@ mod tests {
         ev.clear();
         // Page 2 maps to the same direct-mapped L2 slot as page 0.
         tlb.translate(2 * 4096, false, &mut ev);
-        assert!(ev.contains(&TlbEvent::L2Replaced(0)), "{ev:?}");
+        assert!(ev.contains(&TlbEvent::L2Replaced { page: 0, frame: 0 }), "{ev:?}");
+    }
+
+    /// L2 fills report frames below the entry count; a replacement and the
+    /// placement that follows it share a frame, and every frame holds at
+    /// most one live translation.
+    #[test]
+    fn l2_events_report_frames() {
+        let mut tlb = tiny();
+        let mut ev = Vec::new();
+        let mut holder: Vec<Option<u64>> = vec![None; 16];
+        for i in 0..400u64 {
+            ev.clear();
+            tlb.translate((i * 7 % 61) * 4096, false, &mut ev);
+            let mut vacated = None;
+            for e in &ev {
+                match *e {
+                    TlbEvent::L2Replaced { page, frame } => {
+                        assert_eq!(holder[frame as usize].take(), Some(page), "{e:?}");
+                        vacated = Some(frame);
+                    }
+                    TlbEvent::L2Placed { page, frame } => {
+                        assert!(frame < 16, "{e:?}");
+                        assert!(vacated.is_none_or(|f| f == frame), "{ev:?}");
+                        assert_eq!(holder[frame as usize].replace(page), None, "{e:?}");
+                        assert!(tlb.l2_contains(page * 4096));
+                    }
+                }
+            }
+        }
+        assert!(holder.iter().all(Option::is_some), "the L2 TLB filled up");
     }
 
     #[test]

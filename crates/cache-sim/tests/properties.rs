@@ -162,7 +162,7 @@ fn events_expand_consistently() {
             hier.access_with_events(Access::load(addr), &BypassSet::none(), &mut scratch);
             for ev in scratch.events() {
                 let grain = 32; // the MNM granularity of this config
-                let subs: Vec<u64> = ev.sub_blocks(grain).collect();
+                let subs: Vec<u64> = ev.sub_blocks(grain).map(|(block, _)| block).collect();
                 assert_eq!(subs.len() as u64, (ev.block_bytes / grain).max(1));
                 // Sub-blocks are contiguous and cover the line.
                 for w in subs.windows(2) {
@@ -173,6 +173,93 @@ fn events_expand_consistently() {
                     assert!(hier.contains(ev.structure, ev.block_base));
                 }
             }
+        }
+    }
+}
+
+/// The frame contract of the event stream, on the paper's five-level
+/// geometry and on a tiny inclusive one that back-invalidates constantly:
+/// every frame is below `sets × assoc`, a live block's frame is its own,
+/// a `Replaced` event and the `Placed` that follows it in the same
+/// structure share a frame, and a removal (replacement, back-invalidation
+/// or `invalidate_block`) reports the frame its placement did.
+#[test]
+fn events_report_frames_under_the_frame_contract() {
+    let tiny_inclusive = HierarchyConfig {
+        levels: vec![
+            LevelConfig::Split {
+                instr: CacheConfig::new("il1", 64, 2, 32, 1),
+                data: CacheConfig::new("dl1", 64, 2, 32, 1),
+            },
+            LevelConfig::Unified(CacheConfig::new("ul2", 256, 2, 32, 4)),
+            LevelConfig::Unified(CacheConfig::new("ul3", 512, 1, 64, 8)),
+        ],
+        memory_latency: 20,
+        inclusive: true,
+    };
+    let mut gen = Gen(0xF4A3E);
+    for (config, space) in
+        [(HierarchyConfig::paper_five_level(), 0x10_0000), (tiny_inclusive, 0x2000)]
+    {
+        let mut hier = Hierarchy::new(config);
+        // holder[structure][frame]: the block base living in that frame.
+        let mut holder: Vec<Vec<Option<u64>>> = hier
+            .structures()
+            .iter()
+            .map(|i| vec![None; hier.cache(i.id).config().num_blocks() as usize])
+            .collect();
+        let (mut replaced, mut invalidated) = (0, 0);
+        let mut scratch = ReplayScratch::new();
+        let mut events = Vec::new();
+        for step in 0..6_000u64 {
+            let addr = gen.below(space);
+            events.clear();
+            if step % 50 == 49 {
+                hier.invalidate_block(addr, &mut events);
+            } else {
+                let access = match step % 3 {
+                    0 => Access::store(addr),
+                    1 => Access::load(addr),
+                    _ => Access::fetch(addr),
+                };
+                hier.access_with_events(access, &BypassSet::none(), &mut scratch);
+                events.extend_from_slice(scratch.events());
+            }
+            let mut vacated: Vec<Option<u32>> = vec![None; holder.len()];
+            for ev in &events {
+                let si = ev.structure.index();
+                let frames = &mut holder[si];
+                assert!((ev.frame as usize) < frames.len(), "{ev:?}: frame out of range");
+                let slot = &mut frames[ev.frame as usize];
+                match ev.kind {
+                    EventKind::Placed => {
+                        if let Some(f) = vacated[si].take() {
+                            assert_eq!(f, ev.frame, "{ev:?}: placement left the victim's frame");
+                        }
+                        assert_eq!(slot.replace(ev.block_base), None, "{ev:?}: frame occupied");
+                    }
+                    EventKind::Replaced | EventKind::Invalidated => {
+                        assert_eq!(*slot, Some(ev.block_base), "{ev:?}: not the frame it entered");
+                        *slot = None;
+                        if ev.kind == EventKind::Replaced {
+                            vacated[si] = Some(ev.frame);
+                            replaced += 1;
+                        } else {
+                            invalidated += 1;
+                        }
+                    }
+                }
+            }
+            assert!(vacated.iter().all(Option::is_none), "a replacement without its placement");
+        }
+        assert!(replaced > 0 && invalidated > 0, "{replaced} replaced, {invalidated} invalidated");
+        // The frames hold exactly what the caches hold.
+        for info in hier.structures() {
+            let mut expect: Vec<u64> = hier.cache(info.id).resident_blocks().collect();
+            let mut got: Vec<u64> = holder[info.id.index()].iter().flatten().copied().collect();
+            expect.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, expect, "{}", info.name);
         }
     }
 }

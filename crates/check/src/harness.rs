@@ -13,13 +13,15 @@
 //! structure the filter flags as a *definite miss* must actually not hold
 //! the block — in the hierarchy **and** in the reference model — before
 //! the access is driven. Per event it asserts block conservation (every
-//! placement is new, every replacement was live). Periodically and at the
+//! placement is new, every replacement was live) and the frame contract
+//! (a placement takes a frame no live block holds, a removal reports the
+//! frame its placement did). Periodically and at the
 //! end it reconciles `HierarchyStats` and full residency against the
 //! reference. The first violation stops the replay; the harness never
 //! lets an unsound bypass reach the hierarchy (which would abort debug
 //! builds via its own assertion before the violation could be reported).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use cache_sim::{AccessFilter, EventKind, Hierarchy, ReplayScratch};
 
@@ -35,7 +37,8 @@ const FULL_AUDIT_PERIOD: u64 = 1024;
 pub enum ViolationKind {
     /// A "definite miss" flag on a structure that holds the block.
     UnsoundFlag,
-    /// The event stream placed a live block or replaced a dead one.
+    /// The event stream placed a live block or replaced a dead one, or
+    /// broke the frame contract.
     Conservation,
     /// Hierarchy and reference model disagree on resident blocks.
     ResidencyDivergence,
@@ -91,7 +94,9 @@ pub fn check_ops<F: AccessFilter + ?Sized>(
     let mut refm = RefModel::new(hierarchy).expect("checker requires Lru/Fifo replacement");
     let mut scratch = ReplayScratch::new();
     let num_structs = hierarchy.structures().len();
-    let mut live: Vec<HashSet<u64>> = vec![HashSet::new(); num_structs];
+    // Per structure: each live block's frame, and the frames held.
+    let mut live: Vec<HashMap<u64, u32>> = vec![HashMap::new(); num_structs];
+    let mut held: Vec<HashSet<u32>> = vec![HashSet::new(); num_structs];
     let mut ev_fills = vec![0u64; num_structs];
     let mut ev_evictions = vec![0u64; num_structs];
     let mut ev_invalidations = vec![0u64; num_structs];
@@ -107,9 +112,8 @@ pub fn check_ops<F: AccessFilter + ?Sized>(
                 // ledger restarts alongside the (also reset) stats.
                 filter.flush_system(hierarchy);
                 refm.flush();
-                for set in &mut live {
-                    set.clear();
-                }
+                live.iter_mut().for_each(HashMap::clear);
+                held.iter_mut().for_each(HashSet::clear);
                 ev_fills.fill(0);
                 ev_evictions.fill(0);
                 ev_invalidations.fill(0);
@@ -169,7 +173,7 @@ pub fn check_ops<F: AccessFilter + ?Sized>(
                     match ev.kind {
                         EventKind::Placed => {
                             ev_fills[idx] += 1;
-                            if !live[idx].insert(ev.block_base) {
+                            if live[idx].insert(ev.block_base, ev.frame).is_some() {
                                 return (
                                     counters,
                                     fail(
@@ -188,7 +192,7 @@ pub fn check_ops<F: AccessFilter + ?Sized>(
                             } else {
                                 ev_invalidations[idx] += 1;
                             }
-                            if !live[idx].remove(&ev.block_base) {
+                            let Some(frame) = live[idx].remove(&ev.block_base) else {
                                 return (
                                     counters,
                                     fail(
@@ -199,8 +203,33 @@ pub fn check_ops<F: AccessFilter + ?Sized>(
                                         ),
                                     ),
                                 );
+                            };
+                            if frame != ev.frame {
+                                return (
+                                    counters,
+                                    fail(
+                                        ViolationKind::Conservation,
+                                        format!(
+                                            "{name}: block {:#x} left frame {}, placed in {frame}",
+                                            ev.block_base, ev.frame
+                                        ),
+                                    ),
+                                );
                             }
+                            held[idx].remove(&frame);
                         }
+                    }
+                    if ev.kind == EventKind::Placed && !held[idx].insert(ev.frame) {
+                        return (
+                            counters,
+                            fail(
+                                ViolationKind::Conservation,
+                                format!(
+                                    "{name}: block {:#x} placed in frame {}, held by a live block",
+                                    ev.block_base, ev.frame
+                                ),
+                            ),
+                        );
                     }
                 }
 
@@ -248,7 +277,7 @@ pub fn check_ops<F: AccessFilter + ?Sized>(
 fn audit(
     hierarchy: &Hierarchy,
     refm: &RefModel,
-    live: &[HashSet<u64>],
+    live: &[HashMap<u64, u32>],
     ev_fills: &[u64],
     ev_evictions: &[u64],
     ev_invalidations: &[u64],
@@ -316,7 +345,7 @@ fn audit(
         // exactly the same blocks.
         let mut main: Vec<u64> = hierarchy.cache(info.id).resident_blocks().collect();
         main.sort_unstable();
-        let mut ledger: Vec<u64> = live[idx].iter().copied().collect();
+        let mut ledger: Vec<u64> = live[idx].keys().copied().collect();
         ledger.sort_unstable();
         if main != ledger {
             return fail(

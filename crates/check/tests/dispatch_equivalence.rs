@@ -60,13 +60,13 @@ impl Shadow {
             if info.level < 2 {
                 continue;
             }
-            let max_live = (hierarchy.cache(info.id).config().size_bytes / gran.bytes()) as usize;
+            let frame_slots = hierarchy.cache(info.id).config().frame_slots(gran.bytes()) as usize;
             let stack: Vec<Box<dyn MissFilter>> = config
                 .techniques_for_level(info.level)
                 .into_iter()
                 .map(|t| {
                     let mut f = boxed(t);
-                    f.reserve(max_live);
+                    f.reserve(frame_slots);
                     f
                 })
                 .collect();
@@ -111,11 +111,11 @@ impl Shadow {
             let Some(si) = self.slot_of_structure[ev.structure.index()] else {
                 continue;
             };
-            for block in ev.sub_blocks(self.gran.bytes()) {
+            for (block, frame_slot) in ev.sub_blocks(self.gran.bytes()) {
                 match ev.kind {
                     EventKind::Placed => {
                         for f in &mut self.filters[si] {
-                            f.on_place(block);
+                            f.on_place(block, frame_slot);
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_place(si, block);
@@ -123,7 +123,7 @@ impl Shadow {
                     }
                     EventKind::Replaced => {
                         for f in &mut self.filters[si] {
-                            f.on_replace(block);
+                            f.on_replace(block, frame_slot);
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_replace(si, block);
@@ -131,7 +131,7 @@ impl Shadow {
                     }
                     EventKind::Invalidated => {
                         for f in &mut self.filters[si] {
-                            f.on_invalidate(block);
+                            f.on_invalidate(block, frame_slot);
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_invalidate(si, block);

@@ -124,7 +124,7 @@ impl BloomFilter {
 }
 
 impl MissFilter for BloomFilter {
-    fn on_place(&mut self, block: u64) {
+    fn on_place(&mut self, block: u64, _frame_slot: usize) {
         let (slots, k) = self.slot_array(block);
         for &s in &slots[..k] {
             let c = self.counters[s];
@@ -137,7 +137,7 @@ impl MissFilter for BloomFilter {
         }
     }
 
-    fn on_replace(&mut self, block: u64) {
+    fn on_replace(&mut self, block: u64, _frame_slot: usize) {
         let (slots, k) = self.slot_array(block);
         for &s in &slots[..k] {
             let c = self.counters[s];
@@ -207,15 +207,17 @@ impl MissFilter for BloomFilter {
 
 #[cfg(test)]
 mod tests {
+    //! The Bloom filter ignores the frame slot, so these tests pass 0 for it.
+
     use super::*;
 
     #[test]
     fn place_replace_round_trip() {
         let mut f = BloomFilter::new(BloomConfig::new(10, 2));
         assert!(f.is_definite_miss(0xAB));
-        f.on_place(0xAB);
+        f.on_place(0xAB, 0);
         assert!(!f.is_definite_miss(0xAB));
-        f.on_replace(0xAB);
+        f.on_replace(0xAB, 0);
         assert!(f.is_definite_miss(0xAB));
     }
 
@@ -226,11 +228,11 @@ mod tests {
         // the pairing exact, so soundness is preserved either way.
         let mut f = BloomFilter::new(BloomConfig::new(2, 4)); // tiny: collisions certain
         for b in 0..16u64 {
-            f.on_place(b);
+            f.on_place(b, 0);
         }
         for b in 0..16u64 {
             // All other blocks still live — no flag may appear for them.
-            f.on_replace(b);
+            f.on_replace(b, 0);
             for live in (b + 1)..16 {
                 assert!(!f.is_definite_miss(live), "unsound for {live:#x} after removing {b:#x}");
             }
@@ -240,11 +242,11 @@ mod tests {
     #[test]
     fn aliasing_blocks_keep_counters_positive() {
         let mut f = BloomFilter::new(BloomConfig::new(12, 3));
-        f.on_place(1);
-        f.on_place(2);
-        f.on_replace(1);
+        f.on_place(1, 0);
+        f.on_place(2, 0);
+        f.on_replace(1, 0);
         assert!(!f.is_definite_miss(2));
-        f.on_replace(2);
+        f.on_replace(2, 0);
         assert!(f.is_definite_miss(2));
     }
 
@@ -252,10 +254,10 @@ mod tests {
     fn saturation_is_sticky() {
         let mut f = BloomFilter::new(BloomConfig::new(1, 1)); // 2 counters
         for b in 0..32u64 {
-            f.on_place(b);
+            f.on_place(b, 0);
         }
         for b in 0..32u64 {
-            f.on_replace(b);
+            f.on_replace(b, 0);
         }
         // Both counters saturated and stuck: nothing is ever flagged.
         for b in 0..32u64 {
@@ -272,8 +274,8 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             match step % 4 {
-                0 | 1 => f.on_place(x % 512),
-                2 => f.on_replace(x % 512),
+                0 | 1 => f.on_place(x % 512, 0),
+                2 => f.on_replace(x % 512, 0),
                 _ => {
                     f.flip_state_bit(x % f.state_bits());
                 }
@@ -300,8 +302,8 @@ mod tests {
         let mut tmnm = TmnmFilter::new(TmnmConfig::new(10, 1));
         for i in 0..256u64 {
             let block = i << 10; // all low 10 bits zero
-            bloom.on_place(block);
-            tmnm.on_place(block);
+            bloom.on_place(block, 0);
+            tmnm.on_place(block, 0);
         }
         // A fresh strided block: TMNM cannot flag it (slot 0 is saturated),
         // the Bloom filter usually can.

@@ -22,11 +22,12 @@
 //! *different* register may also start matching an old block, so pairing
 //! each replacement with the counter its placement incremented needs the
 //! register index to travel with the cache block. We model exactly that —
-//! the register index is conceptually tagged onto the block when it is
-//! filled (the paper already requires caches to report replaced block
-//! addresses to the MNM, §2) — which keeps the counters exact and the
-//! filter sound. The tags live in [`TagTable`], a flat open-addressed
-//! table sized once from the guarded structure's capacity.
+//! the register index is tagged onto the block when it is filled, in the
+//! block's own cache frame (the paper already requires caches to report
+//! replaced blocks to the MNM, §2; the event names the frame too) — which
+//! keeps the counters exact and the filter sound. The tags are one byte
+//! per frame slot, indexed by the slot the event reports, so an update
+//! touches the bytes of its own line and nothing is hashed or searched.
 
 use crate::filter::MissFilter;
 
@@ -34,7 +35,8 @@ use crate::filter::MissFilter;
 /// in the virtual-tag finder, `2^table_bits` counters per register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CmnmConfig {
-    /// Number of virtual-tag registers (k). Must be a power of two.
+    /// Number of virtual-tag registers (k). Must be a power of two, at
+    /// most 128.
     pub registers: u32,
     /// Low bits of the block address used to index the table (m).
     pub table_bits: u32,
@@ -50,12 +52,13 @@ impl CmnmConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `registers` is not a power of two in 1..=256, or
+    /// Panics if `registers` is not a power of two in 1..=128 (each
+    /// block's register tag is one byte, with one value for "no tag"), or
     /// `table_bits` is 0 or ≥ 31.
     pub fn new(registers: u32, table_bits: u32) -> Self {
         assert!(
-            registers.is_power_of_two() && (1..=256).contains(&registers),
-            "register count must be a power of two in 1..=256"
+            registers.is_power_of_two() && (1..=128).contains(&registers),
+            "register count must be a power of two in 1..=128"
         );
         assert!((1..31).contains(&table_bits), "table_bits must be 1..=30");
         CmnmConfig { registers, table_bits, addr_bits: 32, counter_bits: 3 }
@@ -94,14 +97,21 @@ pub struct Cmnm {
     regs: Vec<Register>,
     counters: Vec<u8>,
     counter_max: u8,
-    /// Register index each live block was counted under (the per-block tag
-    /// described in the module docs). Keyed by MNM block address.
-    live: TagTable,
+    /// The per-block tag described in the module docs, one per frame slot:
+    /// 1 + the register index the slot's block was counted under, or
+    /// [`Cmnm::NO_TAG`] for an empty slot or a block placed before a
+    /// flush.
+    tags: Vec<u8>,
+    /// Tagged slots: the live blocks placed since the last flush.
+    live: usize,
     high_bits: u32,
     label: String,
 }
 
 impl Cmnm {
+    /// The tag of a slot no placement since the last flush has tagged.
+    const NO_TAG: u8 = 0;
+
     /// Build an empty filter.
     pub fn new(config: CmnmConfig) -> Self {
         let table_len = (config.registers as usize) << config.table_bits;
@@ -109,7 +119,8 @@ impl Cmnm {
             regs: vec![Register { value: 0, shift: 0, valid: false }; config.registers as usize],
             counters: vec![0; table_len],
             counter_max: ((1u32 << config.counter_bits) - 1) as u8,
-            live: TagTable::new(),
+            tags: Vec::new(),
+            live: 0,
             high_bits: config.addr_bits - config.table_bits,
             label: config.label(),
             config,
@@ -170,23 +181,36 @@ impl Cmnm {
 }
 
 impl MissFilter for Cmnm {
-    fn on_place(&mut self, block: u64) {
+    fn on_place(&mut self, block: u64, frame_slot: usize) {
         let (high, low) = self.split(block);
         let reg = self.cover(high);
         let idx = self.table_index(reg, low);
         if self.counters[idx] < self.counter_max {
             self.counters[idx] += 1;
         }
-        self.live.insert(block, reg as u8);
+        if frame_slot >= self.tags.len() {
+            // Only a filter `reserve` never sized grows.
+            self.tags.resize(frame_slot + 1, Self::NO_TAG);
+        }
+        // Registers number at most 128, so the tag fits a byte.
+        let tag = std::mem::replace(&mut self.tags[frame_slot], reg as u8 + 1);
+        if tag == Self::NO_TAG {
+            self.live += 1;
+        }
     }
 
-    fn on_replace(&mut self, block: u64) {
+    fn on_replace(&mut self, block: u64, frame_slot: usize) {
         // Pair the decrement with the exact counter the placement used.
-        let Some(reg) = self.live.remove(block) else {
-            return; // replacement of a block placed before a flush
+        let Some(tag) = self.tags.get_mut(frame_slot) else {
+            return; // a slot beyond any placement: never tagged
         };
+        let reg = std::mem::replace(tag, Self::NO_TAG);
+        if reg == Self::NO_TAG {
+            return; // replacement of a block placed before a flush
+        }
+        self.live -= 1;
         let (_, low) = self.split(block);
-        let idx = self.table_index(u32::from(reg), low);
+        let idx = self.table_index(u32::from(reg - 1), low);
         let c = self.counters[idx];
         if c > 0 && c < self.counter_max {
             self.counters[idx] = c - 1;
@@ -213,7 +237,8 @@ impl MissFilter for Cmnm {
             r.shift = 0;
         }
         self.counters.fill(0);
-        self.live.clear();
+        self.tags.fill(Self::NO_TAG);
+        self.live = 0;
     }
 
     fn storage_bits(&self) -> u64 {
@@ -230,15 +255,17 @@ impl MissFilter for Cmnm {
         &self.label
     }
 
-    fn reserve(&mut self, max_live_blocks: usize) {
-        // The tag table holds at most one entry per resident block of the
-        // guarded structure, so once sized here it never grows.
-        self.live.reserve(max_live_blocks);
+    fn reserve(&mut self, frame_slots: usize) {
+        // One tag per frame slot: once sized here it never grows.
+        if frame_slots > self.tags.len() {
+            self.tags.resize(frame_slots, Self::NO_TAG);
+        }
     }
 
     fn state_bits(&self) -> u64 {
         // Only the counter table is bit-addressable; the virtual-tag
-        // registers and the per-block pairing map are modelled, not SRAM.
+        // registers and the per-frame register tags are modelled, not
+        // fault targets.
         self.counters.len() as u64 * u64::from(self.config.counter_bits)
     }
 
@@ -262,168 +289,20 @@ impl MissFilter for Cmnm {
 
     fn occupancy(&self) -> crate::filter::FilterOccupancy {
         crate::filter::FilterOccupancy {
-            tracked: self.live.len as u64,
+            tracked: self.live as u64,
             capacity: self.counters.len() as u64,
         }
-    }
-}
-
-/// One slot of the [`TagTable`].
-#[derive(Debug, Clone, Copy)]
-struct Tag {
-    block: u64,
-    reg: u8,
-    used: bool,
-}
-
-impl Tag {
-    const EMPTY: Tag = Tag { block: 0, reg: 0, used: false };
-}
-
-/// The per-block register tags of the live blocks: MNM block address →
-/// register index, the few tag bits per line the module docs describe.
-///
-/// Open addressing with linear probing over a power-of-two array of
-/// 16-byte slots. A multiplicative (Fibonacci) hash of `block / GROUP`
-/// picks a group of `GROUP` adjacent slots and the block's low bits its
-/// home slot in it, so the sub-blocks of one cache line (four at the
-/// paper's 128-byte outer lines and 32-byte MNM grain) share one 64-byte
-/// stretch of the table: one cache event touches one place, not four.
-/// Removal shifts the rest of the probe run back into the hole, so the
-/// table keeps no tombstones. [`TagTable::reserve`] sizes it to at least
-/// twice the guarded structure's block capacity, which keeps the load at
-/// or below one half for good; only a table that was never reserved
-/// grows, by doubling. Every `u64` is a valid key: an explicit `used`
-/// flag, not a sentinel key, marks empty slots.
-#[derive(Debug, Clone)]
-struct TagTable {
-    slots: Vec<Tag>,
-    len: usize,
-    /// `64 - log2(slots.len() / GROUP)`: the hash keeps the product's top
-    /// bits, one group index.
-    shift: u32,
-}
-
-impl TagTable {
-    /// Slots per hash group: consecutive block addresses stay adjacent.
-    const GROUP: u64 = 4;
-    /// Smallest slot array a table allocates.
-    const MIN_SLOTS: usize = 16;
-
-    fn new() -> Self {
-        TagTable { slots: Vec::new(), len: 0, shift: 64 }
-    }
-
-    /// Size the table for up to `max_live` entries at load ≤ ½.
-    fn reserve(&mut self, max_live: usize) {
-        let want = (2 * max_live).next_power_of_two().max(Self::MIN_SLOTS);
-        if want > self.slots.len() {
-            self.resize(want);
-        }
-    }
-
-    /// The slot `block`'s probe run starts at: the multiplicative hash
-    /// of `block / GROUP` picks a group, `block % GROUP` a slot in it.
-    fn home(&self, block: u64) -> usize {
-        let group = (block / Self::GROUP).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift;
-        (group * Self::GROUP + block % Self::GROUP) as usize
-    }
-
-    /// The slot holding `block`, or `Err` with the empty slot that ends
-    /// its probe run. The table must have slots.
-    fn find(&self, block: u64) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(block);
-        loop {
-            let t = &self.slots[i];
-            if !t.used {
-                return Err(i);
-            }
-            if t.block == block {
-                return Ok(i);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Tag `block` with `reg`, overwriting any previous tag.
-    fn insert(&mut self, block: u64, reg: u8) {
-        if self.slots.is_empty() {
-            self.resize(Self::MIN_SLOTS);
-        }
-        match self.find(block) {
-            Ok(i) => self.slots[i].reg = reg,
-            Err(mut i) => {
-                if 2 * (self.len + 1) > self.slots.len() {
-                    self.resize(2 * self.slots.len());
-                    i = self.find(block).unwrap_err();
-                }
-                self.slots[i] = Tag { block, reg, used: true };
-                self.len += 1;
-            }
-        }
-    }
-
-    /// Remove `block`'s tag, returning it; `None` for an untagged block.
-    fn remove(&mut self, block: u64) -> Option<u8> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut hole = self.find(block).ok()?;
-        let reg = self.slots[hole].reg;
-        // Backward-shift deletion: walk the rest of the probe run and
-        // move each entry whose home does not lie cyclically in
-        // (hole, j] back into the hole.
-        let mask = self.slots.len() - 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let t = self.slots[j];
-            if !t.used {
-                break;
-            }
-            let displacement = j.wrapping_sub(self.home(t.block)) & mask;
-            if displacement >= j.wrapping_sub(hole) & mask {
-                self.slots[hole] = t;
-                hole = j;
-            }
-        }
-        self.slots[hole] = Tag::EMPTY;
-        self.len -= 1;
-        Some(reg)
-    }
-
-    /// Drop every tag, keeping the slot array.
-    fn clear(&mut self) {
-        if self.len > 0 {
-            self.slots.fill(Tag::EMPTY);
-            self.len = 0;
-        }
-    }
-
-    /// Rehash into `slots` slots (a power of two, above twice `len`).
-    fn resize(&mut self, slots: usize) {
-        debug_assert!(slots.is_power_of_two() && slots >= 2 * self.len);
-        let old = std::mem::replace(&mut self.slots, vec![Tag::EMPTY; slots]);
-        self.shift = 64 - (slots as u64 / Self::GROUP).trailing_zeros();
-        for t in old.into_iter().filter(|t| t.used) {
-            let Err(i) = self.find(t.block) else { unreachable!("keys are unique") };
-            self.slots[i] = t;
-        }
-    }
-
-    #[cfg(test)]
-    fn get(&self, block: u64) -> Option<u8> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.find(block).ok().map(|i| self.slots[i].reg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+
+    use cache_sim::{
+        Access, BypassSet, CacheConfig, EventKind, Hierarchy, HierarchyConfig, LevelConfig,
+        ReplayScratch,
+    };
 
     use super::*;
 
@@ -434,7 +313,7 @@ mod tests {
     #[test]
     fn unseen_region_is_definite_miss() {
         let mut f = cmnm(4, 10);
-        f.on_place(0x0040_0001);
+        f.on_place(0x0040_0001, 0);
         assert!(!f.is_definite_miss(0x0040_0001));
         // Same region, different low bits: counter 0 => miss.
         assert!(f.is_definite_miss(0x0040_0002));
@@ -445,9 +324,9 @@ mod tests {
     #[test]
     fn place_replace_round_trip() {
         let mut f = cmnm(2, 8);
-        f.on_place(0x1234_5600 | 0x7f);
+        f.on_place(0x1234_5600 | 0x7f, 3);
         assert!(!f.is_definite_miss(0x1234_5600 | 0x7f));
-        f.on_replace(0x1234_5600 | 0x7f);
+        f.on_replace(0x1234_5600 | 0x7f, 3);
         assert!(f.is_definite_miss(0x1234_5600 | 0x7f));
     }
 
@@ -455,10 +334,10 @@ mod tests {
     fn widening_keeps_old_blocks_matching() {
         let mut f = cmnm(2, 4);
         // Fill both registers with far-apart regions.
-        f.on_place(0x1000_0000);
-        f.on_place(0x2000_0000);
+        f.on_place(0x1000_0000, 0);
+        f.on_place(0x2000_0000, 1);
         // A third region forces widening of some register.
-        f.on_place(0x1000_1000);
+        f.on_place(0x1000_1000, 2);
         // The original blocks must still be recognized as maybe-hits.
         assert!(!f.is_definite_miss(0x1000_0000));
         assert!(!f.is_definite_miss(0x2000_0000));
@@ -468,14 +347,14 @@ mod tests {
     #[test]
     fn widened_replacement_decrements_the_right_counter() {
         let mut f = cmnm(2, 4);
-        f.on_place(0x1000_0000); // reg 0
-        f.on_place(0x2000_0000); // reg 1
-        f.on_place(0x1000_1000); // widens a register (same low nibble as reg0's block!)
-                                 // Replace the widened block; the original block must stay a
-                                 // maybe-hit even though both share low bits.
-        f.on_replace(0x1000_1000);
+        f.on_place(0x1000_0000, 0); // reg 0
+        f.on_place(0x2000_0000, 1); // reg 1
+        f.on_place(0x1000_1000, 2); // widens a register (same low nibble as reg0's block!)
+                                    // Replace the widened block; the original block must stay a
+                                    // maybe-hit even though both share low bits.
+        f.on_replace(0x1000_1000, 2);
         assert!(!f.is_definite_miss(0x1000_0000), "sound pairing of place/replace");
-        f.on_replace(0x1000_0000);
+        f.on_replace(0x1000_0000, 0);
         assert!(f.is_definite_miss(0x1000_0000));
     }
 
@@ -484,10 +363,10 @@ mod tests {
         let mut f = cmnm(1, 2);
         // 8+ blocks with the same low 2 bits in one region.
         for i in 0..10u64 {
-            f.on_place(0x100 + (i << 2));
+            f.on_place(0x100 + (i << 2), i as usize);
         }
         for i in 0..10u64 {
-            f.on_replace(0x100 + (i << 2));
+            f.on_replace(0x100 + (i << 2), i as usize);
         }
         assert!(!f.is_definite_miss(0x100), "stuck counter stays conservative");
     }
@@ -495,12 +374,52 @@ mod tests {
     #[test]
     fn flush_forgets_everything() {
         let mut f = cmnm(4, 8);
-        f.on_place(0xdead_be00);
+        f.on_place(0xdead_be00, 5);
         f.flush();
         assert!(f.is_definite_miss(0xdead_be00));
         // Replacement after a flush for a pre-flush block is ignored.
-        f.on_replace(0xdead_be00);
+        f.on_replace(0xdead_be00, 5);
         assert!(f.is_definite_miss(0xdead_be00));
+        assert_eq!(f.occupancy().tracked, 0);
+    }
+
+    /// `reserve` sizes one tag per frame slot up front; after that no
+    /// update grows the array, and an unreserved filter grows to the
+    /// highest slot it is told about. Removing from a never-tagged slot,
+    /// in range or beyond it, is a no-op.
+    #[test]
+    fn tags_are_one_byte_per_reserved_frame_slot() {
+        let mut f = cmnm(8, 12);
+        f.reserve(64);
+        assert_eq!(f.tags.len(), 64);
+        for slot in 0..64 {
+            f.on_place(0x4000 + slot as u64, slot);
+        }
+        assert_eq!((f.tags.len(), f.occupancy().tracked), (64, 64));
+        f.on_replace(0x4000, 0);
+        f.on_replace(0x4000, 0);
+        f.on_replace(0x9000, 1_000);
+        assert_eq!((f.tags.len(), f.occupancy().tracked), (64, 63));
+
+        let mut grown = cmnm(8, 12);
+        grown.on_replace(0x4000, 9);
+        grown.on_place(0x4000, 9);
+        assert_eq!((grown.tags.len(), grown.occupancy().tracked), (10, 1));
+    }
+
+    /// Two frames holding parts of one MNM block (lines shorter than the
+    /// grain) each carry their own tag, so both placements are paired
+    /// exactly and the counter drains to zero.
+    #[test]
+    fn two_frames_of_one_block_pair_exactly() {
+        let mut f = cmnm(2, 8);
+        f.on_place(0x77, 0);
+        f.on_place(0x77, 1);
+        f.on_replace(0x77, 0);
+        assert!(!f.is_definite_miss(0x77), "the other frame still holds part of the block");
+        f.on_replace(0x77, 1);
+        assert!(f.is_definite_miss(0x77));
+        assert_eq!(f.counter_for(0x77), Some(0));
     }
 
     #[test]
@@ -522,145 +441,165 @@ mod tests {
         CmnmConfig::new(3, 10);
     }
 
-    /// Check `t` against `model`: same length, every model entry found
-    /// with its register, no tombstones (used slots == len), load ≤ ½.
-    fn assert_matches_model(t: &TagTable, model: &HashMap<u64, u8>, what: &str) {
-        assert_eq!(t.len, model.len(), "{what}: len");
-        assert_eq!(t.slots.iter().filter(|s| s.used).count(), t.len, "{what}: used slots");
-        assert!(2 * t.len <= t.slots.len(), "{what}: load above one half");
-        for (&k, &r) in model {
-            assert_eq!(t.get(k), Some(r), "{what}: key {k:#x}");
+    #[test]
+    #[should_panic(expected = "1..=128")]
+    fn rejects_more_registers_than_a_tag_byte_holds() {
+        CmnmConfig::new(256, 10);
+    }
+
+    /// The block-keyed pairing the frame tags replace: the same registers
+    /// and counters (a `Cmnm` whose own tags stay unused), with each live
+    /// block's register kept in a map keyed by block address.
+    struct BlockKeyed {
+        f: Cmnm,
+        tags: HashMap<u64, u8>,
+    }
+
+    impl BlockKeyed {
+        fn place(&mut self, block: u64) {
+            let (high, low) = self.f.split(block);
+            let reg = self.f.cover(high);
+            let idx = self.f.table_index(reg, low);
+            if self.f.counters[idx] < self.f.counter_max {
+                self.f.counters[idx] += 1;
+            }
+            self.tags.insert(block, reg as u8);
+        }
+
+        fn remove(&mut self, block: u64) {
+            let Some(reg) = self.tags.remove(&block) else { return };
+            let (_, low) = self.f.split(block);
+            let idx = self.f.table_index(u32::from(reg), low);
+            let c = self.f.counters[idx];
+            if c > 0 && c < self.f.counter_max {
+                self.f.counters[idx] = c - 1;
+            }
+        }
+
+        fn flush(&mut self) {
+            self.f.flush();
+            self.tags.clear();
         }
     }
 
-    /// Seeded differential test of the tag table against `HashMap`:
-    /// inserts of new keys and overwrites, removes of present and absent
-    /// keys, clears, growth from empty and the extreme keys.
+    /// Pairing identity: on real `Hierarchy` event streams the frame-tagged
+    /// CMNM keeps the same registers, counters, live count and verdicts
+    /// as the block-keyed model after every access. A 2-register, 16-entry
+    /// CMNM per guarded structure makes masks widen and counters saturate;
+    /// the streams mix loads, stores and fetches, filter-only flushes
+    /// mid-stream (`Mnm::flush`: the caches keep their blocks, so
+    /// untagged blocks are later removed), `invalidate_block`, and, on
+    /// the tiny inclusive geometry, constant back-invalidation.
     #[test]
-    fn tag_table_matches_a_hash_map_model() {
+    fn frame_tags_pair_exactly_like_block_keyed_tags() {
         use trace_synth::rng::splitmix64;
-        for seed in 0..16u64 {
-            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut next = move || {
-                x = x.wrapping_add(1);
-                splitmix64(x)
-            };
-            // Half the seeds start from a reserved table, half grow one.
-            let mut t = TagTable::new();
-            if seed % 2 == 0 {
-                t.reserve(64);
-            }
-            let mut model = HashMap::new();
-            // A small universe makes overwrites and present removes
-            // common; a dense run exercises whole hash groups.
-            let universe = 1 + next() % 300;
-            let key = |r: u64| match r % 8 {
-                0 => 0,
-                1 => u64::MAX,
-                2 => u64::MAX - r % 5,
-                3 | 4 => 0x1000 + (r >> 8) % 16,
-                _ => (r >> 8) % universe * 0x10_0001,
-            };
-            for step in 0..4_000 {
-                let r = next();
-                let k = key(next());
-                match r % 16 {
-                    0..=8 => {
-                        let reg = (r >> 8) as u8;
-                        t.insert(k, reg);
-                        model.insert(k, reg);
-                    }
-                    9..=14 => assert_eq!(t.remove(k), model.remove(&k), "seed {seed} step {step}"),
-                    _ if r % 512 == 15 => {
-                        t.clear();
-                        model.clear();
-                    }
-                    _ => assert_eq!(t.get(k), model.get(&k).copied()),
+        let tiny_inclusive = HierarchyConfig {
+            levels: vec![
+                LevelConfig::Split {
+                    instr: CacheConfig::new("il1", 64, 2, 32, 1),
+                    data: CacheConfig::new("dl1", 64, 2, 32, 1),
+                },
+                LevelConfig::Unified(CacheConfig::new("ul2", 256, 2, 32, 4)),
+                LevelConfig::Unified(CacheConfig::new("ul3", 512, 1, 64, 8)),
+            ],
+            memory_latency: 20,
+            inclusive: true,
+        };
+        let geometries =
+            [(HierarchyConfig::paper_five_level(), 1u64 << 24), (tiny_inclusive, 1 << 14)];
+        for (gi, (config, space)) in geometries.into_iter().enumerate() {
+            for seed in 0..4u64 {
+                let mut hier = Hierarchy::new(config.clone());
+                let grain = hier.mnm_granularity();
+                let mut slot_of = vec![None; hier.structures().len()];
+                let mut pairs: Vec<(Cmnm, BlockKeyed)> = Vec::new();
+                for info in hier.structures().iter().filter(|i| i.level >= 2) {
+                    let mut real = cmnm(2, 4);
+                    real.reserve(hier.cache(info.id).config().frame_slots(grain) as usize);
+                    slot_of[info.id.index()] = Some(pairs.len());
+                    pairs.push((real, BlockKeyed { f: cmnm(2, 4), tags: HashMap::new() }));
                 }
-                assert_eq!(t.len, model.len(), "seed {seed} step {step}");
-                if step % 97 == 0 {
-                    assert_matches_model(&t, &model, &format!("seed {seed} step {step}"));
+                let mut scratch = ReplayScratch::new();
+                let mut events = Vec::new();
+                let mut x = splitmix64(seed ^ (gi as u64) << 32);
+                let (mut removed, mut flushes, mut back_invalidated) = (0u64, 0u64, 0u64);
+                let mut widened = false;
+                for step in 0..12_000u64 {
+                    x = splitmix64(x);
+                    // Hot and cold regions far apart, so registers widen.
+                    let addr = if x.is_multiple_of(4) {
+                        (x >> 8) & (space - 1)
+                    } else {
+                        (x >> 8) & 0x3fff
+                    };
+                    events.clear();
+                    match x % 97 {
+                        0 => {
+                            hier.invalidate_block(addr, &mut events);
+                        }
+                        1 if step > 1_000 => {
+                            for (real, model) in &mut pairs {
+                                real.flush();
+                                model.flush();
+                            }
+                            flushes += 1;
+                        }
+                        _ => {
+                            let access = match x % 3 {
+                                0 => Access::store(addr),
+                                1 => Access::load(addr),
+                                _ => Access::fetch(addr),
+                            };
+                            hier.access_with_events(access, &BypassSet::none(), &mut scratch);
+                            events.extend_from_slice(scratch.events());
+                            back_invalidated +=
+                                events.iter().filter(|e| e.kind == EventKind::Invalidated).count()
+                                    as u64;
+                        }
+                    }
+                    for ev in &events {
+                        let Some(si) = slot_of[ev.structure.index()] else { continue };
+                        let (real, model) = &mut pairs[si];
+                        for (block, frame_slot) in ev.sub_blocks(grain) {
+                            if ev.kind == EventKind::Placed {
+                                real.on_place(block, frame_slot);
+                                model.place(block);
+                            } else {
+                                real.on_replace(block, frame_slot);
+                                model.remove(block);
+                                removed += 1;
+                            }
+                        }
+                    }
+                    let probe = addr / grain;
+                    for (si, (real, model)) in pairs.iter().enumerate() {
+                        let what = format!("geometry {gi} seed {seed} step {step} slot {si}");
+                        assert_eq!(real.counters, model.f.counters, "{what}: counters");
+                        assert_eq!(real.live, model.tags.len(), "{what}: live blocks");
+                        for (a, b) in real.regs.iter().zip(&model.f.regs) {
+                            assert_eq!((a.value, a.shift, a.valid), (b.value, b.shift, b.valid));
+                            widened |= a.shift > 0;
+                        }
+                        for block in [probe, probe ^ 1, probe + 0x1_0000] {
+                            assert_eq!(
+                                real.is_definite_miss(block),
+                                model.f.is_definite_miss(block),
+                                "{what}: verdict for {block:#x}"
+                            );
+                        }
+                    }
                 }
+                assert!(removed > 1_000 && flushes > 10, "{removed} removals, {flushes} flushes");
+                assert!(widened, "geometry {gi} seed {seed}: no register ever widened");
+                assert!(config.inclusive == (back_invalidated > 0), "{back_invalidated}");
             }
-            assert_matches_model(&t, &model, &format!("seed {seed} end"));
         }
-    }
-
-    #[test]
-    fn tag_table_grows_only_when_never_reserved() {
-        let mut grown = TagTable::new();
-        let mut reserved = TagTable::new();
-        reserved.reserve(1_000);
-        let slots = reserved.slots.len();
-        assert_eq!(slots, 2_048);
-        let mut model = HashMap::new();
-        for k in 0..1_000u64 {
-            let key = k.wrapping_mul(0xD1B5_4A32_D192_ED03);
-            grown.insert(key, k as u8);
-            reserved.insert(key, k as u8);
-            model.insert(key, k as u8);
-        }
-        assert_eq!(reserved.slots.len(), slots, "a reserved table never grows");
-        assert_eq!(grown.slots.len(), 2_048, "doubling keeps the load at most one half");
-        assert_matches_model(&grown, &model, "grown");
-        assert_matches_model(&reserved, &model, "reserved");
-        // Removing everything leaves empty slots behind, not tombstones.
-        for &k in model.keys() {
-            assert!(reserved.remove(k).is_some());
-        }
-        assert!(reserved.slots.iter().all(|s| !s.used));
-    }
-
-    /// Keys whose home slots sit at the end of the table share one probe
-    /// run across the wrap-around to slot 0; removing them in every
-    /// rotation of insertion order exercises backward-shift deletion
-    /// across the wrap.
-    #[test]
-    fn backward_shift_deletion_across_the_wrap() {
-        let mut probe = TagTable::new();
-        probe.reserve(8); // 16 slots
-        let last = probe.slots.len() - 1;
-        let table = &probe;
-        let homed = |slot: usize| (0..u64::MAX).filter(move |&k| table.home(k) == slot).take(3);
-        // Three keys homed at the last slot wrap into slots 0 and 1; three
-        // homed one slot earlier then sit behind them, displaced past the
-        // wrap, so a removal must tell the two homes apart.
-        let keys: Vec<u64> = homed(last).chain(homed(last - 1)).chain([0, u64::MAX]).collect();
-        assert!(!keys[..6].contains(&0) && !keys[..6].contains(&u64::MAX));
-        for rot in 0..keys.len() {
-            let mut t = probe.clone();
-            let mut model = HashMap::new();
-            for (i, &k) in keys.iter().enumerate() {
-                t.insert(k, i as u8);
-                model.insert(k, i as u8);
-            }
-            assert!(t.slots[0].used && t.slots[1].used, "the run wraps past slot 0");
-            for j in 0..keys.len() {
-                let k = keys[(rot + j) % keys.len()];
-                assert_eq!(t.remove(k), model.remove(&k));
-                assert_eq!(t.remove(k), None, "a removed key is gone");
-                assert_matches_model(&t, &model, &format!("rotation {rot}, removal {j}"));
-            }
-            assert_eq!(t.slots.len(), 16);
-        }
-    }
-
-    #[test]
-    fn tag_table_keeps_every_key_and_overwrites() {
-        let mut t = TagTable::new();
-        assert_eq!(t.remove(7), None, "removing from an empty table is a no-op");
-        for (k, r) in [(0, 1), (u64::MAX, 2), (0, 3), (u64::MAX, 4)] {
-            t.insert(k, r);
-        }
-        assert_eq!((t.len, t.get(0), t.get(u64::MAX)), (2, Some(3), Some(4)));
-        t.clear();
-        assert_eq!((t.len, t.get(0), t.remove(u64::MAX)), (0, None, None));
     }
 
     #[test]
     fn flipping_the_guarding_counter_bit_makes_a_live_block_lie() {
         let mut f = cmnm(4, 8);
-        f.on_place(0x0040_0001);
+        f.on_place(0x0040_0001, 0);
         assert!(!f.is_definite_miss(0x0040_0001));
         let bit = f.state_bit_of(0x0040_0001).expect("resident block matches a register");
         assert!(f.flip_state_bit(bit));

@@ -169,7 +169,7 @@ impl MnmConfig {
         if let Some(rest) = label.strip_prefix("CMNM_") {
             let (a, b) = rest.split_once('_').ok_or_else(err)?;
             let (k, m) = (parse_u32(a)?, parse_u32(b)?);
-            if !k.is_power_of_two() || !(1..31).contains(&m) {
+            if !k.is_power_of_two() || k > 128 || !(1..31).contains(&m) {
                 return Err(err());
             }
             return Ok(Self::single(TechniqueConfig::Cmnm(CmnmConfig::new(k, m))));
@@ -256,9 +256,17 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        for bad in
-            ["", "XMNM_1", "TMNM_12", "TMNM_0x1", "SMNM_10x9", "RMNM_100_2", "HMNM9", "CMNM_3_10"]
-        {
+        for bad in [
+            "",
+            "XMNM_1",
+            "TMNM_12",
+            "TMNM_0x1",
+            "SMNM_10x9",
+            "RMNM_100_2",
+            "HMNM9",
+            "CMNM_3_10",
+            "CMNM_256_10",
+        ] {
             assert!(MnmConfig::parse(bad).is_err(), "{bad} should not parse");
         }
     }

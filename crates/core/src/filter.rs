@@ -50,12 +50,25 @@ impl FilterOccupancy {
 /// [`MissFilter::on_replace`], in order. The reverse is not required — a
 /// `false` ("maybe") answer for an absent block merely costs a redundant
 /// probe (paper §3.6).
+///
+/// # Frame contract
+///
+/// Each update also names the block's **frame slot**: its cache frame
+/// (`set × assoc + way`) times `max(1, line / grain)`, plus the MNM
+/// sub-block's index within the line
+/// ([`CacheEvent::sub_blocks`](cache_sim::CacheEvent::sub_blocks)).
+/// Every live block holds a distinct slot below the count passed to
+/// [`MissFilter::reserve`], and the removal of a block reports the slot its
+/// placement did. Filters that keep per-line state (CMNM's register tag)
+/// index it by slot; the hash- and counter-shaped filters ignore it.
 pub trait MissFilter: std::fmt::Debug + Send {
-    /// A block was installed into the guarded structure.
-    fn on_place(&mut self, block: u64);
+    /// A block was installed into the guarded structure, in frame slot
+    /// `frame_slot`.
+    fn on_place(&mut self, block: u64, frame_slot: usize);
 
-    /// A block was evicted from the guarded structure.
-    fn on_replace(&mut self, block: u64);
+    /// A block was evicted from the guarded structure, leaving frame slot
+    /// `frame_slot`.
+    fn on_replace(&mut self, block: u64, frame_slot: usize);
 
     /// A block was removed from the guarded structure by an invalidation —
     /// an inclusive back-invalidation from an outer level, or external
@@ -71,8 +84,8 @@ pub trait MissFilter: std::fmt::Debug + Send {
     /// replacement handling is asymmetric (e.g. the set-only SMNM, whose
     /// `on_replace` is a deliberate no-op) inherit the same soundness
     /// argument: the filter may only get more conservative.
-    fn on_invalidate(&mut self, block: u64) {
-        self.on_replace(block);
+    fn on_invalidate(&mut self, block: u64, frame_slot: usize) {
+        self.on_replace(block, frame_slot);
     }
 
     /// `true` iff an access to `block` is guaranteed to miss.
@@ -91,11 +104,13 @@ pub trait MissFilter: std::fmt::Debug + Send {
     /// read it mid-run without allocating.
     fn label(&self) -> &str;
 
-    /// Upper bound on simultaneously-live blocks in the guarded structure
-    /// (its capacity in MNM blocks). Filters with dynamically-sized
-    /// bookkeeping pre-size it here so the per-access hot path never
-    /// allocates; the hardware-shaped tables ignore this.
-    fn reserve(&mut self, _max_live_blocks: usize) {}
+    /// The guarded structure's frame-slot count
+    /// ([`CacheConfig::frame_slots`](cache_sim::CacheConfig::frame_slots)),
+    /// an upper bound on both the live blocks and every slot an update
+    /// names. Filters with per-slot bookkeeping size it here so the
+    /// per-access hot path never allocates; the hardware-shaped tables
+    /// ignore this.
+    fn reserve(&mut self, _frame_slots: usize) {}
 
     /// Number of state bits addressable by [`MissFilter::flip_state_bit`].
     /// Zero (the default) means the filter exposes no fault surface.

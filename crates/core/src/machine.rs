@@ -62,23 +62,23 @@ impl FilterKind {
 
     /// Statically dispatched [`MissFilter::on_place`].
     #[inline]
-    pub fn on_place(&mut self, block: u64) {
+    pub fn on_place(&mut self, block: u64, frame_slot: usize) {
         match self {
-            FilterKind::Smnm(f) => MissFilter::on_place(f, block),
-            FilterKind::Tmnm(f) => MissFilter::on_place(f, block),
-            FilterKind::Cmnm(f) => MissFilter::on_place(f, block),
-            FilterKind::Bloom(f) => MissFilter::on_place(f, block),
+            FilterKind::Smnm(f) => MissFilter::on_place(f, block, frame_slot),
+            FilterKind::Tmnm(f) => MissFilter::on_place(f, block, frame_slot),
+            FilterKind::Cmnm(f) => MissFilter::on_place(f, block, frame_slot),
+            FilterKind::Bloom(f) => MissFilter::on_place(f, block, frame_slot),
         }
     }
 
     /// Statically dispatched [`MissFilter::on_replace`].
     #[inline]
-    pub fn on_replace(&mut self, block: u64) {
+    pub fn on_replace(&mut self, block: u64, frame_slot: usize) {
         match self {
-            FilterKind::Smnm(f) => MissFilter::on_replace(f, block),
-            FilterKind::Tmnm(f) => MissFilter::on_replace(f, block),
-            FilterKind::Cmnm(f) => MissFilter::on_replace(f, block),
-            FilterKind::Bloom(f) => MissFilter::on_replace(f, block),
+            FilterKind::Smnm(f) => MissFilter::on_replace(f, block, frame_slot),
+            FilterKind::Tmnm(f) => MissFilter::on_replace(f, block, frame_slot),
+            FilterKind::Cmnm(f) => MissFilter::on_replace(f, block, frame_slot),
+            FilterKind::Bloom(f) => MissFilter::on_replace(f, block, frame_slot),
         }
     }
 
@@ -88,12 +88,12 @@ impl FilterKind {
     /// deliberate no-op); soundness rests on the caller only reporting
     /// blocks that were actually removed.
     #[inline]
-    pub fn on_invalidate(&mut self, block: u64) {
+    pub fn on_invalidate(&mut self, block: u64, frame_slot: usize) {
         match self {
-            FilterKind::Smnm(f) => MissFilter::on_invalidate(f, block),
-            FilterKind::Tmnm(f) => MissFilter::on_invalidate(f, block),
-            FilterKind::Cmnm(f) => MissFilter::on_invalidate(f, block),
-            FilterKind::Bloom(f) => MissFilter::on_invalidate(f, block),
+            FilterKind::Smnm(f) => MissFilter::on_invalidate(f, block, frame_slot),
+            FilterKind::Tmnm(f) => MissFilter::on_invalidate(f, block, frame_slot),
+            FilterKind::Cmnm(f) => MissFilter::on_invalidate(f, block, frame_slot),
+            FilterKind::Bloom(f) => MissFilter::on_invalidate(f, block, frame_slot),
         }
     }
 
@@ -120,16 +120,16 @@ impl FilterKind {
 }
 
 impl MissFilter for FilterKind {
-    fn on_place(&mut self, block: u64) {
-        FilterKind::on_place(self, block);
+    fn on_place(&mut self, block: u64, frame_slot: usize) {
+        FilterKind::on_place(self, block, frame_slot);
     }
 
-    fn on_replace(&mut self, block: u64) {
-        FilterKind::on_replace(self, block);
+    fn on_replace(&mut self, block: u64, frame_slot: usize) {
+        FilterKind::on_replace(self, block, frame_slot);
     }
 
-    fn on_invalidate(&mut self, block: u64) {
-        FilterKind::on_invalidate(self, block);
+    fn on_invalidate(&mut self, block: u64, frame_slot: usize) {
+        FilterKind::on_invalidate(self, block, frame_slot);
     }
 
     fn is_definite_miss(&self, block: u64) -> bool {
@@ -148,8 +148,8 @@ impl MissFilter for FilterKind {
         self.as_miss_filter().label()
     }
 
-    fn reserve(&mut self, max_live_blocks: usize) {
-        self.as_miss_filter_mut().reserve(max_live_blocks);
+    fn reserve(&mut self, frame_slots: usize) {
+        self.as_miss_filter_mut().reserve(frame_slots);
     }
 
     fn state_bits(&self) -> u64 {
@@ -181,28 +181,29 @@ struct Slot {
     /// changes). Backs [`Mnm::occupancy`] with a block count independent
     /// of how many member filters a hybrid stacks on the slot.
     live_blocks: u64,
-    /// Capacity of the guarded structure in MNM blocks.
+    /// Capacity of the guarded structure in frame slots (MNM blocks,
+    /// unless its lines are shorter than the MNM grain).
     capacity_blocks: u64,
 }
 
-/// Apply one cache event's MNM sub-blocks to slot `si`, in order: for
-/// each sub-block, `filter_op` on every filter of the slot, then `rmnm_op`
-/// on the shared RMNM. Generic over the two operations, so each event
-/// kind compiles to its own loop with the calls inlined. Returns the
-/// number of sub-blocks.
+/// Apply one cache event's MNM sub-blocks, each with its frame slot, to
+/// slot `si`, in order: for each sub-block, `filter_op` on every filter of
+/// the slot, then `rmnm_op` on the shared RMNM. Generic over the two
+/// operations, so each event kind compiles to its own loop with the calls
+/// inlined. Returns the number of sub-blocks.
 #[inline(always)]
 fn feed(
-    blocks: impl Iterator<Item = u64>,
+    blocks: impl Iterator<Item = (u64, usize)>,
     si: usize,
     slot: &mut Slot,
     mut rmnm: Option<&mut Rmnm>,
-    filter_op: impl Fn(&mut FilterKind, u64),
+    filter_op: impl Fn(&mut FilterKind, u64, usize),
     rmnm_op: impl Fn(&mut Rmnm, usize, u64),
 ) -> u64 {
     let mut n = 0;
-    for block in blocks {
+    for (block, frame_slot) in blocks {
         for f in &mut slot.filters {
-            filter_op(f, block);
+            filter_op(f, block, frame_slot);
         }
         if let Some(r) = rmnm.as_deref_mut() {
             rmnm_op(r, si, block);
@@ -257,16 +258,16 @@ impl Mnm {
             if info.level < 2 {
                 continue;
             }
-            // Capacity of the guarded structure in MNM blocks: bounds any
-            // filter bookkeeping that is sized by residency.
-            let max_live =
-                (hierarchy.cache(info.id).config().size_bytes / granularity.bytes()) as usize;
+            // Frame slots of the guarded structure: bounds both its live
+            // MNM blocks and the slots its events name.
+            let frame_slots =
+                hierarchy.cache(info.id).config().frame_slots(granularity.bytes()) as usize;
             let filters: Vec<FilterKind> = config
                 .techniques_for_level(info.level)
                 .into_iter()
                 .map(|t| {
                     let mut f = FilterKind::build(t);
-                    f.reserve(max_live);
+                    f.reserve(frame_slots);
                     f
                 })
                 .collect();
@@ -277,7 +278,7 @@ impl Mnm {
                 name: info.name.clone(),
                 filters,
                 live_blocks: 0,
-                capacity_blocks: max_live as u64,
+                capacity_blocks: frame_slots as u64,
             });
         }
 
@@ -368,7 +369,8 @@ impl Mnm {
     /// Feed the hierarchy's placement/replacement events into the filters
     /// (the MNM bookkeeping of paper §2). Blocks from caches with lines
     /// larger than the MNM granularity expand into multiple updates
-    /// (paper §3.1).
+    /// (paper §3.1), each with its frame slot
+    /// ([`CacheEvent::sub_blocks`]).
     pub fn observe_events(&mut self, events: &[CacheEvent]) {
         let grain = self.granularity.bytes();
         for ev in events {
@@ -602,8 +604,8 @@ impl Mnm {
     /// Flush the machine together with the hierarchy it guards — the only
     /// safe way to model a cache flush mid-trace.
     ///
-    /// A flush must clear every attached filter (TMNM counters, CMNM live
-    /// set, the shared RMNM table, SMNM checkers) *and* the caches in the
+    /// A flush must clear every attached filter (TMNM counters, CMNM
+    /// tags, the shared RMNM table, SMNM checkers) *and* the caches in the
     /// same step: flushing the caches alone leaves filters conservatively
     /// stale (sound but lossy), while flushing the filters alone flags
     /// still-resident blocks (unsound). The differential checker in
@@ -760,12 +762,14 @@ mod tests {
             if info.level < 2 {
                 continue;
             }
-            for base in hier.cache(info.id).resident_blocks() {
+            // Any distinct frame per resident block keeps the frame contract.
+            for (frame, base) in hier.cache(info.id).resident_blocks().enumerate() {
                 rebuilt.push(CacheEvent {
                     structure: info.id,
                     kind: EventKind::Placed,
                     block_base: base,
                     block_bytes: info.block_bytes,
+                    frame: frame as u32,
                 });
             }
         }

@@ -216,13 +216,13 @@ impl SmnmFilter {
 }
 
 impl MissFilter for SmnmFilter {
-    fn on_place(&mut self, block: u64) {
+    fn on_place(&mut self, block: u64, _frame_slot: usize) {
         for c in &mut self.checkers {
             c.admit(block);
         }
     }
 
-    fn on_replace(&mut self, _block: u64) {
+    fn on_replace(&mut self, _block: u64, _frame_slot: usize) {
         // Set-only: several live blocks may share a hash value, so a
         // replacement cannot clear any flip-flop (soundness).
     }
@@ -285,6 +285,8 @@ impl MissFilter for SmnmFilter {
 
 #[cfg(test)]
 mod tests {
+    //! SMNM ignores the frame slot, so these tests pass 0 for it.
+
     use super::*;
 
     #[test]
@@ -327,7 +329,7 @@ mod tests {
     fn never_seen_hash_is_definite_miss() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 1));
         assert!(f.is_definite_miss(0b1)); // nothing admitted yet
-        f.on_place(0b1);
+        f.on_place(0b1, 0);
         assert!(!f.is_definite_miss(0b1));
         // 0b100 hashes to 9, distinct from 1 => still a definite miss.
         assert!(f.is_definite_miss(0b100));
@@ -336,8 +338,8 @@ mod tests {
     #[test]
     fn replace_never_clears() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 2));
-        f.on_place(42);
-        f.on_replace(42);
+        f.on_place(42, 0);
+        f.on_replace(42, 0);
         assert!(!f.is_definite_miss(42), "set-only semantics");
     }
 
@@ -347,27 +349,27 @@ mod tests {
         // 0b0011 -> 1+4 = 5; 0b...? find another 4-bit value hashing to 5:
         // none (sums are distinct subsets of {1,4,9,16}), but values equal
         // modulo the 4-bit slice alias: 0b10011 has the same low-4 slice.
-        f.on_place(0b0011);
+        f.on_place(0b0011, 0);
         assert!(!f.is_definite_miss(0b1_0011), "slice alias must not be rejected");
     }
 
     #[test]
     fn replicated_checkers_catch_high_bit_differences() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 3));
-        f.on_place(0x0000_0001);
+        f.on_place(0x0000_0001, 0);
         // Same low slice, different bits at offset 12 => third checker
         // rejects.
         assert!(f.is_definite_miss(0x0000_1001 | 1 << 13));
         // Single-checker filter cannot.
         let mut f1 = SmnmFilter::new(SmnmConfig::new(10, 1));
-        f1.on_place(0x0000_0001);
+        f1.on_place(0x0000_0001, 0);
         assert!(!f1.is_definite_miss(0x0000_0001 | 1 << 13));
     }
 
     #[test]
     fn flush_resets_to_all_miss() {
         let mut f = SmnmFilter::new(SmnmConfig::new(8, 1));
-        f.on_place(3);
+        f.on_place(3, 0);
         f.flush();
         assert!(f.is_definite_miss(3));
     }
@@ -394,7 +396,7 @@ mod tests {
     #[test]
     fn flipping_the_guarding_flip_flop_makes_an_admitted_block_lie() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 2));
-        f.on_place(42);
+        f.on_place(42, 0);
         assert!(!f.is_definite_miss(42));
         let bit = f.state_bit_of(42).unwrap();
         assert!(f.flip_state_bit(bit));

@@ -215,13 +215,13 @@ impl TmnmFilter {
 }
 
 impl MissFilter for TmnmFilter {
-    fn on_place(&mut self, block: u64) {
+    fn on_place(&mut self, block: u64, _frame_slot: usize) {
         for t in &mut self.tables {
             t.increment(block);
         }
     }
 
-    fn on_replace(&mut self, block: u64) {
+    fn on_replace(&mut self, block: u64, _frame_slot: usize) {
         for t in &mut self.tables {
             t.decrement(block);
         }
@@ -288,15 +288,17 @@ impl MissFilter for TmnmFilter {
 
 #[cfg(test)]
 mod tests {
+    //! TMNM ignores the frame slot, so these tests pass 0 for it.
+
     use super::*;
 
     #[test]
     fn place_replace_round_trip() {
         let mut f = TmnmFilter::new(TmnmConfig::new(6, 1));
         assert!(f.is_definite_miss(0x12));
-        f.on_place(0x12);
+        f.on_place(0x12, 0);
         assert!(!f.is_definite_miss(0x12));
-        f.on_replace(0x12);
+        f.on_replace(0x12, 0);
         assert!(f.is_definite_miss(0x12));
     }
 
@@ -304,11 +306,11 @@ mod tests {
     fn aliasing_blocks_keep_counter_positive() {
         let mut f = TmnmFilter::new(TmnmConfig::new(4, 1));
         // 0x5 and 0x15 share the low-4 slot.
-        f.on_place(0x5);
-        f.on_place(0x15);
-        f.on_replace(0x5);
+        f.on_place(0x5, 0);
+        f.on_place(0x15, 0);
+        f.on_replace(0x5, 0);
         assert!(!f.is_definite_miss(0x15), "one alias still live");
-        f.on_replace(0x15);
+        f.on_replace(0x15, 0);
         assert!(f.is_definite_miss(0x15));
     }
 
@@ -316,11 +318,11 @@ mod tests {
     fn saturation_is_sticky() {
         let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2)); // max = 3
         for i in 0..5u64 {
-            f.on_place(0x3 | (i << 4)); // 5 aliases of slot 3
+            f.on_place(0x3 | (i << 4), 0); // 5 aliases of slot 3
         }
         // Removing all of them cannot drain the stuck counter.
         for i in 0..5u64 {
-            f.on_replace(0x3 | (i << 4));
+            f.on_replace(0x3 | (i << 4), 0);
         }
         assert!(!f.is_definite_miss(0x3), "saturated slot stays 'maybe' forever");
     }
@@ -332,10 +334,10 @@ mod tests {
         // stay conservative.
         let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2)); // max = 3
         for i in 0..3u64 {
-            f.on_place(0x1 | (i << 4));
+            f.on_place(0x1 | (i << 4), 0);
         }
         for i in 0..3u64 {
-            f.on_replace(0x1 | (i << 4));
+            f.on_replace(0x1 | (i << 4), 0);
         }
         // Counter hit its max (3) with exactly 3 blocks: it cannot tell 3
         // from >3, so it must stick.
@@ -347,8 +349,8 @@ mod tests {
         let mut one = TmnmFilter::new(TmnmConfig::new(10, 1));
         let mut three = TmnmFilter::new(TmnmConfig::new(10, 3));
         let a = 0x0000_0400u64; // bit 10 set: invisible to the low-10 table
-        one.on_place(0);
-        three.on_place(0);
+        one.on_place(0, 0);
+        three.on_place(0, 0);
         assert!(!one.is_definite_miss(a), "low slice aliases with block 0");
         assert!(three.is_definite_miss(a), "offset-6 table sees the difference");
     }
@@ -363,7 +365,7 @@ mod tests {
     #[test]
     fn flush_resets_counters() {
         let mut f = TmnmFilter::new(TmnmConfig::new(6, 2));
-        f.on_place(9);
+        f.on_place(9, 0);
         f.flush();
         assert!(f.is_definite_miss(9));
         assert_eq!(f.tables[0].counter(9), 0);
@@ -413,7 +415,7 @@ mod tests {
     #[test]
     fn flipping_the_guarding_bit_makes_a_live_block_lie() {
         let mut f = TmnmFilter::new(TmnmConfig::new(6, 1));
-        f.on_place(0x12);
+        f.on_place(0x12, 0);
         assert!(!f.is_definite_miss(0x12));
         let bit = f.state_bit_of(0x12).unwrap();
         assert!(f.flip_state_bit(bit), "bit {bit} must be in range");

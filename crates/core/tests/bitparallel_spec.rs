@@ -8,7 +8,8 @@
 //! straight from the paper's prose — per-bit hash loop, plain counter
 //! arrays, no bitsets — and require bit-identical verdicts after every
 //! operation. Any divergence between the fast representation and the
-//! specification is a bug in the fast one.
+//! specification is a bug in the fast one. None of these families reads
+//! the frame slot, so the traces pass 0 for it.
 
 use std::collections::HashSet;
 
@@ -114,13 +115,13 @@ fn smnm_lut_hash_and_present_bitset_match_the_paper_loop() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=4 => {
-                    real.on_place(block);
+                    real.on_place(block, 0);
                     spec.on_place(block);
                     recent.push(block);
                 }
                 5 => {
                     // Replacements must be ignored by both (set-only).
-                    real.on_replace(block);
+                    real.on_replace(block, 0);
                 }
                 6 => {
                     let bit = gen.next() % real.state_bits();
@@ -212,11 +213,11 @@ fn tmnm_zero_bitset_matches_a_naive_counter_scan() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=3 => {
-                    real.on_place(block);
+                    real.on_place(block, 0);
                     spec.on_place(block);
                 }
                 4..=5 => {
-                    real.on_replace(block);
+                    real.on_replace(block, 0);
                     spec.on_replace(block);
                 }
                 6 => {
@@ -305,11 +306,11 @@ fn bloom_zero_bitset_and_mixer_match_the_naive_model() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=3 => {
-                    real.on_place(block);
+                    real.on_place(block, 0);
                     spec.on_place(block);
                 }
                 4..=5 => {
-                    real.on_replace(block);
+                    real.on_replace(block, 0);
                     spec.on_replace(block);
                 }
                 6 => {

@@ -23,11 +23,17 @@ fn build(kind: &str, trace: &[(bool, u64)]) -> Box<dyn MissFilter> {
         "bloom" => Box::new(BloomFilter::new(BloomConfig::new(2, 2))),
         other => panic!("unknown filter kind {other}"),
     };
+    // Frames as a 4-frame fully associative cache hands them out: a
+    // placement takes the lowest free frame, a replacement frees the
+    // block's own, so different blocks reuse one frame over a trace.
+    let mut frame_of = [usize::MAX; BLOCKS as usize];
     for &(place, b) in trace {
         if place {
-            f.on_place(b);
+            let frame = (0..).find(|fr| !frame_of.contains(fr)).unwrap();
+            frame_of[b as usize] = frame;
+            f.on_place(b, frame);
         } else {
-            f.on_replace(b);
+            f.on_replace(b, std::mem::replace(&mut frame_of[b as usize], usize::MAX));
         }
     }
     f

@@ -24,26 +24,30 @@ impl Gen {
 
 /// An abstract cache trace: alternating place/replace operations that a
 /// real cache could emit (a block is placed at most once before being
-/// replaced, and only resident blocks are replaced).
+/// replaced, and only resident blocks are replaced), each with the frame
+/// slot the block entered or left.
 #[derive(Debug, Clone)]
 struct CacheTrace {
-    ops: Vec<(bool, u64)>, // (is_place, block)
+    ops: Vec<(bool, u64, usize)>, // (is_place, block, frame slot)
 }
 
 fn cache_trace(gen: &mut Gen, max_ops: u64, addr_space: u64) -> CacheTrace {
     let n = 1 + gen.next() % max_ops;
-    // Repair the raw stream into a legal place/replace alternation.
-    let mut live: HashMap<u64, u32> = HashMap::new();
+    // Repair the raw stream into a legal place/replace alternation. Like a
+    // cache, a placement takes a free frame slot (the most recently freed
+    // first) and a replacement frees the block's own.
+    let mut live: HashMap<u64, usize> = HashMap::new();
+    let mut free: Vec<usize> = Vec::new();
     let mut ops = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let block = gen.next() % addr_space;
-        let count = live.entry(block).or_insert(0);
-        if *count == 0 {
-            *count = 1;
-            ops.push((true, block));
+        if let Some(frame) = live.remove(&block) {
+            free.push(frame);
+            ops.push((false, block, frame));
         } else {
-            *count = 0;
-            ops.push((false, block));
+            let frame = free.pop().unwrap_or(live.len());
+            live.insert(block, frame);
+            ops.push((true, block, frame));
         }
     }
     CacheTrace { ops }
@@ -51,12 +55,12 @@ fn cache_trace(gen: &mut Gen, max_ops: u64, addr_space: u64) -> CacheTrace {
 
 fn check_filter_soundness(filter: &mut dyn MissFilter, trace: &CacheTrace) {
     let mut live: HashMap<u64, bool> = HashMap::new();
-    for &(is_place, block) in &trace.ops {
+    for &(is_place, block, frame) in &trace.ops {
         if is_place {
-            filter.on_place(block);
+            filter.on_place(block, frame);
             live.insert(block, true);
         } else {
-            filter.on_replace(block);
+            filter.on_replace(block, frame);
             live.insert(block, false);
         }
         // Soundness: every *live* block must be a maybe.
@@ -117,7 +121,7 @@ fn rmnm_never_flags_live_blocks() {
         // The RMNM is shared; exercise one slot through the same trace.
         let mut r = Rmnm::new(RmnmConfig::new(blocks, assoc), 3);
         let mut live: HashMap<u64, bool> = HashMap::new();
-        for &(is_place, block) in &trace.ops {
+        for &(is_place, block, _) in &trace.ops {
             if is_place {
                 r.on_place(1, block);
                 live.insert(block, true);
@@ -144,12 +148,12 @@ fn tmnm_is_exact_without_aliasing() {
         let trace = cache_trace(&mut gen, 120, 64);
         let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(6, 1, 8));
         let mut live: HashMap<u64, bool> = HashMap::new();
-        for &(is_place, block) in &trace.ops {
+        for &(is_place, block, frame) in &trace.ops {
             if is_place {
-                f.on_place(block);
+                f.on_place(block, frame);
                 live.insert(block, true);
             } else {
-                f.on_replace(block);
+                f.on_replace(block, frame);
                 live.insert(block, false);
             }
         }
@@ -173,15 +177,15 @@ fn flush_makes_everything_a_definite_miss_again() {
             Box::new(Cmnm::new(CmnmConfig::new(4, 10))),
         ];
         for f in &mut filters {
-            for &(is_place, block) in &trace.ops {
+            for &(is_place, block, frame) in &trace.ops {
                 if is_place {
-                    f.on_place(block);
+                    f.on_place(block, frame);
                 } else {
-                    f.on_replace(block);
+                    f.on_replace(block, frame);
                 }
             }
             f.flush();
-            for &(_, block) in &trace.ops {
+            for &(_, block, _) in &trace.ops {
                 assert!(f.is_definite_miss(block), "{} kept state across flush", f.label());
             }
         }
@@ -197,11 +201,11 @@ fn storage_is_history_independent() {
         let trace = cache_trace(&mut gen, 100, 0x1000);
         let mut f = TmnmFilter::new(TmnmConfig::new(12, 3));
         let before = (f.label().to_owned(), f.storage_bits());
-        for &(is_place, block) in &trace.ops {
+        for &(is_place, block, frame) in &trace.ops {
             if is_place {
-                f.on_place(block)
+                f.on_place(block, frame)
             } else {
-                f.on_replace(block)
+                f.on_replace(block, frame)
             }
         }
         assert_eq!(before, (f.label().to_owned(), f.storage_bits()));

@@ -42,8 +42,10 @@ pub fn tlb_filter_table(params: RunParams) -> Table {
                 tlb.translate(addr, bypass, &mut events);
                 for ev in &events {
                     match *ev {
-                        TlbEvent::L2Placed(p) => filter.on_place(p),
-                        TlbEvent::L2Replaced(p) => filter.on_replace(p),
+                        TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
+                        TlbEvent::L2Replaced { page, frame } => {
+                            filter.on_replace(page, frame as usize)
+                        }
                     }
                 }
                 done += 1;
@@ -198,8 +200,8 @@ mod tests {
             tlb.translate(addr, bypass, &mut events);
             for ev in &events {
                 match *ev {
-                    TlbEvent::L2Placed(p) => filter.on_place(p),
-                    TlbEvent::L2Replaced(p) => filter.on_replace(p),
+                    TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
+                    TlbEvent::L2Replaced { page, frame } => filter.on_replace(page, frame as usize),
                 }
             }
             done += 1;

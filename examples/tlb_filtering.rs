@@ -25,8 +25,8 @@ fn run(app: &str, filtered: bool) -> (f64, f64, u64) {
         tlb.translate(addr, bypass, &mut events);
         for ev in &events {
             match *ev {
-                TlbEvent::L2Placed(p) => filter.on_place(p),
-                TlbEvent::L2Replaced(p) => filter.on_replace(p),
+                TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
+                TlbEvent::L2Replaced { page, frame } => filter.on_replace(page, frame as usize),
             }
         }
     }

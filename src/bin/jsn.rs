@@ -78,6 +78,8 @@ enum Kind {
 use Kind::{Int, IntOrAuto, Real, Switch, Text};
 
 const MAX: u64 = u64::MAX;
+/// The upper bound of a flag read as `u32`.
+const U32_MAX: u64 = u32::MAX as u64;
 const PRESET: Kind = Text("LABEL", |v| FilterPreset::parse(v).map(drop));
 const MNM: Kind = Text("LABEL", |v| {
     MnmConfig::parse(v).map(drop).map_err(|e| format!("expected an MNM label ({e})"))
@@ -110,11 +112,12 @@ const fn path(meta: &'static str) -> Kind {
 }
 
 impl Kind {
-    /// The value's metavariable: for a number, its range.
+    /// The value's metavariable: for a number, its range, left open when
+    /// the upper bound is the value type's maximum.
     fn meta(self) -> String {
         match self {
             Switch => String::new(),
-            Int(lo, MAX) => format!("{lo}.."),
+            Int(lo, MAX | U32_MAX) => format!("{lo}.."),
             Int(lo, hi) => format!("{lo}..={hi}"),
             IntOrAuto(lo, hi) => format!("{}|auto", Int(lo, hi).meta()),
             Real(lo, hi) => format!("[{lo}, {hi}]"),
@@ -142,7 +145,11 @@ impl Kind {
             Text(_, check) => return check(raw).map(|()| raw.to_owned()),
         };
         let what = if matches!(self, Real(..)) { "a number" } else { "an integer" };
-        parsed.ok_or_else(|| format!("expected {what} in {}", self.meta()))
+        parsed.ok_or_else(|| match self {
+            // Past `u32::MAX` the open range alone would not say why.
+            Int(lo, U32_MAX) => format!("expected {what} in {lo}..={U32_MAX}"),
+            _ => format!("expected {what} in {}", self.meta()),
+        })
     }
 }
 
@@ -249,7 +256,7 @@ const COMMANDS: &[Command] = &[
             flag("-o, --out", path("DIR"), "", "output directory (default $JSN_OUT or results)"),
             flag("--resume", path("DIR"), "", "continue the interrupted sweep in DIR"),
             flag("--deadline", Int(0, MAX), "", "wall-clock seconds per job attempt"),
-            flag("--retries", Int(0, u32::MAX as u64), "2", "retries after a job's first attempt"),
+            flag("--retries", Int(0, U32_MAX), "2", "retries after a job's first attempt"),
             flag("--only", JOBS, "", "comma-separated job names to run"),
             flag("-q, --quiet", Switch, "", "print no tables"),
         ],
@@ -350,7 +357,7 @@ const COMMANDS: &[Command] = &[
             flag("--config", PRESET, "HMNM4", "filter preset sent in each hello"),
             flag("--seed", Int(0, MAX), "42", "base seed of the session traces"),
             flag("--window", Int(1, MAX), "4", "unacknowledged frames in flight"),
-            flag("--retries", Int(0, u32::MAX as u64), "5", "fruitless reconnects in a row"),
+            flag("--retries", Int(0, U32_MAX), "5", "fruitless reconnects in a row"),
             flag("--backoff-ms", Int(0, MAX), "50", "base reconnect backoff"),
             flag("--metrics", ENDPOINT, "", "scrape endpoint for --verify"),
             flag("--verify", Switch, "", "require verdicts bit-identical to offline replay"),
@@ -993,6 +1000,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A bound at the value type's maximum reads as open in `jsn help`; a
+    /// value past a `u32` flag's bound still names the exact range.
+    #[test]
+    fn type_maximum_bounds_print_open() {
+        assert_eq!((Int(1, MAX).meta(), Int(0, U32_MAX).meta()), ("1..".into(), "0..".into()));
+        assert_eq!(Int(1, 3276).meta(), "1..=3276");
+        assert_eq!(Int(0, U32_MAX).parse("4294967295"), Ok("4294967295".to_owned()));
+        let err = Int(0, U32_MAX).parse("4294967296").unwrap_err();
+        assert_eq!(err, "expected an integer in 0..=4294967295");
     }
 
     #[test]

@@ -65,7 +65,11 @@ fn trace_round_trips_through_file() {
 fn help_prints_usage() {
     let out = jsn(&["help"]);
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert!(help.contains("USAGE"));
+    // A bound at the value type's maximum reads as open, like `--cores 1..`.
+    assert_eq!(help.matches("--retries 0.. ").count(), 2, "{help}");
+    assert!(!help.contains("4294967295"), "{help}");
 }
 
 #[test]

@@ -49,8 +49,8 @@ fn tlb_filter_never_flags_resident_translations() {
             tlb.translate(addr, bypass, &mut events);
             for ev in &events {
                 match *ev {
-                    TlbEvent::L2Placed(page) => filter.on_place(page),
-                    TlbEvent::L2Replaced(page) => filter.on_replace(page),
+                    TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
+                    TlbEvent::L2Replaced { page, frame } => filter.on_replace(page, frame as usize),
                 }
             }
         }
@@ -77,8 +77,8 @@ fn tlb_filtering_never_changes_walk_count() {
             let b = filtered.translate(addr, bypass, &mut ev);
             for e in &ev {
                 match *e {
-                    TlbEvent::L2Placed(page) => filter.on_place(page),
-                    TlbEvent::L2Replaced(page) => filter.on_replace(page),
+                    TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
+                    TlbEvent::L2Replaced { page, frame } => filter.on_replace(page, frame as usize),
                 }
             }
             assert_eq!(a.supply_level, b.supply_level);
