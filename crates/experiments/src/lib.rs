@@ -1,21 +1,21 @@
 //! # mnm-experiments
 //!
-//! The experiment harness: one runnable target per table and figure of the
-//! HPCA 2003 *"Just Say No"* paper, plus the ablation studies listed in
-//! `DESIGN.md`.
+//! The experiment library: one table generator per table and figure of
+//! the HPCA 2003 *"Just Say No"* paper, plus the ablation studies listed
+//! in `DESIGN.md`, and the supervised sweep that runs them.
 //!
-//! Every binary prints the same rows/series the paper reports (apps on the
-//! x-axis, one series per configuration, plus the arithmetic mean) and
-//! exits. See `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! [`sweep::JOBS`] names every job; `jsn run-all` runs all of them, and
+//! `jsn run-all --only <job> -o <dir>` regenerates one. Each table has
+//! the rows/series the paper reports (apps on the x-axis, one series per
+//! configuration, plus the arithmetic mean). See `DESIGN.md` for the
+//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
+//! results.
 //!
 //! Instruction budgets default to 300 k warmup + 2 M measured per app and
 //! can be overridden with the `JSN_WARMUP` / `JSN_MEASURE` environment
 //! variables (`JSN_THREADS` bounds worker parallelism); malformed values
-//! are rejected, not ignored. Set `JSN_JSON=1` to mirror every table as
-//! `<out>/<slug>.json` (`JSN_OUT` picks the directory), and see
-//! [`metrics`] for the run-manifest schema behind
-//! `results/all_experiments.json` and `jsn diff`.
+//! are rejected, not ignored. See [`metrics`] for the run-manifest schema
+//! behind `results/all_experiments.json` and `jsn diff`.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +39,7 @@ pub mod sweep;
 pub mod timing;
 
 pub use json::Json;
-pub use metrics::{emit, RunManifest};
+pub use metrics::RunManifest;
 pub use params::RunParams;
 pub use report::Table;
 

@@ -4,8 +4,6 @@
 //! regression checks and dashboards can consume the numbers:
 //!
 //! * [`Table::to_json`] (in `report`) — one table as a JSON object.
-//! * [`emit`] — the shared figure-binary helper: print the table, chart it
-//!   under `JSN_CHART`, and write `<out>/<slug>.json` under `JSN_JSON`.
 //! * [`RunManifest`] — everything one `jsn run-all` invocation measured:
 //!   per-experiment wall time, per-app/per-config simulation counters,
 //!   worker-pool telemetry, and the run parameters/environment knobs.
@@ -25,27 +23,14 @@ use crate::params::RunParams;
 use crate::report::Table;
 use crate::runner::AppRun;
 
-/// Environment variable naming the output directory (default `results`).
-pub const ENV_OUT: &str = "JSN_OUT";
-/// Environment variable enabling per-figure JSON emission in [`emit`].
-pub const ENV_JSON: &str = "JSN_JSON";
-
-/// All `JSN_*` knobs the workspace reads, with one-line meanings. The
-/// manifest records the set ones; docs render this same list.
-pub const ENV_KNOBS: [(&str, &str); 7] = [
+/// All `JSN_*` knobs the experiment harness reads, with one-line meanings.
+/// The manifest records the set ones; README's knob table lists this set.
+pub const ENV_KNOBS: [(&str, &str); 4] = [
     ("JSN_WARMUP", "warmup instructions per app (default 300000)"),
     ("JSN_MEASURE", "measured instructions per app (default 2000000)"),
     ("JSN_THREADS", "worker threads for the parallel runner"),
-    ("JSN_CHART", "also print figures as ASCII bar charts"),
-    ("JSN_OUT", "output directory for results artifacts (default `results`)"),
-    ("JSN_JSON", "figure binaries also write <out>/<slug>.json"),
     ("JSN_FAULT", "deterministic fault-injection plan (see EXPERIMENTS.md)"),
 ];
-
-/// Output directory for results artifacts: `JSN_OUT` or `results`.
-pub fn out_dir() -> std::path::PathBuf {
-    std::env::var_os(ENV_OUT).map(Into::into).unwrap_or_else(|| "results".into())
-}
 
 // ---------------------------------------------------------------------------
 // Global telemetry recorder.
@@ -366,50 +351,6 @@ fn app_run_json(r: &AppRunRecord) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Figure-binary emission.
-// ---------------------------------------------------------------------------
-
-/// Slug for file names: lowercase alphanumerics with `_` separators.
-pub fn slug(title: &str) -> String {
-    let mut out = String::with_capacity(title.len());
-    let mut gap = false;
-    for c in title.chars() {
-        if c.is_ascii_alphanumeric() {
-            if gap && !out.is_empty() {
-                out.push('_');
-            }
-            gap = false;
-            out.push(c.to_ascii_lowercase());
-        } else {
-            gap = true;
-        }
-    }
-    out
-}
-
-/// The shared figure/ablation-binary output path: print the table, chart
-/// it when `JSN_CHART` is set, and — when `JSN_JSON` is set — write
-/// `<out>/<slug>.json` (schema `jsn-table/v1`).
-pub fn emit(table: &Table) {
-    print!("{}", table.render());
-    crate::report::maybe_chart(table);
-    if std::env::var_os(ENV_JSON).is_none() {
-        return;
-    }
-    let doc = Json::obj(vec![("schema", Json::str("jsn-table/v1")), ("table", table.to_json())]);
-    let dir = out_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{}.json", slug(&table.title)));
-    match crate::fsio::write_artifact(&path, doc.render_pretty().as_bytes()) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Diffing.
 // ---------------------------------------------------------------------------
 
@@ -428,8 +369,26 @@ impl std::fmt::Display for DiffEntry {
     }
 }
 
-/// Extract `(name, table-json)` pairs from any artifact this workspace
-/// writes: a run manifest, a single-table document, or a bare table.
+/// Slug of a table title: lowercase alphanumerics with `_` separators.
+fn slug(title: &str) -> String {
+    let mut out = String::with_capacity(title.len());
+    let mut gap = false;
+    for c in title.chars() {
+        if c.is_ascii_alphanumeric() {
+            if gap && !out.is_empty() {
+                out.push('_');
+            }
+            gap = false;
+            out.push(c.to_ascii_lowercase());
+        } else {
+            gap = true;
+        }
+    }
+    out
+}
+
+/// Extract `(name, table-json)` pairs from a run manifest, a single-table
+/// document (`{"table": …}`), or a bare table.
 fn tables_of(doc: &Json) -> Vec<(String, &Json)> {
     if let Some(experiments) = doc.get("experiments").and_then(Json::as_arr) {
         return experiments

@@ -42,16 +42,6 @@ impl RunParams {
         Ok(p)
     }
 
-    /// [`RunParams::try_from_env`] for binaries: a malformed value prints
-    /// the error to stderr and exits with failure rather than running an
-    /// experiment the user did not configure.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    }
-
     /// Total instructions driven per run.
     pub fn total(&self) -> u64 {
         self.warmup + self.measure
@@ -84,7 +74,7 @@ fn parse_env_u64(name: &str, value: Option<&str>) -> Result<Option<u64>, String>
 
 /// Worker-thread count for the parallel runner: `JSN_THREADS` or the
 /// machine's available parallelism. A malformed or zero `JSN_THREADS`
-/// aborts like [`RunParams::from_env`].
+/// prints the error and exits with status 2.
 pub fn worker_threads() -> usize {
     match try_worker_threads() {
         Ok(n) => n,

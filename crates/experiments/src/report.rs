@@ -100,46 +100,6 @@ impl Table {
         out
     }
 
-    /// Render as a horizontal ASCII bar chart (one group per row, one bar
-    /// per series), the closest text form of the paper's figures. Bars are
-    /// scaled to the table's maximum value.
-    pub fn render_chart(&self) -> String {
-        const WIDTH: f64 = 48.0;
-        let max = self
-            .rows
-            .iter()
-            .flat_map(|(_, v)| v.iter().copied())
-            .fold(0.0_f64, |m, v| m.max(v.abs()))
-            .max(1e-9);
-        let label_w = self
-            .rows
-            .iter()
-            .map(|(l, _)| l.len())
-            .chain(self.columns.iter().map(String::len))
-            .max()
-            .unwrap_or(4);
-
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} ==", self.title);
-        for (label, values) in &self.rows {
-            let _ = writeln!(out, "{label}");
-            for (c, v) in values.iter().enumerate() {
-                let len = ((v.abs() / max) * WIDTH).round() as usize;
-                let bar = "#".repeat(len);
-                let sign = if *v < 0.0 { "-" } else { "" };
-                let _ = writeln!(
-                    out,
-                    "  {:<w$} |{sign}{bar} {:.*}",
-                    self.columns[c],
-                    self.precision,
-                    v,
-                    w = label_w
-                );
-            }
-        }
-        out
-    }
-
     /// Export as a JSON object (`title`/`key`/`precision`/`columns`/
     /// `rows`), the machine-readable twin of [`Table::render`] and
     /// [`Table::to_markdown`]. Cell values are exported at full precision;
@@ -222,14 +182,6 @@ impl Table {
     }
 }
 
-/// Print `table`'s ASCII chart when the `JSN_CHART` environment variable
-/// is set (any value). Figure binaries call this after the table.
-pub fn maybe_chart(table: &Table) {
-    if std::env::var_os("JSN_CHART").is_some() {
-        print!("{}", table.render_chart());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,22 +228,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn row_width_is_checked() {
         sample().push_row("bad", vec![1.0]);
-    }
-
-    #[test]
-    fn chart_scales_bars_to_maximum() {
-        let chart = sample().render_chart();
-        // The maximum value (40) gets the longest bar; 10 gets a quarter.
-        let bars: Vec<usize> = chart
-            .lines()
-            .filter(|l| l.contains('|'))
-            .map(|l| l.chars().filter(|&c| c == '#').count())
-            .collect();
-        assert_eq!(bars.len(), 4);
-        let max = *bars.iter().max().unwrap();
-        let min = *bars.iter().min().unwrap();
-        assert_eq!(max, 48);
-        assert!((min as f64 - 12.0).abs() <= 1.0, "quarter-length bar, got {min}");
     }
 
     /// Every cell of the ASCII rendering, parsed back to `(label, column,
@@ -369,12 +305,5 @@ mod tests {
         assert_eq!(back, t);
         // Malformed documents are rejected, not mis-parsed.
         assert!(Table::from_json(&Json::obj(vec![("title", Json::str("x"))])).is_err());
-    }
-
-    #[test]
-    fn chart_marks_negative_values() {
-        let mut t = Table::new("x", "app", &["a".to_owned()]);
-        t.push_row("r", vec![-5.0]);
-        assert!(t.render_chart().contains("|-"));
     }
 }

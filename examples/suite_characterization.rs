@@ -1,12 +1,16 @@
 //! Characterize the 20 synthetic applications: mixes, footprints,
 //! idealized hit rates from reuse distances. Documents what the workload
 //! substitution actually produces (DESIGN.md's Table-2 anchor points).
+//!
+//! Run with: `cargo run --release --example suite_characterization`
+//! (`JSN_MEASURE` sets the instructions characterized per app).
 
+use just_say_no::prelude::*;
 use mnm_experiments::{RunParams, Table};
-use trace_synth::{characterize, profiles, Program};
+use trace_synth::characterize;
 
-fn main() {
-    let params = RunParams::from_env();
+fn main() -> Result<(), String> {
+    let params = RunParams::try_from_env()?;
     let columns: Vec<String> = [
         "load %",
         "store %",
@@ -47,5 +51,6 @@ fn main() {
         );
     }
     table.push_mean_row();
-    mnm_experiments::emit(&table);
+    print!("{}", table.render());
+    Ok(())
 }

@@ -1,8 +1,9 @@
 //! Table 1: the paper's worked RMNM example — a two-level hierarchy where
 //! a block replaced from L2 is caught by the RMNM on its next access.
+//!
+//! Run with: `cargo run --release --example table1_rmnm_example`
 
-use cache_sim::{Access, CacheConfig, Hierarchy, HierarchyConfig, LevelConfig};
-use mnm_core::{Mnm, MnmConfig};
+use just_say_no::prelude::*;
 
 fn main() {
     // A deliberately tiny two-level hierarchy so a handful of accesses

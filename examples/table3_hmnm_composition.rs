@@ -1,13 +1,14 @@
-//! Figure 14: hybrid (HMNM) miss coverage over all 20 applications, plus
-//! the Table 3 composition of each hybrid.
+//! Table 3: the composition of the four hybrid (HMNM) configurations of
+//! Figure 14 — which techniques guard which cache levels, plus the RMNM.
+//!
+//! Run with: `cargo run --release --example table3_hmnm_composition`
 
-use mnm_experiments::coverage::coverage_table;
-use mnm_experiments::{RunParams, FIG14_CONFIGS};
+use just_say_no::prelude::*;
 
 fn main() {
     println!("Table 3: HMNM compositions");
     for n in 1..=4u8 {
-        let cfg = mnm_core::MnmConfig::hmnm(n);
+        let cfg = MnmConfig::hmnm(n);
         let parts: Vec<String> = cfg
             .assignments
             .iter()
@@ -22,9 +23,4 @@ fn main() {
             cfg.rmnm.map(|r| r.label()).unwrap_or_default()
         );
     }
-    println!();
-
-    let params = RunParams::from_env();
-    let t = coverage_table("Figure 14: HMNM coverage [%]", &FIG14_CONFIGS, params);
-    mnm_experiments::emit(&t);
 }

@@ -253,7 +253,7 @@ const COMMANDS: &[Command] = &[
                JSN_MEASURE set budgets, JSN_FAULT injects faults (EXPERIMENTS.md).\n\
                Exit 1: a job failed, artifacts still written; 2: configuration/IO error.",
         flags: &[
-            flag("-o, --out", path("DIR"), "", "output directory (default $JSN_OUT or results)"),
+            flag("-o, --out", path("DIR"), "results", "output directory"),
             flag("--resume", path("DIR"), "", "continue the interrupted sweep in DIR"),
             flag("--deadline", Int(0, MAX), "", "wall-clock seconds per job attempt"),
             flag("--retries", Int(0, U32_MAX), "2", "retries after a job's first attempt"),
@@ -656,10 +656,10 @@ fn cmd_check(a: &Args) -> Result<ExitCode, String> {
 /// `jsn run-all`: the supervised experiment sweep. Exit 0 on a clean sweep,
 /// 1 when jobs failed, 2 when the sweep itself fails on configuration or IO.
 fn cmd_run_all(a: &Args) -> Result<ExitCode, String> {
-    use just_say_no::mnm_experiments::{metrics, params, supervisor::SupervisorConfig, sweep};
+    use just_say_no::mnm_experiments::{params, supervisor::SupervisorConfig, sweep};
 
     let resume: Option<PathBuf> = a.opt("--resume");
-    let out = resume.clone().or(a.opt("--out")).unwrap_or_else(metrics::out_dir);
+    let out = resume.clone().unwrap_or_else(|| a.get("--out"));
     let supervisor = SupervisorConfig {
         deadline: a.opt("--deadline").map(Duration::from_secs),
         retries: a.get("--retries"),

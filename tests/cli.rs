@@ -72,6 +72,39 @@ fn help_prints_usage() {
     assert!(!help.contains("4294967295"), "{help}");
 }
 
+/// A malformed `JSN_*` knob stops `jsn run-all -o <fresh dir>` with exit 2
+/// before it simulates or writes anything, naming the knob and its value.
+fn assert_knob_rejected(case: &str, envs: &[(&str, &str)], needle: &str) {
+    let dir = std::env::temp_dir().join(format!("jsn_cli_knobs_{}_{case}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let out = Command::new(env!("CARGO_BIN_EXE_jsn"))
+        .args(["run-all", "-o", dir.to_str().unwrap()])
+        .envs(envs.iter().copied())
+        .output()
+        .expect("jsn runs");
+    let created = dir.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{envs:?}: {stderr}");
+    assert!(stderr.contains(needle), "stderr names {needle}: {stderr}");
+    assert!(out.stdout.is_empty(), "{envs:?} produced results");
+    assert!(!created, "{envs:?} created the output directory");
+}
+
+#[test]
+fn malformed_warmup_aborts_before_simulating() {
+    let warmup = [("JSN_WARMUP", "three-hundred-thousand")];
+    assert_knob_rejected("warmup", &warmup, "JSN_WARMUP=three-hundred-thousand");
+}
+
+#[test]
+fn malformed_measure_and_threads_abort() {
+    assert_knob_rejected("measure", &[("JSN_MEASURE", "2m")], "JSN_MEASURE=2m");
+    // A zero worker count must also abort rather than fall back to a default.
+    let threads = [("JSN_THREADS", "0"), ("JSN_WARMUP", "100"), ("JSN_MEASURE", "200")];
+    assert_knob_rejected("threads", &threads, "JSN_THREADS=0");
+}
+
 #[test]
 fn run_json_emits_parseable_counters() {
     use just_say_no::mnm_experiments::json::Json;

@@ -1,5 +1,6 @@
 //! DESIGN.md's crate map must name every workspace crate, and only those,
-//! with the package name its `Cargo.toml` declares.
+//! with the package name its `Cargo.toml` declares; README's knob table
+//! must name every `JSN_*` variable the experiment harness reads.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -47,4 +48,24 @@ fn actual() -> BTreeMap<String, String> {
 #[test]
 fn design_crate_map_matches_the_workspace() {
     assert_eq!(documented(), actual(), "DESIGN.md `## Crate map` vs crates/*/Cargo.toml");
+}
+
+/// The variables README's `### Environment knobs` table names, in order:
+/// the first backticked cell of every table row.
+fn documented_knobs() -> Vec<String> {
+    let readme = std::fs::read_to_string("README.md").expect("README.md");
+    let section = readme.split("### Environment knobs").nth(1).expect("README has a knob table");
+    let section = section.split("\n#").next().unwrap();
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .map(|l| l.split('`').next().unwrap().to_owned())
+        .collect()
+}
+
+#[test]
+fn readme_knob_table_matches_env_knobs() {
+    let knobs: Vec<String> =
+        mnm_experiments::metrics::ENV_KNOBS.iter().map(|(name, _)| (*name).to_owned()).collect();
+    assert_eq!(documented_knobs(), knobs, "README `### Environment knobs` vs metrics::ENV_KNOBS");
 }
