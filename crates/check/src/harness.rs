@@ -1,31 +1,33 @@
 //! The differential replay harness.
 //!
-//! [`check_ops`] drives an op stream through three models in lockstep:
+//! [`check_ops`] replays an op stream through the production replay loop,
+//! [`Hierarchy::step`], with the filter under test wrapped in a checking
+//! adapter that is itself an [`AccessFilter`]. Three models run in
+//! lockstep:
 //!
-//! 1. the real [`Hierarchy`] with the filter-under-test supplying bypass
-//!    sets,
+//! 1. the real [`Hierarchy`], stepped exactly as every replay driver
+//!    steps it,
 //! 2. the independent [`RefModel`](crate::reference::RefModel), which
 //!    always probes everything, and
-//! 3. a per-structure live-block ledger folded from the hierarchy's
-//!    placement/replacement event stream.
+//! 3. a `Ledger` (`ledger.rs`) folded from the hierarchy's event stream.
 //!
-//! Per access it asserts the paper's one-sided contract (§3.6): every
-//! structure the filter flags as a *definite miss* must actually not hold
-//! the block — in the hierarchy **and** in the reference model — before
-//! the access is driven. Per event it asserts block conservation (every
-//! placement is new, every replacement was live) and the frame contract
-//! (a placement takes a frame no live block holds, a removal reports the
-//! frame its placement did). Periodically and at the
-//! end it reconciles `HierarchyStats` and full residency against the
-//! reference. The first violation stops the replay; the harness never
-//! lets an unsound bypass reach the hierarchy (which would abort debug
-//! builds via its own assertion before the violation could be reported).
+//! The adapter's `query` asserts the paper's one-sided contract (§3.6)
+//! before the hierarchy acts on it: no on-path structure beyond L1 that
+//! the filter flags as a *definite miss* may hold the block — in the
+//! hierarchy, the reference model, or the ledger. It records the first
+//! unsound flag and strips it, so an unsound bypass never reaches the
+//! hierarchy (whose own debug assertion would abort before the violation
+//! could be reported). Its `observe_events` applies the ledger — block
+//! conservation and the frame contract — before forwarding the events.
+//! After each step the supplying level is compared with the reference;
+//! periodically and at the end `HierarchyStats`, the ledger and full
+//! residency are reconciled against the reference. The first violation
+//! stops the replay.
 
-use std::collections::{HashMap, HashSet};
-
-use cache_sim::{AccessFilter, EventKind, Hierarchy, ReplayScratch};
+use cache_sim::{Access, AccessFilter, BypassSet, CacheEvent, Hierarchy, ProbeRecord, StructureId};
 
 use crate::generate::Op;
+use crate::ledger::Ledger;
 use crate::reference::RefModel;
 
 /// Residency and stats are fully reconciled every this many accesses (and
@@ -80,6 +82,85 @@ pub struct CheckCounters {
     pub audits: u64,
 }
 
+/// The on-path structures beyond L1 that `bypass` flags for `access`:
+/// exactly the flags a hierarchy shaped like `hierarchy` acts on.
+pub(crate) fn flagged(
+    hierarchy: &Hierarchy,
+    access: Access,
+    bypass: BypassSet,
+) -> impl Iterator<Item = StructureId> + '_ {
+    hierarchy
+        .path(access.kind)
+        .iter()
+        .copied()
+        .filter(move |&sid| hierarchy.structures()[sid.index()].level >= 2 && bypass.contains(sid))
+}
+
+/// A violation not yet pinned to an op.
+type Found = (ViolationKind, String);
+
+/// The checking adapter: `filter` plus the models it is checked against.
+struct Checked<'f, F: ?Sized> {
+    filter: &'f mut F,
+    refm: RefModel,
+    ledger: Ledger,
+    counters: CheckCounters,
+    violation: Option<Found>,
+}
+
+impl<F: AccessFilter + ?Sized> AccessFilter for Checked<'_, F> {
+    fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
+        let proposed = self.filter.query(hierarchy, access);
+        let mut sound = BypassSet::none();
+        let mut flags = 0u64;
+        for sid in flagged(hierarchy, access, proposed) {
+            flags += 1;
+            let name = &hierarchy.structures()[sid.index()].name;
+            let addr = access.addr;
+            let holder = if hierarchy.contains(sid, addr) {
+                format!("{name} holds {addr:#x} but was flagged a definite miss")
+            } else if self.refm.contains(sid, addr) {
+                format!(
+                    "reference model holds {addr:#x} in {name} (hierarchy does not): \
+                     residency already diverged"
+                )
+            } else if self.ledger.holds(sid, addr) {
+                format!("event ledger holds {addr:#x} in {name} (hierarchy does not)")
+            } else {
+                sound.insert(sid);
+                continue;
+            };
+            self.violation.get_or_insert((ViolationKind::UnsoundFlag, holder));
+        }
+        if self.violation.is_none() {
+            self.counters.flags += flags;
+            self.counters.flagged_accesses += u64::from(flags > 0);
+        }
+        sound
+    }
+
+    fn observe_events(&mut self, hierarchy: &Hierarchy, events: &[CacheEvent]) {
+        if let Err(detail) = self.ledger.apply(events) {
+            self.violation.get_or_insert((ViolationKind::Conservation, detail));
+        }
+        self.filter.observe_events(hierarchy, events);
+    }
+
+    fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
+        self.filter.note_probes(access, probes);
+    }
+
+    /// Caches and filter state clear together (the satellite invariant of
+    /// this checker). Flushed blocks leave no events, so the ledger and
+    /// the reference restart alongside the (also reset) stats.
+    fn flush_system(&mut self, hierarchy: &mut Hierarchy) {
+        self.filter.flush_system(hierarchy);
+        self.refm.flush();
+        self.ledger.clear();
+        self.counters.flushes += 1;
+    }
+}
+
 /// Replay `ops` through `hierarchy` with `filter`, checking every
 /// invariant. Returns the work counters and the first violation, if any.
 ///
@@ -91,198 +172,54 @@ pub fn check_ops<F: AccessFilter + ?Sized>(
     hierarchy: &mut Hierarchy,
     filter: &mut F,
 ) -> (CheckCounters, Option<Violation>) {
-    let mut refm = RefModel::new(hierarchy).expect("checker requires Lru/Fifo replacement");
-    let mut scratch = ReplayScratch::new();
-    let num_structs = hierarchy.structures().len();
-    // Per structure: each live block's frame, and the frames held.
-    let mut live: Vec<HashMap<u64, u32>> = vec![HashMap::new(); num_structs];
-    let mut held: Vec<HashSet<u32>> = vec![HashSet::new(); num_structs];
-    let mut ev_fills = vec![0u64; num_structs];
-    let mut ev_evictions = vec![0u64; num_structs];
-    let mut ev_invalidations = vec![0u64; num_structs];
-    let mut counters = CheckCounters::default();
-
+    let mut checked = Checked {
+        refm: RefModel::new(hierarchy).expect("checker requires Lru/Fifo replacement"),
+        ledger: Ledger::new(hierarchy),
+        filter,
+        counters: CheckCounters::default(),
+        violation: None,
+    };
     for (index, op) in ops.iter().enumerate() {
-        let fail = |kind, detail| Some(Violation { index, kind, detail });
         match *op {
-            Op::Flush => {
-                // The combined step: caches and filter state clear
-                // together (the satellite invariant of this checker).
-                // Flushed blocks leave no Replaced events, so the event
-                // ledger restarts alongside the (also reset) stats.
-                filter.flush_system(hierarchy);
-                refm.flush();
-                live.iter_mut().for_each(HashMap::clear);
-                held.iter_mut().for_each(HashSet::clear);
-                ev_fills.fill(0);
-                ev_evictions.fill(0);
-                ev_invalidations.fill(0);
-                counters.flushes += 1;
-            }
+            Op::Flush => checked.flush_system(hierarchy),
             Op::Access(access) => {
-                counters.accesses += 1;
-                let bypass = filter.query(hierarchy, access);
-
-                // (a) One-sided soundness, checked before the access can
-                // perturb anything. Only flags the hierarchy would act on
-                // count: on-path structures beyond L1.
-                let mut flags = 0u64;
-                for &sid in hierarchy.path(access.kind) {
-                    if hierarchy.structures()[sid.index()].level < 2 || !bypass.contains(sid) {
-                        continue;
-                    }
-                    flags += 1;
-                    let name = &hierarchy.structures()[sid.index()].name;
-                    if hierarchy.contains(sid, access.addr) {
-                        return (
-                            counters,
-                            fail(
-                                ViolationKind::UnsoundFlag,
-                                format!(
-                                    "{name} holds {:#x} but was flagged a definite miss",
-                                    access.addr
-                                ),
-                            ),
-                        );
-                    }
-                    if refm.contains(sid, access.addr) {
-                        return (
-                            counters,
-                            fail(
-                                ViolationKind::UnsoundFlag,
-                                format!(
-                                    "reference model holds {:#x} in {name} (hierarchy does \
-                                     not): residency already diverged",
-                                    access.addr
-                                ),
-                            ),
-                        );
-                    }
-                }
-                counters.flags += flags;
-                if flags > 0 {
-                    counters.flagged_accesses += 1;
-                }
-
-                let result = hierarchy.access_with_events(access, &bypass, &mut scratch);
-
-                // (b) Block conservation over the event stream.
-                for ev in scratch.events() {
-                    let idx = ev.structure.index();
-                    let name = &hierarchy.structures()[idx].name;
-                    match ev.kind {
-                        EventKind::Placed => {
-                            ev_fills[idx] += 1;
-                            if live[idx].insert(ev.block_base, ev.frame).is_some() {
-                                return (
-                                    counters,
-                                    fail(
-                                        ViolationKind::Conservation,
-                                        format!(
-                                            "{name}: block {:#x} placed while already live",
-                                            ev.block_base
-                                        ),
-                                    ),
-                                );
-                            }
-                        }
-                        EventKind::Replaced | EventKind::Invalidated => {
-                            if ev.kind == EventKind::Replaced {
-                                ev_evictions[idx] += 1;
-                            } else {
-                                ev_invalidations[idx] += 1;
-                            }
-                            let Some(frame) = live[idx].remove(&ev.block_base) else {
-                                return (
-                                    counters,
-                                    fail(
-                                        ViolationKind::Conservation,
-                                        format!(
-                                            "{name}: block {:#x} removed but never placed",
-                                            ev.block_base
-                                        ),
-                                    ),
-                                );
-                            };
-                            if frame != ev.frame {
-                                return (
-                                    counters,
-                                    fail(
-                                        ViolationKind::Conservation,
-                                        format!(
-                                            "{name}: block {:#x} left frame {}, placed in {frame}",
-                                            ev.block_base, ev.frame
-                                        ),
-                                    ),
-                                );
-                            }
-                            held[idx].remove(&frame);
-                        }
-                    }
-                    if ev.kind == EventKind::Placed && !held[idx].insert(ev.frame) {
-                        return (
-                            counters,
-                            fail(
-                                ViolationKind::Conservation,
-                                format!(
-                                    "{name}: block {:#x} placed in frame {}, held by a live block",
-                                    ev.block_base, ev.frame
-                                ),
-                            ),
-                        );
-                    }
-                }
-
-                filter.observe_events(hierarchy, scratch.events());
-                filter.note_probes(access, scratch.probes());
-
-                // (c) Reference model lockstep.
-                let ref_supply = refm.access(access);
-                if ref_supply != result.supply_level {
-                    return (
-                        counters,
-                        fail(
-                            ViolationKind::SupplyDivergence,
-                            format!(
-                                "access {:#x}: hierarchy supplied from level {}, reference \
-                                 from level {ref_supply}",
-                                access.addr, result.supply_level
-                            ),
+                checked.counters.accesses += 1;
+                let supply = hierarchy.step(&mut checked, access).supply_level;
+                let ref_supply = checked.refm.access(access);
+                if supply != ref_supply {
+                    checked.violation.get_or_insert((
+                        ViolationKind::SupplyDivergence,
+                        format!(
+                            "access {:#x}: hierarchy supplied from level {supply}, reference \
+                             from level {ref_supply}",
+                            access.addr
                         ),
-                    );
+                    ));
                 }
-
-                if counters.accesses % FULL_AUDIT_PERIOD == 0 {
-                    counters.audits += 1;
-                    if let Some(v) =
-                        audit(hierarchy, &refm, &live, &ev_fills, &ev_evictions, &ev_invalidations)
-                    {
-                        return (counters, Some(Violation { index, ..v }));
-                    }
+                if checked.violation.is_none()
+                    && checked.counters.accesses.is_multiple_of(FULL_AUDIT_PERIOD)
+                {
+                    checked.counters.audits += 1;
+                    checked.violation = audit(hierarchy, &checked.refm, &checked.ledger).err();
                 }
             }
         }
+        if let Some((kind, detail)) = checked.violation {
+            return (checked.counters, Some(Violation { index, kind, detail }));
+        }
     }
 
-    counters.audits += 1;
-    let last = ops.len().saturating_sub(1);
-    let end_violation = audit(hierarchy, &refm, &live, &ev_fills, &ev_evictions, &ev_invalidations)
-        .map(|v| Violation { index: last, ..v });
-    (counters, end_violation)
+    checked.counters.audits += 1;
+    let index = ops.len().saturating_sub(1);
+    let end = audit(hierarchy, &checked.refm, &checked.ledger).err();
+    (checked.counters, end.map(|(kind, detail)| Violation { index, kind, detail }))
 }
 
-/// Full reconciliation: residency equality (hierarchy vs event ledger vs
-/// reference) and counter identities per structure. Returns the first
-/// discrepancy with a placeholder index of 0 (the caller pins it).
-fn audit(
-    hierarchy: &Hierarchy,
-    refm: &RefModel,
-    live: &[HashMap<u64, u32>],
-    ev_fills: &[u64],
-    ev_evictions: &[u64],
-    ev_invalidations: &[u64],
-) -> Option<Violation> {
-    let fail = |kind, detail| Some(Violation { index: 0, kind, detail });
+/// Full reconciliation: the ledger against the stats, then per structure
+/// the stats against the reference counters and residency across
+/// hierarchy, ledger and reference.
+fn audit(hierarchy: &Hierarchy, refm: &RefModel, ledger: &Ledger) -> Result<(), Found> {
+    ledger.reconcile(hierarchy.stats()).map_err(|d| (ViolationKind::Conservation, d))?;
     for info in hierarchy.structures() {
         let idx = info.id.index();
         let name = &info.name;
@@ -301,71 +238,37 @@ fn audit(
         ];
         for (what, got, want) in checks {
             if got != want {
-                return fail(
+                return Err((
                     ViolationKind::StatsDivergence,
                     format!("{name}: {what} = {got}, reference says {want}"),
-                );
+                ));
             }
         }
 
-        // Event-ledger identities: fills = evictions + invalidations +
-        // live set, and the ledger agrees with the stats counters.
-        if ev_fills[idx] != st.fills
-            || ev_evictions[idx] != st.evictions
-            || ev_invalidations[idx] != st.invalidations
-        {
-            return fail(
-                ViolationKind::Conservation,
-                format!(
-                    "{name}: event stream saw {}/{}/{} fills/evictions/invalidations, \
-                     stats say {}/{}/{}",
-                    ev_fills[idx],
-                    ev_evictions[idx],
-                    ev_invalidations[idx],
-                    st.fills,
-                    st.evictions,
-                    st.invalidations
-                ),
-            );
-        }
-        if ev_fills[idx] != ev_evictions[idx] + ev_invalidations[idx] + live[idx].len() as u64 {
-            return fail(
-                ViolationKind::Conservation,
-                format!(
-                    "{name}: fills ({}) != evictions ({}) + invalidations ({}) + live blocks ({})",
-                    ev_fills[idx],
-                    ev_evictions[idx],
-                    ev_invalidations[idx],
-                    live[idx].len()
-                ),
-            );
-        }
-
-        // Residency: hierarchy, event ledger, and reference must hold
-        // exactly the same blocks.
+        // Residency: hierarchy, ledger, and reference must hold exactly
+        // the same blocks.
         let mut main: Vec<u64> = hierarchy.cache(info.id).resident_blocks().collect();
         main.sort_unstable();
-        let mut ledger: Vec<u64> = live[idx].keys().copied().collect();
-        ledger.sort_unstable();
-        if main != ledger {
-            return fail(
+        let tracked = ledger.blocks(info.id);
+        if main != tracked {
+            return Err((
                 ViolationKind::Conservation,
                 format!(
                     "{name}: event ledger tracks {} blocks, cache holds {}",
-                    ledger.len(),
+                    tracked.len(),
                     main.len()
                 ),
-            );
+            ));
         }
         let reference = rc.resident();
         if main != reference {
-            return fail(
+            return Err((
                 ViolationKind::ResidencyDivergence,
                 format!("{name}: cache holds {} blocks, reference {}", main.len(), reference.len()),
-            );
+            ));
         }
     }
-    None
+    Ok(())
 }
 
 #[cfg(test)]

@@ -6,12 +6,12 @@
 //! the hierarchy's bypass path — which vanishes in release builds and
 //! only fires *after* an unsound filter has already been asked to steer
 //! the access. This crate closes both gaps: it replays randomized traces
-//! through every filter in lockstep with the perfect oracle and an
-//! independently implemented reference cache model, validating each
-//! definite-miss flag against actual residency *before* the access is
-//! driven, checking block conservation over the placement/replacement
-//! event stream, and reconciling `HierarchyStats` against the reference
-//! counters.
+//! through every filter — via the production loop, `Hierarchy::step` —
+//! in lockstep with the perfect oracle and an independently implemented
+//! reference cache model, validating each definite-miss flag against
+//! actual residency *before* the hierarchy acts on it, holding the event
+//! stream to one ledger's conservation and frame contract, and
+//! reconciling `HierarchyStats` against the reference counters.
 //!
 //! When an invariant breaks, the failing trace is shrunk (ddmin-style
 //! greedy bisection, [`shrink::shrink_ops`]) to a 1-minimal reproducer
@@ -33,6 +33,7 @@
 pub mod corrupt;
 pub mod generate;
 pub mod harness;
+mod ledger;
 pub mod multicore;
 pub mod reference;
 pub mod shrink;

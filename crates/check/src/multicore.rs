@@ -9,16 +9,16 @@
 //!   shared-L3 victims) remove blocks from a core's private caches; if
 //!   the removal does not reach that core's filters, a later rebuild
 //!   would disagree with the live filter state and — for counting
-//!   filters — decrements could go missing. The checker maintains a
-//!   per-core, per-structure residency ledger from the event stream and
-//!   validates every definite-miss verdict for the private L2 against
-//!   it, plus event conservation (never place a resident block, never
-//!   remove an absent one).
+//!   filters — decrements could go missing. The checker folds each
+//!   core's private event stream into its own `Ledger` (conservation
+//!   and the frame contract, reconciled against the core's private stats
+//!   at the end) and validates every private definite-miss verdict
+//!   against it.
 //! * **Shared-L3 verdict staleness** — per-core shared-slot filters are
 //!   refreshed only when a resolution round's results are applied (one
 //!   epoch behind issue under the pipelined schedule), so a verdict can
-//!   be overtaken by another core's fill. The checker maintains a global
-//!   L3 ledger updated exactly when the cores' filters are (the
+//!   be overtaken by another core's fill. The checker keeps one shared-L3
+//!   `Ledger` updated exactly when the cores' filters are (the
 //!   `l3_events` hook fires at application time, not resolution time)
 //!   and requires every shared-L3 definite-miss verdict to be sound *at
 //!   issue time* against that frozen image — a strictly stronger
@@ -36,14 +36,16 @@
 //! pressure on one shared-L3 set, and profile-driven sharing across all
 //! 20 synthetic applications.
 
-use cache_sim::{Access, BypassSet, CacheEvent, EventKind, StructureId};
+use cache_sim::{Access, BypassSet, CacheEvent, Hierarchy};
 use mnm_core::MnmConfig;
 use mnm_shard::{sharded_streams, L3Outcome, ShardConfig, ShardObserver, ShardReport, ShardedSim};
-use std::collections::HashSet;
 use trace_synth::profiles;
 use trace_synth::sharing::SharingSpec;
 
 use trace_synth::rng::splitmix64;
+
+use crate::harness::flagged;
+use crate::ledger::Ledger;
 
 /// Filter labels the multi-core suite sweeps (the single-core defaults
 /// minus the perfect oracle, which is not a buildable `MnmConfig`).
@@ -233,87 +235,63 @@ impl MulticoreScenario {
     }
 }
 
-/// Lockstep multi-core reference model: per-core private residency
-/// ledgers plus a global shared-L3 ledger frozen between resolution
+/// Lockstep multi-core reference model: one `Ledger` per core's
+/// private hierarchy plus a shared-L3 ledger frozen between resolution
 /// broadcasts.
 pub struct MulticoreChecker {
-    gran: u64,
-    l3_line: u64,
-    ul2_id: StructureId,
-    ul3_id: StructureId,
-    /// Per core, per private structure (il1/dl1/ul2): resident block
-    /// bases.
-    private: Vec<Vec<HashSet<u64>>>,
-    /// Shared-L3 resident line bases, as of the last applied resolution
-    /// broadcast — exactly what every core's shared-slot filter knows.
-    l3: HashSet<u64>,
+    /// The three-level system one core observes
+    /// ([`ShardConfig::template_hierarchy`]): its structure ids index
+    /// every event, verdict bit and ledger.
+    template: Hierarchy,
+    /// Structures each core owns: the template's prefix; the rest is
+    /// shared.
+    private_structures: usize,
+    /// Per core, its private hierarchy's ledger.
+    private: Vec<Ledger>,
+    /// The shared L3 as of the last applied resolution broadcast —
+    /// exactly what every core's shared-slot filter knows.
+    shared: Ledger,
     /// Violations found, rendered for humans.
     pub violations: Vec<String>,
     /// Resolution outcome tallies `[hit, miss, bypassed, rescued, unsound]`.
     pub outcomes: [u64; 5],
-    /// Coherence invalidation events observed per core.
-    pub invalidations_seen: Vec<u64>,
 }
 
 impl MulticoreChecker {
     /// Build a checker for a simulation using `config`.
     pub fn new(config: &ShardConfig) -> Self {
+        let template = Hierarchy::new(config.template_hierarchy());
+        let shared = Ledger::new(&template);
         MulticoreChecker {
-            gran: config.l2.block_bytes,
-            l3_line: config.l3.block_bytes,
-            ul2_id: StructureId::new(2),
-            ul3_id: StructureId::new(3),
-            private: (0..config.cores).map(|_| vec![HashSet::new(); 3]).collect(),
-            l3: HashSet::new(),
+            private_structures: Hierarchy::new(config.private_hierarchy()).structures().len(),
+            private: vec![shared.clone(); config.cores],
+            shared,
+            template,
             violations: Vec::new(),
             outcomes: [0; 5],
-            invalidations_seen: vec![0; config.cores],
         }
     }
 
     fn apply_private(&mut self, core: usize, events: &[CacheEvent]) {
-        for ev in events {
-            let idx = ev.structure.index();
-            let set = &mut self.private[core][idx];
-            match ev.kind {
-                EventKind::Placed => {
-                    if !set.insert(ev.block_base) {
-                        self.violations.push(format!(
-                            "core {core} structure {idx}: placed already-resident block {:#x}",
-                            ev.block_base
-                        ));
-                    }
-                }
-                EventKind::Replaced | EventKind::Invalidated => {
-                    if !set.remove(&ev.block_base) {
-                        self.violations.push(format!(
-                            "core {core} structure {idx}: removed absent block {:#x} ({:?})",
-                            ev.block_base, ev.kind
-                        ));
-                    }
-                }
-            }
+        if let Err(e) = self.private[core].apply(events) {
+            self.violations.push(format!("core {core} {e}"));
         }
     }
 }
 
 impl ShardObserver for MulticoreChecker {
     fn verdict(&mut self, core: usize, access: Access, verdict: BypassSet) {
-        if verdict.contains(self.ul2_id) {
-            let block = access.addr & !(self.gran - 1);
-            if self.private[core][2].contains(&block) {
+        for sid in flagged(&self.template, access, verdict) {
+            let (ledger, image) = if sid.index() < self.private_structures {
+                (&self.private[core], "private")
+            } else {
+                (&self.shared, "epoch-start shared")
+            };
+            if ledger.holds(sid, access.addr) {
                 self.violations.push(format!(
-                    "core {core}: unsound private-L2 verdict for {:#x} (block {block:#x} resident)",
-                    access.addr
-                ));
-            }
-        }
-        if verdict.contains(self.ul3_id) {
-            let l3line = access.addr & !(self.l3_line - 1);
-            if self.l3.contains(&l3line) {
-                self.violations.push(format!(
-                    "core {core}: unsound shared-L3 verdict for {:#x} at issue time \
-                     (line {l3line:#x} resident in the epoch-start image)",
+                    "core {core}: unsound {} verdict for {:#x} at issue time (block resident \
+                     in the {image} image)",
+                    self.template.structures()[sid.index()].name,
                     access.addr
                 ));
             }
@@ -337,7 +315,6 @@ impl ShardObserver for MulticoreChecker {
                 events.len()
             ));
         }
-        self.invalidations_seen[core] += u64::from(removed);
         self.apply_private(core, events);
     }
 
@@ -359,25 +336,8 @@ impl ShardObserver for MulticoreChecker {
     }
 
     fn l3_events(&mut self, events: &[CacheEvent]) {
-        for ev in events {
-            match ev.kind {
-                EventKind::Placed => {
-                    if !self.l3.insert(ev.block_base) {
-                        self.violations.push(format!(
-                            "shared L3 placed already-resident line {:#x}",
-                            ev.block_base
-                        ));
-                    }
-                }
-                EventKind::Replaced | EventKind::Invalidated => {
-                    if !self.l3.remove(&ev.block_base) {
-                        self.violations.push(format!(
-                            "shared L3 removed absent line {:#x} ({:?})",
-                            ev.block_base, ev.kind
-                        ));
-                    }
-                }
-            }
+        if let Err(e) = self.shared.apply(events) {
+            self.violations.push(format!("shared {e}"));
         }
     }
 }
@@ -416,13 +376,17 @@ pub fn run_multicore_scenario(scenario: &MulticoreScenario) -> Result<MulticoreR
     let mut sim = ShardedSim::new(config.clone(), streams.clone());
     let report = sim.run_single_threaded_observed(&mut checker);
     let mut violations = checker.violations;
-    // The checker's event ledger and the simulator's counters must agree
-    // on how much coherence traffic each core absorbed.
-    for (core, c) in report.cores.iter().enumerate() {
-        if checker.invalidations_seen[core] != c.invalidations_received {
+    // Each core's ledger must reconcile with its private stats, and those
+    // with the coherence traffic the simulator says the core absorbed.
+    for (core, (ledger, c)) in checker.private.iter().zip(&report.cores).enumerate() {
+        if let Err(e) = ledger.reconcile(&c.private) {
+            violations.push(format!("core {core} {e}"));
+        }
+        let removed: u64 = c.private.structures.iter().map(|s| s.invalidations).sum();
+        if removed != c.invalidations_received {
             violations.push(format!(
-                "core {core}: checker saw {} coherence removals, simulator counted {}",
-                checker.invalidations_seen[core], c.invalidations_received
+                "core {core}: private stats count {removed} coherence removals, simulator {}",
+                c.invalidations_received
             ));
         }
     }
@@ -491,6 +455,34 @@ pub fn run_multicore_suite(quick: bool) -> Result<(Vec<MulticoreReport>, usize),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cache_sim::EventKind;
+
+    /// A frame-contract breach is reported whether it arrives on a
+    /// core's private event stream or on the shared-L3 broadcast.
+    #[test]
+    fn frame_contract_breaches_are_reported_on_private_and_shared_events() {
+        let config = ShardConfig::new(2, MnmConfig::hmnm(4));
+        let template = Hierarchy::new(config.template_hierarchy());
+        let id = |name: &str| template.structures().iter().find(|s| s.name == name).unwrap().id;
+        let ev = |name: &str, kind, frame| CacheEvent {
+            structure: id(name),
+            kind,
+            block_base: 0x1000,
+            block_bytes: template.cache(id(name)).config().block_bytes,
+            frame,
+        };
+        let mut checker = MulticoreChecker::new(&config);
+        checker.private_step(1, Access::load(0x1000), &[ev("ul2", EventKind::Placed, 4)]);
+        checker.coherence_invalidation(1, 0x1000, 1, &[ev("ul2", EventKind::Invalidated, 5)]);
+        checker.l3_events(&[ev("ul3", EventKind::Placed, 7), ev("ul3", EventKind::Replaced, 8)]);
+        assert_eq!(
+            checker.violations,
+            [
+                "core 1 ul2: block 0x1000 left frame 5, placed in 4",
+                "shared ul3: block 0x1000 left frame 8, placed in 7",
+            ]
+        );
+    }
 
     /// The quick suite (3 filters x 3 adversarial workloads + 3
     /// profiles) must be entirely sound.

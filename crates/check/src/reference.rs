@@ -29,7 +29,6 @@ struct RefLine {
 /// One set-associative structure of the reference model.
 #[derive(Debug)]
 pub struct RefCache {
-    name: String,
     level: u8,
     sets: u64,
     assoc: usize,
@@ -127,11 +126,6 @@ impl RefCache {
         out.sort_unstable();
         out
     }
-
-    /// Structure name (mirrors the hierarchy's).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 /// The reference hierarchy: one [`RefCache`] per structure, indexed by
@@ -167,7 +161,6 @@ impl RefModel {
             let sets = cfg.size_bytes / (u64::from(cfg.assoc) * cfg.block_bytes);
             let assoc = cfg.assoc as usize;
             structs.push(RefCache {
-                name: info.name.clone(),
                 level: info.level,
                 sets,
                 assoc,
@@ -222,17 +215,6 @@ impl RefModel {
     /// The reference structure at raw index `idx`.
     pub fn structure(&self, idx: usize) -> &RefCache {
         &self.structs[idx]
-    }
-
-    /// Number of mirrored structures.
-    pub fn len(&self) -> usize {
-        self.structs.len()
-    }
-
-    /// Whether the model mirrors no structures (never true for a valid
-    /// hierarchy; present for `len` hygiene).
-    pub fn is_empty(&self) -> bool {
-        self.structs.is_empty()
     }
 
     /// Drop all blocks and counters (mirrors `Hierarchy::flush`, which

@@ -220,6 +220,22 @@ pub struct SweepSummary {
     pub injected: Vec<faults::InjectedFault>,
 }
 
+/// Print, render to markdown and record one finished job's tables, the
+/// same for a job replayed from the journal as for one just executed.
+/// The job's wall time is split evenly across its tables.
+fn emit_job(entry: &JobEntry, quiet: bool, md: &mut String, manifest: &mut RunManifest) {
+    let per_table = Duration::from_millis(entry.wall_ms / entry.tables.len().max(1) as u64);
+    for (name, table) in &entry.tables {
+        if !quiet {
+            print!("{}", table.render());
+            println!();
+        }
+        md.push_str(&table.to_markdown());
+        md.push('\n');
+        manifest.push(name, per_table, table.clone());
+    }
+}
+
 /// Run (or resume) the supervised sweep.
 pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, String> {
     let jobs: Vec<&JobSpec> = match &opts.only {
@@ -298,16 +314,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, String> {
             if !opts.quiet {
                 println!("resume: `{}` replayed from journal", spec.name);
             }
-            let per_table = Duration::from_millis(entry.wall_ms / entry.tables.len().max(1) as u64);
-            for (name, table) in &entry.tables {
-                if !opts.quiet {
-                    print!("{}", table.render());
-                    println!();
-                }
-                md.push_str(&table.to_markdown());
-                md.push('\n');
-                manifest.push(name, per_table, table.clone());
-            }
+            emit_job(entry, opts.quiet, &mut md, &mut manifest);
             manifest.jobs.push(entry.report.clone());
             continue;
         }
@@ -327,16 +334,7 @@ pub fn run_sweep(opts: &SweepOptions) -> Result<SweepSummary, String> {
                 executed += 1;
                 let entry = JobEntry { job: spec.name.to_owned(), wall_ms, report, tables };
                 writer.append(&entry).map_err(|e| format!("journal append failed: {e}"))?;
-                let per_table = Duration::from_millis(wall_ms / entry.tables.len().max(1) as u64);
-                for (name, table) in entry.tables {
-                    if !opts.quiet {
-                        print!("{}", table.render());
-                        println!();
-                    }
-                    md.push_str(&table.to_markdown());
-                    md.push('\n');
-                    manifest.push(&name, per_table, table);
-                }
+                emit_job(&entry, opts.quiet, &mut md, &mut manifest);
             }
             None => {
                 // Isolation: a dead job does not abort the sweep.

@@ -261,11 +261,14 @@ fn read_hello_reply(conn: &mut Conn) -> Result<(u64, u64), ClientError> {
 
 /// Read one server frame, verifying its CRC — a corrupted
 /// server-to-client frame must trigger reconnect, not a garbage decode.
+/// Server frames are far below [`MAX_FRAME_BYTES`] (a `Summary` is 48
+/// bytes, `Stats` and `Error` a few hundred), so a longer declared
+/// length is corruption and fails before anything is allocated.
 fn read_server_frame(conn: &mut Conn) -> Result<(FrameType, Vec<u8>), ClientError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     read_exact_client(conn, &mut header)?;
-    let parsed =
-        parse_frame_header(&header, u32::MAX).map_err(|e| ClientError::retryable(e.to_string()))?;
+    let parsed = parse_frame_header(&header, MAX_FRAME_BYTES)
+        .map_err(|e| ClientError::retryable(e.to_string()))?;
     let mut payload = vec![0u8; parsed.payload_len as usize];
     read_exact_client(conn, &mut payload)?;
     verify_frame_crc(&parsed, &payload).map_err(|e| ClientError::retryable(e.to_string()))?;

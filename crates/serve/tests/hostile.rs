@@ -17,13 +17,17 @@
 //! 3. No declared length above the payload bound gets past the header:
 //!    checked for the 4096 lengths just above it, each power of two
 //!    (and its neighbours) up to `u32::MAX`, and 4096 seeded lengths.
+//!    The slam client holds server frames to the same bound.
 
 use mnm_serve::protocol::{
     decode_records, decode_summary, encode_frame, encode_hello_reply_ok, encode_records_payload,
     encode_summary, parse_frame_header, verify_frame_crc, FrameType, SessionStatsWire,
     StructureVerdictsWire, WireError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, SEQ_BYTES,
 };
-use mnm_serve::slam::session_instrs;
+use mnm_serve::slam::{run_slam, session_instrs, SlamOptions};
+use mnm_serve::Endpoint;
+use std::io::{Read, Write};
+use std::net::TcpListener;
 use trace_synth::rng::splitmix64;
 use trace_synth::RECORD_BYTES;
 
@@ -261,4 +265,44 @@ fn lengths_above_the_bound_are_rejected_by_the_header() {
             assert_eq!(parsed.payload_len, len);
         }
     }
+}
+
+/// A fake server accepts each session, then answers with a `Summary`
+/// header declaring a `u32::MAX`-byte payload. slam must refuse it from
+/// the header, before allocating the length: every attempt fails
+/// retryably with `Oversize` until the retries run out.
+#[test]
+fn slam_refuses_an_oversize_server_frame() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        for stream in listener.incoming().take(3) {
+            let mut s = stream.unwrap();
+            let mut hello = [0u8; 64];
+            let _ = s.read(&mut hello);
+            let mut header = [0u8; FRAME_HEADER_BYTES];
+            header[0] = FrameType::Summary as u8;
+            header[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+            s.write_all(&encode_hello_reply_ok(1, 0)).unwrap();
+            s.write_all(&header).unwrap();
+            // Drain the client until it hangs up, so closing never resets
+            // the connection under its read.
+            let _ = std::io::copy(&mut s, &mut std::io::sink());
+        }
+    });
+    let opts = SlamOptions {
+        endpoint: Endpoint::Tcp(addr.to_string()),
+        sessions: 1,
+        records: 100,
+        frame_records: 50,
+        retries: 2,
+        backoff_ms: 1,
+        ..SlamOptions::default()
+    };
+    let report = run_slam(&opts).expect("slam runs");
+    server.join().unwrap();
+    assert_eq!((report.sessions_failed, report.retries), (1, 2));
+    let oversize = WireError::Oversize { len: u32::MAX, max: MAX_FRAME_BYTES }.to_string();
+    let failure = &report.failures[0];
+    assert!(failure.starts_with(&oversize) && failure.contains("after 2 retries"), "{failure}");
 }

@@ -1,12 +1,13 @@
 //! The paper's central correctness property (§3.6): an MNM **never**
 //! incorrectly indicates a miss. Deterministic seeded sweeps (formerly
 //! proptest) drive every technique with randomized traces over
-//! aliasing-heavy address spaces; the hierarchy's debug assertions verify
-//! every single bypass against actual cache contents, and we re-verify
-//! through the public API here.
+//! aliasing-heavy address spaces, through the differential checker
+//! (`mnm_check::check_ops`) and the public API.
 
 use cache_sim::{ProbeOutcome, ReplayScratch};
 use just_say_no::prelude::*;
+use mnm_check::{check_ops, Op};
+use trace_synth::rng::splitmix64;
 
 const CONFIGS: [&str; 10] = [
     "RMNM_128_1",
@@ -21,16 +22,14 @@ const CONFIGS: [&str; 10] = [
     "HMNM4",
 ];
 
-/// Minimal deterministic generator for test inputs (splitmix64).
+/// Deterministic test inputs: the SplitMix64 stream seeded with `.0`.
 struct Gen(u64);
 
 impl Gen {
     fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 
     /// A random access within a tight (conflict-heavy) arena.
@@ -67,34 +66,24 @@ fn tiny_hierarchy() -> Hierarchy {
     })
 }
 
-/// Every flagged structure is genuinely missing the block, for every
-/// technique, on every prefix of every random trace.
+/// Every technique passes the differential checker on every random
+/// trace: no flagged structure holds the block — in the hierarchy, the
+/// reference model or the event ledger — and the event stream, stats
+/// and residency reconcile.
 #[test]
 fn no_technique_ever_flags_a_resident_block() {
+    // `Gen` is the canonical SplitMix64 stream: the reference outputs for
+    // seed 0.
+    let mut g = Gen(0);
+    assert_eq!([g.next(), g.next()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
     let mut gen = Gen(0x50124D);
     for case in 0..48u64 {
         let config = CONFIGS[(case % CONFIGS.len() as u64) as usize];
-        let trace = gen.trace(600);
+        let ops: Vec<Op> = gen.trace(600).into_iter().map(Op::Access).collect();
         let mut hier = tiny_hierarchy();
         let mut mnm = Mnm::new(&hier, MnmConfig::parse(config).unwrap());
-        for &access in &trace {
-            // Manually verify the query against cache contents before
-            // letting the hierarchy (whose debug_asserts double-check)
-            // consume the bypass set.
-            let bypass = mnm.query(access);
-            for info in hier.structures() {
-                if bypass.contains(info.id) {
-                    assert!(
-                        !hier.contains(info.id, access.addr),
-                        "{} flagged {} which holds {:#x}",
-                        config,
-                        info.name,
-                        access.addr
-                    );
-                }
-            }
-            mnm.run_access(&mut hier, access);
-        }
+        let (_, violation) = check_ops(&ops, &mut hier, &mut mnm);
+        assert!(violation.is_none(), "{config}: {}", violation.unwrap());
     }
 }
 

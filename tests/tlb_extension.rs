@@ -5,17 +5,16 @@
 
 use cache_sim::{TlbConfig, TlbEvent, TwoLevelTlb};
 use mnm_core::{MissFilter, TmnmConfig, TmnmFilter};
+use trace_synth::rng::splitmix64;
 
-/// Minimal deterministic generator for test inputs (splitmix64).
+/// Deterministic test inputs: the SplitMix64 stream seeded with `.0`.
 struct Gen(u64);
 
 impl Gen {
     fn next(&mut self) -> u64 {
+        let out = splitmix64(self.0);
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 
     fn pages(&mut self, max_len: u64) -> Vec<u64> {
@@ -33,6 +32,10 @@ fn tiny_tlb() -> TwoLevelTlb {
 /// debug_assert double-checks).
 #[test]
 fn tlb_filter_never_flags_resident_translations() {
+    // `Gen` is the canonical SplitMix64 stream: the reference outputs for
+    // seed 0.
+    let mut g = Gen(0);
+    assert_eq!([g.next(), g.next()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
     let mut gen = Gen(0x71B);
     for _ in 0..48 {
         let pages = gen.pages(500);
