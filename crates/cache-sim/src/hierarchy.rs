@@ -375,7 +375,13 @@ impl Hierarchy {
             if level >= supply_level {
                 break;
             }
-            self.fill_structure(sid, access.addr, &mut scratch.events);
+            // A structure that missed cannot already hold the block; one
+            // that was bypassed and does breached the one-sided contract.
+            // The refill's set scan finds it, so release builds count it
+            // without a tag search of their own.
+            if self.fill_structure(sid, access.addr, &mut scratch.events) && bypass.contains(sid) {
+                self.stats.structures[sid.0].unsound_bypasses += 1;
+            }
         }
 
         // Write handling: a store dirties the first data-side structure
@@ -417,11 +423,18 @@ impl Hierarchy {
         AccessResult { supply_level, latency, misses, bypassed, probed_beyond_l1 }
     }
 
-    fn fill_structure(&mut self, sid: StructureId, addr: u64, events: &mut Vec<CacheEvent>) {
+    /// Refill `sid` with the block containing `addr`, reporting the
+    /// events; `true` iff the block was already resident.
+    fn fill_structure(
+        &mut self,
+        sid: StructureId,
+        addr: u64,
+        events: &mut Vec<CacheEvent>,
+    ) -> bool {
         let block_bytes = self.caches[sid.0].config().block_bytes;
         let block_base = addr & !(block_bytes - 1);
         let FillOutcome::Filled { frame, victim } = self.caches[sid.0].fill(addr) else {
-            return; // already resident: stamp refreshed, nothing to report
+            return true; // already resident: stamp refreshed, nothing to report
         };
         self.stats.structures[sid.0].fills += 1;
         if let Some(victim) = victim {
@@ -451,6 +464,7 @@ impl Hierarchy {
             block_bytes,
             frame,
         });
+        false
     }
 
     /// Inclusive-mode ablation: evicting from an outer level invalidates
@@ -691,6 +705,24 @@ mod tests {
         let mut bypass = BypassSet::none();
         bypass.insert(ul2);
         h.access(Access::load(0x3000), &bypass);
+    }
+
+    /// Release builds drop the assertion above but still count the breach,
+    /// and a sound bypass counts nothing.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn unsound_bypass_is_counted_in_release_builds() {
+        let mut h = tiny_two_level();
+        let ul2 = h.structures().iter().find(|s| s.name == "ul2").unwrap().id;
+        let mut bypass = BypassSet::none();
+        bypass.insert(ul2);
+        h.access(Access::load(0x5000), &bypass);
+        assert_eq!(h.stats().structures[ul2.index()].unsound_bypasses, 0, "cold: sound");
+        h.access(Access::load(0x3000), &BypassSet::none());
+        h.access(Access::load(0x3080), &BypassSet::none());
+        h.access(Access::load(0x3000), &bypass);
+        let st = &h.stats().structures[ul2.index()];
+        assert_eq!((st.bypasses, st.unsound_bypasses), (2, 1));
     }
 
     #[test]

@@ -11,6 +11,10 @@ pub struct StructureStats {
     pub misses: u64,
     /// Probes skipped because the caller's bypass set flagged a sure miss.
     pub bypasses: u64,
+    /// Bypasses of a structure that held the block after all: breaches of
+    /// the one-sided contract, counted in release builds too (debug builds
+    /// also assert). Zero for a sound filter.
+    pub unsound_bypasses: u64,
     /// Blocks installed (refills of already-resident blocks not counted).
     pub fills: u64,
     /// Blocks evicted to make room for fills.

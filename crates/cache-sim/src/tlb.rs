@@ -67,6 +67,10 @@ pub struct TlbLevelStats {
     pub hits: u64,
     /// Lookups skipped because a filter declared a sure miss.
     pub bypasses: u64,
+    /// Bypasses of a level that held the translation after all: breaches
+    /// of the one-sided contract, counted in release builds too. Zero for
+    /// a sound filter.
+    pub unsound_bypasses: u64,
 }
 
 /// What one translation cost and where it was satisfied.
@@ -199,12 +203,18 @@ impl TwoLevelTlb {
         if supply == 3 {
             latency += self.walk_latency;
             self.walks += 1;
-            if let FillOutcome::Filled { frame, victim } = self.l2.fill(addr) {
-                if let Some(victim) = victim {
-                    let page = victim.block_base >> self.page_shift;
-                    events.push(TlbEvent::L2Replaced { page, frame });
+            match self.l2.fill(addr) {
+                FillOutcome::Filled { frame, victim } => {
+                    if let Some(victim) = victim {
+                        let page = victim.block_base >> self.page_shift;
+                        events.push(TlbEvent::L2Replaced { page, frame });
+                    }
+                    events.push(TlbEvent::L2Placed { page: self.page_of(addr), frame });
                 }
-                events.push(TlbEvent::L2Placed { page: self.page_of(addr), frame });
+                // Only a bypass walks past an L2 that holds the page: a
+                // breach of the one-sided contract, which the refill's set
+                // scan finds, so release builds count it at no cost.
+                FillOutcome::Already => self.l2_stats.unsound_bypasses += u64::from(l2_bypassed),
             }
         }
         // L1 refill (its events are not needed: filters guard only L2).
@@ -304,6 +314,22 @@ mod tests {
         }
         // 0x5000_0000 now misses L1 but lives in L2: bypassing is unsound.
         tlb.translate(0x5000_0000, true, &mut ev);
+    }
+
+    /// Release builds drop the assertion above but still count the breach.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn unsound_tlb_bypass_is_counted_in_release_builds() {
+        let mut tlb = tiny();
+        let mut ev = Vec::new();
+        tlb.translate(0x5000_0000, false, &mut ev);
+        for p in 0..4u64 {
+            tlb.translate(0x5000_0000 + (p * 4 + 2) * 4096, false, &mut ev);
+        }
+        tlb.translate(0xABC0_0000, true, &mut ev);
+        tlb.translate(0x5000_0000, true, &mut ev);
+        let (_, l2, _) = tlb.stats();
+        assert_eq!((l2.bypasses, l2.unsound_bypasses), (2, 1));
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //! Like the TMNM, queries read only a packed per-counter *zero bitset*
 //! maintained on the update path, and the update path stages its `k` slot
 //! indices in a fixed stack array (k ≤ 8) — no heap traffic per event.
+//! A filter guarding several structures (one lane each) interleaves their
+//! counters and zero flags by lane: the `k` hashes are computed once and
+//! each reads every lane in one load.
 
-use crate::filter::MissFilter;
+use crate::filter::{FilterOccupancy, LaneBits, LaneFilter};
 
 /// `BLOOM_<bits>x<hashes>`: `2^bits` counters shared by `hashes` hash
 /// functions.
@@ -56,19 +59,24 @@ impl BloomConfig {
     }
 }
 
-/// A per-structure counting Bloom filter.
+/// A counting Bloom filter with one counter array per guarded structure
+/// (lane), interleaved by lane.
 #[derive(Debug, Clone)]
 pub struct BloomFilter {
     config: BloomConfig,
+    /// Lane `l`'s counter `s` is `counters[s × lanes + l]`.
     counters: Vec<u8>,
-    /// Bit `s` set iff `counters[s] == 0` — the only state a probe reads.
+    /// Lane `l`'s bit of counter `s` set iff the counter is 0 — the only
+    /// state a probe reads.
     zero: Vec<u64>,
+    lanes: LaneBits,
     max: u8,
     mask: u64,
     label: String,
 }
 
 /// One round of a splitmix64-style mixer, parameterized by the hash index.
+#[inline(always)]
 fn mix(block: u64, which: u32) -> u64 {
     let mut z = block.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(which) + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -76,20 +84,19 @@ fn mix(block: u64, which: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-fn zero_words(slots: usize) -> Vec<u64> {
-    let mut words = vec![u64::MAX; slots.div_ceil(64)];
-    if !slots.is_multiple_of(64) {
-        *words.last_mut().unwrap() = (1u64 << (slots % 64)) - 1;
-    }
-    words
-}
-
 impl BloomFilter {
-    /// Build an empty filter.
+    /// Build an empty filter guarding one structure.
     pub fn new(config: BloomConfig) -> Self {
+        Self::with_lanes(config, 1)
+    }
+
+    /// Build an empty filter guarding `lanes` structures (1..=64).
+    pub fn with_lanes(config: BloomConfig, lanes: usize) -> Self {
+        let lanes = LaneBits::new(lanes);
         BloomFilter {
-            counters: vec![0; 1 << config.bits],
-            zero: zero_words(1 << config.bits),
+            counters: vec![0; lanes.lanes() << config.bits],
+            zero: lanes.filled(1 << config.bits),
+            lanes,
             max: ((1u32 << config.counter_bits) - 1) as u8,
             mask: (1u64 << config.bits) - 1,
             label: config.label(),
@@ -102,6 +109,11 @@ impl BloomFilter {
         &self.config
     }
 
+    /// Counters per lane.
+    fn slots(&self) -> usize {
+        self.mask as usize + 1
+    }
+
     /// The `k` slot indices of `block`, staged on the stack so the update
     /// path can mutate `self` while iterating them.
     fn slot_array(&self, block: u64) -> ([usize; MAX_HASHES], usize) {
@@ -112,96 +124,93 @@ impl BloomFilter {
         }
         (slots, k)
     }
-
-    fn sync_zero_flag(&mut self, slot: usize) {
-        let bit = 1u64 << (slot & 63);
-        if self.counters[slot] == 0 {
-            self.zero[slot >> 6] |= bit;
-        } else {
-            self.zero[slot >> 6] &= !bit;
-        }
-    }
 }
 
-impl MissFilter for BloomFilter {
-    fn on_place(&mut self, block: u64, _frame_slot: usize) {
-        let (slots, k) = self.slot_array(block);
-        for &s in &slots[..k] {
-            let c = self.counters[s];
-            if c < self.max {
-                self.counters[s] = c + 1;
-                if c == 0 {
-                    self.zero[s >> 6] &= !(1u64 << (s & 63));
-                }
-            }
-        }
+impl LaneFilter for BloomFilter {
+    fn lanes(&self) -> usize {
+        self.lanes.lanes()
     }
 
-    fn on_replace(&mut self, block: u64, _frame_slot: usize) {
-        let (slots, k) = self.slot_array(block);
-        for &s in &slots[..k] {
-            let c = self.counters[s];
-            if c > 0 && c < self.max {
-                self.counters[s] = c - 1;
-                if c == 1 {
-                    self.zero[s >> 6] |= 1 << (s & 63);
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn is_definite_miss(&self, block: u64) -> bool {
-        // OR the zero flags of all k counters: miss iff any is zero.
+    #[inline(always)]
+    fn miss_lanes(&self, block: u64, want: u64) -> u64 {
+        // OR the zero flags of all k counters: a lane misses iff any of
+        // its k counters is zero.
         let mut any_zero = 0u64;
         for which in 0..self.config.hashes {
             let s = (mix(block, which) & self.mask) as usize;
-            any_zero |= self.zero[s >> 6] >> (s & 63) & 1;
+            any_zero |= self.lanes.get(&self.zero, s);
         }
-        any_zero != 0
+        want & any_zero
     }
 
-    fn flush(&mut self) {
+    fn place(&mut self, lane: usize, block: u64, _frame_slot: usize) {
+        let (slots, k) = self.slot_array(block);
+        for &s in &slots[..k] {
+            let i = self.lanes.counter(s, lane);
+            let c = self.counters[i];
+            if c < self.max {
+                self.counters[i] = c + 1;
+                if c == 0 {
+                    self.lanes.clear(&mut self.zero, s, lane);
+                }
+            }
+        }
+    }
+
+    fn replace(&mut self, lane: usize, block: u64, _frame_slot: usize) {
+        let (slots, k) = self.slot_array(block);
+        for &s in &slots[..k] {
+            let i = self.lanes.counter(s, lane);
+            let c = self.counters[i];
+            if c > 0 && c < self.max {
+                self.counters[i] = c - 1;
+                if c == 1 {
+                    self.lanes.set(&mut self.zero, s, lane);
+                }
+            }
+        }
+    }
+
+    fn flush_lanes(&mut self) {
         self.counters.fill(0);
-        self.zero = zero_words(self.counters.len());
+        let slots = self.slots();
+        self.lanes.fill(&mut self.zero, slots);
     }
 
-    fn storage_bits(&self) -> u64 {
+    fn lane_storage_bits(&self) -> u64 {
         (1u64 << self.config.bits) * u64::from(self.config.counter_bits)
     }
 
-    fn label(&self) -> &str {
+    fn technique_label(&self) -> &str {
         &self.label
     }
 
-    fn state_bits(&self) -> u64 {
-        self.storage_bits()
+    fn lane_state_bits(&self) -> u64 {
+        self.lane_storage_bits()
     }
 
-    fn flip_state_bit(&mut self, bit: u64) -> bool {
+    fn flip_lane_bit(&mut self, lane: usize, bit: u64) -> bool {
         let width = u64::from(self.config.counter_bits);
         let slot = (bit / width) as usize;
-        let Some(counter) = self.counters.get_mut(slot) else {
+        if slot >= self.slots() {
             return false;
-        };
-        *counter ^= 1 << (bit % width);
-        self.sync_zero_flag(slot);
+        }
+        let i = self.lanes.counter(slot, lane);
+        self.counters[i] ^= 1 << (bit % width);
+        self.lanes.assign(&mut self.zero, slot, lane, self.counters[i] == 0);
         true
     }
 
-    fn state_bit_of(&self, block: u64) -> Option<u64> {
+    fn lane_bit_of(&self, _lane: usize, block: u64) -> Option<u64> {
         // The low bit of the first hash's counter: one zero counter among
         // the k is enough to flag a definite miss.
         let slot = mix(block, 0) & self.mask;
         Some(slot * u64::from(self.config.counter_bits))
     }
 
-    fn occupancy(&self) -> crate::filter::FilterOccupancy {
-        let zeros: u64 = self.zero.iter().map(|w| u64::from(w.count_ones())).sum();
-        crate::filter::FilterOccupancy {
-            tracked: self.counters.len() as u64 - zeros,
-            capacity: self.counters.len() as u64,
-        }
+    fn lane_occupancy(&self, lane: usize) -> FilterOccupancy {
+        let slots = self.slots() as u64;
+        FilterOccupancy { tracked: slots - self.lanes.count(&self.zero, lane), capacity: slots }
     }
 }
 
@@ -210,6 +219,7 @@ mod tests {
     //! The Bloom filter ignores the frame slot, so these tests pass 0 for it.
 
     use super::*;
+    use crate::filter::MissFilter;
 
     #[test]
     fn place_replace_round_trip() {

@@ -29,7 +29,7 @@
 //! per frame slot, indexed by the slot the event reports, so an update
 //! touches the bytes of its own line and nothing is hashed or searched.
 
-use crate::filter::MissFilter;
+use crate::filter::{FilterOccupancy, LaneFilter};
 
 /// `CMNM_<registers>_<table_bits>` (e.g. `CMNM_8_12`): `registers` entries
 /// in the virtual-tag finder, `2^table_bits` counters per register.
@@ -90,13 +90,12 @@ impl Register {
     }
 }
 
-/// A per-structure Common-Address MNM filter.
+/// The state of one guarded structure: CMNM keeps everything per
+/// structure, registers included.
 #[derive(Debug, Clone)]
-pub struct Cmnm {
-    config: CmnmConfig,
+struct CmnmLane {
     regs: Vec<Register>,
     counters: Vec<u8>,
-    counter_max: u8,
     /// The per-block tag described in the module docs, one per frame slot:
     /// 1 + the register index the slot's block was counted under, or
     /// [`Cmnm::NO_TAG`] for an empty slot or a block placed before a
@@ -104,44 +103,9 @@ pub struct Cmnm {
     tags: Vec<u8>,
     /// Tagged slots: the live blocks placed since the last flush.
     live: usize,
-    high_bits: u32,
-    label: String,
 }
 
-impl Cmnm {
-    /// The tag of a slot no placement since the last flush has tagged.
-    const NO_TAG: u8 = 0;
-
-    /// Build an empty filter.
-    pub fn new(config: CmnmConfig) -> Self {
-        let table_len = (config.registers as usize) << config.table_bits;
-        Cmnm {
-            regs: vec![Register { value: 0, shift: 0, valid: false }; config.registers as usize],
-            counters: vec![0; table_len],
-            counter_max: ((1u32 << config.counter_bits) - 1) as u8,
-            tags: Vec::new(),
-            live: 0,
-            high_bits: config.addr_bits - config.table_bits,
-            label: config.label(),
-            config,
-        }
-    }
-
-    /// This filter's configuration.
-    pub fn config(&self) -> &CmnmConfig {
-        &self.config
-    }
-
-    fn split(&self, block: u64) -> (u64, u64) {
-        let low = block & ((1u64 << self.config.table_bits) - 1);
-        let high = (block >> self.config.table_bits) & ((1u64 << self.high_bits) - 1);
-        (high, low)
-    }
-
-    fn table_index(&self, reg: u32, low: u64) -> usize {
-        ((reg as usize) << self.config.table_bits) | low as usize
-    }
-
+impl CmnmLane {
     /// First register matching `high` under its current mask.
     fn find_register(&self, high: u64) -> Option<u32> {
         self.regs.iter().position(|r| r.matches(high)).map(|i| i as u32)
@@ -150,7 +114,7 @@ impl Cmnm {
     /// Install coverage for `high`: reuse a matching register, fill an
     /// invalid one, or widen masks until a register matches (paper §3.4).
     /// Returns the register index.
-    fn cover(&mut self, high: u64) -> u32 {
+    fn cover(&mut self, high: u64, high_bits: u32) -> u32 {
         if let Some(r) = self.find_register(high) {
             return r;
         }
@@ -162,7 +126,7 @@ impl Cmnm {
         // mask values are reset to their original position except the
         // register that matched": widen a trial shift until some register
         // matches; only that register keeps the wider mask.
-        for shift in 1..=self.high_bits {
+        for shift in 1..=high_bits {
             if let Some(i) = self.regs.iter().position(|r| r.matches_at(high, shift.max(r.shift))) {
                 let s = shift.max(self.regs[i].shift);
                 self.regs[i].shift = s;
@@ -172,76 +136,155 @@ impl Cmnm {
         unreachable!("a full-width shift matches every valid register");
     }
 
-    /// Counter value a block currently maps to, if any register matches
-    /// (for tests/diagnostics).
-    pub fn counter_for(&self, block: u64) -> Option<u8> {
-        let (high, low) = self.split(block);
-        self.find_register(high).map(|r| self.counters[self.table_index(r, low)])
+    /// Whether no register matching `high` has a positive counter at
+    /// `low` — sound under widening: a live block always still matches
+    /// the register it was counted under, whose counter is then
+    /// positive. The scan stops at the first such register.
+    #[inline]
+    fn misses(&self, high: u64, low: u64, table_bits: u32) -> bool {
+        for (i, r) in self.regs.iter().enumerate() {
+            if r.matches(high) && self.counters[(i << table_bits) | low as usize] > 0 {
+                return false;
+            }
+        }
+        true
     }
 }
 
-impl MissFilter for Cmnm {
-    fn on_place(&mut self, block: u64, frame_slot: usize) {
-        let (high, low) = self.split(block);
-        let reg = self.cover(high);
-        let idx = self.table_index(reg, low);
-        if self.counters[idx] < self.counter_max {
-            self.counters[idx] += 1;
-        }
-        if frame_slot >= self.tags.len() {
-            // Only a filter `reserve` never sized grows.
-            self.tags.resize(frame_slot + 1, Self::NO_TAG);
-        }
-        // Registers number at most 128, so the tag fits a byte.
-        let tag = std::mem::replace(&mut self.tags[frame_slot], reg as u8 + 1);
-        if tag == Self::NO_TAG {
-            self.live += 1;
+/// A Common-Address MNM filter: one virtual-tag finder, counter table and
+/// set of frame tags per guarded structure (lane).
+#[derive(Debug, Clone)]
+pub struct Cmnm {
+    config: CmnmConfig,
+    lanes: Vec<CmnmLane>,
+    counter_max: u8,
+    high_bits: u32,
+    label: String,
+}
+
+impl Cmnm {
+    /// The tag of a slot no placement since the last flush has tagged.
+    const NO_TAG: u8 = 0;
+
+    /// Build an empty filter guarding one structure.
+    pub fn new(config: CmnmConfig) -> Self {
+        Self::with_lanes(config, 1)
+    }
+
+    /// Build an empty filter guarding `lanes` structures (1..=64).
+    pub fn with_lanes(config: CmnmConfig, lanes: usize) -> Self {
+        assert!((1..=64).contains(&lanes), "a filter has 1..=64 lanes, got {lanes}");
+        let lane = CmnmLane {
+            regs: vec![Register { value: 0, shift: 0, valid: false }; config.registers as usize],
+            counters: vec![0; (config.registers as usize) << config.table_bits],
+            tags: Vec::new(),
+            live: 0,
+        };
+        Cmnm {
+            lanes: vec![lane; lanes],
+            counter_max: ((1u32 << config.counter_bits) - 1) as u8,
+            high_bits: config.addr_bits - config.table_bits,
+            label: config.label(),
+            config,
         }
     }
 
-    fn on_replace(&mut self, block: u64, frame_slot: usize) {
+    /// This filter's configuration.
+    pub fn config(&self) -> &CmnmConfig {
+        &self.config
+    }
+
+    #[inline]
+    fn split(&self, block: u64) -> (u64, u64) {
+        let low = block & ((1u64 << self.config.table_bits) - 1);
+        let high = (block >> self.config.table_bits) & ((1u64 << self.high_bits) - 1);
+        (high, low)
+    }
+
+    fn table_index(&self, reg: u32, low: u64) -> usize {
+        ((reg as usize) << self.config.table_bits) | low as usize
+    }
+
+    /// Counter value a block currently maps to in lane `lane`, if any
+    /// register matches (for tests/diagnostics).
+    pub fn counter_for(&self, lane: usize, block: u64) -> Option<u8> {
+        let (high, low) = self.split(block);
+        let l = &self.lanes[lane];
+        l.find_register(high).map(|r| l.counters[self.table_index(r, low)])
+    }
+}
+
+impl LaneFilter for Cmnm {
+    fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    #[inline(always)]
+    fn miss_lanes(&self, block: u64, want: u64) -> u64 {
+        let (high, low) = self.split(block);
+        let mut miss = 0;
+        let mut rest = want;
+        while rest != 0 {
+            let l = rest.trailing_zeros();
+            rest &= rest - 1;
+            if self.lanes[l as usize].misses(high, low, self.config.table_bits) {
+                miss |= 1 << l;
+            }
+        }
+        miss
+    }
+
+    fn place(&mut self, lane: usize, block: u64, frame_slot: usize) {
+        let (high, low) = self.split(block);
+        let reg = self.lanes[lane].cover(high, self.high_bits);
+        let idx = self.table_index(reg, low);
+        let l = &mut self.lanes[lane];
+        if l.counters[idx] < self.counter_max {
+            l.counters[idx] += 1;
+        }
+        if frame_slot >= l.tags.len() {
+            // Only a filter `reserve` never sized grows.
+            l.tags.resize(frame_slot + 1, Self::NO_TAG);
+        }
+        // Registers number at most 128, so the tag fits a byte.
+        let tag = std::mem::replace(&mut l.tags[frame_slot], reg as u8 + 1);
+        if tag == Self::NO_TAG {
+            l.live += 1;
+        }
+    }
+
+    fn replace(&mut self, lane: usize, block: u64, frame_slot: usize) {
+        let l = &mut self.lanes[lane];
         // Pair the decrement with the exact counter the placement used.
-        let Some(tag) = self.tags.get_mut(frame_slot) else {
+        let Some(tag) = l.tags.get_mut(frame_slot) else {
             return; // a slot beyond any placement: never tagged
         };
         let reg = std::mem::replace(tag, Self::NO_TAG);
         if reg == Self::NO_TAG {
             return; // replacement of a block placed before a flush
         }
-        self.live -= 1;
+        l.live -= 1;
         let (_, low) = self.split(block);
         let idx = self.table_index(u32::from(reg - 1), low);
-        let c = self.counters[idx];
-        if c > 0 && c < self.counter_max {
-            self.counters[idx] = c - 1;
+        let c = &mut self.lanes[lane].counters[idx];
+        if *c > 0 && *c < self.counter_max {
+            *c -= 1;
         }
     }
 
-    fn is_definite_miss(&self, block: u64) -> bool {
-        let (high, low) = self.split(block);
-        // Sound under widening: a live block always still matches the
-        // register it was counted under, whose counter is then positive.
-        // So "every matching register's counter is zero" implies absent;
-        // "no register matches" likewise.
-        for (i, r) in self.regs.iter().enumerate() {
-            if r.matches(high) && self.counters[self.table_index(i as u32, low)] > 0 {
-                return false;
+    fn flush_lanes(&mut self) {
+        for l in &mut self.lanes {
+            for r in &mut l.regs {
+                r.valid = false;
+                r.shift = 0;
             }
+            l.counters.fill(0);
+            l.tags.fill(Self::NO_TAG);
+            l.live = 0;
         }
-        true
     }
 
-    fn flush(&mut self) {
-        for r in &mut self.regs {
-            r.valid = false;
-            r.shift = 0;
-        }
-        self.counters.fill(0);
-        self.tags.fill(Self::NO_TAG);
-        self.live = 0;
-    }
-
-    fn storage_bits(&self) -> u64 {
+    fn lane_storage_bits(&self) -> u64 {
         let reg_bits = u64::from(self.config.registers)
             * (u64::from(self.high_bits)
                 + u64::from(self.high_bits.next_power_of_two().trailing_zeros())
@@ -251,47 +294,47 @@ impl MissFilter for Cmnm {
         reg_bits + table_bits
     }
 
-    fn label(&self) -> &str {
+    fn technique_label(&self) -> &str {
         &self.label
     }
 
-    fn reserve(&mut self, frame_slots: usize) {
+    fn reserve_lane(&mut self, lane: usize, frame_slots: usize) {
         // One tag per frame slot: once sized here it never grows.
-        if frame_slots > self.tags.len() {
-            self.tags.resize(frame_slots, Self::NO_TAG);
+        let tags = &mut self.lanes[lane].tags;
+        if frame_slots > tags.len() {
+            tags.resize(frame_slots, Self::NO_TAG);
         }
     }
 
-    fn state_bits(&self) -> u64 {
+    fn lane_state_bits(&self) -> u64 {
         // Only the counter table is bit-addressable; the virtual-tag
         // registers and the per-frame register tags are modelled, not
         // fault targets.
-        self.counters.len() as u64 * u64::from(self.config.counter_bits)
+        (u64::from(self.config.registers) << self.config.table_bits)
+            * u64::from(self.config.counter_bits)
     }
 
-    fn flip_state_bit(&mut self, bit: u64) -> bool {
+    fn flip_lane_bit(&mut self, lane: usize, bit: u64) -> bool {
         let width = u64::from(self.config.counter_bits);
-        let Some(counter) = self.counters.get_mut((bit / width) as usize) else {
+        let Some(counter) = self.lanes[lane].counters.get_mut((bit / width) as usize) else {
             return false;
         };
         *counter ^= 1 << (bit % width);
         true
     }
 
-    fn state_bit_of(&self, block: u64) -> Option<u64> {
+    fn lane_bit_of(&self, lane: usize, block: u64) -> Option<u64> {
         // The low bit of the counter the block maps to under the first
         // matching register (a resident block always still matches the
         // register it was counted under).
         let (high, low) = self.split(block);
-        let reg = self.find_register(high)?;
+        let reg = self.lanes[lane].find_register(high)?;
         Some(self.table_index(reg, low) as u64 * u64::from(self.config.counter_bits))
     }
 
-    fn occupancy(&self) -> crate::filter::FilterOccupancy {
-        crate::filter::FilterOccupancy {
-            tracked: self.live as u64,
-            capacity: self.counters.len() as u64,
-        }
+    fn lane_occupancy(&self, lane: usize) -> FilterOccupancy {
+        let l = &self.lanes[lane];
+        FilterOccupancy { tracked: l.live as u64, capacity: l.counters.len() as u64 }
     }
 }
 
@@ -305,6 +348,7 @@ mod tests {
     };
 
     use super::*;
+    use crate::filter::MissFilter;
 
     fn cmnm(k: u32, m: u32) -> Cmnm {
         Cmnm::new(CmnmConfig::new(k, m))
@@ -391,20 +435,20 @@ mod tests {
     fn tags_are_one_byte_per_reserved_frame_slot() {
         let mut f = cmnm(8, 12);
         f.reserve(64);
-        assert_eq!(f.tags.len(), 64);
+        assert_eq!(f.lanes[0].tags.len(), 64);
         for slot in 0..64 {
             f.on_place(0x4000 + slot as u64, slot);
         }
-        assert_eq!((f.tags.len(), f.occupancy().tracked), (64, 64));
+        assert_eq!((f.lanes[0].tags.len(), f.occupancy().tracked), (64, 64));
         f.on_replace(0x4000, 0);
         f.on_replace(0x4000, 0);
         f.on_replace(0x9000, 1_000);
-        assert_eq!((f.tags.len(), f.occupancy().tracked), (64, 63));
+        assert_eq!((f.lanes[0].tags.len(), f.occupancy().tracked), (64, 63));
 
         let mut grown = cmnm(8, 12);
         grown.on_replace(0x4000, 9);
         grown.on_place(0x4000, 9);
-        assert_eq!((grown.tags.len(), grown.occupancy().tracked), (10, 1));
+        assert_eq!((grown.lanes[0].tags.len(), grown.occupancy().tracked), (10, 1));
     }
 
     /// Two frames holding parts of one MNM block (lines shorter than the
@@ -419,7 +463,7 @@ mod tests {
         assert!(!f.is_definite_miss(0x77), "the other frame still holds part of the block");
         f.on_replace(0x77, 1);
         assert!(f.is_definite_miss(0x77));
-        assert_eq!(f.counter_for(0x77), Some(0));
+        assert_eq!(f.counter_for(0, 0x77), Some(0));
     }
 
     #[test]
@@ -458,10 +502,11 @@ mod tests {
     impl BlockKeyed {
         fn place(&mut self, block: u64) {
             let (high, low) = self.f.split(block);
-            let reg = self.f.cover(high);
+            let reg = self.f.lanes[0].cover(high, self.f.high_bits);
             let idx = self.f.table_index(reg, low);
-            if self.f.counters[idx] < self.f.counter_max {
-                self.f.counters[idx] += 1;
+            let lane = &mut self.f.lanes[0];
+            if lane.counters[idx] < self.f.counter_max {
+                lane.counters[idx] += 1;
             }
             self.tags.insert(block, reg as u8);
         }
@@ -470,9 +515,10 @@ mod tests {
             let Some(reg) = self.tags.remove(&block) else { return };
             let (_, low) = self.f.split(block);
             let idx = self.f.table_index(u32::from(reg), low);
-            let c = self.f.counters[idx];
+            let lane = &mut self.f.lanes[0];
+            let c = lane.counters[idx];
             if c > 0 && c < self.f.counter_max {
-                self.f.counters[idx] = c - 1;
+                lane.counters[idx] = c - 1;
             }
         }
 
@@ -574,9 +620,10 @@ mod tests {
                     let probe = addr / grain;
                     for (si, (real, model)) in pairs.iter().enumerate() {
                         let what = format!("geometry {gi} seed {seed} step {step} slot {si}");
-                        assert_eq!(real.counters, model.f.counters, "{what}: counters");
-                        assert_eq!(real.live, model.tags.len(), "{what}: live blocks");
-                        for (a, b) in real.regs.iter().zip(&model.f.regs) {
+                        let (real_lane, model_lane) = (&real.lanes[0], &model.f.lanes[0]);
+                        assert_eq!(real_lane.counters, model_lane.counters, "{what}: counters");
+                        assert_eq!(real_lane.live, model.tags.len(), "{what}: live blocks");
+                        for (a, b) in real_lane.regs.iter().zip(&model_lane.regs) {
                             assert_eq!((a.value, a.shift, a.valid), (b.value, b.shift, b.valid));
                             widened |= a.shift > 0;
                         }

@@ -35,6 +35,9 @@ impl FilterOccupancy {
 
 /// A sound, per-cache-structure miss filter.
 ///
+/// Every [`LaneFilter`] is a `MissFilter` through its lane 0: the
+/// single-structure filter is the 1-lane case of the same type.
+///
 /// One instance guards one cache structure (e.g. `dl2` or `ul4`). All
 /// addresses are **MNM block addresses** — byte addresses already shifted by
 /// the MNM granularity (the L2 line size, paper §3.1); events from caches
@@ -141,5 +144,228 @@ pub trait MissFilter: std::fmt::Debug + Send {
     /// zeros) means the filter exposes no occupancy surface.
     fn occupancy(&self) -> FilterOccupancy {
         FilterOccupancy::default()
+    }
+}
+
+/// A miss filter whose state guards `lanes()` cache structures at once.
+///
+/// The machine builds one filter per technique of an
+/// [`Assignment`](crate::Assignment), with one lane per structure the
+/// assignment guards, so one probe answers every guarded level: the
+/// block's hash or slice index is computed once, and the lanes' state
+/// for that index is read together (for SMNM, TMNM and Bloom, from one
+/// word). Each lane obeys the [`MissFilter`] contracts on its own:
+/// updates name their lane, and a lane's verdicts, fault surface and
+/// occupancy are exactly those of an independent 1-lane filter fed the
+/// same updates.
+pub trait LaneFilter: std::fmt::Debug + Send {
+    /// Number of guarded structures.
+    fn lanes(&self) -> usize;
+
+    /// The lanes among `want` (bit `l` = lane `l`) whose structure
+    /// definitely misses `block`; never a lane outside `want`.
+    fn miss_lanes(&self, block: u64, want: u64) -> u64;
+
+    /// [`MissFilter::on_place`] for lane `lane`.
+    fn place(&mut self, lane: usize, block: u64, frame_slot: usize);
+
+    /// [`MissFilter::on_replace`] (and, as for every family,
+    /// [`MissFilter::on_invalidate`]) for lane `lane`.
+    fn replace(&mut self, lane: usize, block: u64, frame_slot: usize);
+
+    /// [`MissFilter::flush`] for every lane.
+    fn flush_lanes(&mut self);
+
+    /// [`MissFilter::storage_bits`] of one lane.
+    fn lane_storage_bits(&self) -> u64;
+
+    /// [`MissFilter::label`]; the same for every lane.
+    fn technique_label(&self) -> &str;
+
+    /// [`MissFilter::reserve`] for lane `lane`.
+    fn reserve_lane(&mut self, _lane: usize, _frame_slots: usize) {}
+
+    /// [`MissFilter::state_bits`] of one lane.
+    fn lane_state_bits(&self) -> u64;
+
+    /// [`MissFilter::flip_state_bit`] in lane `lane`.
+    fn flip_lane_bit(&mut self, lane: usize, bit: u64) -> bool;
+
+    /// [`MissFilter::state_bit_of`] in lane `lane`.
+    fn lane_bit_of(&self, lane: usize, block: u64) -> Option<u64>;
+
+    /// [`MissFilter::occupancy`] of lane `lane`.
+    fn lane_occupancy(&self, lane: usize) -> FilterOccupancy;
+}
+
+impl<F: LaneFilter> MissFilter for F {
+    fn on_place(&mut self, block: u64, frame_slot: usize) {
+        self.place(0, block, frame_slot);
+    }
+
+    fn on_replace(&mut self, block: u64, frame_slot: usize) {
+        self.replace(0, block, frame_slot);
+    }
+
+    #[inline]
+    fn is_definite_miss(&self, block: u64) -> bool {
+        self.miss_lanes(block, 1) != 0
+    }
+
+    fn flush(&mut self) {
+        self.flush_lanes();
+    }
+
+    fn storage_bits(&self) -> u64 {
+        self.lane_storage_bits()
+    }
+
+    fn label(&self) -> &str {
+        self.technique_label()
+    }
+
+    fn reserve(&mut self, frame_slots: usize) {
+        self.reserve_lane(0, frame_slots);
+    }
+
+    fn state_bits(&self) -> u64 {
+        self.lane_state_bits()
+    }
+
+    fn flip_state_bit(&mut self, bit: u64) -> bool {
+        self.flip_lane_bit(0, bit)
+    }
+
+    fn state_bit_of(&self, block: u64) -> Option<u64> {
+        self.lane_bit_of(0, block)
+    }
+
+    fn occupancy(&self) -> FilterOccupancy {
+        self.lane_occupancy(0)
+    }
+}
+
+/// The lane-interleaved layout of the hashed filters' state: their flag
+/// bitsets (SMNM present bits, TMNM and Bloom zero bits) and counters.
+///
+/// Lane `l` of index `i` is bit `i × stride + l`, where `stride` is
+/// `lanes` rounded up to a power of two, so the lanes of one index sit in
+/// one word and a probe reads them with one load and one shift. Padding
+/// lanes (`lanes..stride`) are kept clear. Counters are dense: lane `l`
+/// of index `i` is entry `i × lanes + l`. With one lane both are the
+/// plain one-entry-per-index arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaneBits {
+    lanes: usize,
+    /// log2 of the stride.
+    shift: u32,
+    /// The low `lanes` bits.
+    mask: u64,
+}
+
+impl LaneBits {
+    /// The layout for `lanes` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lanes` is 1..=64.
+    pub(crate) fn new(lanes: usize) -> Self {
+        assert!((1..=64).contains(&lanes), "a filter has 1..=64 lanes, got {lanes}");
+        LaneBits {
+            lanes,
+            shift: lanes.next_power_of_two().trailing_zeros(),
+            mask: u64::MAX >> (64 - lanes),
+        }
+    }
+
+    /// Number of lanes.
+    pub(crate) fn lanes(self) -> usize {
+        self.lanes
+    }
+
+    /// Bit `l` set for every lane `l`.
+    pub(crate) fn mask(self) -> u64 {
+        self.mask
+    }
+
+    /// A bitset over `indices` indices with every lane's flag clear.
+    pub(crate) fn cleared(self, indices: usize) -> Vec<u64> {
+        vec![0; (indices << self.shift).div_ceil(64)]
+    }
+
+    /// Position of lane `lane`'s counter for index `index` in a counter
+    /// array interleaved by lane (dense: no padding lanes).
+    #[inline(always)]
+    pub(crate) fn counter(self, index: usize, lane: usize) -> usize {
+        debug_assert!(lane < self.lanes);
+        index * self.lanes + lane
+    }
+
+    /// A bitset over `indices` indices with every lane's flag set.
+    pub(crate) fn filled(self, indices: usize) -> Vec<u64> {
+        let mut bits = self.cleared(indices);
+        self.fill(&mut bits, indices);
+        bits
+    }
+
+    /// Set every lane's flag of the first `indices` indices, in place.
+    pub(crate) fn fill(self, bits: &mut [u64], indices: usize) {
+        let per_word = 64 >> self.shift;
+        let pattern = (0..per_word).fold(0u64, |w, j| w | self.mask << (j << self.shift));
+        bits.fill(pattern);
+        let used = (indices << self.shift) % 64;
+        if used != 0 {
+            *bits.last_mut().expect("a partial word exists") &= (1u64 << used) - 1;
+        }
+    }
+
+    /// The flags of every lane of index `index`, lane `l` at bit `l`.
+    #[inline(always)]
+    pub(crate) fn get(self, bits: &[u64], index: usize) -> u64 {
+        let p = index << self.shift;
+        bits[p >> 6] >> (p & 63) & self.mask
+    }
+
+    #[inline(always)]
+    fn at(self, index: usize, lane: usize) -> (usize, u64) {
+        debug_assert!(lane < self.lanes);
+        let p = (index << self.shift) | lane;
+        (p >> 6, 1u64 << (p & 63))
+    }
+
+    /// Set lane `lane`'s flag of index `index`.
+    #[inline]
+    pub(crate) fn set(self, bits: &mut [u64], index: usize, lane: usize) {
+        let (w, b) = self.at(index, lane);
+        bits[w] |= b;
+    }
+
+    /// Clear lane `lane`'s flag of index `index`.
+    #[inline]
+    pub(crate) fn clear(self, bits: &mut [u64], index: usize, lane: usize) {
+        let (w, b) = self.at(index, lane);
+        bits[w] &= !b;
+    }
+
+    /// Set or clear lane `lane`'s flag of index `index`.
+    pub(crate) fn assign(self, bits: &mut [u64], index: usize, lane: usize, on: bool) {
+        if on {
+            self.set(bits, index, lane);
+        } else {
+            self.clear(bits, index, lane);
+        }
+    }
+
+    /// Toggle lane `lane`'s flag of index `index`.
+    pub(crate) fn toggle(self, bits: &mut [u64], index: usize, lane: usize) {
+        let (w, b) = self.at(index, lane);
+        bits[w] ^= b;
+    }
+
+    /// Number of lane `lane`'s flags that are set.
+    pub(crate) fn count(self, bits: &[u64], lane: usize) -> u64 {
+        let per_word = 64 >> self.shift;
+        let pattern = (0..per_word).fold(0u64, |w, j| w | 1 << ((j << self.shift) | lane));
+        bits.iter().map(|w| u64::from((w & pattern).count_ones())).sum()
     }
 }

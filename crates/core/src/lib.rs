@@ -14,7 +14,8 @@
 //! Every technique is **one-sided** (paper §3.6): a *miss* verdict is
 //! guaranteed correct, while a *maybe* verdict requires a normal probe.
 //! Debug builds of the companion [`cache_sim`] crate assert this contract
-//! on every bypass.
+//! on every bypass; release builds count breaches in
+//! `StructureStats::unsound_bypasses`.
 //!
 //! ## Techniques
 //!
@@ -25,6 +26,10 @@
 //! | [`TmnmFilter`] | 3.3 | tables of saturating **counters** indexed by address slices |
 //! | [`CmnmFilter`](Cmnm) | 3.4 | **virtual-tag finder** over the high address bits feeding a counter table |
 //! | [`hybrid`] (HMNM) | 3.5 | combinations of the above, different mixes per level group |
+//!
+//! The machine holds one filter per technique of each level group, with
+//! one [`LaneFilter`] lane per guarded cache structure, so one probe
+//! answers every structure the group guards.
 //!
 //! [`FilterPreset`] names the three configurations every experiment
 //! compares (no filter, a real MNM, the perfect MNM of §4.3) and builds a
@@ -66,7 +71,7 @@ pub use block::Granularity;
 pub use bloom::{BloomConfig, BloomFilter};
 pub use cmnm::{Cmnm, CmnmConfig};
 pub use config::{Assignment, MnmConfig, MnmPlacement, ParseConfigError, TechniqueConfig};
-pub use filter::{FilterOccupancy, MissFilter};
+pub use filter::{FilterOccupancy, LaneFilter, MissFilter};
 pub use machine::{ComponentStorage, FilterKind, Mnm};
 pub use perfect::perfect_bypass;
 pub use preset::{FilterPreset, ReplayFilter};

@@ -1,5 +1,7 @@
 //! The Mostly No Machine: technique filters wired to a cache hierarchy.
 
+use std::ops::Range;
+
 use cache_sim::{
     Access, AccessFilter, AccessResult, BatchSummary, BypassSet, CacheEvent, EventKind, Hierarchy,
     ProbeOutcome, ProbeRecord, StructureId,
@@ -9,22 +11,32 @@ use crate::block::Granularity;
 use crate::bloom::BloomFilter;
 use crate::cmnm::Cmnm;
 use crate::config::{MnmConfig, MnmPlacement, TechniqueConfig};
-use crate::filter::MissFilter;
+use crate::filter::{FilterOccupancy, LaneFilter};
 use crate::rmnm::Rmnm;
 use crate::smnm::SmnmFilter;
 use crate::stats::MnmStats;
 use crate::tmnm::TmnmFilter;
 
-/// One per-structure filter technique, dispatched statically.
+/// One technique's filter, dispatched statically, with one lane per cache
+/// structure its [`Assignment`](crate::Assignment) guards.
 ///
-/// The machine's hot query loop matches on this enum instead of calling
-/// through a `Box<dyn MissFilter>` vtable, so each technique's
-/// `is_definite_miss` inlines into [`Mnm::query`]. The [`MissFilter`]
-/// trait still exists — and `FilterKind` implements it — because the
-/// checker and fault-injection surface (`crates/check`) deliberately talk
-/// to filters through the object-safe trait: the fault hooks must work
-/// uniformly over any filter, including test doubles the checker defines
-/// for itself, and none of that code is performance-sensitive.
+/// The machine builds one `FilterKind` per technique of each assignment,
+/// not one per structure: HMNM4's SMNM_20x3 guards `il2`, `dl2` and `ul3`
+/// as three lanes of one filter. SMNM, TMNM and Bloom store their state
+/// interleaved by lane: lane `l` of index `i` is bit `i × stride + l` of
+/// the flag bitset (present bits, zero bits), with `stride` the lane count
+/// rounded up to a power of two, and counter `i × lanes + l` of the
+/// counter array. So a probe computes the block's hash or slice index
+/// once per checker or table and reads every lane's flag from one word;
+/// updates name their lane and touch only it. CMNM keeps registers,
+/// counters and frame tags per lane and scans the registers of each
+/// lane asked about. [`LaneFilter::miss_lanes`] inlines, through this
+/// match, into [`Mnm::query`].
+///
+/// Every `FilterKind` is also a [`MissFilter`](crate::MissFilter)
+/// through its lane 0, the same as the single-structure filter of each
+/// family (the 1-lane case of the same type), which the checker and the
+/// tests talk to through that object-safe trait.
 #[derive(Debug, Clone)]
 pub enum FilterKind {
     /// Sum-hash checkers (paper §3.2).
@@ -37,135 +49,81 @@ pub enum FilterKind {
     Bloom(BloomFilter),
 }
 
+/// Evaluate `$e` with `$f` bound to the filter inside `$self`.
+macro_rules! dispatch {
+    ($self:expr, $f:ident => $e:expr) => {
+        match $self {
+            FilterKind::Smnm($f) => $e,
+            FilterKind::Tmnm($f) => $e,
+            FilterKind::Cmnm($f) => $e,
+            FilterKind::Bloom($f) => $e,
+        }
+    };
+}
+
 impl FilterKind {
-    /// Instantiate the technique `config` describes.
-    pub fn build(config: TechniqueConfig) -> Self {
+    /// Instantiate the technique `config` describes, guarding `lanes`
+    /// structures (1..=64).
+    pub fn build(config: TechniqueConfig, lanes: usize) -> Self {
         match config {
-            TechniqueConfig::Smnm(c) => FilterKind::Smnm(SmnmFilter::new(c)),
-            TechniqueConfig::Tmnm(c) => FilterKind::Tmnm(TmnmFilter::new(c)),
-            TechniqueConfig::Cmnm(c) => FilterKind::Cmnm(Cmnm::new(c)),
-            TechniqueConfig::Bloom(c) => FilterKind::Bloom(BloomFilter::new(c)),
-        }
-    }
-
-    /// Statically dispatched [`MissFilter::is_definite_miss`] — the hot
-    /// probe.
-    #[inline]
-    pub fn is_definite_miss(&self, block: u64) -> bool {
-        match self {
-            FilterKind::Smnm(f) => MissFilter::is_definite_miss(f, block),
-            FilterKind::Tmnm(f) => MissFilter::is_definite_miss(f, block),
-            FilterKind::Cmnm(f) => MissFilter::is_definite_miss(f, block),
-            FilterKind::Bloom(f) => MissFilter::is_definite_miss(f, block),
-        }
-    }
-
-    /// Statically dispatched [`MissFilter::on_place`].
-    #[inline]
-    pub fn on_place(&mut self, block: u64, frame_slot: usize) {
-        match self {
-            FilterKind::Smnm(f) => MissFilter::on_place(f, block, frame_slot),
-            FilterKind::Tmnm(f) => MissFilter::on_place(f, block, frame_slot),
-            FilterKind::Cmnm(f) => MissFilter::on_place(f, block, frame_slot),
-            FilterKind::Bloom(f) => MissFilter::on_place(f, block, frame_slot),
-        }
-    }
-
-    /// Statically dispatched [`MissFilter::on_replace`].
-    #[inline]
-    pub fn on_replace(&mut self, block: u64, frame_slot: usize) {
-        match self {
-            FilterKind::Smnm(f) => MissFilter::on_replace(f, block, frame_slot),
-            FilterKind::Tmnm(f) => MissFilter::on_replace(f, block, frame_slot),
-            FilterKind::Cmnm(f) => MissFilter::on_replace(f, block, frame_slot),
-            FilterKind::Bloom(f) => MissFilter::on_replace(f, block, frame_slot),
-        }
-    }
-
-    /// Statically dispatched [`MissFilter::on_invalidate`] — the
-    /// `FilterInvalidate` path. Every family retires the block exactly as
-    /// it would a replacement victim (for the set-only SMNM that is a
-    /// deliberate no-op); soundness rests on the caller only reporting
-    /// blocks that were actually removed.
-    #[inline]
-    pub fn on_invalidate(&mut self, block: u64, frame_slot: usize) {
-        match self {
-            FilterKind::Smnm(f) => MissFilter::on_invalidate(f, block, frame_slot),
-            FilterKind::Tmnm(f) => MissFilter::on_invalidate(f, block, frame_slot),
-            FilterKind::Cmnm(f) => MissFilter::on_invalidate(f, block, frame_slot),
-            FilterKind::Bloom(f) => MissFilter::on_invalidate(f, block, frame_slot),
-        }
-    }
-
-    /// The wrapped filter as a [`MissFilter`] trait object (checker and
-    /// fault-surface plumbing).
-    pub fn as_miss_filter(&self) -> &dyn MissFilter {
-        match self {
-            FilterKind::Smnm(f) => f,
-            FilterKind::Tmnm(f) => f,
-            FilterKind::Cmnm(f) => f,
-            FilterKind::Bloom(f) => f,
-        }
-    }
-
-    /// Mutable form of [`FilterKind::as_miss_filter`].
-    pub fn as_miss_filter_mut(&mut self) -> &mut dyn MissFilter {
-        match self {
-            FilterKind::Smnm(f) => f,
-            FilterKind::Tmnm(f) => f,
-            FilterKind::Cmnm(f) => f,
-            FilterKind::Bloom(f) => f,
+            TechniqueConfig::Smnm(c) => FilterKind::Smnm(SmnmFilter::with_lanes(c, lanes)),
+            TechniqueConfig::Tmnm(c) => FilterKind::Tmnm(TmnmFilter::with_lanes(c, lanes)),
+            TechniqueConfig::Cmnm(c) => FilterKind::Cmnm(Cmnm::with_lanes(c, lanes)),
+            TechniqueConfig::Bloom(c) => FilterKind::Bloom(BloomFilter::with_lanes(c, lanes)),
         }
     }
 }
 
-impl MissFilter for FilterKind {
-    fn on_place(&mut self, block: u64, frame_slot: usize) {
-        FilterKind::on_place(self, block, frame_slot);
+impl LaneFilter for FilterKind {
+    fn lanes(&self) -> usize {
+        dispatch!(self, f => f.lanes())
     }
 
-    fn on_replace(&mut self, block: u64, frame_slot: usize) {
-        FilterKind::on_replace(self, block, frame_slot);
+    #[inline(always)]
+    fn miss_lanes(&self, block: u64, want: u64) -> u64 {
+        dispatch!(self, f => f.miss_lanes(block, want))
     }
 
-    fn on_invalidate(&mut self, block: u64, frame_slot: usize) {
-        FilterKind::on_invalidate(self, block, frame_slot);
+    #[inline]
+    fn place(&mut self, lane: usize, block: u64, frame_slot: usize) {
+        dispatch!(self, f => f.place(lane, block, frame_slot))
     }
 
-    fn is_definite_miss(&self, block: u64) -> bool {
-        FilterKind::is_definite_miss(self, block)
+    #[inline]
+    fn replace(&mut self, lane: usize, block: u64, frame_slot: usize) {
+        dispatch!(self, f => f.replace(lane, block, frame_slot))
     }
 
-    fn flush(&mut self) {
-        self.as_miss_filter_mut().flush();
+    fn flush_lanes(&mut self) {
+        dispatch!(self, f => f.flush_lanes())
     }
 
-    fn storage_bits(&self) -> u64 {
-        self.as_miss_filter().storage_bits()
+    fn lane_storage_bits(&self) -> u64 {
+        dispatch!(self, f => f.lane_storage_bits())
     }
 
-    fn label(&self) -> &str {
-        self.as_miss_filter().label()
+    fn technique_label(&self) -> &str {
+        dispatch!(self, f => f.technique_label())
     }
 
-    fn reserve(&mut self, frame_slots: usize) {
-        self.as_miss_filter_mut().reserve(frame_slots);
+    fn reserve_lane(&mut self, lane: usize, frame_slots: usize) {
+        dispatch!(self, f => f.reserve_lane(lane, frame_slots))
     }
 
-    fn state_bits(&self) -> u64 {
-        self.as_miss_filter().state_bits()
+    fn lane_state_bits(&self) -> u64 {
+        dispatch!(self, f => f.lane_state_bits())
     }
 
-    fn flip_state_bit(&mut self, bit: u64) -> bool {
-        self.as_miss_filter_mut().flip_state_bit(bit)
+    fn flip_lane_bit(&mut self, lane: usize, bit: u64) -> bool {
+        dispatch!(self, f => f.flip_lane_bit(lane, bit))
     }
 
-    fn state_bit_of(&self, block: u64) -> Option<u64> {
-        self.as_miss_filter().state_bit_of(block)
+    fn lane_bit_of(&self, lane: usize, block: u64) -> Option<u64> {
+        dispatch!(self, f => f.lane_bit_of(lane, block))
     }
 
-    fn occupancy(&self) -> crate::filter::FilterOccupancy {
-        self.as_miss_filter().occupancy()
+    fn lane_occupancy(&self, lane: usize) -> FilterOccupancy {
+        dispatch!(self, f => f.lane_occupancy(lane))
     }
 }
 
@@ -174,7 +132,10 @@ struct Slot {
     structure: StructureId,
     level: u8,
     name: String,
-    filters: Vec<FilterKind>,
+    /// The `(filter, lane)` of each technique guarding this slot, in the
+    /// order of [`MnmConfig::techniques_for_level`]: the `filter` index of
+    /// the fault surface and of [`Mnm::storage`].
+    members: Vec<(usize, usize)>,
     /// MNM blocks currently resident in the guarded structure, maintained
     /// exactly from the event stream (placements add, replacements and
     /// invalidations retire; the hierarchy only reports actual state
@@ -186,24 +147,52 @@ struct Slot {
     capacity_blocks: u64,
 }
 
+/// The filters of one [`Assignment`](crate::Assignment): lane `l` of each
+/// guards slot `first_slot + l`. Slots are numbered in level order, so an
+/// assignment's level range is one run of slots.
+#[derive(Debug)]
+struct Stack {
+    /// Indices into [`Mnm`]'s filters, cheapest probe first
+    /// ([`probe_cost`]).
+    filters: Range<usize>,
+    first_slot: u32,
+    /// Bit `l` set for every lane.
+    lanes: u64,
+}
+
+/// Rank of a technique's probe cost: a stack probes its filters cheapest
+/// first, so the dearer ones are asked only about lanes still undecided.
+/// TMNM reads one word per table; SMNM first sums four table lookups per
+/// checker; Bloom mixes the block once per hash; CMNM scans registers per
+/// lane.
+fn probe_cost(t: TechniqueConfig) -> u8 {
+    match t {
+        TechniqueConfig::Tmnm(_) => 0,
+        TechniqueConfig::Smnm(_) => 1,
+        TechniqueConfig::Bloom(_) => 2,
+        TechniqueConfig::Cmnm(_) => 3,
+    }
+}
+
 /// Apply one cache event's MNM sub-blocks, each with its frame slot, to
-/// slot `si`, in order: for each sub-block, `filter_op` on every filter of
-/// the slot, then `rmnm_op` on the shared RMNM. Generic over the two
-/// operations, so each event kind compiles to its own loop with the calls
-/// inlined. Returns the number of sub-blocks.
+/// slot `si`, in order: for each sub-block, `filter_op` on the slot's lane
+/// of every filter guarding it, then `rmnm_op` on the shared RMNM. Generic
+/// over the two operations, so each event kind compiles to its own loop
+/// with the calls inlined. Returns the number of sub-blocks.
 #[inline(always)]
 fn feed(
     blocks: impl Iterator<Item = (u64, usize)>,
     si: usize,
-    slot: &mut Slot,
+    members: &[(usize, usize)],
+    filters: &mut [FilterKind],
     mut rmnm: Option<&mut Rmnm>,
-    filter_op: impl Fn(&mut FilterKind, u64, usize),
+    filter_op: impl Fn(&mut FilterKind, usize, u64, usize),
     rmnm_op: impl Fn(&mut Rmnm, usize, u64),
 ) -> u64 {
     let mut n = 0;
     for (block, frame_slot) in blocks {
-        for f in &mut slot.filters {
-            filter_op(f, block, frame_slot);
+        for &(fi, lane) in members {
+            filter_op(&mut filters[fi], lane, block, frame_slot);
         }
         if let Some(r) = rmnm.as_deref_mut() {
             rmnm_op(r, si, block);
@@ -226,10 +215,12 @@ pub struct ComponentStorage {
 
 /// The Mostly No Machine (paper §2).
 ///
-/// Owns one filter stack per guarded cache structure (every structure at
-/// level 2 and beyond) plus the optional shared [`Rmnm`], performs the
-/// per-access definite-miss query, consumes the hierarchy's
-/// placement/replacement event stream, and tracks coverage.
+/// Guards every cache structure at level 2 and beyond (one *slot* each)
+/// with one filter stack per [`Assignment`](crate::Assignment) — each
+/// technique one [`FilterKind`] with a lane per guarded slot — plus the
+/// optional shared [`Rmnm`]; performs the per-access definite-miss query,
+/// consumes the hierarchy's placement/replacement event stream, and
+/// tracks coverage.
 #[derive(Debug)]
 pub struct Mnm {
     config: MnmConfig,
@@ -237,9 +228,13 @@ pub struct Mnm {
     slots: Vec<Slot>,
     /// Slot index per structure index; `None` for L1 structures.
     slot_of_structure: Vec<Option<usize>>,
-    /// Slot indices along each path, in level order.
+    /// Slot indices along each path, in level order, and as bit masks.
     instr_slots: Vec<usize>,
     data_slots: Vec<usize>,
+    instr_mask: u64,
+    data_mask: u64,
+    filters: Vec<FilterKind>,
+    stacks: Vec<Stack>,
     rmnm: Option<Rmnm>,
     stats: MnmStats,
 }
@@ -247,8 +242,12 @@ pub struct Mnm {
 impl Mnm {
     /// Build a machine for `hierarchy` from `config`.
     ///
-    /// Every structure at level ≥ 2 receives fresh instances of the
-    /// techniques assigned to its level; the paper never filters L1.
+    /// Every structure at level ≥ 2 is guarded by a lane of each technique
+    /// assigned to its level; the paper never filters L1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy has more than 64 structures beyond L1.
     pub fn new(hierarchy: &Hierarchy, config: MnmConfig) -> Self {
         let granularity = Granularity::from_bytes(hierarchy.mnm_granularity());
         let mut slots = Vec::new();
@@ -260,25 +259,46 @@ impl Mnm {
             }
             // Frame slots of the guarded structure: bounds both its live
             // MNM blocks and the slots its events name.
-            let frame_slots =
-                hierarchy.cache(info.id).config().frame_slots(granularity.bytes()) as usize;
-            let filters: Vec<FilterKind> = config
-                .techniques_for_level(info.level)
-                .into_iter()
-                .map(|t| {
-                    let mut f = FilterKind::build(t);
-                    f.reserve(frame_slots);
-                    f
-                })
-                .collect();
+            let frame_slots = hierarchy.cache(info.id).config().frame_slots(granularity.bytes());
             slot_of_structure[info.id.index()] = Some(slots.len());
             slots.push(Slot {
                 structure: info.id,
                 level: info.level,
                 name: info.name.clone(),
-                filters,
+                members: Vec::new(),
                 live_blocks: 0,
-                capacity_blocks: frame_slots as u64,
+                capacity_blocks: frame_slots,
+            });
+        }
+        assert!(slots.len() <= 64, "an MNM guards at most 64 structures");
+
+        let mut filters = Vec::new();
+        let mut stacks = Vec::new();
+        for a in &config.assignments {
+            let guarded: Vec<usize> =
+                (0..slots.len()).filter(|&si| a.levels.contains(&slots[si].level)).collect();
+            let Some(&first) = guarded.first() else { continue };
+            // Structures, and so slots, are numbered level by level.
+            assert_eq!(guarded.len(), guarded[guarded.len() - 1] - first + 1, "one run of slots");
+            let start = filters.len();
+            let mut order: Vec<usize> = (0..a.techniques.len()).collect();
+            order.sort_by_key(|&ti| probe_cost(a.techniques[ti]));
+            let mut filter_of = vec![0; a.techniques.len()];
+            for ti in order {
+                let mut f = FilterKind::build(a.techniques[ti], guarded.len());
+                for (lane, &si) in guarded.iter().enumerate() {
+                    f.reserve_lane(lane, slots[si].capacity_blocks as usize);
+                }
+                filter_of[ti] = filters.len();
+                filters.push(f);
+            }
+            for (lane, &si) in guarded.iter().enumerate() {
+                slots[si].members.extend(filter_of.iter().map(|&fi| (fi, lane)));
+            }
+            stacks.push(Stack {
+                filters: start..filters.len(),
+                first_slot: first as u32,
+                lanes: u64::MAX >> (64 - guarded.len()),
             });
         }
 
@@ -291,11 +311,25 @@ impl Mnm {
         };
         let instr_slots = slot_path(cache_sim::AccessKind::InstrFetch);
         let data_slots = slot_path(cache_sim::AccessKind::Load);
+        let mask = |path: &[usize]| path.iter().fold(0u64, |m, &si| m | 1 << si);
 
         let rmnm = config.rmnm.map(|rc| Rmnm::new(rc, slots.len()));
         let stats = MnmStats::new(slots.len());
 
-        Mnm { config, granularity, slots, slot_of_structure, instr_slots, data_slots, rmnm, stats }
+        Mnm {
+            config,
+            granularity,
+            slots,
+            slot_of_structure,
+            instr_mask: mask(&instr_slots),
+            data_mask: mask(&data_slots),
+            instr_slots,
+            data_slots,
+            filters,
+            stacks,
+            rmnm,
+            stats,
+        }
     }
 
     /// The machine's configuration.
@@ -323,33 +357,45 @@ impl Mnm {
     /// hold the block.
     pub fn query(&mut self, access: Access) -> BypassSet {
         let block = self.granularity.block_of(access.addr);
-        let slots = if access.kind.is_instruction() { &self.instr_slots } else { &self.data_slots };
-        let mut set = BypassSet::none();
+        let (slots, path) = if access.kind.is_instruction() {
+            (&self.instr_slots, self.instr_mask)
+        } else {
+            (&self.data_slots, self.data_mask)
+        };
         self.stats.accesses += 1;
         // One shared-RMNM tag search per access: its entry carries one miss
-        // bit per slot, so the per-slot loop below tests bits of this mask
-        // instead of re-running the set scan for every guarded structure.
-        let rmnm_mask = match &self.rmnm {
+        // bit per slot.
+        let mut miss = match &self.rmnm {
             Some(r) => {
                 self.stats.rmnm_queries += 1;
-                r.miss_mask(block)
+                r.miss_mask(block) & path
             }
             None => 0,
         };
-        let mut any = false;
-        for &si in slots {
-            let slot = &self.slots[si];
-            let st = &mut self.stats.slots[si];
-            st.queries += 1;
-            let miss =
-                rmnm_mask >> si & 1 != 0 || slot.filters.iter().any(|f| f.is_definite_miss(block));
-            if miss {
-                set.insert(slot.structure);
-                st.flagged += 1;
-                any = true;
+        // One probe per technique answers all its lanes; a filter is asked
+        // only about lanes on the path that nothing has flagged yet (the
+        // verdict is an OR, so skipping a decided lane changes nothing).
+        for stack in &self.stacks {
+            let mut want = (path & !miss) >> stack.first_slot & stack.lanes;
+            for f in &self.filters[stack.filters.clone()] {
+                if want == 0 {
+                    break;
+                }
+                let lanes = f.miss_lanes(block, want);
+                miss |= lanes << stack.first_slot;
+                want &= !lanes;
             }
         }
-        if any {
+        let mut set = BypassSet::none();
+        for &si in slots {
+            let st = &mut self.stats.slots[si];
+            st.queries += 1;
+            if miss >> si & 1 != 0 {
+                set.insert(self.slots[si].structure);
+                st.flagged += 1;
+            }
+        }
+        if miss != 0 {
             self.stats.accesses_with_flags += 1;
         }
         set
@@ -381,24 +427,37 @@ impl Mnm {
             let st = &mut self.stats.slots[si];
             let rmnm = self.rmnm.as_mut();
             let blocks = ev.sub_blocks(grain);
+            let (members, filters) = (&slot.members[..], &mut self.filters[..]);
             let n = match ev.kind {
                 EventKind::Placed => {
-                    let n = feed(blocks, si, slot, rmnm, FilterKind::on_place, Rmnm::on_place);
+                    let n =
+                        feed(blocks, si, members, filters, rmnm, FilterKind::place, Rmnm::on_place);
                     slot.live_blocks += n;
                     n
                 }
                 EventKind::Replaced => {
-                    let n = feed(blocks, si, slot, rmnm, FilterKind::on_replace, Rmnm::on_replace);
+                    let n = feed(
+                        blocks,
+                        si,
+                        members,
+                        filters,
+                        rmnm,
+                        FilterKind::replace,
+                        Rmnm::on_replace,
+                    );
                     slot.live_blocks = slot.live_blocks.saturating_sub(n);
                     n
                 }
                 EventKind::Invalidated => {
+                    // Every family retires an invalidated block exactly as
+                    // a replacement victim (`MissFilter::on_invalidate`).
                     let n = feed(
                         blocks,
                         si,
-                        slot,
+                        members,
+                        filters,
                         rmnm,
-                        FilterKind::on_invalidate,
+                        FilterKind::replace,
                         Rmnm::on_invalidate,
                     );
                     slot.live_blocks = slot.live_blocks.saturating_sub(n);
@@ -474,11 +533,12 @@ impl Mnm {
     pub fn storage(&self) -> Vec<ComponentStorage> {
         let mut out = Vec::new();
         for slot in &self.slots {
-            for f in &slot.filters {
+            for &(fi, _) in &slot.members {
+                let f = &self.filters[fi];
                 out.push(ComponentStorage {
-                    label: f.label().to_owned(),
+                    label: f.technique_label().to_owned(),
                     structure: slot.name.clone(),
-                    bits: f.storage_bits(),
+                    bits: f.lane_storage_bits(),
                 });
             }
         }
@@ -504,14 +564,15 @@ impl Mnm {
     /// This counts *blocks*, not filter state units, so hybrids that stack
     /// several member filters on one slot report each resident block once.
     /// (The previous implementation summed
-    /// [`MissFilter::occupancy`] across members, so an HMNM counted every
-    /// block once per member filter — roughly doubling the reported load.
+    /// [`MissFilter::occupancy`](crate::MissFilter::occupancy) across
+    /// members, so an HMNM counted every block once per member filter —
+    /// roughly doubling the reported load.
     /// Per-component state-unit occupancy is still available via
     /// [`Mnm::component_occupancy`].)
-    pub fn occupancy(&self) -> crate::filter::FilterOccupancy {
-        let mut occ = crate::filter::FilterOccupancy::default();
+    pub fn occupancy(&self) -> FilterOccupancy {
+        let mut occ = FilterOccupancy::default();
         for slot in &self.slots {
-            occ.merge(crate::filter::FilterOccupancy {
+            occ.merge(FilterOccupancy {
                 tracked: slot.live_blocks,
                 capacity: slot.capacity_blocks,
             });
@@ -524,11 +585,11 @@ impl Mnm {
     /// entries over total state units. A hardware load factor, not a block
     /// count — blocks guarded by several member filters are counted once
     /// per member. Use [`Mnm::occupancy`] for a block-exact view.
-    pub fn component_occupancy(&self) -> crate::filter::FilterOccupancy {
-        let mut occ = crate::filter::FilterOccupancy::default();
+    pub fn component_occupancy(&self) -> FilterOccupancy {
+        let mut occ = FilterOccupancy::default();
         for slot in &self.slots {
-            for f in &slot.filters {
-                occ.merge(f.as_miss_filter().occupancy());
+            for &(fi, lane) in &slot.members {
+                occ.merge(self.filters[fi].lane_occupancy(lane));
             }
         }
         if let Some(r) = &self.rmnm {
@@ -554,10 +615,10 @@ impl Mnm {
     pub fn fault_surface(&self) -> Vec<(usize, usize, u64)> {
         let mut out = Vec::new();
         for (si, slot) in self.slots.iter().enumerate() {
-            for (fi, f) in slot.filters.iter().enumerate() {
-                let bits = f.state_bits();
+            for (member, &(fi, _)) in slot.members.iter().enumerate() {
+                let bits = self.filters[fi].lane_state_bits();
                 if bits > 0 {
-                    out.push((si, fi, bits));
+                    out.push((si, member, bits));
                 }
             }
         }
@@ -567,17 +628,18 @@ impl Mnm {
     /// XOR one state bit of the component filter at `(slot, filter)`,
     /// emulating a soft error. Returns whether a bit was actually flipped.
     pub fn flip_filter_bit(&mut self, slot: usize, filter: usize, bit: u64) -> bool {
-        self.slots
-            .get_mut(slot)
-            .and_then(|s| s.filters.get_mut(filter))
-            .is_some_and(|f| f.flip_state_bit(bit))
+        let Some(&(fi, lane)) = self.slots.get(slot).and_then(|s| s.members.get(filter)) else {
+            return false;
+        };
+        self.filters[fi].flip_lane_bit(lane, bit)
     }
 
     /// The state bit of component `(slot, filter)` guarding the MNM block
     /// containing byte address `addr`, if the filter exposes one.
     pub fn state_bit_of(&self, slot: usize, filter: usize, addr: u64) -> Option<u64> {
         let block = self.granularity.block_of(addr);
-        self.slots.get(slot)?.filters.get(filter)?.state_bit_of(block)
+        let &(fi, lane) = self.slots.get(slot)?.members.get(filter)?;
+        self.filters[fi].lane_bit_of(lane, block)
     }
 
     /// Reset all filter state and statistics.
@@ -589,10 +651,10 @@ impl Mnm {
     /// hierarchy is already empty, use [`Mnm::flush_system`], which clears
     /// both sides in the same step.
     pub fn flush(&mut self) {
+        for f in &mut self.filters {
+            f.flush_lanes();
+        }
         for slot in &mut self.slots {
-            for f in &mut slot.filters {
-                f.flush();
-            }
             slot.live_blocks = 0;
         }
         if let Some(r) = &mut self.rmnm {

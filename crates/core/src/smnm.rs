@@ -24,9 +24,11 @@
 //! The hash is evaluated bytewise through precomputed tables (the sum is
 //! additive over disjoint bit groups), and the flip-flops are packed 64 per
 //! word so a probe is one load plus a shift per checker instead of a
-//! per-bit loop — same function values, same verdicts.
+//! per-bit loop — same function values, same verdicts. A filter guarding
+//! several structures (one lane each) interleaves their flip-flops by
+//! lane, so that one hash and one load answer every lane.
 
-use crate::filter::MissFilter;
+use crate::filter::{FilterOccupancy, LaneBits, LaneFilter};
 
 /// Bit offsets at which replicated checkers/tables slice the block address.
 pub(crate) const SLICE_OFFSETS: [u32; 3] = [0, 6, 12];
@@ -86,11 +88,12 @@ const fn byte_sums(byte_index: u32) -> [u32; 256] {
 
 const SUM_LUT: [[u32; 256]; 4] = [byte_sums(0), byte_sums(1), byte_sums(2), byte_sums(3)];
 
-/// The paper's sum-of-squares hash over the low `width` bits of `slice`.
+/// The paper's sum-of-squares hash over the low `width` bits of `slice`,
+/// for `width` in 1..=32 (the range [`SmnmConfig::new`] admits): at most
+/// four table lookups, with no per-bit loop.
+#[inline(always)]
 pub fn sum_hash(slice: u64, width: u32) -> u32 {
-    if width > 32 {
-        return sum_hash_loop(slice, width);
-    }
+    debug_assert!((1..=32).contains(&width), "sum width {width} outside 1..=32");
     let masked = (slice & (u64::MAX >> (64 - width))) as u32;
     SUM_LUT[0][(masked & 0xff) as usize]
         + SUM_LUT[1][(masked >> 8 & 0xff) as usize]
@@ -98,8 +101,9 @@ pub fn sum_hash(slice: u64, width: u32) -> u32 {
         + SUM_LUT[3][(masked >> 24) as usize]
 }
 
-/// The hash as literally written in the paper (Figure 5); reference for
-/// the tabulated version and fallback for out-of-range widths.
+/// The hash as literally written in the paper (Figure 5): the reference
+/// the tabulated [`sum_hash`] is tested against.
+#[cfg(test)]
 fn sum_hash_loop(slice: u64, width: u32) -> u32 {
     let mut tag = slice;
     let mut sum = 0u32;
@@ -118,51 +122,52 @@ pub fn max_sum(width: u32) -> u32 {
     width * (width + 1) * (2 * width + 1) / 6
 }
 
-/// One checker circuit (paper Figure 6): a flip-flop per possible sum,
-/// packed 64 to a word.
+/// One checker circuit (paper Figure 6): a flip-flop per possible sum and
+/// lane, packed lane-interleaved, 64 to a word.
 #[derive(Debug, Clone)]
 pub struct SmnmChecker {
     offset: u32,
     width: u32,
-    /// Conceptual flip-flop `s` is bit `s % 64` of `present[s / 64]`.
+    /// Conceptual flip-flop `s` of lane `l` is `lanes`' bit `(s, l)`.
     present: Vec<u64>,
+    lanes: LaneBits,
     flip_flops: u64,
 }
 
 impl SmnmChecker {
-    /// Build a checker over address bits `[offset, offset + width)`.
+    /// Build a one-lane checker over address bits `[offset, offset + width)`.
     pub fn new(offset: u32, width: u32) -> Self {
+        Self::with_lanes(offset, width, LaneBits::new(1))
+    }
+
+    fn with_lanes(offset: u32, width: u32, lanes: LaneBits) -> Self {
         let flip_flops = u64::from(max_sum(width)) + 1;
         SmnmChecker {
             offset,
             width,
-            present: vec![0; flip_flops.div_ceil(64) as usize],
+            present: lanes.cleared(flip_flops as usize),
+            lanes,
             flip_flops,
         }
     }
 
+    #[inline(always)]
     fn hash(&self, block: u64) -> usize {
         sum_hash(block >> self.offset, self.width) as usize
     }
 
-    /// Record the hash of a placed block.
-    pub fn admit(&mut self, block: u64) {
+    /// Record the hash of a block placed in lane `lane`'s structure.
+    pub fn admit(&mut self, lane: usize, block: u64) {
         let h = self.hash(block);
-        self.present[h >> 6] |= 1 << (h & 63);
+        self.lanes.set(&mut self.present, h, lane);
     }
 
-    /// The flip-flop guarding `block`, as the low bit of a word (1 = the
-    /// block's hash has been admitted). Branch-free input to the filter's
-    /// all-checkers AND.
-    #[inline]
-    pub fn present_bit(&self, block: u64) -> u64 {
-        let h = self.hash(block);
-        self.present[h >> 6] >> (h & 63) & 1
-    }
-
-    /// `true` iff the block's hash was never admitted.
-    pub fn rejects(&self, block: u64) -> bool {
-        self.present_bit(block) == 0
+    /// The flip-flops guarding `block`, lane `l` at bit `l` (1 = the
+    /// block's hash has been admitted to lane `l`). Branch-free input to
+    /// the filter's all-checkers AND.
+    #[inline(always)]
+    pub fn present_lanes(&self, block: u64) -> u64 {
+        self.lanes.get(&self.present, self.hash(block))
     }
 
     /// Reset all flip-flops.
@@ -170,43 +175,57 @@ impl SmnmChecker {
         self.present.fill(0);
     }
 
-    /// Flip-flop count (paper Equation 3 plus the sum = 0 slot).
+    /// Flip-flop count of one lane (paper Equation 3 plus the sum = 0 slot).
     pub fn flip_flops(&self) -> u64 {
         self.flip_flops
     }
 
-    /// Toggle one flip-flop (fault injection). Bit `i` guards sum value `i`.
-    pub fn flip_bit(&mut self, bit: u64) -> bool {
+    /// Toggle one flip-flop of lane `lane` (fault injection). Bit `i`
+    /// guards sum value `i`.
+    pub fn flip_bit(&mut self, lane: usize, bit: u64) -> bool {
         if bit >= self.flip_flops {
             return false;
         }
-        self.present[(bit >> 6) as usize] ^= 1 << (bit & 63);
+        self.lanes.toggle(&mut self.present, bit as usize, lane);
         true
     }
 
-    /// The flip-flop index guarding `block` in this checker.
+    /// The flip-flop index guarding `block` in this checker (every lane).
     pub fn state_bit_of(&self, block: u64) -> u64 {
         self.hash(block) as u64
     }
+
+    /// Set flip-flops of lane `lane`.
+    fn admitted(&self, lane: usize) -> u64 {
+        self.lanes.count(&self.present, lane)
+    }
 }
 
-/// A per-structure SMNM filter: `replication` parallel checkers.
+/// An SMNM filter: `replication` parallel checkers, each with one lane
+/// per guarded structure.
 #[derive(Debug, Clone)]
 pub struct SmnmFilter {
     config: SmnmConfig,
     checkers: Vec<SmnmChecker>,
+    lanes: LaneBits,
     label: String,
 }
 
 impl SmnmFilter {
-    /// Build an empty filter.
+    /// Build an empty filter guarding one structure.
     pub fn new(config: SmnmConfig) -> Self {
+        Self::with_lanes(config, 1)
+    }
+
+    /// Build an empty filter guarding `lanes` structures (1..=64).
+    pub fn with_lanes(config: SmnmConfig, lanes: usize) -> Self {
+        let lanes = LaneBits::new(lanes);
         let checkers = SLICE_OFFSETS
             .iter()
             .take(config.replication as usize)
-            .map(|&off| SmnmChecker::new(off, config.sum_width))
+            .map(|&off| SmnmChecker::with_lanes(off, config.sum_width, lanes))
             .collect();
-        SmnmFilter { checkers, label: config.label(), config }
+        SmnmFilter { checkers, lanes, label: config.label(), config }
     }
 
     /// This filter's configuration.
@@ -215,70 +234,71 @@ impl SmnmFilter {
     }
 }
 
-impl MissFilter for SmnmFilter {
-    fn on_place(&mut self, block: u64, _frame_slot: usize) {
+impl LaneFilter for SmnmFilter {
+    fn lanes(&self) -> usize {
+        self.lanes.lanes()
+    }
+
+    #[inline(always)]
+    fn miss_lanes(&self, block: u64, want: u64) -> u64 {
+        // AND the present bits of every checker: a lane misses iff any
+        // checker lacks the block's sum there.
+        let mut all_present = self.lanes.mask();
+        for c in &self.checkers {
+            all_present &= c.present_lanes(block);
+        }
+        want & !all_present
+    }
+
+    fn place(&mut self, lane: usize, block: u64, _frame_slot: usize) {
         for c in &mut self.checkers {
-            c.admit(block);
+            c.admit(lane, block);
         }
     }
 
-    fn on_replace(&mut self, _block: u64, _frame_slot: usize) {
+    fn replace(&mut self, _lane: usize, _block: u64, _frame_slot: usize) {
         // Set-only: several live blocks may share a hash value, so a
         // replacement cannot clear any flip-flop (soundness).
     }
 
-    #[inline]
-    fn is_definite_miss(&self, block: u64) -> bool {
-        // AND the present bits of every checker: miss iff any is 0.
-        let mut all_present = 1u64;
-        for c in &self.checkers {
-            all_present &= c.present_bit(block);
-        }
-        all_present == 0
-    }
-
-    fn flush(&mut self) {
+    fn flush_lanes(&mut self) {
         for c in &mut self.checkers {
             c.reset();
         }
     }
 
-    fn storage_bits(&self) -> u64 {
+    fn lane_storage_bits(&self) -> u64 {
         self.checkers.iter().map(SmnmChecker::flip_flops).sum()
     }
 
-    fn label(&self) -> &str {
+    fn technique_label(&self) -> &str {
         &self.label
     }
 
-    fn state_bits(&self) -> u64 {
-        self.storage_bits()
+    fn lane_state_bits(&self) -> u64 {
+        self.lane_storage_bits()
     }
 
-    fn flip_state_bit(&mut self, mut bit: u64) -> bool {
+    fn flip_lane_bit(&mut self, lane: usize, mut bit: u64) -> bool {
         for c in &mut self.checkers {
             if bit < c.flip_flops() {
-                return c.flip_bit(bit);
+                return c.flip_bit(lane, bit);
             }
             bit -= c.flip_flops();
         }
         false
     }
 
-    fn state_bit_of(&self, block: u64) -> Option<u64> {
+    fn lane_bit_of(&self, _lane: usize, block: u64) -> Option<u64> {
         // Clearing the first checker's flip-flop for a live block's hash
         // makes that checker reject it — one checker's rejection flags.
         Some(self.checkers[0].state_bit_of(block))
     }
 
-    fn occupancy(&self) -> crate::filter::FilterOccupancy {
-        crate::filter::FilterOccupancy {
-            tracked: self
-                .checkers
-                .iter()
-                .map(|c| c.present.iter().map(|w| u64::from(w.count_ones())).sum::<u64>())
-                .sum(),
-            capacity: self.checkers.iter().map(SmnmChecker::flip_flops).sum(),
+    fn lane_occupancy(&self, lane: usize) -> FilterOccupancy {
+        FilterOccupancy {
+            tracked: self.checkers.iter().map(|c| c.admitted(lane)).sum(),
+            capacity: self.lane_storage_bits(),
         }
     }
 }
@@ -288,6 +308,7 @@ mod tests {
     //! SMNM ignores the frame slot, so these tests pass 0 for it.
 
     use super::*;
+    use crate::filter::MissFilter;
 
     #[test]
     fn hash_matches_paper_function() {
@@ -413,11 +434,11 @@ mod tests {
         // bits, including the last partial word.
         let mut c = SmnmChecker::new(0, 7); // 141 flip-flops: 3 words
         assert_eq!(c.flip_flops(), 141);
-        assert!(c.flip_bit(140));
-        assert!(!c.flip_bit(141));
+        assert!(c.flip_bit(0, 140));
+        assert!(!c.flip_bit(0, 141));
         // Sum 140 = max_sum(7): the all-ones slice.
-        assert!(SmnmChecker::new(0, 7).rejects(0x7f), "fresh checker rejects everything");
+        assert_eq!(SmnmChecker::new(0, 7).present_lanes(0x7f), 0, "fresh checker rejects all");
         assert_eq!(c.state_bit_of(0x7f), 140);
-        assert!(!c.rejects(0x7f), "flipped bit 140 admits the all-ones hash");
+        assert_eq!(c.present_lanes(0x7f), 1, "flipped bit 140 admits the all-ones hash");
     }
 }

@@ -15,9 +15,11 @@
 //! maintained on the update path, so a probe touches 1/24th of the state a
 //! counter-array read would (for the paper's 3-bit counters that shrinks
 //! the probed state of `TMNM_12x3` from 12 KB to 1.5 KB — it fits in a
-//! couple dozen cache lines).
+//! couple dozen cache lines). A filter guarding several structures (one
+//! lane each) interleaves their counters and zero flags by lane, so one
+//! slice index and one load answer every lane.
 
-use crate::filter::MissFilter;
+use crate::filter::{FilterOccupancy, LaneBits, LaneFilter};
 use crate::smnm::SLICE_OFFSETS;
 
 /// `TMNM_<bits>x<replication>` (e.g. `TMNM_12x3`). `counter_bits` defaults
@@ -67,97 +69,101 @@ impl TmnmConfig {
     }
 }
 
-/// One counter table over a slice of the block address.
+/// One counter table over a slice of the block address, with one counter
+/// per slot and lane.
 #[derive(Debug, Clone)]
 pub struct TmnmTable {
     offset: u32,
     mask: u64,
     max: u8,
+    /// Lane `l`'s counter for slot `s` is `counters[s × lanes + l]`.
     counters: Vec<u8>,
-    /// Bit `s` set iff `counters[s] == 0` — the only state a probe reads.
+    /// Lane `l`'s bit of slot `s` set iff its counter is 0 — the only
+    /// state a probe reads.
     zero: Vec<u64>,
-}
-
-fn zero_words(slots: usize) -> Vec<u64> {
-    let mut words = vec![u64::MAX; slots.div_ceil(64)];
-    if !slots.is_multiple_of(64) {
-        *words.last_mut().unwrap() = (1u64 << (slots % 64)) - 1;
-    }
-    words
+    lanes: LaneBits,
 }
 
 impl TmnmTable {
-    /// Build a table over address bits `[offset, offset + bits)` with
-    /// `counter_bits`-wide saturating counters.
+    /// Build a one-lane table over address bits `[offset, offset + bits)`
+    /// with `counter_bits`-wide saturating counters.
     pub fn new(offset: u32, bits: u32, counter_bits: u32) -> Self {
+        Self::with_lanes(offset, bits, counter_bits, LaneBits::new(1))
+    }
+
+    fn with_lanes(offset: u32, bits: u32, counter_bits: u32, lanes: LaneBits) -> Self {
         TmnmTable {
             offset,
             mask: (1u64 << bits) - 1,
             max: ((1u32 << counter_bits) - 1) as u8,
-            counters: vec![0; 1 << bits],
-            zero: zero_words(1 << bits),
+            counters: vec![0; lanes.lanes() << bits],
+            zero: lanes.filled(1 << bits),
+            lanes,
         }
     }
 
+    #[inline(always)]
     fn slot(&self, block: u64) -> usize {
         ((block >> self.offset) & self.mask) as usize
     }
 
-    fn sync_zero_flag(&mut self, slot: usize) {
-        let bit = 1u64 << (slot & 63);
-        if self.counters[slot] == 0 {
-            self.zero[slot >> 6] |= bit;
-        } else {
-            self.zero[slot >> 6] &= !bit;
-        }
+    /// Counters per lane.
+    fn slots(&self) -> usize {
+        self.mask as usize + 1
     }
 
-    /// Increment on placement; saturates at the maximum.
-    pub fn increment(&mut self, block: u64) {
+    fn sync_zero_flag(&mut self, slot: usize, lane: usize) {
+        let empty = self.counters[self.lanes.counter(slot, lane)] == 0;
+        self.lanes.assign(&mut self.zero, slot, lane, empty);
+    }
+
+    /// Increment lane `lane`'s counter on placement; saturates at the
+    /// maximum.
+    pub fn increment(&mut self, lane: usize, block: u64) {
         let s = self.slot(block);
-        let c = self.counters[s];
+        let i = self.lanes.counter(s, lane);
+        let c = self.counters[i];
         if c < self.max {
-            self.counters[s] = c + 1;
+            self.counters[i] = c + 1;
             if c == 0 {
-                self.zero[s >> 6] &= !(1u64 << (s & 63));
+                self.lanes.clear(&mut self.zero, s, lane);
             }
         }
     }
 
-    /// Decrement on replacement — unless saturated, which is sticky.
-    pub fn decrement(&mut self, block: u64) {
+    /// Decrement lane `lane`'s counter on replacement — unless saturated,
+    /// which is sticky.
+    pub fn decrement(&mut self, lane: usize, block: u64) {
         let s = self.slot(block);
-        let c = self.counters[s];
+        let i = self.lanes.counter(s, lane);
+        let c = self.counters[i];
         if c > 0 && c < self.max {
-            self.counters[s] = c - 1;
+            self.counters[i] = c - 1;
             if c == 1 {
-                self.zero[s >> 6] |= 1 << (s & 63);
+                self.lanes.set(&mut self.zero, s, lane);
             }
         }
     }
 
-    /// The block's zero flag as the low bit of a word (1 = empty slot).
-    /// Branch-free input to the filter's any-table OR.
-    #[inline]
-    pub fn zero_bit(&self, block: u64) -> u64 {
-        let s = self.slot(block);
-        self.zero[s >> 6] >> (s & 63) & 1
+    /// The zero flags of the block's slot, lane `l` at bit `l` (1 = no
+    /// live block of lane `l` maps here: a definite miss). Branch-free
+    /// input to the filter's any-table OR.
+    #[inline(always)]
+    pub fn zero_lanes(&self, block: u64) -> u64 {
+        self.lanes.get(&self.zero, self.slot(block))
     }
 
-    /// Definite miss iff no live block can map here (counter is zero).
-    pub fn is_empty_slot(&self, block: u64) -> bool {
-        self.zero_bit(block) != 0
-    }
-
-    /// Raw counter value at the block's slot (for tests/diagnostics).
-    pub fn counter(&self, block: u64) -> u8 {
-        self.counters[self.slot(block)]
+    /// Raw counter value of lane `lane` at the block's slot (for
+    /// tests/diagnostics).
+    pub fn counter(&self, lane: usize, block: u64) -> u8 {
+        self.counters[self.lanes.counter(self.slot(block), lane)]
     }
 
     /// Reset all counters (cache flush).
     pub fn reset(&mut self) {
         self.counters.fill(0);
-        self.zero = zero_words(self.counters.len());
+        let slots = self.slots();
+        self.lanes.fill(&mut self.zero, slots);
     }
 
     /// Width of one counter in bits.
@@ -165,47 +171,61 @@ impl TmnmTable {
         u8::BITS - self.max.leading_zeros()
     }
 
-    /// Total state bits in this table (counter count × counter width).
+    /// State bits of one lane (counter count × counter width).
     pub fn state_bits(&self) -> u64 {
-        self.counters.len() as u64 * u64::from(self.counter_bits())
+        self.slots() as u64 * u64::from(self.counter_bits())
     }
 
-    /// XOR one bit of the table state (fault injection). Bits are numbered
-    /// counter-major: bit `i` is bit `i % width` of counter `i / width`.
-    pub fn flip_bit(&mut self, bit: u64) -> bool {
+    /// XOR one bit of lane `lane`'s state (fault injection). Bits are
+    /// numbered counter-major: bit `i` is bit `i % width` of counter
+    /// `i / width`.
+    pub fn flip_bit(&mut self, lane: usize, bit: u64) -> bool {
         let width = u64::from(self.counter_bits());
         let slot = (bit / width) as usize;
-        let Some(counter) = self.counters.get_mut(slot) else {
+        if slot >= self.slots() {
             return false;
-        };
-        *counter ^= 1 << (bit % width);
-        self.sync_zero_flag(slot);
+        }
+        self.counters[self.lanes.counter(slot, lane)] ^= 1 << (bit % width);
+        self.sync_zero_flag(slot, lane);
         true
     }
 
-    /// The lowest state bit of the counter `block` maps to.
+    /// The lowest state bit of the counter `block` maps to (every lane).
     pub fn state_bit_of(&self, block: u64) -> u64 {
         self.slot(block) as u64 * u64::from(self.counter_bits())
     }
+
+    /// Nonzero counters of lane `lane`.
+    fn armed(&self, lane: usize) -> u64 {
+        self.slots() as u64 - self.lanes.count(&self.zero, lane)
+    }
 }
 
-/// A per-structure TMNM filter: `replication` parallel tables.
+/// A TMNM filter: `replication` parallel tables, each with one lane per
+/// guarded structure.
 #[derive(Debug, Clone)]
 pub struct TmnmFilter {
     config: TmnmConfig,
     tables: Vec<TmnmTable>,
+    lanes: LaneBits,
     label: String,
 }
 
 impl TmnmFilter {
-    /// Build an empty filter.
+    /// Build an empty filter guarding one structure.
     pub fn new(config: TmnmConfig) -> Self {
+        Self::with_lanes(config, 1)
+    }
+
+    /// Build an empty filter guarding `lanes` structures (1..=64).
+    pub fn with_lanes(config: TmnmConfig, lanes: usize) -> Self {
+        let lanes = LaneBits::new(lanes);
         let tables = SLICE_OFFSETS
             .iter()
             .take(config.replication as usize)
-            .map(|&off| TmnmTable::new(off, config.bits, config.counter_bits))
+            .map(|&off| TmnmTable::with_lanes(off, config.bits, config.counter_bits, lanes))
             .collect();
-        TmnmFilter { tables, label: config.label(), config }
+        TmnmFilter { tables, lanes, label: config.label(), config }
     }
 
     /// This filter's configuration.
@@ -214,75 +234,77 @@ impl TmnmFilter {
     }
 }
 
-impl MissFilter for TmnmFilter {
-    fn on_place(&mut self, block: u64, _frame_slot: usize) {
-        for t in &mut self.tables {
-            t.increment(block);
-        }
+impl LaneFilter for TmnmFilter {
+    fn lanes(&self) -> usize {
+        self.lanes.lanes()
     }
 
-    fn on_replace(&mut self, block: u64, _frame_slot: usize) {
-        for t in &mut self.tables {
-            t.decrement(block);
-        }
-    }
-
-    #[inline]
-    fn is_definite_miss(&self, block: u64) -> bool {
-        // OR the zero flags of every table: miss iff any slot is empty.
+    #[inline(always)]
+    fn miss_lanes(&self, block: u64, want: u64) -> u64 {
+        // OR the zero flags of every table: a lane misses iff any of its
+        // slots is empty.
         let mut any_zero = 0u64;
         for t in &self.tables {
-            any_zero |= t.zero_bit(block);
+            any_zero |= t.zero_lanes(block);
         }
-        any_zero != 0
+        want & any_zero
     }
 
-    fn flush(&mut self) {
+    fn place(&mut self, lane: usize, block: u64, _frame_slot: usize) {
+        for t in &mut self.tables {
+            t.increment(lane, block);
+        }
+    }
+
+    fn replace(&mut self, lane: usize, block: u64, _frame_slot: usize) {
+        for t in &mut self.tables {
+            t.decrement(lane, block);
+        }
+    }
+
+    fn flush_lanes(&mut self) {
         for t in &mut self.tables {
             t.reset();
         }
     }
 
-    fn storage_bits(&self) -> u64 {
+    fn lane_storage_bits(&self) -> u64 {
         (self.tables.len() as u64)
             * (1u64 << self.config.bits)
             * u64::from(self.config.counter_bits)
     }
 
-    fn label(&self) -> &str {
+    fn technique_label(&self) -> &str {
         &self.label
     }
 
-    fn state_bits(&self) -> u64 {
+    fn lane_state_bits(&self) -> u64 {
         self.tables.iter().map(TmnmTable::state_bits).sum()
     }
 
-    fn flip_state_bit(&mut self, mut bit: u64) -> bool {
+    fn flip_lane_bit(&mut self, lane: usize, mut bit: u64) -> bool {
         for t in &mut self.tables {
             if bit < t.state_bits() {
-                return t.flip_bit(bit);
+                return t.flip_bit(lane, bit);
             }
             bit -= t.state_bits();
         }
         false
     }
 
-    fn state_bit_of(&self, block: u64) -> Option<u64> {
+    fn lane_bit_of(&self, _lane: usize, block: u64) -> Option<u64> {
         // The first table's counter for this block: any table reporting an
         // empty slot flags a definite miss, so corrupting one table can lie.
         Some(self.tables[0].state_bit_of(block))
     }
 
-    fn occupancy(&self) -> crate::filter::FilterOccupancy {
+    fn lane_occupancy(&self, lane: usize) -> FilterOccupancy {
         // A counter is "armed" when nonzero; the packed zero-flag bitset
         // (bit set iff counter == 0) gives the complement in O(words).
-        let mut occ = crate::filter::FilterOccupancy::default();
-        for t in &self.tables {
-            let zeros: u64 = t.zero.iter().map(|w| u64::from(w.count_ones())).sum();
-            occ.tracked += t.counters.len() as u64 - zeros;
-            occ.capacity += t.counters.len() as u64;
+        FilterOccupancy {
+            tracked: self.tables.iter().map(|t| t.armed(lane)).sum(),
+            capacity: self.tables.iter().map(|t| t.slots() as u64).sum(),
         }
-        occ
     }
 }
 
@@ -291,6 +313,7 @@ mod tests {
     //! TMNM ignores the frame slot, so these tests pass 0 for it.
 
     use super::*;
+    use crate::filter::MissFilter;
 
     #[test]
     fn place_replace_round_trip() {
@@ -368,7 +391,7 @@ mod tests {
         f.on_place(9, 0);
         f.flush();
         assert!(f.is_definite_miss(9));
-        assert_eq!(f.tables[0].counter(9), 0);
+        assert_eq!(f.tables[0].counter(0, 9), 0);
     }
 
     #[test]
@@ -383,19 +406,23 @@ mod tests {
             x ^= x << 17;
             let block = x % 64;
             match step % 4 {
-                0 | 1 => t.increment(block),
-                2 => t.decrement(block),
+                0 | 1 => t.increment(0, block),
+                2 => t.decrement(0, block),
                 _ => {
-                    t.flip_bit(x % t.state_bits());
+                    t.flip_bit(0, x % t.state_bits());
                 }
             }
             for b in 0..32u64 {
-                assert_eq!(t.is_empty_slot(b), t.counter(b) == 0, "slot {b} after step {step}");
+                assert_eq!(
+                    t.zero_lanes(b) == 1,
+                    t.counter(0, b) == 0,
+                    "slot {b} after step {step}"
+                );
             }
         }
         t.reset();
         for b in 0..32u64 {
-            assert!(t.is_empty_slot(b));
+            assert_eq!(t.zero_lanes(b), 1);
         }
     }
 
