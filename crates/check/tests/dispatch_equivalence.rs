@@ -11,7 +11,10 @@
 //! all 20 synthetic application profiles, and requires bit-identical
 //! bypass sets on every access, then proves the batched paths produce the
 //! same summaries, machine statistics, and hierarchy statistics as the
-//! stepped path.
+//! stepped path. The same lockstep runs once more under seeded soft
+//! errors and flushes, applied to both machines alike, because the
+//! machine remembers verdicts and must forget them whenever its filter
+//! state changes.
 
 use cache_sim::{
     Access, AccessKind, BatchSummary, BypassSet, CacheEvent, EventKind, Hierarchy, HierarchyConfig,
@@ -22,6 +25,7 @@ use mnm_core::{
     BloomFilter, Cmnm, Granularity, MissFilter, Mnm, MnmConfig, Rmnm, SmnmFilter, TechniqueConfig,
     TmnmFilter,
 };
+use trace_synth::Prng;
 
 /// One configuration per filter family, plus the paper's largest hybrid.
 const LABELS: [&str; 6] =
@@ -104,6 +108,15 @@ impl Shadow {
             }
         }
         set
+    }
+
+    fn flush(&mut self) {
+        for f in self.filters.iter_mut().flatten() {
+            f.flush();
+        }
+        if let Some(r) = &mut self.rmnm {
+            r.flush();
+        }
     }
 
     fn observe_events(&mut self, events: &[CacheEvent]) {
@@ -218,6 +231,78 @@ fn batched_paths_match_the_stepped_path_exactly() {
         m2.query_many(probe, &mut out);
         for (i, &a) in probe.iter().enumerate() {
             assert_eq!(out[i], m2.query(a), "{label}: query_many diverged at {i}");
+        }
+    }
+}
+
+/// The structures of `verdict` that really do not hold `addr`: a corrupted
+/// filter may flag a resident block, and the hierarchy walks only sound
+/// bypasses.
+fn sound_part(hier: &Hierarchy, verdict: BypassSet, addr: u64) -> BypassSet {
+    let mut sound = BypassSet::none();
+    for info in hier.structures() {
+        if verdict.contains(info.id) && !hier.contains(info.id, addr) {
+            sound.insert(info.id);
+        }
+    }
+    sound
+}
+
+#[test]
+fn verdicts_stay_identical_under_bit_flips_and_flushes() {
+    for label in LABELS {
+        let config = MnmConfig::parse(label).unwrap();
+        for seed in 0..20u64 {
+            let trace = profile_accesses(seed, 1_200);
+            let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+            let mut mnm = Mnm::new(&hier, config.clone());
+            let mut shadow = Shadow::build(&hier, &config);
+            let mut scratch = ReplayScratch::new();
+            let surface = mnm.fault_surface();
+            let mut rng = Prng::seed_from_u64(seed);
+            let flip_every = rng.gen_range(5..40) as usize;
+            let flush_every = rng.gen_range(200..500) as usize;
+            let (mut flips, mut flushes) = (0, 0);
+            for (i, &access) in trace.iter().enumerate() {
+                if i % flush_every == flush_every - 1 {
+                    mnm.flush_system(&mut hier);
+                    shadow.flush();
+                    flushes += 1;
+                }
+                if i % flip_every == flip_every - 1 && !surface.is_empty() {
+                    // Mostly aim at the bit guarding the block about to be
+                    // asked for, whose verdict the machine may remember.
+                    let (slot, member, bits) =
+                        surface[rng.gen_range(0..surface.len() as u64) as usize];
+                    let member_filter = &mut shadow.filters[slot][member];
+                    let aimed = mnm.state_bit_of(slot, member, access.addr);
+                    assert_eq!(
+                        aimed,
+                        member_filter.state_bit_of(shadow.gran.block_of(access.addr))
+                    );
+                    let bit = match aimed {
+                        Some(b) if rng.gen_bool(0.75) => b,
+                        _ => rng.gen_range(0..bits),
+                    };
+                    let flipped = mnm.flip_filter_bit(slot, member, bit);
+                    assert_eq!(flipped, member_filter.flip_state_bit(bit), "{label}: flip {bit}");
+                    flips += u64::from(flipped);
+                }
+                let expect = shadow.query(access);
+                let got = mnm.query(access);
+                assert_eq!(
+                    got, expect,
+                    "{label} seed {seed}: verdicts diverged at access {i} ({access:?}) after \
+                     {flips} flips and {flushes} flushes"
+                );
+                let sound = sound_part(&hier, got, access.addr);
+                hier.access_with_events(access, &sound, &mut scratch);
+                mnm.observe_events(scratch.events());
+                mnm.note_probes(scratch.probes());
+                shadow.observe_events(scratch.events());
+            }
+            assert!(flushes > 0);
+            assert!(surface.is_empty() || flips > 0, "{label} seed {seed}: nothing flipped");
         }
     }
 }

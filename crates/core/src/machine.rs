@@ -145,11 +145,44 @@ struct Slot {
     /// Capacity of the guarded structure in frame slots (MNM blocks,
     /// unless its lines are shorter than the MNM grain).
     capacity_blocks: u64,
+    /// Indices into [`Mnm`]'s stacks of every stack with a lane here: the
+    /// stacks whose version a change to this slot's filter state bumps.
+    stacks: Vec<usize>,
 }
+
+/// Entries in each stack's verdict memo: a power of two. Measured against
+/// 256 and 4096 on `jsn_bench`'s `replay_resident` and `replay_memory`:
+/// 4096 answers more resident queries but slows the memory-bound replay,
+/// whose queries rarely repeat.
+const MEMO_ENTRIES: usize = 1024;
+
+/// One remembered stack verdict: the lanes among `asked` that the stack's
+/// filters flagged for `block` while the stack's state was at `version`.
+/// Lane masks are 16 bits wide, so the entry stays 16 bytes; a stack with
+/// more lanes records only its low 16, and a query wanting any higher
+/// lane never hits. An entry with `asked == 0` is empty: it never hits,
+/// because a stack with no lane to ask is not consulted at all.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    block: u64,
+    version: u32,
+    asked: u16,
+    flagged: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<MemoEntry>() == 16);
 
 /// The filters of one [`Assignment`](crate::Assignment): lane `l` of each
 /// guards slot `first_slot + l`. Slots are numbered in level order, so an
 /// assignment's level range is one run of slots.
+///
+/// A stack also remembers its recent verdicts. Every family's
+/// [`LaneFilter::miss_lanes`]`(block, want)` is `want & F(block)` for a
+/// function `F` of that filter's state alone, so the cheapest-first probe
+/// answers `want & (F₁ | … | Fₖ)`: a verdict recorded for `asked` lanes
+/// answers any `want ⊆ asked` exactly, for as long as no filter of the
+/// stack changes. `version` counts those changes ([`Stack::bump`]), and an
+/// entry is used only at the version it was recorded at.
 #[derive(Debug)]
 struct Stack {
     /// Indices into [`Mnm`]'s filters, cheapest probe first
@@ -158,6 +191,31 @@ struct Stack {
     first_slot: u32,
     /// Bit `l` set for every lane.
     lanes: u64,
+    /// Bumped on every change to the state of the stack's filters.
+    version: u32,
+    /// Direct-mapped by [`memo_index`]; [`MEMO_ENTRIES`] long, allocated
+    /// once in [`Mnm::new`].
+    memo: Box<[MemoEntry]>,
+}
+
+impl Stack {
+    /// Record a change to the state of this stack's filters: every verdict
+    /// remembered so far is stale. When the version wraps, the memo is
+    /// cleared, so a stored version never aliases a later one.
+    #[inline]
+    fn bump(&mut self) {
+        self.version = self.version.wrapping_add(1);
+        if self.version == 0 {
+            self.memo.fill(MemoEntry::default());
+        }
+    }
+}
+
+/// The memo entry of `block`: the top bits of a Fibonacci hash, so
+/// strided and page-aligned blocks spread over the whole memo.
+#[inline(always)]
+fn memo_index(block: u64) -> usize {
+    (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_ENTRIES.trailing_zeros())) as usize
 }
 
 /// Rank of a technique's probe cost: a stack probes its filters cheapest
@@ -268,6 +326,7 @@ impl Mnm {
                 members: Vec::new(),
                 live_blocks: 0,
                 capacity_blocks: frame_slots,
+                stacks: Vec::new(),
             });
         }
         assert!(slots.len() <= 64, "an MNM guards at most 64 structures");
@@ -294,11 +353,14 @@ impl Mnm {
             }
             for (lane, &si) in guarded.iter().enumerate() {
                 slots[si].members.extend(filter_of.iter().map(|&fi| (fi, lane)));
+                slots[si].stacks.push(stacks.len());
             }
             stacks.push(Stack {
                 filters: start..filters.len(),
                 first_slot: first as u32,
                 lanes: u64::MAX >> (64 - guarded.len()),
+                version: 0,
+                memo: vec![MemoEntry::default(); MEMO_ENTRIES].into_boxed_slice(),
             });
         }
 
@@ -355,6 +417,13 @@ impl Mnm {
     /// Ask the machine which structures on this access's path will
     /// definitely miss. Sound: every flagged structure is guaranteed not to
     /// hold the block.
+    ///
+    /// The shared RMNM is asked first, on every query. Each filter stack
+    /// is then asked about the path lanes still open: from its verdict
+    /// memo when the block's entry is current and covers those lanes,
+    /// otherwise by probing its filters cheapest first and recording the
+    /// answer. Both give the same verdict (see `Stack`); filter
+    /// state is never changed here.
     pub fn query(&mut self, access: Access) -> BypassSet {
         let block = self.granularity.block_of(access.addr);
         let (slots, path) = if access.kind.is_instruction() {
@@ -375,16 +444,35 @@ impl Mnm {
         // One probe per technique answers all its lanes; a filter is asked
         // only about lanes on the path that nothing has flagged yet (the
         // verdict is an OR, so skipping a decided lane changes nothing).
-        for stack in &self.stacks {
-            let mut want = (path & !miss) >> stack.first_slot & stack.lanes;
-            for f in &self.filters[stack.filters.clone()] {
-                if want == 0 {
-                    break;
-                }
-                let lanes = f.miss_lanes(block, want);
-                miss |= lanes << stack.first_slot;
-                want &= !lanes;
+        let memo_slot = memo_index(block);
+        for stack in &mut self.stacks {
+            let want = (path & !miss) >> stack.first_slot & stack.lanes;
+            if want == 0 {
+                continue;
             }
+            let entry = &mut stack.memo[memo_slot];
+            let flagged = if entry.block == block
+                && entry.version == stack.version
+                && want & !u64::from(entry.asked) == 0
+            {
+                want & u64::from(entry.flagged)
+            } else {
+                let mut open = want;
+                for f in &self.filters[stack.filters.clone()] {
+                    open &= !f.miss_lanes(block, open);
+                    if open == 0 {
+                        break;
+                    }
+                }
+                *entry = MemoEntry {
+                    block,
+                    version: stack.version,
+                    asked: want as u16,
+                    flagged: (want & !open) as u16,
+                };
+                want & !open
+            };
+            miss |= flagged << stack.first_slot;
         }
         let mut set = BypassSet::none();
         for &si in slots {
@@ -424,6 +512,9 @@ impl Mnm {
                 continue; // L1 structures are not tracked
             };
             let slot = &mut self.slots[si];
+            for &s in &slot.stacks {
+                self.stacks[s].bump();
+            }
             let st = &mut self.stats.slots[si];
             let rmnm = self.rmnm.as_mut();
             let blocks = ev.sub_blocks(grain);
@@ -628,9 +719,11 @@ impl Mnm {
     /// XOR one state bit of the component filter at `(slot, filter)`,
     /// emulating a soft error. Returns whether a bit was actually flipped.
     pub fn flip_filter_bit(&mut self, slot: usize, filter: usize, bit: u64) -> bool {
-        let Some(&(fi, lane)) = self.slots.get(slot).and_then(|s| s.members.get(filter)) else {
-            return false;
-        };
+        let Some(s) = self.slots.get(slot) else { return false };
+        let Some(&(fi, lane)) = s.members.get(filter) else { return false };
+        for &st in &s.stacks {
+            self.stacks[st].bump();
+        }
         self.filters[fi].flip_lane_bit(lane, bit)
     }
 
@@ -653,6 +746,9 @@ impl Mnm {
     pub fn flush(&mut self) {
         for f in &mut self.filters {
             f.flush_lanes();
+        }
+        for stack in &mut self.stacks {
+            stack.bump();
         }
         for slot in &mut self.slots {
             slot.live_blocks = 0;
@@ -1110,5 +1206,91 @@ mod tests {
         // Out-of-range coordinates are rejected, not panics.
         assert!(!mnm.flip_filter_bit(99, 0, 0));
         assert!(mnm.state_bit_of(99, 0, 0x1000).is_none());
+    }
+
+    /// The memo entry of `addr`'s block in `mnm`'s first stack, and whether
+    /// it was recorded at the stack's current version.
+    fn memo_entry(mnm: &Mnm, addr: u64) -> (MemoEntry, bool) {
+        let stack = &mnm.stacks[0];
+        let e = stack.memo[memo_index(mnm.granularity.block_of(addr))];
+        (e, e.version == stack.version)
+    }
+
+    /// `addr`'s block has a current entry, so the next query is answered
+    /// from the memo.
+    fn answered_from_memo(mnm: &Mnm, addr: u64) -> bool {
+        let (e, current) = memo_entry(mnm, addr);
+        current && e.asked != 0 && e.block == mnm.granularity.block_of(addr)
+    }
+
+    #[test]
+    fn memo_forgets_a_verdict_when_a_bit_flips() {
+        let mut hier = tiny_hierarchy();
+        let mut mnm = Mnm::new(&hier, MnmConfig::parse("TMNM_12x1").unwrap());
+        mnm.run_access(&mut hier, Access::load(0x1000));
+        assert!(mnm.query(Access::load(0x1000)).is_empty());
+        assert!(answered_from_memo(&mnm, 0x1000));
+        assert!(mnm.query(Access::load(0x1000)).is_empty());
+
+        let (slot, filter, _) = mnm.fault_surface()[0];
+        let bit = mnm.state_bit_of(slot, filter, 0x1000).unwrap();
+        assert!(mnm.flip_filter_bit(slot, filter, bit));
+        let bypass = mnm.query(Access::load(0x1000));
+        assert!(bypass.contains(mnm.slot_structures()[slot]), "a stale verdict survived a flip");
+    }
+
+    #[test]
+    fn memo_forgets_every_verdict_on_flush() {
+        for label in ["TMNM_12x1", "SMNM_13x2", "CMNM_8_12", "BLOOM_13x4", "HMNM2"] {
+            let mut hier = tiny_hierarchy();
+            let mut mnm = Mnm::new(&hier, MnmConfig::parse(label).unwrap());
+            mnm.run_access(&mut hier, Access::load(0x1000));
+            assert!(mnm.query(Access::load(0x1000)).is_empty(), "{label}");
+            assert!(answered_from_memo(&mnm, 0x1000), "{label}");
+            mnm.flush();
+            // Cold filters flag every structure on the path.
+            assert_eq!(mnm.query(Access::load(0x1000)).len(), 2, "{label}: stale after flush");
+        }
+    }
+
+    #[test]
+    fn memo_forgets_a_verdict_on_placement_and_replacement() {
+        let mut hier = tiny_hierarchy();
+        let mut mnm = Mnm::new(&hier, MnmConfig::parse("TMNM_12x1").unwrap());
+        // Placement: a cold block is flagged everywhere, from the memo the
+        // second time, until the fill places it.
+        assert_eq!(mnm.query(Access::load(0x0)).len(), 2);
+        assert!(answered_from_memo(&mnm, 0x0));
+        mnm.run_access(&mut hier, Access::load(0x0));
+        assert!(mnm.query(Access::load(0x0)).is_empty(), "a stale verdict survived a placement");
+
+        // Replacement: 0x100 and 0x200 share ul2's set with 0x0, so their
+        // fills evict it from ul2 (ul3 keeps it).
+        assert!(answered_from_memo(&mnm, 0x0));
+        for addr in [0x100, 0x200] {
+            mnm.run_access(&mut hier, Access::load(addr));
+        }
+        let ul2 = hier.structures().iter().find(|s| s.name == "ul2").unwrap().id;
+        assert!(!hier.contains(ul2, 0x0));
+        // The entry is still there; only its version keeps it from answering.
+        let (e, current) = memo_entry(&mnm, 0x0);
+        assert!(e.block == 0 && e.asked != 0 && !current);
+        let bypass = mnm.query(Access::load(0x0));
+        assert!(bypass.contains(ul2), "a stale verdict survived a replacement");
+        assert_eq!(bypass.len(), 1);
+    }
+
+    #[test]
+    fn memo_is_cleared_when_the_version_wraps() {
+        let hier = tiny_hierarchy();
+        let mut mnm = Mnm::new(&hier, MnmConfig::parse("TMNM_12x1").unwrap());
+        mnm.query(Access::load(0x1000));
+        assert!(answered_from_memo(&mnm, 0x1000));
+        // As after 2^32 - 1 further changes: the next one wraps to the
+        // version the entry was recorded at.
+        mnm.stacks[0].version = u32::MAX;
+        mnm.stacks[0].bump();
+        assert_eq!(mnm.stacks[0].version, 0);
+        assert!(!answered_from_memo(&mnm, 0x1000), "a wrapped version revived an old verdict");
     }
 }

@@ -303,6 +303,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A tail nested past the JSON depth limit is malformed like any other
+    /// torn line: dropped, not a stack overflow.
+    #[test]
+    fn deeply_nested_tail_is_dropped() {
+        let dir = tmp_dir("deep");
+        let mut w = JournalWriter::create(&dir, RunParams { warmup: 1, measure: 2 }).unwrap();
+        w.append(&entry("done")).unwrap();
+        let mut f = std::fs::OpenOptions::new().append(true).open(journal_path(&dir)).unwrap();
+        f.write_all("[".repeat(1_000_000).as_bytes()).unwrap();
+        drop(f);
+
+        let loaded = load(&dir).unwrap().unwrap();
+        assert!(loaded.truncated_tail);
+        assert_eq!(loaded.entries.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn mid_file_corruption_is_a_hard_error() {
         let dir = tmp_dir("midcorrupt");

@@ -180,6 +180,21 @@ fn diff_rejects_missing_and_malformed_input() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("two JSON files"));
 }
 
+/// A document nested past the parser's depth limit is malformed input:
+/// `jsn diff` names the file and exits 1 instead of overflowing its stack.
+#[test]
+fn diff_rejects_documents_nested_too_deep() {
+    let path = std::env::temp_dir().join(format!("jsn_diff_deep_{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+    let p = path.to_str().unwrap();
+    let out = jsn(&["diff", p, p]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(p) && stderr.contains("nested deeper than 128"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+}
+
 #[test]
 fn shard_rejects_out_of_range_flags() {
     for (args, flag) in [
