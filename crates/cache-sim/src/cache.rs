@@ -1,11 +1,25 @@
 //! A single set-associative cache structure.
 
 use crate::config::CacheConfig;
+use crate::replacement::{oldest_way, ReplacementPolicy};
 
 /// Outcome of a lookup in one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LookupResult {
     pub hit: bool,
+}
+
+/// What [`Cache::access`] found, and on a miss where it put the block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scan {
+    /// The block was resident; `mru` says whether it sat in the set's most
+    /// recently used way, i.e. whether an MRU way-predictor (Powell et
+    /// al., cited in the paper's related work) would probe the right way
+    /// first.
+    Hit { mru: bool },
+    /// The block was absent and now occupies `frame` (`set × assoc +
+    /// way`), evicting `victim` from that frame if the set was full.
+    Miss { frame: u32, victim: Option<Eviction> },
 }
 
 /// A block evicted by a fill.
@@ -106,7 +120,8 @@ impl Cache {
     }
 
     /// Probe for `addr`. On a hit, refreshes the LRU stamp. Does **not**
-    /// allocate on a miss; call [`Cache::fill`] for that.
+    /// allocate on a miss; call [`Cache::fill`] for that. The TLB's walk
+    /// uses it; the hierarchy's walk uses [`Cache::access`].
     pub(crate) fn lookup(&mut self, addr: u64) -> LookupResult {
         let block = self.block_addr(addr);
         let set = self.set_of(block);
@@ -134,10 +149,50 @@ impl Cache {
         self.tags[base..base + self.assoc].contains(&tag)
     }
 
+    /// Look `addr` up and, on a miss, install it at once.
+    ///
+    /// One scan of the set finds the block and the set's newest stamp,
+    /// which is the MRU way's: every resident block carries a distinct
+    /// nonzero stamp, an empty way stamp 0. A hit refreshes the stamp
+    /// under LRU. Only after a miss does a pass over the set's stamps
+    /// pick the way to refill, and the block is installed there. Stamps,
+    /// the clock and the random state advance exactly as a lookup
+    /// followed by [`Cache::fill`] would advance them.
+    pub(crate) fn access(&mut self, addr: u64) -> Scan {
+        let block = self.block_addr(addr);
+        let set = self.set_of(block);
+        let tag = self.tag_of(block);
+        self.clock += 1;
+        let base = set * self.assoc;
+        let tags = &self.tags[base..base + self.assoc];
+        let stamps = &self.stamps[base..base + self.assoc];
+
+        let mut hit = None;
+        let mut newest = 0;
+        for (way, (&t, &stamp)) in tags.iter().zip(stamps).enumerate() {
+            if t == tag {
+                hit = Some(way);
+            }
+            newest = newest.max(stamp);
+        }
+
+        if let Some(way) = hit {
+            let mru = stamps[way] == newest;
+            if self.config.replacement.touches_on_hit() {
+                self.stamps[base + way] = self.clock;
+            }
+            return Scan::Hit { mru };
+        }
+        self.clock += 1;
+        let way = self.refill_way(base);
+        let (frame, victim) = self.install(set, way, tag);
+        Scan::Miss { frame, victim }
+    }
+
     /// Install the block containing `addr`, evicting a victim if the set is
     /// full, and report the frame the block entered (the victim, if any,
-    /// left that same frame). Resident blocks, empty ways and victims are
-    /// resolved in one scan of the set.
+    /// left that same frame). The set is scanned for the block, then its
+    /// stamps for the way to refill, as after a miss in [`Cache::access`].
     ///
     /// Filling a block that is already resident refreshes its stamp and
     /// evicts nothing ([`FillOutcome::Already`]).
@@ -148,46 +203,46 @@ impl Cache {
         self.clock += 1;
         let base = set * self.assoc;
 
-        let mut empty_way = None;
-        for way in 0..self.assoc {
-            match self.tags[base + way] {
-                t if t == tag => {
-                    // Already resident: refresh only.
-                    self.stamps[base + way] = self.clock;
-                    return FillOutcome::Already;
-                }
-                TAG_INVALID if empty_way.is_none() => empty_way = Some(way),
-                _ => {}
-            }
-        }
-
-        if let Some(way) = empty_way {
-            self.tags[base + way] = tag;
+        if let Some(way) = self.tags[base..base + self.assoc].iter().position(|&t| t == tag) {
+            // Already resident: refresh only.
             self.stamps[base + way] = self.clock;
-            self.dirty[base + way] = false;
-            return FillOutcome::Filled { frame: (base + way) as u32, victim: None };
+            return FillOutcome::Already;
         }
+        let way = self.refill_way(base);
+        let (frame, victim) = self.install(set, way, tag);
+        FillOutcome::Filled { frame, victim }
+    }
 
-        // Evict.
-        let victim_way = self
-            .config
-            .replacement
-            .choose_victim(&self.stamps[base..base + self.assoc], &mut self.rng_state);
-        let victim_tag = self.tags[base + victim_way];
-        let victim_dirty = self.dirty[base + victim_way];
-        self.tags[base + victim_way] = tag;
-        self.stamps[base + victim_way] = self.clock;
-        self.dirty[base + victim_way] = false;
-        let victim_block = (victim_tag << self.tag_shift) | set as u64;
-        let frame = (base + victim_way) as u32;
-        FillOutcome::Filled {
-            frame,
-            victim: Some(Eviction {
-                block_base: victim_block << self.block_shift,
-                dirty: victim_dirty,
-                frame,
-            }),
+    /// The way a miss in the set starting at `base` refills: the first way
+    /// with the oldest stamp, which is the first empty way (stamp 0) if the
+    /// set has one and otherwise the LRU/FIFO victim; a full set under
+    /// `Random` draws its way instead.
+    fn refill_way(&mut self, base: usize) -> usize {
+        let stamps = &self.stamps[base..base + self.assoc];
+        let oldest = oldest_way(stamps);
+        if self.tags[base + oldest] == TAG_INVALID
+            || self.config.replacement != ReplacementPolicy::Random
+        {
+            oldest
+        } else {
+            self.config.replacement.choose_victim(stamps, &mut self.rng_state)
         }
+    }
+
+    /// Put `tag` into `way` of `set` with a fresh stamp, returning the
+    /// frame and the block it evicted, if the way held one.
+    fn install(&mut self, set: usize, way: usize, tag: u64) -> (u32, Option<Eviction>) {
+        let slot = set * self.assoc + way;
+        let old_tag = std::mem::replace(&mut self.tags[slot], tag);
+        let old_dirty = std::mem::replace(&mut self.dirty[slot], false);
+        self.stamps[slot] = self.clock;
+        let frame = slot as u32;
+        let victim = (old_tag != TAG_INVALID).then(|| Eviction {
+            block_base: ((old_tag << self.tag_shift) | set as u64) << self.block_shift,
+            dirty: old_dirty,
+            frame,
+        });
+        (frame, victim)
     }
 
     /// Mark the block containing `addr` dirty, if resident. Returns whether
@@ -205,23 +260,6 @@ impl Cache {
             }
         }
         false
-    }
-
-    /// Whether the block containing `addr` sits in the most-recently-used
-    /// way of its set — i.e. whether an MRU way-predictor (Powell et al.,
-    /// cited in the paper's related work) would probe the right way first.
-    pub fn mru_way_correct(&self, addr: u64) -> bool {
-        let block = self.block_addr(addr);
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        let base = set * self.assoc;
-        let mut mru = base;
-        for way in base..base + self.assoc {
-            if self.tags[way] != TAG_INVALID && self.stamps[way] > self.stamps[mru] {
-                mru = way;
-            }
-        }
-        self.tags[mru] == tag
     }
 
     /// Whether the block containing `addr` is resident and dirty.
@@ -305,6 +343,23 @@ mod tests {
         assert!(c.contains(0x1000));
         assert!(c.contains(0x101F)); // same 32B block
         assert!(!c.contains(0x1020)); // next block
+    }
+
+    /// `access` answers the hit, the MRU test and the refill way: ways
+    /// fill in order, a hit is MRU only when nothing newer sits in the
+    /// set, and a miss takes the first empty way before any victim.
+    #[test]
+    fn access_reports_hit_mru_and_refill_way() {
+        let mut c = small_cache(2, ReplacementPolicy::Lru);
+        // 4 sets of 32B blocks: 0x0, 0x80, 0x100 and 0x180 share set 0.
+        assert_eq!(c.access(0x000), Scan::Miss { frame: 0, victim: None });
+        assert_eq!(c.access(0x080), Scan::Miss { frame: 1, victim: None });
+        assert_eq!(c.access(0x000), Scan::Hit { mru: false });
+        assert_eq!(c.access(0x000), Scan::Hit { mru: true });
+        let evicted = Eviction { block_base: 0x080, dirty: false, frame: 1 };
+        assert_eq!(c.access(0x100), Scan::Miss { frame: 1, victim: Some(evicted) });
+        assert_eq!(c.invalidate(0x000).map(|e| e.frame), Some(0));
+        assert_eq!(c.access(0x180), Scan::Miss { frame: 0, victim: None });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The multi-level cache hierarchy.
 
 use crate::access::{Access, AccessResult, BypassSet, ProbeOutcome, ProbeRecord};
-use crate::cache::{Cache, FillOutcome};
+use crate::cache::{Cache, Eviction, FillOutcome, Scan};
 use crate::config::{HierarchyConfig, LevelConfig, WritePolicy};
 use crate::events::{CacheEvent, EventKind};
 use crate::replay::{AccessFilter, BatchSummary, ReplayScratch};
@@ -56,6 +56,14 @@ pub struct Hierarchy {
     infos: Vec<StructureInfo>,
     instr_path: Vec<StructureId>,
     data_path: Vec<StructureId>,
+    /// The level of each step of `instr_path` and `data_path`.
+    instr_levels: Vec<u8>,
+    data_levels: Vec<u8>,
+    /// A store's route, fixed by the write policies: the write-through
+    /// structures at the head of `data_path` forward it, then the first
+    /// write-back structure (if any) absorbs it.
+    store_through: Vec<StructureId>,
+    store_absorber: Option<StructureId>,
     stats: HierarchyStats,
     /// Reusable buffers backing [`Hierarchy::access`], [`Hierarchy::step`]
     /// and [`Hierarchy::run`], so those callers get the same
@@ -141,6 +149,16 @@ impl Hierarchy {
             }
         }
 
+        let level_of = |path: &[StructureId]| path.iter().map(|id| infos[id.0].level).collect();
+        let instr_levels = level_of(&instr_path);
+        let data_levels = level_of(&data_path);
+        let through = data_path
+            .iter()
+            .take_while(|id| caches[id.0].config().write_policy == WritePolicy::WriteThrough)
+            .count();
+        let store_through = data_path[..through].to_vec();
+        let store_absorber = data_path.get(through).copied();
+
         let stats = HierarchyStats::new(caches.len(), config.levels.len());
         Hierarchy {
             config,
@@ -149,6 +167,10 @@ impl Hierarchy {
             infos,
             instr_path,
             data_path,
+            instr_levels,
+            data_levels,
+            store_through,
+            store_absorber,
             stats,
             scratch: ReplayScratch::new(),
         }
@@ -230,29 +252,11 @@ impl Hierarchy {
         self.caches[id.0].contains(addr)
     }
 
-    /// Dry-run: which structures on the access path would be probed and
-    /// miss before the supplying level, without touching any state.
-    /// This is the oracle behind the *perfect MNM* (paper §4.3).
-    ///
-    /// The first level is never included: the paper does not predict L1
-    /// misses.
-    pub fn dry_run_misses(&self, access: Access) -> Vec<StructureId> {
-        let path = self.path(access.kind);
-        let mut missing = Vec::new();
-        for &sid in path {
-            if self.caches[sid.0].contains(access.addr) {
-                return missing;
-            }
-            if self.infos[sid.0].level > 1 {
-                missing.push(sid);
-            }
-        }
-        missing
-    }
-
-    /// [`Hierarchy::dry_run_misses`] returned as a [`BypassSet`] instead of
-    /// a freshly allocated vector — the allocation-free form the perfect
-    /// MNM uses on the replay hot path.
+    /// Dry-run: the structures beyond level 1 on the access path that
+    /// would be probed and miss before the supplying level, found without
+    /// touching any state. This is the oracle behind the *perfect MNM*
+    /// (paper §4.3); the first level is never included, since the paper
+    /// does not predict L1 misses.
     pub fn dry_run_bypass(&self, access: Access) -> BypassSet {
         let mut missing = BypassSet::none();
         for &sid in self.path(access.kind) {
@@ -266,7 +270,8 @@ impl Hierarchy {
         missing
     }
 
-    /// Drive one access through the hierarchy.
+    /// Drive one access through the hierarchy in one pass, inner to
+    /// outer, along the access's path.
     ///
     /// Structures in `bypass` (other than level 1, which is always probed)
     /// are skipped: they contribute no latency and no probe count. The
@@ -274,11 +279,19 @@ impl Hierarchy {
     /// structures do not hold the block; this is the MNM's soundness
     /// contract (paper §3.6).
     ///
-    /// On a miss, the block is filled into every structure on the path
-    /// closer to the core than the supplier (non-inclusive refill), each at
-    /// its own line size; fills and the evictions they cause are reported
-    /// through `scratch.events()`, and the probe trail through
-    /// `scratch.probes()`.
+    /// A probed structure's set is scanned once: the scan yields the hit
+    /// and the MRU-way test behind `mru_hits`. After a miss, a pass over
+    /// the set's stamps alone picks the way, and the block is refilled
+    /// into it at once, before the walk moves outward. A bypassed
+    /// structure was not scanned, so its refill scans the set in full,
+    /// which also finds a block an unsound bypass skipped
+    /// (`unsound_bypasses`). So every structure closer to the core than
+    /// the supplier is refilled (non-inclusive refill), each at its own
+    /// line size, in path order; fills and the evictions they cause are
+    /// reported through `scratch.events()`, and the probe trail through
+    /// `scratch.probes()`. A store then follows its route, fixed at
+    /// construction, through the write-through structures to the
+    /// write-back structure that absorbs it.
     ///
     /// The scratch buffer is cleared on entry and reused across calls:
     /// in steady state this path performs **zero heap allocations** per
@@ -300,12 +313,14 @@ impl Hierarchy {
         let mut probed_beyond_l1 = 0u32;
         let mut supply_level = self.memory_level();
 
-        // The paths are never mutated during an access, so indexing them
-        // afresh each iteration (instead of cloning the path, as this
-        // function once did) borrows cleanly against the cache mutations.
+        // The paths are fixed at construction; indexing them afresh each
+        // step borrows cleanly against the cache mutations.
         for i in 0..path_len {
-            let sid = if is_instr { self.instr_path[i] } else { self.data_path[i] };
-            let level = self.infos[sid.0].level;
+            let (sid, level) = if is_instr {
+                (self.instr_path[i], self.instr_levels[i])
+            } else {
+                (self.data_path[i], self.data_levels[i])
+            };
             if level > 1 && bypass.contains(sid) {
                 debug_assert!(
                     !self.caches[sid.0].contains(access.addr),
@@ -321,43 +336,55 @@ impl Hierarchy {
                     outcome: ProbeOutcome::Bypassed,
                     latency: 0,
                 });
+                // The refill travels back through the bypassed structure.
+                // Its set was not scanned, so this fill scans it in full;
+                // finding the block there means the bypass breached the
+                // one-sided contract, which release builds count.
+                match self.caches[sid.0].fill(access.addr) {
+                    FillOutcome::Filled { frame, victim } => {
+                        self.placed(sid, access.addr, frame, victim, &mut scratch.events)
+                    }
+                    FillOutcome::Already => self.stats.structures[sid.0].unsound_bypasses += 1,
+                }
                 continue;
             }
-            let was_mru = self.caches[sid.0].mru_way_correct(access.addr);
             let cache = &mut self.caches[sid.0];
-            let hit = cache.lookup(access.addr).hit;
+            let scan = cache.access(access.addr);
+            let config = cache.config();
             let st = &mut self.stats.structures[sid.0];
             st.probes += 1;
             if level > 1 {
                 probed_beyond_l1 += 1;
             }
-            if hit {
-                st.hits += 1;
-                if was_mru {
-                    st.mru_hits += 1;
+            match scan {
+                Scan::Hit { mru } => {
+                    st.hits += 1;
+                    st.mru_hits += u64::from(mru);
+                    let lat = config.hit_latency;
+                    latency += lat;
+                    scratch.probes.push(ProbeRecord {
+                        structure: sid,
+                        level,
+                        outcome: ProbeOutcome::Hit,
+                        latency: lat,
+                    });
+                    supply_level = level;
+                    break;
                 }
-                let lat = cache.config().hit_latency;
-                latency += lat;
-                scratch.probes.push(ProbeRecord {
-                    structure: sid,
-                    level,
-                    outcome: ProbeOutcome::Hit,
-                    latency: lat,
-                });
-                supply_level = level;
-                break;
-            } else {
-                st.misses += 1;
-                misses += 1;
-                let lat = cache.config().miss_latency;
-                latency += lat;
-                miss_latency += lat;
-                scratch.probes.push(ProbeRecord {
-                    structure: sid,
-                    level,
-                    outcome: ProbeOutcome::Miss,
-                    latency: lat,
-                });
+                Scan::Miss { frame, victim } => {
+                    st.misses += 1;
+                    misses += 1;
+                    let lat = config.miss_latency;
+                    latency += lat;
+                    miss_latency += lat;
+                    scratch.probes.push(ProbeRecord {
+                        structure: sid,
+                        level,
+                        outcome: ProbeOutcome::Miss,
+                        latency: lat,
+                    });
+                    self.placed(sid, access.addr, frame, victim, &mut scratch.events);
+                }
             }
         }
 
@@ -366,46 +393,18 @@ impl Hierarchy {
             self.stats.memory_supplies += 1;
         }
 
-        // Refill: install the block into every structure on the path below
-        // the supplier (missed or bypassed alike — the refill travels back
-        // through them).
-        for i in 0..path_len {
-            let sid = if is_instr { self.instr_path[i] } else { self.data_path[i] };
-            let level = self.infos[sid.0].level;
-            if level >= supply_level {
-                break;
-            }
-            // A structure that missed cannot already hold the block; one
-            // that was bypassed and does breached the one-sided contract.
-            // The refill's set scan finds it, so release builds count it
-            // without a tag search of their own.
-            if self.fill_structure(sid, access.addr, &mut scratch.events) && bypass.contains(sid) {
-                self.stats.structures[sid.0].unsound_bypasses += 1;
-            }
-        }
-
-        // Write handling: a store dirties the first data-side structure
-        // under write-back, or propagates level by level under
-        // write-through — each write-through level forwards the write (one
-        // write transaction of traffic) until a write-back level absorbs it
-        // as a dirty mark, matching the paper's traffic accounting. A
-        // non-resident block at the absorbing level is left alone
-        // (write-no-allocate beyond L1; the traffic was already counted at
-        // the forwarding level).
+        // Write handling: each write-through structure on the store's
+        // route forwards the write (one write transaction of traffic) until
+        // the write-back structure absorbs it as a dirty mark, matching the
+        // paper's traffic accounting. A non-resident block at the absorbing
+        // level is left alone (write-no-allocate beyond L1; the traffic was
+        // already counted at the forwarding level).
         if access.kind == crate::AccessKind::Store {
-            for i in 0..self.data_path.len() {
-                let sid = self.data_path[i];
-                match self.caches[sid.0].config().write_policy {
-                    WritePolicy::WriteBack => {
-                        self.caches[sid.0].mark_dirty(access.addr);
-                        break;
-                    }
-                    WritePolicy::WriteThrough => {
-                        self.stats.structures[sid.0].writebacks += 1;
-                        // The write continues to the next level (or memory,
-                        // whose traffic is not per-structure).
-                    }
-                }
+            for sid in &self.store_through {
+                self.stats.structures[sid.0].writebacks += 1;
+            }
+            if let Some(sid) = self.store_absorber {
+                self.caches[sid.0].mark_dirty(access.addr);
             }
         }
 
@@ -423,19 +422,18 @@ impl Hierarchy {
         AccessResult { supply_level, latency, misses, bypassed, probed_beyond_l1 }
     }
 
-    /// Refill `sid` with the block containing `addr`, reporting the
-    /// events; `true` iff the block was already resident.
-    fn fill_structure(
+    /// Account for the block containing `addr` entering `frame` of `sid`,
+    /// evicting `victim`: count the fill, report the events and, in an
+    /// inclusive hierarchy, back-invalidate the victim.
+    fn placed(
         &mut self,
         sid: StructureId,
         addr: u64,
+        frame: u32,
+        victim: Option<Eviction>,
         events: &mut Vec<CacheEvent>,
-    ) -> bool {
+    ) {
         let block_bytes = self.caches[sid.0].config().block_bytes;
-        let block_base = addr & !(block_bytes - 1);
-        let FillOutcome::Filled { frame, victim } = self.caches[sid.0].fill(addr) else {
-            return true; // already resident: stamp refreshed, nothing to report
-        };
         self.stats.structures[sid.0].fills += 1;
         if let Some(victim) = victim {
             self.stats.structures[sid.0].evictions += 1;
@@ -460,11 +458,10 @@ impl Hierarchy {
         events.push(CacheEvent {
             structure: sid,
             kind: EventKind::Placed,
-            block_base,
+            block_base: addr & !(block_bytes - 1),
             block_bytes,
             frame,
         });
-        false
     }
 
     /// Inclusive-mode ablation: evicting from an outer level invalidates
@@ -746,11 +743,12 @@ mod tests {
         h.access(Access::load(0x5000), &BypassSet::none());
         // A fresh address misses everywhere: dry run reports ul2 only
         // (L1 is excluded).
-        let misses = h.dry_run_misses(Access::load(0x6000));
+        let misses = h.dry_run_bypass(Access::load(0x6000));
+        let ul2 = h.structures().iter().find(|s| s.name == "ul2").unwrap().id;
         assert_eq!(misses.len(), 1);
-        assert_eq!(h.structures()[misses[0].index()].name, "ul2");
+        assert!(misses.contains(ul2));
         // The resident address reports no predictable misses.
-        assert!(h.dry_run_misses(Access::load(0x5000)).is_empty());
+        assert!(h.dry_run_bypass(Access::load(0x5000)).is_empty());
     }
 
     #[test]

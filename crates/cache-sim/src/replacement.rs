@@ -19,17 +19,7 @@ impl ReplacementPolicy {
     /// per-cache xorshift state advanced only by Random.
     pub(crate) fn choose_victim(self, stamps: &[u64], rng_state: &mut u64) -> usize {
         match self {
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                let mut victim = 0;
-                let mut best = u64::MAX;
-                for (w, &s) in stamps.iter().enumerate() {
-                    if s < best {
-                        best = s;
-                        victim = w;
-                    }
-                }
-                victim
-            }
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => oldest_way(stamps),
             ReplacementPolicy::Random => {
                 // xorshift64*
                 let mut x = *rng_state;
@@ -46,6 +36,20 @@ impl ReplacementPolicy {
     pub(crate) fn touches_on_hit(self) -> bool {
         matches!(self, ReplacementPolicy::Lru)
     }
+}
+
+/// The first way holding the smallest stamp: the LRU/FIFO victim of a
+/// full set, and the first empty way (stamp 0) of a set that has one.
+pub(crate) fn oldest_way(stamps: &[u64]) -> usize {
+    let mut victim = 0;
+    let mut best = u64::MAX;
+    for (w, &s) in stamps.iter().enumerate() {
+        if s < best {
+            best = s;
+            victim = w;
+        }
+    }
+    victim
 }
 
 #[cfg(test)]

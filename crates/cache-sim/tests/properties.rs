@@ -286,7 +286,7 @@ fn paths_are_disjoint_at_split_levels() {
     }
 }
 
-/// dry_run_misses agrees with what a subsequent access actually does,
+/// dry_run_bypass agrees with what a subsequent access actually does,
 /// and never mutates state.
 #[test]
 fn dry_run_predicts_the_walk() {
@@ -298,12 +298,12 @@ fn dry_run_predicts_the_walk() {
         for &addr in &warm {
             hier.access(Access::load(addr), &BypassSet::none());
         }
-        let predicted: Vec<_> = hier.dry_run_misses(Access::load(probe));
-        let again: Vec<_> = hier.dry_run_misses(Access::load(probe));
-        assert_eq!(&predicted, &again, "dry run must be pure");
+        let predicted = hier.dry_run_bypass(Access::load(probe));
+        let again = hier.dry_run_bypass(Access::load(probe));
+        assert_eq!(predicted, again, "dry run must be pure");
         let mut scratch = ReplayScratch::new();
         hier.access_with_events(Access::load(probe), &BypassSet::none(), &mut scratch);
-        let actual: Vec<_> = scratch
+        let actual: BypassSet = scratch
             .probes()
             .iter()
             .filter(|p| p.level > 1 && p.outcome == ProbeOutcome::Miss)

@@ -138,7 +138,7 @@ mod tests {
         for i in 0..64u64 {
             let access = Access::load(i * 4096);
             plain.access(access, &BypassSet::none());
-            let bypass: BypassSet = bypassing.dry_run_misses(access).into_iter().collect();
+            let bypass = bypassing.dry_run_bypass(access);
             bypassing.access(access, &bypass);
         }
         let m = EnergyModel::default();
