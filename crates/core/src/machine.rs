@@ -286,9 +286,7 @@ pub struct Mnm {
     slots: Vec<Slot>,
     /// Slot index per structure index; `None` for L1 structures.
     slot_of_structure: Vec<Option<usize>>,
-    /// Slot indices along each path, in level order, and as bit masks.
-    instr_slots: Vec<usize>,
-    data_slots: Vec<usize>,
+    /// The slots along each path, as bit masks.
     instr_mask: u64,
     data_mask: u64,
     filters: Vec<FilterKind>,
@@ -364,16 +362,15 @@ impl Mnm {
             });
         }
 
-        let slot_path = |kind| {
+        let path_mask = |kind| {
             hierarchy
                 .path(kind)
                 .iter()
                 .filter_map(|sid| slot_of_structure[sid.index()])
-                .collect::<Vec<_>>()
+                .fold(0u64, |m, si| m | 1 << si)
         };
-        let instr_slots = slot_path(cache_sim::AccessKind::InstrFetch);
-        let data_slots = slot_path(cache_sim::AccessKind::Load);
-        let mask = |path: &[usize]| path.iter().fold(0u64, |m, &si| m | 1 << si);
+        let instr_mask = path_mask(cache_sim::AccessKind::InstrFetch);
+        let data_mask = path_mask(cache_sim::AccessKind::Load);
 
         let rmnm = config.rmnm.map(|rc| Rmnm::new(rc, slots.len()));
         let stats = MnmStats::new(slots.len());
@@ -383,10 +380,8 @@ impl Mnm {
             granularity,
             slots,
             slot_of_structure,
-            instr_mask: mask(&instr_slots),
-            data_mask: mask(&data_slots),
-            instr_slots,
-            data_slots,
+            instr_mask,
+            data_mask,
             filters,
             stacks,
             rmnm,
@@ -423,24 +418,15 @@ impl Mnm {
     /// memo when the block's entry is current and covers those lanes,
     /// otherwise by probing its filters cheapest first and recording the
     /// answer. Both give the same verdict (see `Stack`); filter
-    /// state is never changed here.
+    /// state is never changed here. Only the flagged slots are visited
+    /// after that.
     pub fn query(&mut self, access: Access) -> BypassSet {
         let block = self.granularity.block_of(access.addr);
-        let (slots, path) = if access.kind.is_instruction() {
-            (&self.instr_slots, self.instr_mask)
-        } else {
-            (&self.data_slots, self.data_mask)
-        };
+        let path = if access.kind.is_instruction() { self.instr_mask } else { self.data_mask };
         self.stats.accesses += 1;
-        // One shared-RMNM tag search per access: its entry carries one miss
+        // One shared-RMNM search per access: its entry carries one miss
         // bit per slot.
-        let mut miss = match &self.rmnm {
-            Some(r) => {
-                self.stats.rmnm_queries += 1;
-                r.miss_mask(block) & path
-            }
-            None => 0,
-        };
+        let mut miss = self.rmnm.as_ref().map_or(0, |r| r.miss_mask(block) & path);
         // One probe per technique answers all its lanes; a filter is asked
         // only about lanes on the path that nothing has flagged yet (the
         // verdict is an OR, so skipping a decided lane changes nothing).
@@ -474,17 +460,17 @@ impl Mnm {
             };
             miss |= flagged << stack.first_slot;
         }
+        // `miss` holds path slots only: the RMNM mask was cut to the path
+        // and every stack was asked about path lanes alone.
         let mut set = BypassSet::none();
-        for &si in slots {
-            let st = &mut self.stats.slots[si];
-            st.queries += 1;
-            if miss >> si & 1 != 0 {
-                set.insert(self.slots[si].structure);
-                st.flagged += 1;
-            }
-        }
         if miss != 0 {
             self.stats.accesses_with_flags += 1;
+        }
+        while miss != 0 {
+            let si = miss.trailing_zeros() as usize;
+            set.insert(self.slots[si].structure);
+            self.stats.slots[si].flagged += 1;
+            miss &= miss - 1;
         }
         set
     }
@@ -557,9 +543,6 @@ impl Mnm {
                 }
             };
             st.updates += n;
-            if self.rmnm.is_some() {
-                self.stats.rmnm_updates += n;
-            }
         }
     }
 

@@ -38,7 +38,38 @@ impl RmnmConfig {
     }
 }
 
-const TAG_INVALID: u64 = u64::MAX;
+/// One RMNM entry. An empty entry's tag is never compared: its way's
+/// fingerprint is 0, which no search looks for.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    tag: u64,
+    /// Bitmask over slots; bit set = definite miss at that slot.
+    bits: u64,
+}
+
+impl Entry {
+    const EMPTY: Entry = Entry { tag: u64::MAX, bits: 0 };
+}
+
+/// `0x01` in every byte of a fingerprint word.
+const LO_BYTES: u64 = 0x0101_0101_0101_0101;
+/// `0x7f` in every byte: masks each byte's high bit off.
+const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+
+/// Bit 7 of every byte of `x` that is zero, and no other bit. Exact: the
+/// per-byte add cannot carry into the next byte, so a byte is flagged
+/// only if it is zero itself.
+#[inline(always)]
+fn zero_bytes(x: u64) -> u64 {
+    !(((x & LOW7) + LOW7) | x | LOW7)
+}
+
+/// The fingerprint of `tag`: the top byte of a multiplicative hash,
+/// forced odd, so it is never zero and a zero byte can mark an empty way.
+#[inline(always)]
+fn fingerprint_of(tag: u64) -> u8 {
+    (tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8 | 1
+}
 
 /// The shared replacements-tracking structure.
 ///
@@ -47,14 +78,29 @@ const TAG_INVALID: u64 = u64::MAX;
 /// stores information about each cache level"), so it does not implement
 /// [`MissFilter`](crate::MissFilter); the machine addresses it with a
 /// `(slot, block)` pair where `slot` indexes the guarded structures.
+///
+/// Beside each tag the simulator keeps a one-byte fingerprint of it,
+/// packed eight ways to a `u64` (`ceil(assoc / 8)` words per set), 0 for
+/// an empty way. A search compares all of a set's fingerprints at once
+/// and reads a tag only where its fingerprint matches, confirming every
+/// such candidate against the full tag; most queries find no entry and
+/// read one word. Fingerprints mirror tags: every write of a tag writes
+/// its fingerprint. They speed up the simulator and model no hardware,
+/// so [`Rmnm::storage_bits`] leaves them out.
 #[derive(Debug, Clone)]
 pub struct Rmnm {
     config: RmnmConfig,
     sets: usize,
     assoc: usize,
-    tags: Vec<u64>,
-    /// Per-entry bitmask over slots; bit set = definite miss at that slot.
-    bits: Vec<u64>,
+    /// Fingerprint words per set.
+    words: usize,
+    /// `sets × words` words; byte `w % 8` of word `set × words + w / 8`
+    /// is way `w`'s fingerprint, 0 when the way is empty. Bytes past
+    /// `assoc` stay 0.
+    fingerprints: Vec<u64>,
+    /// Tag and slot mask per entry, side by side, so a search that finds
+    /// its entry reads one cache line.
+    entries: Vec<Entry>,
     stamps: Vec<u64>,
     clock: u64,
     num_slots: usize,
@@ -70,12 +116,14 @@ impl Rmnm {
         assert!(num_slots <= 64, "RMNM entries hold at most 64 slot bits");
         let sets = (config.blocks / config.assoc) as usize;
         let total = config.blocks as usize;
+        let words = config.assoc.div_ceil(8) as usize;
         Rmnm {
             config,
             sets,
             assoc: config.assoc as usize,
-            tags: vec![TAG_INVALID; total],
-            bits: vec![0; total],
+            words,
+            fingerprints: vec![0; sets * words],
+            entries: vec![Entry::EMPTY; total],
             stamps: vec![0; total],
             clock: 0,
             num_slots,
@@ -95,11 +143,43 @@ impl Rmnm {
         block >> self.sets.trailing_zeros()
     }
 
+    /// The fingerprint byte kept for `block`'s entry: odd, so never 0.
+    /// The simulator's search aid only; exposed so tests can build blocks
+    /// of one set whose fingerprints collide.
+    pub fn fingerprint(&self, block: u64) -> u8 {
+        fingerprint_of(self.tag_of(block))
+    }
+
+    /// The entry holding `block`: a zero-byte test of each fingerprint
+    /// word XOR the broadcast fingerprint yields the candidate ways, and
+    /// each candidate is confirmed by its tag.
+    #[inline(always)]
     fn find(&self, block: u64) -> Option<usize> {
         let set = self.set_of(block);
         let tag = self.tag_of(block);
+        let wanted = u64::from(fingerprint_of(tag)) * LO_BYTES;
         let base = set * self.assoc;
-        (0..self.assoc).map(|w| base + w).find(|&i| self.tags[i] == tag)
+        let words = &self.fingerprints[set * self.words..][..self.words];
+        for (w, &word) in words.iter().enumerate() {
+            let mut candidates = zero_bytes(word ^ wanted);
+            while candidates != 0 {
+                let i = base + w * 8 + (candidates.trailing_zeros() / 8) as usize;
+                if self.entries[i].tag == tag {
+                    return Some(i);
+                }
+                candidates &= candidates - 1;
+            }
+        }
+        None
+    }
+
+    /// The way of `set` a new entry takes: the first empty way, else the
+    /// first with the oldest stamp (LRU). An empty way's stamp is 0 and
+    /// every entry's at least 1, so the first oldest stamp is both.
+    #[inline(always)]
+    fn victim_way(&self, set: usize) -> usize {
+        let stamps = &self.stamps[set * self.assoc..][..self.assoc];
+        stamps.iter().enumerate().min_by_key(|&(_, &stamp)| stamp).map_or(0, |(way, _)| way)
     }
 
     /// A block was replaced from structure `slot`: remember the definite
@@ -109,28 +189,19 @@ impl Rmnm {
         debug_assert!(slot < self.num_slots);
         self.clock += 1;
         if let Some(i) = self.find(block) {
-            self.bits[i] |= 1 << slot;
+            self.entries[i].bits |= 1 << slot;
             self.stamps[i] = self.clock;
             return;
         }
-        // Allocate (LRU within the set).
         let set = self.set_of(block);
-        let base = set * self.assoc;
-        let mut victim = base;
-        let mut best = u64::MAX;
-        for i in base..base + self.assoc {
-            if self.tags[i] == TAG_INVALID {
-                victim = i;
-                break;
-            }
-            if self.stamps[i] < best {
-                best = self.stamps[i];
-                victim = i;
-            }
-        }
-        self.tags[victim] = self.tag_of(block);
-        self.bits[victim] = 1 << slot;
-        self.stamps[victim] = self.clock;
+        let way = self.victim_way(set);
+        let tag = self.tag_of(block);
+        let shift = way % 8 * 8;
+        let word = &mut self.fingerprints[set * self.words + way / 8];
+        *word = *word & !(0xff << shift) | u64::from(fingerprint_of(tag)) << shift;
+        let i = set * self.assoc + way;
+        self.entries[i] = Entry { tag, bits: 1 << slot };
+        self.stamps[i] = self.clock;
     }
 
     /// A block was removed from structure `slot` by an invalidation
@@ -147,18 +218,18 @@ impl Rmnm {
     pub fn on_place(&mut self, slot: usize, block: u64) {
         debug_assert!(slot < self.num_slots);
         if let Some(i) = self.find(block) {
-            self.bits[i] &= !(1 << slot);
+            self.entries[i].bits &= !(1 << slot);
         }
     }
 
     /// The full per-slot miss mask for `block`: bit `s` set means an
-    /// access is a definite miss at structure `s`. One tag search answers
+    /// access is a definite miss at structure `s`. One search answers
     /// every guarded structure on an access path — the machine's query
-    /// loop tests one bit per slot instead of repeating the search.
+    /// masks it to the path instead of repeating the search.
     #[inline]
     pub fn miss_mask(&self, block: u64) -> u64 {
         match self.find(block) {
-            Some(i) => self.bits[i],
+            Some(i) => self.entries[i].bits,
             None => 0,
         }
     }
@@ -171,8 +242,8 @@ impl Rmnm {
 
     /// Drop all entries.
     pub fn flush(&mut self) {
-        self.tags.fill(TAG_INVALID);
-        self.bits.fill(0);
+        self.fingerprints.fill(0);
+        self.entries.fill(Entry::EMPTY);
         self.stamps.fill(0);
         self.clock = 0;
     }
@@ -188,6 +259,9 @@ impl Rmnm {
     /// only above bit 32 alias into one entry and turn a stale miss bit
     /// into an unsound "definite miss" (see
     /// `full_width_tags_do_not_alias_high_addresses`).
+    ///
+    /// The fingerprint bytes are not counted: they are the simulator's
+    /// search aid and model no hardware of the paper.
     pub fn storage_bits(&self) -> u64 {
         let index_bits = (self.sets as u64).trailing_zeros() as u64;
         let tag_bits = 64u64.saturating_sub(index_bits);
@@ -199,10 +273,12 @@ impl Rmnm {
         self.config.label()
     }
 
-    /// Current occupancy: valid entries over total entries.
+    /// Current occupancy: valid entries (nonzero fingerprints) over total
+    /// entries.
     pub fn occupancy(&self) -> crate::filter::FilterOccupancy {
+        let empty: u32 = self.fingerprints.iter().map(|&w| zero_bytes(w).count_ones()).sum();
         crate::filter::FilterOccupancy {
-            tracked: self.tags.iter().filter(|&&t| t != TAG_INVALID).count() as u64,
+            tracked: (self.fingerprints.len() * 8) as u64 - u64::from(empty),
             capacity: self.config.blocks.into(),
         }
     }
@@ -320,6 +396,31 @@ mod tests {
         // the low block's (still valid) miss information.
         r.on_place(0, high);
         assert!(r.is_definite_miss(0, low));
+    }
+
+    #[test]
+    fn zero_bytes_flags_exactly_the_zero_bytes() {
+        for x in [0u64, 1, 0x80, 0x0100, 0x00ff_0001_0000_8000, u64::MAX, 0x0101_0101_0101_0100] {
+            let want =
+                (0..8).filter(|b| (x >> (b * 8)) as u8 == 0).fold(0u64, |m, b| m | 0x80 << (b * 8));
+            assert_eq!(zero_bytes(x), want, "{x:#018x}");
+        }
+    }
+
+    #[test]
+    fn a_fingerprint_collision_is_settled_by_the_tag() {
+        // 1 set x 8 ways: every block is its own tag.
+        let mut r = Rmnm::new(RmnmConfig::new(8, 8), 1);
+        let a = 3;
+        let twin = (4..).find(|&b| r.fingerprint(b) == r.fingerprint(a)).unwrap();
+        r.on_replace(0, a);
+        assert!(r.is_definite_miss(0, a));
+        assert!(!r.is_definite_miss(0, twin), "a shared fingerprint is not a match");
+        r.on_replace(0, twin);
+        r.on_place(0, a);
+        assert!(!r.is_definite_miss(0, a));
+        assert!(r.is_definite_miss(0, twin), "placing one twin leaves the other's bit");
+        assert_eq!(r.occupancy().tracked, 2);
     }
 
     #[test]

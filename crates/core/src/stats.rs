@@ -1,11 +1,15 @@
 //! Coverage and activity statistics for the MNM.
 
-/// Counters for one guarded cache structure.
+/// Counters for one guarded cache structure: `flagged`,
+/// `bypassable_misses`, `identified_misses`, `updates` and
+/// `invalidations`.
+///
+/// A structure is asked about on every access whose path holds it, so
+/// its query count is the hierarchy's instruction or data access count
+/// for its side and is not kept here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlotStats {
-    /// Filter queries issued for this structure.
-    pub queries: u64,
-    /// Queries answered "definite miss".
+    /// Accesses on whose path this structure was flagged "definite miss".
     pub flagged: u64,
     /// Misses that occurred at this structure before the supplying level
     /// (the coverage denominator contribution).
@@ -32,18 +36,18 @@ impl SlotStats {
     }
 }
 
-/// Aggregate counters for the whole machine.
+/// Aggregate counters for the whole machine: `accesses`,
+/// `accesses_with_flags` and the per-structure `slots`.
+///
+/// The shared RMNM, when configured, is searched once per access and
+/// updated once per slot update, so its lookups equal `accesses` and its
+/// updates the sum of the slots' `updates`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MnmStats {
     /// Accesses for which the machine was queried.
     pub accesses: u64,
     /// Accesses where at least one level was flagged.
     pub accesses_with_flags: u64,
-    /// Lookups in the shared RMNM cache (one per queried access).
-    pub rmnm_queries: u64,
-    /// Updates to the shared RMNM cache (placements + replacements, after
-    /// sub-block expansion).
-    pub rmnm_updates: u64,
     /// Per-structure counters, indexed by MNM slot.
     pub slots: Vec<SlotStats>,
 }

@@ -10,11 +10,16 @@
 //! operation. Any divergence between the fast representation and the
 //! specification is a bug in the fast one. None of these families reads
 //! the frame slot, so the traces pass 0 for it.
+//!
+//! The shared RMNM searches a set through packed tag fingerprints before
+//! it reads a tag; it is held to a per-set way list with full-tag
+//! compares and LRU by clock, the structure of paper §3.1.
 
 use std::collections::HashSet;
 
 use mnm_core::{
-    BloomConfig, BloomFilter, MissFilter, SmnmConfig, SmnmFilter, TmnmConfig, TmnmFilter,
+    BloomConfig, BloomFilter, MissFilter, Rmnm, RmnmConfig, SmnmConfig, SmnmFilter, TmnmConfig,
+    TmnmFilter,
 };
 
 /// The slice offsets of replicated SMNM checkers / TMNM tables (paper:
@@ -329,6 +334,147 @@ fn bloom_zero_bitset_and_mixer_match_the_naive_model() {
                     real.is_definite_miss(probe),
                     spec.is_definite_miss(probe),
                     "BLOOM_{bits}x{k}: verdicts diverged for {probe:#x} at step {step}"
+                );
+            }
+        }
+    }
+}
+
+/// One RMNM entry of the spec model: the full block address, the per-slot
+/// miss bits, and the clock of its last replacement.
+#[derive(Clone, Copy)]
+struct SpecEntry {
+    block: u64,
+    bits: u64,
+    stamp: u64,
+}
+
+/// Spec RMNM (paper §3.1): each set a list of ways, `None` when empty,
+/// searched by comparing full block addresses; a new entry takes the
+/// first empty way, else the least recently replaced one.
+struct SpecRmnm {
+    sets: u64,
+    ways: Vec<Vec<Option<SpecEntry>>>,
+    clock: u64,
+}
+
+impl SpecRmnm {
+    fn new(config: RmnmConfig) -> Self {
+        let sets = config.blocks / config.assoc;
+        SpecRmnm {
+            sets: u64::from(sets),
+            ways: vec![vec![None; config.assoc as usize]; sets as usize],
+            clock: 0,
+        }
+    }
+
+    fn set(&mut self, block: u64) -> &mut Vec<Option<SpecEntry>> {
+        &mut self.ways[(block % self.sets) as usize]
+    }
+
+    fn on_replace(&mut self, slot: usize, block: u64) {
+        self.clock += 1;
+        let clock = self.clock;
+        let set = self.set(block);
+        if let Some(e) = set.iter_mut().flatten().find(|e| e.block == block) {
+            e.bits |= 1 << slot;
+            e.stamp = clock;
+            return;
+        }
+        let way = set.iter().position(Option::is_none).unwrap_or_else(|| {
+            let oldest = set.iter().flatten().map(|e| e.stamp).min().unwrap();
+            set.iter().position(|e| e.unwrap().stamp == oldest).unwrap()
+        });
+        set[way] = Some(SpecEntry { block, bits: 1 << slot, stamp: clock });
+    }
+
+    fn on_place(&mut self, slot: usize, block: u64) {
+        if let Some(e) = self.set(block).iter_mut().flatten().find(|e| e.block == block) {
+            e.bits &= !(1 << slot);
+        }
+    }
+
+    fn miss_mask(&self, block: u64) -> u64 {
+        let set = &self.ways[(block % self.sets) as usize];
+        set.iter().flatten().find(|e| e.block == block).map_or(0, |e| e.bits)
+    }
+
+    fn flush(&mut self) {
+        self.ways.iter_mut().for_each(|set| set.fill(None));
+        self.clock = 0;
+    }
+
+    fn occupancy(&self) -> u64 {
+        self.ways.iter().flatten().flatten().count() as u64
+    }
+}
+
+/// The fingerprinted RMNM against the way-list model at every
+/// associativity the paper uses and at 16 ways (two fingerprint words per
+/// set). Each set's universe holds more blocks than ways, so entries are
+/// evicted, and half of it are blocks whose fingerprint equals another
+/// universe block's while their tags differ. Every block's miss mask and
+/// the occupancy must agree after every operation; a different victim
+/// shows as a lost or surviving mask, at once or on the block's next
+/// replacement.
+#[test]
+fn rmnm_fingerprints_match_a_way_list_model() {
+    const SLOTS: usize = 5;
+    const SETS: u32 = 4;
+    for (case, &assoc) in [1u32, 2, 4, 8, 16].iter().enumerate() {
+        let config = RmnmConfig::new(SETS * assoc, assoc);
+        let mut real = Rmnm::new(config, SLOTS);
+        let mut spec = SpecRmnm::new(config);
+        let mut gen = Gen(0x5A3E_0001 + case as u64);
+        let mut universe = Vec::new();
+        for set in 0..u64::from(SETS) {
+            for _ in 0..assoc + 2 {
+                // Tags up to bit 61, so high address bits are exercised.
+                let block = (gen.next() >> 2) / u64::from(SETS) * u64::from(SETS) + set;
+                let fp = real.fingerprint(block);
+                let twin = (1..)
+                    .map(|k| block.wrapping_add(k * u64::from(SETS)))
+                    .find(|&b| real.fingerprint(b) == fp)
+                    .unwrap();
+                universe.extend([block, twin]);
+            }
+        }
+        for step in 0..6_000u64 {
+            let block = universe[(gen.next() % universe.len() as u64) as usize];
+            let slot = (gen.next() % SLOTS as u64) as usize;
+            let op = match gen.next() % 64 {
+                0 => {
+                    real.flush();
+                    spec.flush();
+                    "flush"
+                }
+                1..=28 => {
+                    real.on_replace(slot, block);
+                    spec.on_replace(slot, block);
+                    "replace"
+                }
+                29..=38 => {
+                    real.on_invalidate(slot, block);
+                    spec.on_replace(slot, block);
+                    "invalidate"
+                }
+                _ => {
+                    real.on_place(slot, block);
+                    spec.on_place(slot, block);
+                    "place"
+                }
+            };
+            let label = real.label();
+            assert_eq!(
+                real.occupancy().tracked,
+                spec.occupancy(),
+                "{label}: occupancy diverged after {op} {block:#x} at step {step}"
+            );
+            for &b in &universe {
+                assert_eq!(
+                    real.miss_mask(b),
+                    spec.miss_mask(b),
+                    "{label}: miss mask of {b:#x} diverged after {op} {block:#x} at step {step}"
                 );
             }
         }

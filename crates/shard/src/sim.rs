@@ -79,9 +79,37 @@ use cache_sim::{
 };
 use mnm_core::Mnm;
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
+use trace_synth::rng::splitmix64;
+
+/// Hashes a line address with one SplitMix64 step. The engines' sets
+/// hold simulated line addresses and only answer membership (first-seen
+/// order comes from the `Vec`s beside them), so SipHash's resistance to
+/// chosen keys buys nothing there.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = splitmix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, line: u64) {
+        self.0 = splitmix64(self.0 ^ line);
+    }
+}
+
+/// A set of line addresses.
+type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
 
 /// Slots per handoff channel: at least the two messages a direction can
 /// have in flight (see the module docs).
@@ -264,7 +292,7 @@ struct CoreState {
     pos: usize,
     pending: Vec<L3Request>,
     store_lines: Vec<u64>,
-    store_seen: HashSet<u64>,
+    store_seen: LineSet,
     report: CoreReport,
     scratch: ReplayScratch,
     ev_buf: Vec<CacheEvent>,
@@ -279,11 +307,15 @@ struct CoreState {
 struct ResolverState {
     l3: Hierarchy,
     /// L3 lines placed during the current resolution round.
-    placed_cur: HashSet<u64>,
+    placed_cur: LineSet,
     /// L3 lines placed during the previous round — still invisible to
     /// the filters that issued this round's verdicts (stale-bypass
     /// rescue window, see the module docs).
-    placed_prev: HashSet<u64>,
+    placed_prev: LineSet,
+    /// L3 victims of the current round already listed.
+    victim_seen: LineSet,
+    /// Lines already listed in the invalidation message being built.
+    inval_seen: LineSet,
     scratch: ReplayScratch,
     /// Rounds executed — the number of epochs the schedule ran.
     rounds: u64,
@@ -347,7 +379,7 @@ impl ShardedSim {
                 pos: 0,
                 pending: Vec::new(),
                 store_lines: Vec::new(),
-                store_seen: HashSet::new(),
+                store_seen: LineSet::default(),
                 report: CoreReport::default(),
                 scratch: ReplayScratch::new(),
                 ev_buf: Vec::new(),
@@ -360,8 +392,10 @@ impl ShardedSim {
         // (level-1 structures never are) and probes carry the true level.
         let resolver = ResolverState {
             l3: Hierarchy::with_base_level(config.l3_hierarchy(), 3),
-            placed_cur: HashSet::new(),
-            placed_prev: HashSet::new(),
+            placed_cur: LineSet::default(),
+            placed_prev: LineSet::default(),
+            victim_seen: LineSet::default(),
+            inval_seen: LineSet::default(),
             scratch: ReplayScratch::new(),
             rounds: 0,
             resolve_nanos: 0,
@@ -644,12 +678,12 @@ fn resolve_round(
     let l3_sid = StructureId::new(0);
     let mut global_events: Vec<CacheEvent> = Vec::new();
     let mut victims: Vec<u64> = Vec::new();
-    let mut victim_seen: HashSet<u64> = HashSet::new();
     let mut store_pub: Vec<Vec<u64>> = Vec::with_capacity(n);
     let mut probes_out: Vec<Vec<ProbeRecord>> = (0..n).map(|_| Vec::new()).collect();
     let mut deltas: Vec<ResolveDelta> = vec![ResolveDelta::default(); n];
 
-    let ResolverState { l3, placed_cur, placed_prev, scratch, .. } = rs;
+    let ResolverState { l3, placed_cur, placed_prev, victim_seen, inval_seen, scratch, .. } = rs;
+    victim_seen.clear();
     for (ci, out) in outs.into_iter().enumerate() {
         let delta = &mut deltas[ci];
         delta.l3_requests += out.requests.len() as u64;
@@ -720,10 +754,10 @@ fn resolve_round(
     let events = Arc::new(global_events);
     let msgs = (0..n)
         .map(|ci| {
-            let mut seen: HashSet<u64> = HashSet::new();
+            inval_seen.clear();
             let mut invals: Vec<u64> = Vec::new();
             for &v in &victims {
-                if seen.insert(v) {
+                if inval_seen.insert(v) {
                     invals.push(v);
                 }
             }
@@ -732,7 +766,7 @@ fn resolve_round(
                     continue;
                 }
                 for &l in lines {
-                    if seen.insert(l) {
+                    if inval_seen.insert(l) {
                         invals.push(l);
                     }
                 }
