@@ -3,12 +3,6 @@
 use crate::config::CacheConfig;
 use crate::replacement::{oldest_way, ReplacementPolicy};
 
-/// Outcome of a lookup in one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LookupResult {
-    pub hit: bool,
-}
-
 /// What [`Cache::access`] found, and on a miss where it put the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Scan {
@@ -119,26 +113,6 @@ impl Cache {
         block >> self.tag_shift
     }
 
-    /// Probe for `addr`. On a hit, refreshes the LRU stamp. Does **not**
-    /// allocate on a miss; call [`Cache::fill`] for that. The TLB's walk
-    /// uses it; the hierarchy's walk uses [`Cache::access`].
-    pub(crate) fn lookup(&mut self, addr: u64) -> LookupResult {
-        let block = self.block_addr(addr);
-        let set = self.set_of(block);
-        let tag = self.tag_of(block);
-        self.clock += 1;
-        let base = set * self.assoc;
-        for way in 0..self.assoc {
-            if self.tags[base + way] == tag {
-                if self.config.replacement.touches_on_hit() {
-                    self.stamps[base + way] = self.clock;
-                }
-                return LookupResult { hit: true };
-            }
-        }
-        LookupResult { hit: false }
-    }
-
     /// Whether the block containing `addr` is resident. Never perturbs
     /// replacement state — safe for shadow/soundness checks.
     pub fn contains(&self, addr: u64) -> bool {
@@ -156,8 +130,8 @@ impl Cache {
     /// nonzero stamp, an empty way stamp 0. A hit refreshes the stamp
     /// under LRU. Only after a miss does a pass over the set's stamps
     /// pick the way to refill, and the block is installed there. Stamps,
-    /// the clock and the random state advance exactly as a lookup
-    /// followed by [`Cache::fill`] would advance them.
+    /// the clock and the random state advance exactly as a one-tick probe
+    /// followed, on a miss, by [`Cache::fill`] would advance them.
     pub(crate) fn access(&mut self, addr: u64) -> Scan {
         let block = self.block_addr(addr);
         let set = self.set_of(block);
@@ -337,9 +311,9 @@ mod tests {
     #[test]
     fn miss_then_fill_then_hit() {
         let mut c = small_cache(2, ReplacementPolicy::Lru);
-        assert!(!c.lookup(0x1000).hit);
+        assert!(!c.contains(0x1000));
         assert_eq!(c.fill(0x1000), FillOutcome::Filled { frame: 0, victim: None });
-        assert!(c.lookup(0x1000).hit);
+        assert!(matches!(c.access(0x1000), Scan::Hit { .. }));
         assert!(c.contains(0x1000));
         assert!(c.contains(0x101F)); // same 32B block
         assert!(!c.contains(0x1020)); // next block
@@ -370,7 +344,7 @@ mod tests {
         c.fill(0x0000);
         c.fill(0x0080);
         // Touch 0x0000 so 0x0080 becomes LRU.
-        assert!(c.lookup(0x0000).hit);
+        assert!(matches!(c.access(0x0000), Scan::Hit { .. }));
         let FillOutcome::Filled { victim, .. } = c.fill(0x0100) else {
             panic!("0x0100 was not resident");
         };
@@ -385,7 +359,8 @@ mod tests {
         let mut c = small_cache(2, ReplacementPolicy::Fifo);
         c.fill(0x0000);
         c.fill(0x0080);
-        assert!(c.lookup(0x0000).hit); // does not refresh under FIFO
+        // A hit does not refresh under FIFO.
+        assert!(matches!(c.access(0x0000), Scan::Hit { .. }));
         let FillOutcome::Filled { victim, .. } = c.fill(0x0100) else {
             panic!("0x0100 was not resident");
         };

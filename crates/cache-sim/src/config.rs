@@ -302,6 +302,23 @@ impl HierarchyConfig {
         }
     }
 
+    /// A two-level TLB (paper §4.5's "other caching structures such as
+    /// the TLBs") as a hierarchy whose blocks are 4 KiB pages: a 64-entry
+    /// 16-way `tlb1` (1 cycle) backed by a 512-entry 4-way `tlb2` (4
+    /// cycles), both LRU, with the 80-cycle page walk as memory. The MNM
+    /// granularity is then the page, so a filter keys on page numbers.
+    pub fn two_level_tlb() -> Self {
+        const PAGE: u64 = 4096;
+        HierarchyConfig {
+            levels: vec![
+                LevelConfig::Unified(CacheConfig::new("tlb1", 64 * PAGE, 16, PAGE, 1)),
+                LevelConfig::Unified(CacheConfig::new("tlb2", 512 * PAGE, 4, PAGE, 4)),
+            ],
+            memory_latency: 80,
+            inclusive: false,
+        }
+    }
+
     /// A 3-level hierarchy for the motivation experiments (Figures 2–3).
     pub fn three_level() -> Self {
         HierarchyConfig {
@@ -378,6 +395,21 @@ mod tests {
             cfg.validate().unwrap();
             assert_eq!(cfg.num_levels(), n);
         }
+    }
+
+    #[test]
+    fn two_level_tlb_is_valid() {
+        let cfg = HierarchyConfig::two_level_tlb();
+        cfg.validate().unwrap();
+        let entries: Vec<_> = cfg
+            .levels
+            .iter()
+            .flat_map(|l| l.configs())
+            .map(|c| (c.num_blocks(), c.assoc, c.block_bytes, c.replacement))
+            .collect();
+        let lru = ReplacementPolicy::Lru;
+        assert_eq!(entries, [(64, 16, 4096, lru), (512, 4, 4096, lru)]);
+        assert_eq!(cfg.memory_latency, 80);
     }
 
     #[test]

@@ -47,7 +47,6 @@ mod hierarchy;
 mod replacement;
 mod replay;
 mod stats;
-mod tlb;
 
 pub use access::{Access, AccessKind, AccessResult, BypassSet, ProbeOutcome, ProbeRecord};
 pub use cache::{Cache, Eviction};
@@ -57,4 +56,3 @@ pub use hierarchy::{Hierarchy, StructureId, StructureInfo};
 pub use replacement::ReplacementPolicy;
 pub use replay::{AccessFilter, BatchSummary, NoFilter, ReplayScratch};
 pub use stats::{HierarchyStats, StructureStats};
-pub use tlb::{TlbAccessResult, TlbConfig, TlbEvent, TlbLevelStats, TwoLevelTlb};

@@ -2,11 +2,11 @@
 //! TLB filtering and scheduler use of early miss information — plus the §2
 //! distributed-MNM placement.
 
-use cache_sim::{HierarchyConfig, TlbEvent, TwoLevelTlb};
-use mnm_core::{FilterPreset, MissFilter, MnmConfig, MnmPlacement, TmnmConfig, TmnmFilter};
+use cache_sim::{Access, AccessKind, Hierarchy, HierarchyConfig};
+use mnm_core::{FilterPreset, Mnm, MnmConfig, MnmPlacement, ReplayFilter};
 use ooo_model::{CpuConfig, LoadSpeculation};
 use power_model::EnergyModel;
-use trace_synth::{profiles, Program};
+use trace_synth::{profiles, AppProfile, Program};
 
 use crate::params::RunParams;
 use crate::report::Table;
@@ -15,10 +15,12 @@ use crate::runner::{parallel_run, preset, run_app_timed};
 /// ext01 — TLB filtering (paper §4.5: "reduce the power consumption of
 /// other caching structures such as the TLBs").
 ///
-/// A TMNM-style counter filter, keyed on page numbers and fed by the L2
-/// TLB's placement/replacement events, skips L2 TLB lookups that are sure
-/// to miss. Reports the fraction of L2 lookups eliminated, the change in
-/// mean translation latency, and the net TLB energy reduction.
+/// The TLB is a two-level hierarchy over 4 KiB pages
+/// ([`HierarchyConfig::two_level_tlb`]); a TMNM guarding `tlb2`, keyed on
+/// page numbers and fed by its placement/replacement events, skips L2 TLB
+/// lookups that are sure to miss. Reports the fraction of L2 lookups
+/// eliminated, the change in mean translation latency, and the net TLB
+/// energy reduction.
 pub fn tlb_filter_table(params: RunParams) -> Table {
     let apps = profiles::all();
     let model = EnergyModel::default();
@@ -28,41 +30,19 @@ pub fn tlb_filter_table(params: RunParams) -> Table {
         // large enough to track multi-MB page working sets, ~60% of an L2
         // TLB probe's energy per query.
         let run = |filtered: bool| -> (f64, f64, f64) {
-            let mut tlb = TwoLevelTlb::typical();
-            let mut filter = TmnmFilter::new(TmnmConfig::new(12, 1));
-            let mut events: Vec<TlbEvent> = Vec::new();
-            let mut done = 0u64;
-            for instr in Program::new(app.clone()) {
-                let Some(addr) = instr.data_addr() else {
-                    continue;
-                };
-                let page = tlb.page_of(addr);
-                let bypass = filtered && filter.is_definite_miss(page);
-                events.clear();
-                tlb.translate(addr, bypass, &mut events);
-                for ev in &events {
-                    match *ev {
-                        TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
-                        TlbEvent::L2Replaced { page, frame } => {
-                            filter.on_replace(page, frame as usize)
-                        }
-                    }
-                }
-                done += 1;
-                if done >= params.measure {
-                    break;
-                }
-            }
-            let (_, l2, _) = tlb.stats();
-            // Energy: L2 TLB entry ≈ 64 bits (tag + frame + perms);
-            // 512 entries. The filter is a small counter array.
-            let l2_probe_nj = model.small_array_energy(512 * 64);
-            let filter_nj = model.small_array_energy(filter.storage_bits());
-            let energy = l2.probes as f64 * l2_probe_nj
-                + if filtered { (l2.probes + l2.bypasses) as f64 * filter_nj } else { 0.0 };
+            let label = if filtered { "TMNM_12x1" } else { "baseline" };
+            let (hier, filter) = replay_tlb(app, label, params.measure);
+            let tlb2 = hier.path(AccessKind::Load)[1];
+            let l2 = hier.stats().structures[tlb2.index()];
+            // Energy: L2 TLB entry ≈ 64 bits (tag + frame + perms). The
+            // filter is a small counter array.
+            let l2_probe_nj = model.small_array_energy(hier.cache(tlb2).config().num_blocks() * 64);
+            let filter_nj = model.small_array_energy(filter.mnm().map_or(0, Mnm::storage_bits));
+            let energy =
+                l2.probes as f64 * l2_probe_nj + (l2.probes + l2.bypasses) as f64 * filter_nj;
             (
                 l2.bypasses as f64 / (l2.probes + l2.bypasses).max(1) as f64,
-                tlb.mean_latency(),
+                hier.stats().mean_access_time(),
                 energy,
             )
         };
@@ -90,6 +70,18 @@ pub fn tlb_filter_table(params: RunParams) -> Table {
     }
     table.push_mean_row();
     table
+}
+
+/// Translate `app`'s first `measure` data references, each as a load,
+/// through a fresh two-level TLB under the filter preset `label`.
+fn replay_tlb(app: &AppProfile, label: &str, measure: u64) -> (Hierarchy, ReplayFilter) {
+    let mut hier = Hierarchy::new(HierarchyConfig::two_level_tlb());
+    let mut filter = FilterPreset::parse(label).expect("TLB filter preset").build(&hier);
+    let addrs = Program::new(app.clone()).filter_map(|instr| instr.data_addr());
+    for addr in addrs.take(measure as usize) {
+        hier.step(&mut filter, Access::load(addr));
+    }
+    (hier, filter)
 }
 
 /// ext02 — scheduler use of miss information (paper §4.5: hold dependents
@@ -179,38 +171,13 @@ mod tests {
 
     #[test]
     fn tlb_filter_is_sound_and_saves_lookups() {
-        // One app, inline: the run itself debug-asserts bypass soundness.
-        let params = RunParams { warmup: 0, measure: 30_000 };
-        let t = tlb_filter_table_single("181.mcf", params);
-        assert!(t.0 > 0.0, "some L2 TLB lookups must be skipped on mcf");
-    }
-
-    /// Helper exposing the single-app inner loop for tests.
-    fn tlb_filter_table_single(app: &str, params: RunParams) -> (f64,) {
-        let profile = profiles::by_name(app).unwrap();
-        let mut tlb = TwoLevelTlb::typical();
-        let mut filter = TmnmFilter::new(TmnmConfig::new(10, 3));
-        let mut events: Vec<TlbEvent> = Vec::new();
-        let mut done = 0u64;
-        for instr in Program::new(profile) {
-            let Some(addr) = instr.data_addr() else { continue };
-            let page = tlb.page_of(addr);
-            let bypass = filter.is_definite_miss(page);
-            events.clear();
-            tlb.translate(addr, bypass, &mut events);
-            for ev in &events {
-                match *ev {
-                    TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
-                    TlbEvent::L2Replaced { page, frame } => filter.on_replace(page, frame as usize),
-                }
-            }
-            done += 1;
-            if done >= params.measure {
-                break;
-            }
-        }
-        let (_, l2, _) = tlb.stats();
-        (l2.bypasses as f64,)
+        // One app: the run itself debug-asserts bypass soundness.
+        let app = profiles::by_name("181.mcf").unwrap();
+        let (hier, _) = replay_tlb(&app, "TMNM_10x3", 30_000);
+        let tlb2 = hier.path(AccessKind::Load)[1];
+        let l2 = hier.stats().structures[tlb2.index()];
+        assert!(l2.bypasses > 0, "some L2 TLB lookups must be skipped on mcf");
+        assert_eq!(l2.unsound_bypasses, 0);
     }
 
     #[test]
@@ -232,7 +199,6 @@ mod tests {
 
     #[test]
     fn distributed_placement_pays_per_level_delay() {
-        use cache_sim::{Access, Hierarchy};
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         let mut mnm = mnm_core::Mnm::new(
             &hier,

@@ -5,34 +5,25 @@
 //!
 //! Run with: `cargo run --release --example tlb_filtering`
 
-use cache_sim::{TlbEvent, TwoLevelTlb};
 use just_say_no::prelude::*;
-use mnm_core::{MissFilter, TmnmConfig, TmnmFilter};
 
 const N: usize = 400_000;
 
 fn run(app: &str, filtered: bool) -> (f64, f64, u64) {
     let profile = profiles::by_name(app).expect("bundled profile");
-    let mut tlb = TwoLevelTlb::typical();
+    let mut tlb = Hierarchy::new(HierarchyConfig::two_level_tlb());
     // One 4096-counter table over the low page-number bits.
-    let mut filter = TmnmFilter::new(TmnmConfig::new(12, 1));
-    let mut events: Vec<TlbEvent> = Vec::new();
+    let label = if filtered { "TMNM_12x1" } else { "baseline" };
+    let mut filter = FilterPreset::parse(label).expect("valid preset").build(&tlb);
 
     for instr in Program::new(profile).take(N) {
         let Some(addr) = instr.data_addr() else { continue };
-        let bypass = filtered && filter.is_definite_miss(tlb.page_of(addr));
-        events.clear();
-        tlb.translate(addr, bypass, &mut events);
-        for ev in &events {
-            match *ev {
-                TlbEvent::L2Placed { page, frame } => filter.on_place(page, frame as usize),
-                TlbEvent::L2Replaced { page, frame } => filter.on_replace(page, frame as usize),
-            }
-        }
+        tlb.step(&mut filter, Access::load(addr));
     }
-    let (_, l2, walks) = tlb.stats();
+    let stats = tlb.stats();
+    let l2 = stats.structures[tlb.path(AccessKind::Load)[1].index()];
     let skipped = l2.bypasses as f64 / (l2.probes + l2.bypasses).max(1) as f64;
-    (skipped * 100.0, tlb.mean_latency(), walks)
+    (skipped * 100.0, stats.mean_access_time(), stats.memory_supplies)
 }
 
 fn main() {
