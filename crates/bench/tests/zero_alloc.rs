@@ -13,7 +13,7 @@
 
 use cache_sim::{Access, BypassSet, Hierarchy, HierarchyConfig, ReplayScratch};
 use mnm_bench::allocations;
-use mnm_core::{Cmnm, CmnmConfig, MissFilter, Mnm, MnmConfig, ReplayFilter};
+use mnm_core::{Cmnm, CmnmConfig, LaneFilter, Mnm, MnmConfig, ReplayFilter};
 
 #[global_allocator]
 static ALLOC: mnm_bench::CountingAlloc = mnm_bench::CountingAlloc;
@@ -81,9 +81,9 @@ fn mnm_protocol_for_every_family() {
 }
 
 fn perfect_oracle_step() {
-    // `perfect_bypass` builds its verdict with `dry_run_bypass`, which
-    // returns a stack `BypassSet` instead of collecting a Vec — the
-    // regression this check pins down (the Vec cost ~50k allocs/1M).
+    // The oracle's verdict is `dry_run_bypass`, which returns a stack
+    // `BypassSet` instead of collecting a Vec — the regression this check
+    // pins down (the Vec cost ~50k allocs/1M).
     let mut hier = hierarchy();
     assert_steady_state_free("perfect-oracle Hierarchy::step", |a| {
         hier.step(&mut ReplayFilter::Perfect, a);
@@ -108,18 +108,22 @@ fn batched_run_many() {
     assert_eq!(total.accesses, 8_000);
 }
 
-fn batched_query_many_once_warm() {
+fn batched_queries_once_warm() {
     let hier = hierarchy();
     let mut mnm = Mnm::new(&hier, MnmConfig::hmnm(4));
     let chunk: Vec<Access> = (0..1_000).map(stream).collect();
     let mut out = Vec::new();
-    // First call sizes `out`; later calls reuse its capacity.
-    mnm.query_many(&chunk, &mut out);
+    let mut query_chunk = |out: &mut Vec<_>| {
+        out.clear();
+        out.extend(chunk.iter().map(|&a| mnm.query(a)));
+    };
+    // The first batch sizes `out`; later batches reuse its capacity.
+    query_chunk(&mut out);
     let before = allocations();
     for _ in 0..8 {
-        mnm.query_many(&chunk, &mut out);
+        query_chunk(&mut out);
     }
-    assert_eq!(allocations() - before, 0, "steady-state Mnm::query_many allocated");
+    assert_eq!(allocations() - before, 0, "steady-state batched Mnm::query allocated");
     assert_eq!(out.len(), chunk.len());
 }
 
@@ -141,18 +145,18 @@ fn cmnm_churn_after_reserve() {
     let n: u64 = 4_096;
     let block = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 37;
     let frame_slot = |i: u64| (i % n) as usize;
-    let mut f = Cmnm::new(CmnmConfig::new(8, 12));
-    f.reserve(n as usize);
+    let mut f = Cmnm::new(CmnmConfig::new(8, 12), 1);
+    f.reserve_lane(0, n as usize);
     let before = allocations();
     for i in 0..n {
-        f.on_place(block(i), frame_slot(i));
+        f.place(0, block(i), frame_slot(i));
     }
     for i in n..101 * n {
-        f.on_replace(block(i - n), frame_slot(i - n));
-        f.on_place(block(i), frame_slot(i));
+        f.replace(0, block(i - n), frame_slot(i - n));
+        f.place(0, block(i), frame_slot(i));
     }
     assert_eq!(allocations() - before, 0, "CMNM place/replace churn allocated");
-    let live = f.occupancy().tracked;
+    let live = f.lane_occupancy(0).tracked;
     assert!(live > 0 && live <= n, "{live} live blocks");
 }
 
@@ -164,7 +168,7 @@ fn every_replay_entry_point_is_allocation_free() {
     mnm_protocol_for_every_family();
     perfect_oracle_step();
     batched_run_many();
-    batched_query_many_once_warm();
+    batched_queries_once_warm();
     batched_hierarchy_run();
     cmnm_churn_after_reserve();
 }

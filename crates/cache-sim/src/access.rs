@@ -124,9 +124,9 @@ pub struct ProbeRecord {
 ///
 /// Deliberately `Copy` and allocation-free: the per-probe trail lives in
 /// the caller's reusable [`ReplayScratch`](crate::ReplayScratch) (or the
-/// hierarchy's internal scratch for [`Hierarchy::access`]
-/// (crate::Hierarchy::access)), not in the result, so the replay hot path
-/// never allocates per access.
+/// hierarchy's internal scratch for
+/// [`Hierarchy::access`](crate::Hierarchy::access)), not in the result, so
+/// the replay hot path never allocates per access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
     /// 1-based level that supplied the data. Equal to

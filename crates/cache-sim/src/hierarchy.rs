@@ -257,6 +257,17 @@ impl Hierarchy {
     /// touching any state. This is the oracle behind the *perfect MNM*
     /// (paper §4.3); the first level is never included, since the paper
     /// does not predict L1 misses.
+    ///
+    /// ```
+    /// use cache_sim::{Access, Hierarchy, HierarchyConfig};
+    ///
+    /// let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+    /// let access = Access::load(0x1000);
+    /// let bypass = hier.dry_run_bypass(access);
+    /// assert_eq!(bypass.len(), 4); // cold caches: L2..L5 all flagged
+    /// let r = hier.access(access, &bypass);
+    /// assert_eq!(r.misses, 1);     // only the un-bypassable L1 probe missed
+    /// ```
     pub fn dry_run_bypass(&self, access: Access) -> BypassSet {
         let mut missing = BypassSet::none();
         for &sid in self.path(access.kind) {
@@ -749,6 +760,36 @@ mod tests {
         assert!(misses.contains(ul2));
         // The resident address reports no predictable misses.
         assert!(h.dry_run_bypass(Access::load(0x5000)).is_empty());
+    }
+
+    #[test]
+    fn dry_run_bypass_is_exact() {
+        let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+        // Warm one block.
+        hier.access(Access::load(0x8000), &BypassSet::none());
+        // Resident block: nothing to bypass.
+        assert!(hier.dry_run_bypass(Access::load(0x8000)).is_empty());
+        // Fresh block: all four outer levels flagged; the driven access
+        // then misses only in L1.
+        let access = Access::load(0x4_0000);
+        let bypass = hier.dry_run_bypass(access);
+        assert_eq!(bypass.len(), 4);
+        let r = hier.access(access, &bypass);
+        assert_eq!(r.misses, 1);
+        assert_eq!(r.bypassed, 4);
+        assert_eq!(r.latency, 2 + 320);
+    }
+
+    #[test]
+    fn dry_run_bypass_stops_at_the_supplier() {
+        let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
+        hier.access(Access::load(0x8000), &BypassSet::none());
+        // Evict 0x8000 from the 4KB direct-mapped L1 (128 sets of 32B:
+        // stride 4096 aliases).
+        hier.access(Access::load(0x8000 + 4096), &BypassSet::none());
+        // 0x8000 now hits in L2: the perfect MNM flags nothing.
+        let bypass = hier.dry_run_bypass(Access::load(0x8000));
+        assert!(bypass.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-style tests of the cache simulator's core invariants.
 //!
 //! Formerly proptest-based; rewritten as deterministic seeded sweeps (the
-//! shared `trace_synth::rng::splitmix64` drives the input generation) so
+//! shared `trace_synth::rng::SplitMix64` stream drives the input generation) so
 //! the workspace builds with no external crates. Each property runs over
 //! many seeds, covering the same input distributions as before on every
 //! run.
@@ -11,26 +11,12 @@ use cache_sim::{
     LevelConfig, ProbeOutcome, ReplacementPolicy, ReplayScratch,
 };
 use std::collections::HashSet;
-use trace_synth::rng::splitmix64;
+use trace_synth::rng::SplitMix64;
 
-/// Deterministic test inputs: the SplitMix64 stream seeded with `.0`.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let out = splitmix64(self.0);
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        out
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn addrs(&mut self, bound: u64, max_len: u64) -> Vec<u64> {
-        let n = 1 + self.below(max_len);
-        (0..n).map(|_| self.below(bound)).collect()
-    }
+/// Between 1 and `max_len` random addresses below `bound`.
+fn random_addrs(gen: &mut SplitMix64, bound: u64, max_len: u64) -> Vec<u64> {
+    let n = 1 + gen.below(max_len);
+    (0..n).map(|_| gen.below(bound)).collect()
 }
 
 fn small_config(assoc: u32, policy: ReplacementPolicy) -> CacheConfig {
@@ -43,15 +29,15 @@ fn small_config(assoc: u32, policy: ReplacementPolicy) -> CacheConfig {
 #[test]
 fn cache_matches_reference_semantics() {
     let policies = [ReplacementPolicy::Lru, ReplacementPolicy::Fifo, ReplacementPolicy::Random];
-    // `Gen` is the canonical SplitMix64 stream: the reference outputs for
-    // seed 0.
-    let mut g = Gen(0);
-    assert_eq!([g.next(), g.next()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
-    let mut gen = Gen(0xCAC4E);
+    // The generator is the canonical SplitMix64 stream: the reference
+    // outputs for seed 0.
+    let mut g = SplitMix64::new(0);
+    assert_eq!([g.next_u64(), g.next_u64()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
+    let mut gen = SplitMix64::new(0xCAC4E);
     for case in 0..64u64 {
         let assoc = 1 + (case % 4) as u32;
         let policy = policies[(case / 4) as usize % policies.len()];
-        let addrs = gen.addrs(0x4000, 400);
+        let addrs = random_addrs(&mut gen, 0x4000, 400);
 
         let cache = Cache::new(small_config(assoc, policy));
         let capacity = cache.config().num_blocks() as usize;
@@ -98,9 +84,9 @@ fn cache_matches_reference_semantics() {
 /// probe latencies plus memory when it reached memory.
 #[test]
 fn latency_is_sum_of_probe_latencies() {
-    let mut gen = Gen(0x1A7E);
+    let mut gen = SplitMix64::new(0x1A7E);
     for _ in 0..64 {
-        let addrs = gen.addrs(0x20000, 300);
+        let addrs = random_addrs(&mut gen, 0x20000, 300);
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         let mut scratch = ReplayScratch::new();
         for &addr in &addrs {
@@ -120,7 +106,7 @@ fn latency_is_sum_of_probe_latencies() {
 /// Statistics are internally consistent after any access mix.
 #[test]
 fn stats_are_consistent() {
-    let mut gen = Gen(0x57A75);
+    let mut gen = SplitMix64::new(0x57A75);
     for _ in 0..64 {
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         let n = 1 + gen.below(400);
@@ -157,9 +143,9 @@ fn stats_are_consistent() {
 /// sub-block expansion covers the full line.
 #[test]
 fn events_expand_consistently() {
-    let mut gen = Gen(0xE7E27);
+    let mut gen = SplitMix64::new(0xE7E27);
     for _ in 0..64 {
-        let addrs = gen.addrs(0x40000, 200);
+        let addrs = random_addrs(&mut gen, 0x40000, 200);
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         let mut scratch = ReplayScratch::new();
         for &addr in &addrs {
@@ -201,7 +187,7 @@ fn events_report_frames_under_the_frame_contract() {
         memory_latency: 20,
         inclusive: true,
     };
-    let mut gen = Gen(0xF4A3E);
+    let mut gen = SplitMix64::new(0xF4A3E);
     for (config, space) in
         [(HierarchyConfig::paper_five_level(), 0x10_0000), (tiny_inclusive, 0x2000)]
     {
@@ -271,9 +257,9 @@ fn events_report_frames_under_the_frame_contract() {
 /// The instruction path never touches data-only structures and vice versa.
 #[test]
 fn paths_are_disjoint_at_split_levels() {
-    let mut gen = Gen(0xD15701);
+    let mut gen = SplitMix64::new(0xD15701);
     for _ in 0..64 {
-        let addrs = gen.addrs(0x8000, 200);
+        let addrs = random_addrs(&mut gen, 0x8000, 200);
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         for &addr in &addrs {
             hier.access(Access::fetch(addr), &BypassSet::none());
@@ -290,9 +276,9 @@ fn paths_are_disjoint_at_split_levels() {
 /// and never mutates state.
 #[test]
 fn dry_run_predicts_the_walk() {
-    let mut gen = Gen(0xD2112);
+    let mut gen = SplitMix64::new(0xD2112);
     for _ in 0..64 {
-        let warm = gen.addrs(0x8000, 150);
+        let warm = random_addrs(&mut gen, 0x8000, 150);
         let probe = gen.below(0x8000);
         let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
         for &addr in &warm {
@@ -318,7 +304,7 @@ fn dry_run_predicts_the_walk() {
 /// an allocation optimisation, never a semantic change.
 #[test]
 fn scratch_reuse_matches_fresh_allocation_exactly() {
-    let mut gen = Gen(0x5C2A7C4);
+    let mut gen = SplitMix64::new(0x5C2A7C4);
     for _ in 0..32 {
         let mut reused = Hierarchy::new(HierarchyConfig::paper_five_level());
         let mut fresh = Hierarchy::new(HierarchyConfig::paper_five_level());

@@ -18,7 +18,7 @@ use cache_sim::{
     HierarchyConfig, HierarchyStats, LevelConfig, ProbeOutcome, ProbeRecord, ReplacementPolicy,
     ReplayScratch, StructureStats, WritePolicy,
 };
-use trace_synth::rng::splitmix64;
+use trace_synth::rng::{splitmix64, SplitMix64};
 
 /// Accesses per configuration.
 const ACCESSES: u64 = 6000;
@@ -193,13 +193,10 @@ fn digest(config: &HierarchyConfig, seed: u64, bypass_mode: Bypass) -> u64 {
     // The largest structure holds 16 sets × assoc × 128 bytes; addresses
     // span four times that, with half the accesses in a hot eighth.
     let span = 4 * 16 * 128 * config_assoc(config);
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        splitmix64(state)
-    };
+    // The stream steps its state before mixing: seeded with `seed + γ`.
+    let mut rng = SplitMix64::new(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
     for i in 0..ACCESSES {
-        let r = next();
+        let r = rng.next_u64();
         let addr = if r & 1 == 0 { (r >> 8) % (span / 8) } else { (r >> 8) % span };
         let access = match (r >> 1) % 4 {
             0 => Access::fetch(addr),
@@ -221,7 +218,7 @@ fn digest(config: &HierarchyConfig, seed: u64, bypass_mode: Bypass) -> u64 {
         d.result(&result);
         scratch.probes().iter().for_each(|p| d.probe(p));
         scratch.events().iter().for_each(|e| d.event(e));
-        if (r >> 4) % 64 == 0 {
+        if (r >> 4).is_multiple_of(64) {
             events.clear();
             let removed = hier.invalidate_block((r >> 12) % span, &mut events);
             d.add(u64::from(removed));

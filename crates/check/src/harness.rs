@@ -7,7 +7,7 @@
 //!
 //! 1. the real [`Hierarchy`], stepped exactly as every replay driver
 //!    steps it,
-//! 2. the independent [`RefModel`](crate::reference::RefModel), which
+//! 2. the independent [`RefModel`], which
 //!    always probes everything, and
 //! 3. a `Ledger` (`ledger.rs`) folded from the hierarchy's event stream.
 //!

@@ -3,15 +3,15 @@
 //!
 //! The machine's hot loop dispatches statically over `FilterKind` and
 //! consults the shared RMNM through a single `miss_mask` tag search per
-//! access; the batched `run_many`/`query_many` entry points hoist scratch
-//! management out of the per-access loop. None of that may change a single
-//! verdict or statistic. This test rebuilds the pre-refactor machine shape
-//! — boxed `dyn MissFilter` stacks per slot and one RMNM set scan per
-//! guarded structure — from public APIs, replays every filter family over
-//! all 20 synthetic application profiles, and requires bit-identical
-//! bypass sets on every access, then proves the batched paths produce the
-//! same summaries, machine statistics, and hierarchy statistics as the
-//! stepped path. The same lockstep runs once more under seeded soft
+//! access; the batched `run_many` entry point hoists scratch management
+//! out of the per-access loop. None of that may change a single verdict or
+//! statistic. This test rebuilds the pre-refactor machine shape — per-slot
+//! stacks of boxed 1-lane `dyn LaneFilter`s, one per technique, and one
+//! RMNM set scan per guarded structure — from public APIs, replays every
+//! filter family over all 20 synthetic application profiles, and requires
+//! bit-identical bypass sets on every access, then proves the batched path
+//! produces the same summaries, machine statistics, and hierarchy
+//! statistics as the stepped path. The same lockstep runs once more under seeded soft
 //! errors and flushes, applied to both machines alike, because the
 //! machine remembers verdicts and must forget them whenever its filter
 //! state changes.
@@ -22,7 +22,7 @@ use cache_sim::{
 };
 use mnm_check::{Op, TraceGen};
 use mnm_core::{
-    BloomFilter, Cmnm, Granularity, MissFilter, Mnm, MnmConfig, Rmnm, SmnmFilter, TechniqueConfig,
+    BloomFilter, Cmnm, Granularity, LaneFilter, Mnm, MnmConfig, Rmnm, SmnmFilter, TechniqueConfig,
     TmnmFilter,
 };
 use trace_synth::Prng;
@@ -31,23 +31,25 @@ use trace_synth::Prng;
 const LABELS: [&str; 6] =
     ["RMNM_512_2", "SMNM_13x2", "TMNM_12x3", "CMNM_8_12", "BLOOM_12x2", "HMNM4"];
 
-/// How the seed machine dispatched: one boxed trait object per technique.
-fn boxed(t: TechniqueConfig) -> Box<dyn MissFilter> {
+/// How the seed machine dispatched: one boxed trait object per technique
+/// and guarded structure, each a 1-lane filter.
+fn boxed(t: TechniqueConfig) -> Box<dyn LaneFilter> {
     match t {
-        TechniqueConfig::Smnm(c) => Box::new(SmnmFilter::new(c)),
-        TechniqueConfig::Tmnm(c) => Box::new(TmnmFilter::new(c)),
-        TechniqueConfig::Cmnm(c) => Box::new(Cmnm::new(c)),
-        TechniqueConfig::Bloom(c) => Box::new(BloomFilter::new(c)),
+        TechniqueConfig::Smnm(c) => Box::new(SmnmFilter::new(c, 1)),
+        TechniqueConfig::Tmnm(c) => Box::new(TmnmFilter::new(c, 1)),
+        TechniqueConfig::Cmnm(c) => Box::new(Cmnm::new(c, 1)),
+        TechniqueConfig::Bloom(c) => Box::new(BloomFilter::new(c, 1)),
     }
 }
 
 /// The pre-refactor machine shape, rebuilt from public APIs: per-slot
-/// `Vec<Box<dyn MissFilter>>` and a per-slot RMNM membership test (one
-/// set scan per guarded structure instead of one shared mask).
+/// `Vec<Box<dyn LaneFilter>>` of 1-lane filters and a per-slot RMNM
+/// membership test (one set scan per guarded structure instead of one
+/// shared mask).
 struct Shadow {
     gran: Granularity,
     structures: Vec<StructureId>,
-    filters: Vec<Vec<Box<dyn MissFilter>>>,
+    filters: Vec<Vec<Box<dyn LaneFilter>>>,
     slot_of_structure: Vec<Option<usize>>,
     instr_slots: Vec<usize>,
     data_slots: Vec<usize>,
@@ -65,12 +67,12 @@ impl Shadow {
                 continue;
             }
             let frame_slots = hierarchy.cache(info.id).config().frame_slots(gran.bytes()) as usize;
-            let stack: Vec<Box<dyn MissFilter>> = config
+            let stack: Vec<Box<dyn LaneFilter>> = config
                 .techniques_for_level(info.level)
                 .into_iter()
                 .map(|t| {
                     let mut f = boxed(t);
-                    f.reserve(frame_slots);
+                    f.reserve_lane(0, frame_slots);
                     f
                 })
                 .collect();
@@ -102,7 +104,7 @@ impl Shadow {
         let mut set = BypassSet::none();
         for &si in slots {
             let miss = self.rmnm.as_ref().is_some_and(|r| r.is_definite_miss(si, block))
-                || self.filters[si].iter().any(|f| f.is_definite_miss(block));
+                || self.filters[si].iter().any(|f| f.miss_lanes(block, 1) != 0);
             if miss {
                 set.insert(self.structures[si]);
             }
@@ -112,7 +114,7 @@ impl Shadow {
 
     fn flush(&mut self) {
         for f in self.filters.iter_mut().flatten() {
-            f.flush();
+            f.flush_lanes();
         }
         if let Some(r) = &mut self.rmnm {
             r.flush();
@@ -128,7 +130,7 @@ impl Shadow {
                 match ev.kind {
                     EventKind::Placed => {
                         for f in &mut self.filters[si] {
-                            f.on_place(block, frame_slot);
+                            f.place(0, block, frame_slot);
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_place(si, block);
@@ -136,7 +138,7 @@ impl Shadow {
                     }
                     EventKind::Replaced => {
                         for f in &mut self.filters[si] {
-                            f.on_replace(block, frame_slot);
+                            f.replace(0, block, frame_slot);
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_replace(si, block);
@@ -144,7 +146,7 @@ impl Shadow {
                     }
                     EventKind::Invalidated => {
                         for f in &mut self.filters[si] {
-                            f.on_invalidate(block, frame_slot);
+                            f.replace(0, block, frame_slot);
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_invalidate(si, block);
@@ -222,16 +224,6 @@ fn batched_paths_match_the_stepped_path_exactly() {
         assert_eq!(stepped, batched, "{label}: batch summaries diverged");
         assert_eq!(m1.stats(), m2.stats(), "{label}: machine statistics diverged");
         assert_eq!(h1.stats(), h2.stats(), "{label}: hierarchy statistics diverged");
-
-        // query_many must agree verdict-for-verdict with query. Queries
-        // never mutate filter state (only counters), so probing the warm
-        // machine twice is legal.
-        let probe = &trace[..256];
-        let mut out = Vec::new();
-        m2.query_many(probe, &mut out);
-        for (i, &a) in probe.iter().enumerate() {
-            assert_eq!(out[i], m2.query(a), "{label}: query_many diverged at {i}");
-        }
     }
 }
 
@@ -278,14 +270,14 @@ fn verdicts_stay_identical_under_bit_flips_and_flushes() {
                     let aimed = mnm.state_bit_of(slot, member, access.addr);
                     assert_eq!(
                         aimed,
-                        member_filter.state_bit_of(shadow.gran.block_of(access.addr))
+                        member_filter.lane_bit_of(0, shadow.gran.block_of(access.addr))
                     );
                     let bit = match aimed {
                         Some(b) if rng.gen_bool(0.75) => b,
                         _ => rng.gen_range(0..bits),
                     };
                     let flipped = mnm.flip_filter_bit(slot, member, bit);
-                    assert_eq!(flipped, member_filter.flip_state_bit(bit), "{label}: flip {bit}");
+                    assert_eq!(flipped, member_filter.flip_lane_bit(0, bit), "{label}: flip {bit}");
                     flips += u64::from(flipped);
                 }
                 let expect = shadow.query(access);

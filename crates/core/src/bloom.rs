@@ -85,13 +85,8 @@ fn mix(block: u64, which: u32) -> u64 {
 }
 
 impl BloomFilter {
-    /// Build an empty filter guarding one structure.
-    pub fn new(config: BloomConfig) -> Self {
-        Self::with_lanes(config, 1)
-    }
-
     /// Build an empty filter guarding `lanes` structures (1..=64).
-    pub fn with_lanes(config: BloomConfig, lanes: usize) -> Self {
+    pub fn new(config: BloomConfig, lanes: usize) -> Self {
         let lanes = LaneBits::new(lanes);
         BloomFilter {
             counters: vec![0; lanes.lanes() << config.bits],
@@ -219,16 +214,15 @@ mod tests {
     //! The Bloom filter ignores the frame slot, so these tests pass 0 for it.
 
     use super::*;
-    use crate::filter::MissFilter;
 
     #[test]
     fn place_replace_round_trip() {
-        let mut f = BloomFilter::new(BloomConfig::new(10, 2));
-        assert!(f.is_definite_miss(0xAB));
-        f.on_place(0xAB, 0);
-        assert!(!f.is_definite_miss(0xAB));
-        f.on_replace(0xAB, 0);
-        assert!(f.is_definite_miss(0xAB));
+        let mut f = BloomFilter::new(BloomConfig::new(10, 2), 1);
+        assert!(f.miss_lanes(0xAB, 1) != 0);
+        f.place(0, 0xAB, 0);
+        assert!(f.miss_lanes(0xAB, 1) == 0);
+        f.replace(0, 0xAB, 0);
+        assert!(f.miss_lanes(0xAB, 1) != 0);
     }
 
     #[test]
@@ -236,58 +230,58 @@ mod tests {
         // If two hash functions of the SAME block collide on one slot, the
         // slot is incremented twice; decrementing twice on replace keeps
         // the pairing exact, so soundness is preserved either way.
-        let mut f = BloomFilter::new(BloomConfig::new(2, 4)); // tiny: collisions certain
+        let mut f = BloomFilter::new(BloomConfig::new(2, 4), 1); // tiny: collisions certain
         for b in 0..16u64 {
-            f.on_place(b, 0);
+            f.place(0, b, 0);
         }
         for b in 0..16u64 {
             // All other blocks still live — no flag may appear for them.
-            f.on_replace(b, 0);
+            f.replace(0, b, 0);
             for live in (b + 1)..16 {
-                assert!(!f.is_definite_miss(live), "unsound for {live:#x} after removing {b:#x}");
+                assert!(f.miss_lanes(live, 1) == 0, "unsound for {live:#x} after removing {b:#x}");
             }
         }
     }
 
     #[test]
     fn aliasing_blocks_keep_counters_positive() {
-        let mut f = BloomFilter::new(BloomConfig::new(12, 3));
-        f.on_place(1, 0);
-        f.on_place(2, 0);
-        f.on_replace(1, 0);
-        assert!(!f.is_definite_miss(2));
-        f.on_replace(2, 0);
-        assert!(f.is_definite_miss(2));
+        let mut f = BloomFilter::new(BloomConfig::new(12, 3), 1);
+        f.place(0, 1, 0);
+        f.place(0, 2, 0);
+        f.replace(0, 1, 0);
+        assert!(f.miss_lanes(2, 1) == 0);
+        f.replace(0, 2, 0);
+        assert!(f.miss_lanes(2, 1) != 0);
     }
 
     #[test]
     fn saturation_is_sticky() {
-        let mut f = BloomFilter::new(BloomConfig::new(1, 1)); // 2 counters
+        let mut f = BloomFilter::new(BloomConfig::new(1, 1), 1); // 2 counters
         for b in 0..32u64 {
-            f.on_place(b, 0);
+            f.place(0, b, 0);
         }
         for b in 0..32u64 {
-            f.on_replace(b, 0);
+            f.replace(0, b, 0);
         }
         // Both counters saturated and stuck: nothing is ever flagged.
         for b in 0..32u64 {
-            assert!(!f.is_definite_miss(b));
+            assert!(f.miss_lanes(b, 1) == 0);
         }
     }
 
     #[test]
     fn zero_bitset_tracks_counters_exactly() {
-        let mut f = BloomFilter::new(BloomConfig::new(5, 3)); // 32 counters: partial word
+        let mut f = BloomFilter::new(BloomConfig::new(5, 3), 1); // 32 counters: partial word
         let mut x: u64 = 0x1234_5678;
         for step in 0..3000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             match step % 4 {
-                0 | 1 => f.on_place(x % 512, 0),
-                2 => f.on_replace(x % 512, 0),
+                0 | 1 => f.place(0, x % 512, 0),
+                2 => f.replace(0, x % 512, 0),
                 _ => {
-                    f.flip_state_bit(x % f.state_bits());
+                    f.flip_lane_bit(0, x % f.lane_state_bits());
                 }
             }
             for (s, &c) in f.counters.iter().enumerate() {
@@ -298,9 +292,9 @@ mod tests {
                 );
             }
         }
-        f.flush();
+        f.flush_lanes();
         assert!(f.counters.iter().all(|&c| c == 0));
-        assert!(f.is_definite_miss(0));
+        assert!(f.miss_lanes(0, 1) != 0);
     }
 
     #[test]
@@ -308,25 +302,25 @@ mod tests {
         use crate::tmnm::{TmnmConfig, TmnmFilter};
         // Strided block addresses with zero low bits: TMNM's low-bit table
         // collapses to few slots; the Bloom filter spreads them.
-        let mut bloom = BloomFilter::new(BloomConfig::new(10, 2));
-        let mut tmnm = TmnmFilter::new(TmnmConfig::new(10, 1));
+        let mut bloom = BloomFilter::new(BloomConfig::new(10, 2), 1);
+        let mut tmnm = TmnmFilter::new(TmnmConfig::new(10, 1), 1);
         for i in 0..256u64 {
             let block = i << 10; // all low 10 bits zero
-            bloom.on_place(block, 0);
-            tmnm.on_place(block, 0);
+            bloom.place(0, block, 0);
+            tmnm.place(0, block, 0);
         }
         // A fresh strided block: TMNM cannot flag it (slot 0 is saturated),
         // the Bloom filter usually can.
         let fresh = 1000u64 << 10;
-        assert!(!tmnm.is_definite_miss(fresh), "bit-slice table is blind here");
-        assert!(bloom.is_definite_miss(fresh), "hashing separates strided blocks");
+        assert!(tmnm.miss_lanes(fresh, 1) == 0, "bit-slice table is blind here");
+        assert!(bloom.miss_lanes(fresh, 1) != 0, "hashing separates strided blocks");
     }
 
     #[test]
     fn storage_accounting() {
-        let f = BloomFilter::new(BloomConfig::new(12, 4));
-        assert_eq!(f.storage_bits(), 4096 * 3);
-        assert_eq!(f.label(), "BLOOM_12x4");
+        let f = BloomFilter::new(BloomConfig::new(12, 4), 1);
+        assert_eq!(f.lane_storage_bits(), 4096 * 3);
+        assert_eq!(f.technique_label(), "BLOOM_12x4");
     }
 
     #[test]

@@ -166,13 +166,8 @@ impl Cmnm {
     /// The tag of a slot no placement since the last flush has tagged.
     const NO_TAG: u8 = 0;
 
-    /// Build an empty filter guarding one structure.
-    pub fn new(config: CmnmConfig) -> Self {
-        Self::with_lanes(config, 1)
-    }
-
     /// Build an empty filter guarding `lanes` structures (1..=64).
-    pub fn with_lanes(config: CmnmConfig, lanes: usize) -> Self {
+    pub fn new(config: CmnmConfig, lanes: usize) -> Self {
         assert!((1..=64).contains(&lanes), "a filter has 1..=64 lanes, got {lanes}");
         let lane = CmnmLane {
             regs: vec![Register { value: 0, shift: 0, valid: false }; config.registers as usize],
@@ -243,7 +238,7 @@ impl LaneFilter for Cmnm {
             l.counters[idx] += 1;
         }
         if frame_slot >= l.tags.len() {
-            // Only a filter `reserve` never sized grows.
+            // Only a lane `reserve_lane` never sized grows.
             l.tags.resize(frame_slot + 1, Self::NO_TAG);
         }
         // Registers number at most 128, so the tag fits a byte.
@@ -348,58 +343,57 @@ mod tests {
     };
 
     use super::*;
-    use crate::filter::MissFilter;
 
     fn cmnm(k: u32, m: u32) -> Cmnm {
-        Cmnm::new(CmnmConfig::new(k, m))
+        Cmnm::new(CmnmConfig::new(k, m), 1)
     }
 
     #[test]
     fn unseen_region_is_definite_miss() {
         let mut f = cmnm(4, 10);
-        f.on_place(0x0040_0001, 0);
-        assert!(!f.is_definite_miss(0x0040_0001));
+        f.place(0, 0x0040_0001, 0);
+        assert!(f.miss_lanes(0x0040_0001, 1) == 0);
         // Same region, different low bits: counter 0 => miss.
-        assert!(f.is_definite_miss(0x0040_0002));
+        assert!(f.miss_lanes(0x0040_0002, 1) != 0);
         // Entirely different region: no register matches => miss.
-        assert!(f.is_definite_miss(0x0990_0001));
+        assert!(f.miss_lanes(0x0990_0001, 1) != 0);
     }
 
     #[test]
     fn place_replace_round_trip() {
         let mut f = cmnm(2, 8);
-        f.on_place(0x1234_5600 | 0x7f, 3);
-        assert!(!f.is_definite_miss(0x1234_5600 | 0x7f));
-        f.on_replace(0x1234_5600 | 0x7f, 3);
-        assert!(f.is_definite_miss(0x1234_5600 | 0x7f));
+        f.place(0, 0x1234_5600 | 0x7f, 3);
+        assert!(f.miss_lanes(0x1234_5600 | 0x7f, 1) == 0);
+        f.replace(0, 0x1234_5600 | 0x7f, 3);
+        assert!(f.miss_lanes(0x1234_5600 | 0x7f, 1) != 0);
     }
 
     #[test]
     fn widening_keeps_old_blocks_matching() {
         let mut f = cmnm(2, 4);
         // Fill both registers with far-apart regions.
-        f.on_place(0x1000_0000, 0);
-        f.on_place(0x2000_0000, 1);
+        f.place(0, 0x1000_0000, 0);
+        f.place(0, 0x2000_0000, 1);
         // A third region forces widening of some register.
-        f.on_place(0x1000_1000, 2);
+        f.place(0, 0x1000_1000, 2);
         // The original blocks must still be recognized as maybe-hits.
-        assert!(!f.is_definite_miss(0x1000_0000));
-        assert!(!f.is_definite_miss(0x2000_0000));
-        assert!(!f.is_definite_miss(0x1000_1000));
+        assert!(f.miss_lanes(0x1000_0000, 1) == 0);
+        assert!(f.miss_lanes(0x2000_0000, 1) == 0);
+        assert!(f.miss_lanes(0x1000_1000, 1) == 0);
     }
 
     #[test]
     fn widened_replacement_decrements_the_right_counter() {
         let mut f = cmnm(2, 4);
-        f.on_place(0x1000_0000, 0); // reg 0
-        f.on_place(0x2000_0000, 1); // reg 1
-        f.on_place(0x1000_1000, 2); // widens a register (same low nibble as reg0's block!)
+        f.place(0, 0x1000_0000, 0); // reg 0
+        f.place(0, 0x2000_0000, 1); // reg 1
+        f.place(0, 0x1000_1000, 2); // widens a register (same low nibble as reg0's block!)
                                     // Replace the widened block; the original block must stay a
                                     // maybe-hit even though both share low bits.
-        f.on_replace(0x1000_1000, 2);
-        assert!(!f.is_definite_miss(0x1000_0000), "sound pairing of place/replace");
-        f.on_replace(0x1000_0000, 0);
-        assert!(f.is_definite_miss(0x1000_0000));
+        f.replace(0, 0x1000_1000, 2);
+        assert!(f.miss_lanes(0x1000_0000, 1) == 0, "sound pairing of place/replace");
+        f.replace(0, 0x1000_0000, 0);
+        assert!(f.miss_lanes(0x1000_0000, 1) != 0);
     }
 
     #[test]
@@ -407,48 +401,48 @@ mod tests {
         let mut f = cmnm(1, 2);
         // 8+ blocks with the same low 2 bits in one region.
         for i in 0..10u64 {
-            f.on_place(0x100 + (i << 2), i as usize);
+            f.place(0, 0x100 + (i << 2), i as usize);
         }
         for i in 0..10u64 {
-            f.on_replace(0x100 + (i << 2), i as usize);
+            f.replace(0, 0x100 + (i << 2), i as usize);
         }
-        assert!(!f.is_definite_miss(0x100), "stuck counter stays conservative");
+        assert!(f.miss_lanes(0x100, 1) == 0, "stuck counter stays conservative");
     }
 
     #[test]
     fn flush_forgets_everything() {
         let mut f = cmnm(4, 8);
-        f.on_place(0xdead_be00, 5);
-        f.flush();
-        assert!(f.is_definite_miss(0xdead_be00));
+        f.place(0, 0xdead_be00, 5);
+        f.flush_lanes();
+        assert!(f.miss_lanes(0xdead_be00, 1) != 0);
         // Replacement after a flush for a pre-flush block is ignored.
-        f.on_replace(0xdead_be00, 5);
-        assert!(f.is_definite_miss(0xdead_be00));
-        assert_eq!(f.occupancy().tracked, 0);
+        f.replace(0, 0xdead_be00, 5);
+        assert!(f.miss_lanes(0xdead_be00, 1) != 0);
+        assert_eq!(f.lane_occupancy(0).tracked, 0);
     }
 
-    /// `reserve` sizes one tag per frame slot up front; after that no
+    /// `reserve_lane` sizes one tag per frame slot up front; after that no
     /// update grows the array, and an unreserved filter grows to the
     /// highest slot it is told about. Removing from a never-tagged slot,
     /// in range or beyond it, is a no-op.
     #[test]
     fn tags_are_one_byte_per_reserved_frame_slot() {
         let mut f = cmnm(8, 12);
-        f.reserve(64);
+        f.reserve_lane(0, 64);
         assert_eq!(f.lanes[0].tags.len(), 64);
         for slot in 0..64 {
-            f.on_place(0x4000 + slot as u64, slot);
+            f.place(0, 0x4000 + slot as u64, slot);
         }
-        assert_eq!((f.lanes[0].tags.len(), f.occupancy().tracked), (64, 64));
-        f.on_replace(0x4000, 0);
-        f.on_replace(0x4000, 0);
-        f.on_replace(0x9000, 1_000);
-        assert_eq!((f.lanes[0].tags.len(), f.occupancy().tracked), (64, 63));
+        assert_eq!((f.lanes[0].tags.len(), f.lane_occupancy(0).tracked), (64, 64));
+        f.replace(0, 0x4000, 0);
+        f.replace(0, 0x4000, 0);
+        f.replace(0, 0x9000, 1_000);
+        assert_eq!((f.lanes[0].tags.len(), f.lane_occupancy(0).tracked), (64, 63));
 
         let mut grown = cmnm(8, 12);
-        grown.on_replace(0x4000, 9);
-        grown.on_place(0x4000, 9);
-        assert_eq!((grown.lanes[0].tags.len(), grown.occupancy().tracked), (10, 1));
+        grown.replace(0, 0x4000, 9);
+        grown.place(0, 0x4000, 9);
+        assert_eq!((grown.lanes[0].tags.len(), grown.lane_occupancy(0).tracked), (10, 1));
     }
 
     /// Two frames holding parts of one MNM block (lines shorter than the
@@ -457,12 +451,12 @@ mod tests {
     #[test]
     fn two_frames_of_one_block_pair_exactly() {
         let mut f = cmnm(2, 8);
-        f.on_place(0x77, 0);
-        f.on_place(0x77, 1);
-        f.on_replace(0x77, 0);
-        assert!(!f.is_definite_miss(0x77), "the other frame still holds part of the block");
-        f.on_replace(0x77, 1);
-        assert!(f.is_definite_miss(0x77));
+        f.place(0, 0x77, 0);
+        f.place(0, 0x77, 1);
+        f.replace(0, 0x77, 0);
+        assert!(f.miss_lanes(0x77, 1) == 0, "the other frame still holds part of the block");
+        f.replace(0, 0x77, 1);
+        assert!(f.miss_lanes(0x77, 1) != 0);
         assert_eq!(f.counter_for(0, 0x77), Some(0));
     }
 
@@ -470,8 +464,8 @@ mod tests {
     fn storage_counts_registers_and_table() {
         let f = cmnm(8, 12);
         // Table: 8 * 4096 * 3 bits dominates.
-        assert!(f.storage_bits() >= 8 * 4096 * 3);
-        assert!(f.storage_bits() < 8 * 4096 * 3 + 8 * 64);
+        assert!(f.lane_storage_bits() >= 8 * 4096 * 3);
+        assert!(f.lane_storage_bits() < 8 * 4096 * 3 + 8 * 64);
     }
 
     #[test]
@@ -523,7 +517,7 @@ mod tests {
         }
 
         fn flush(&mut self) {
-            self.f.flush();
+            self.f.flush_lanes();
             self.tags.clear();
         }
     }
@@ -561,7 +555,7 @@ mod tests {
                 let mut pairs: Vec<(Cmnm, BlockKeyed)> = Vec::new();
                 for info in hier.structures().iter().filter(|i| i.level >= 2) {
                     let mut real = cmnm(2, 4);
-                    real.reserve(hier.cache(info.id).config().frame_slots(grain) as usize);
+                    real.reserve_lane(0, hier.cache(info.id).config().frame_slots(grain) as usize);
                     slot_of[info.id.index()] = Some(pairs.len());
                     pairs.push((real, BlockKeyed { f: cmnm(2, 4), tags: HashMap::new() }));
                 }
@@ -585,7 +579,7 @@ mod tests {
                         }
                         1 if step > 1_000 => {
                             for (real, model) in &mut pairs {
-                                real.flush();
+                                real.flush_lanes();
                                 model.flush();
                             }
                             flushes += 1;
@@ -608,10 +602,10 @@ mod tests {
                         let (real, model) = &mut pairs[si];
                         for (block, frame_slot) in ev.sub_blocks(grain) {
                             if ev.kind == EventKind::Placed {
-                                real.on_place(block, frame_slot);
+                                real.place(0, block, frame_slot);
                                 model.place(block);
                             } else {
-                                real.on_replace(block, frame_slot);
+                                real.replace(0, block, frame_slot);
                                 model.remove(block);
                                 removed += 1;
                             }
@@ -629,8 +623,8 @@ mod tests {
                         }
                         for block in [probe, probe ^ 1, probe + 0x1_0000] {
                             assert_eq!(
-                                real.is_definite_miss(block),
-                                model.f.is_definite_miss(block),
+                                real.miss_lanes(block, 1) != 0,
+                                model.f.miss_lanes(block, 1) != 0,
                                 "{what}: verdict for {block:#x}"
                             );
                         }
@@ -646,15 +640,15 @@ mod tests {
     #[test]
     fn flipping_the_guarding_counter_bit_makes_a_live_block_lie() {
         let mut f = cmnm(4, 8);
-        f.on_place(0x0040_0001, 0);
-        assert!(!f.is_definite_miss(0x0040_0001));
-        let bit = f.state_bit_of(0x0040_0001).expect("resident block matches a register");
-        assert!(f.flip_state_bit(bit));
-        assert!(f.is_definite_miss(0x0040_0001), "counter 1 -> 0: the filter now lies");
-        assert!(f.flip_state_bit(bit));
-        assert!(!f.is_definite_miss(0x0040_0001));
+        f.place(0, 0x0040_0001, 0);
+        assert!(f.miss_lanes(0x0040_0001, 1) == 0);
+        let bit = f.lane_bit_of(0, 0x0040_0001).expect("resident block matches a register");
+        assert!(f.flip_lane_bit(0, bit));
+        assert!(f.miss_lanes(0x0040_0001, 1) != 0, "counter 1 -> 0: the filter now lies");
+        assert!(f.flip_lane_bit(0, bit));
+        assert!(f.miss_lanes(0x0040_0001, 1) == 0);
         // A block no register covers has no guarding bit.
-        assert_eq!(f.state_bit_of(0x7700_0000), None);
-        assert!(!f.flip_state_bit(f.state_bits()));
+        assert_eq!(f.lane_bit_of(0, 0x7700_0000), None);
+        assert!(!f.flip_lane_bit(0, f.lane_state_bits()));
     }
 }

@@ -33,131 +33,55 @@ impl FilterOccupancy {
     }
 }
 
-/// A sound, per-cache-structure miss filter.
-///
-/// Every [`LaneFilter`] is a `MissFilter` through its lane 0: the
-/// single-structure filter is the 1-lane case of the same type.
-///
-/// One instance guards one cache structure (e.g. `dl2` or `ul4`). All
-/// addresses are **MNM block addresses** — byte addresses already shifted by
-/// the MNM granularity (the L2 line size, paper §3.1); events from caches
-/// with larger lines have already been expanded into multiple block
-/// addresses by the machine.
-///
-/// # Soundness contract
-///
-/// If [`MissFilter::is_definite_miss`] returns `true` for a block, that
-/// block **must not** be resident in the guarded structure. Implementations
-/// uphold this given a faithful event feed: every block installed into the
-/// structure is reported via [`MissFilter::on_place`] and every eviction via
-/// [`MissFilter::on_replace`], in order. The reverse is not required — a
-/// `false` ("maybe") answer for an absent block merely costs a redundant
-/// probe (paper §3.6).
-///
-/// # Frame contract
-///
-/// Each update also names the block's **frame slot**: its cache frame
-/// (`set × assoc + way`) times `max(1, line / grain)`, plus the MNM
-/// sub-block's index within the line
-/// ([`CacheEvent::sub_blocks`](cache_sim::CacheEvent::sub_blocks)).
-/// Every live block holds a distinct slot below the count passed to
-/// [`MissFilter::reserve`], and the removal of a block reports the slot its
-/// placement did. Filters that keep per-line state (CMNM's register tag)
-/// index it by slot; the hash- and counter-shaped filters ignore it.
-pub trait MissFilter: std::fmt::Debug + Send {
-    /// A block was installed into the guarded structure, in frame slot
-    /// `frame_slot`.
-    fn on_place(&mut self, block: u64, frame_slot: usize);
-
-    /// A block was evicted from the guarded structure, leaving frame slot
-    /// `frame_slot`.
-    fn on_replace(&mut self, block: u64, frame_slot: usize);
-
-    /// A block was removed from the guarded structure by an invalidation —
-    /// an inclusive back-invalidation from an outer level, or external
-    /// coherence traffic (a remote core's store, a shared level's
-    /// replacement) — rather than by the replacement policy.
-    ///
-    /// The caller guarantees the block was **actually resident and was
-    /// removed**; feeding invalidations for blocks the structure never
-    /// held breaks count-based filters (a blind decrement can zero a
-    /// counter that still guards a live block, turning "definite miss"
-    /// into a lie). Given that guarantee, retiring the block is exactly
-    /// what `on_replace` does, so that is the default. Families whose
-    /// replacement handling is asymmetric (e.g. the set-only SMNM, whose
-    /// `on_replace` is a deliberate no-op) inherit the same soundness
-    /// argument: the filter may only get more conservative.
-    fn on_invalidate(&mut self, block: u64, frame_slot: usize) {
-        self.on_replace(block, frame_slot);
-    }
-
-    /// `true` iff an access to `block` is guaranteed to miss.
-    fn is_definite_miss(&self, block: u64) -> bool;
-
-    /// Reset all state (cache flush; paper §3.3: "The counter values are
-    /// reset when the caches are flushed").
-    fn flush(&mut self);
-
-    /// Hardware storage cost in bits (flip-flops / SRAM bits), used by the
-    /// power model.
-    fn storage_bits(&self) -> u64;
-
-    /// Short configuration label, e.g. `"TMNM_12x3"`. Borrowed from the
-    /// filter (memoized at construction): stats and telemetry emission can
-    /// read it mid-run without allocating.
-    fn label(&self) -> &str;
-
-    /// The guarded structure's frame-slot count
-    /// ([`CacheConfig::frame_slots`](cache_sim::CacheConfig::frame_slots)),
-    /// an upper bound on both the live blocks and every slot an update
-    /// names. Filters with per-slot bookkeeping size it here so the
-    /// per-access hot path never allocates; the hardware-shaped tables
-    /// ignore this.
-    fn reserve(&mut self, _frame_slots: usize) {}
-
-    /// Number of state bits addressable by [`MissFilter::flip_state_bit`].
-    /// Zero (the default) means the filter exposes no fault surface.
-    fn state_bits(&self) -> u64 {
-        0
-    }
-
-    /// Fault-injection hook: XOR one bit of the filter's internal state,
-    /// emulating a soft error in the hardware tables. This is **only** for
-    /// the soundness checker (`crates/check`), which proves that injected
-    /// corruption is caught as a contract violation; nothing on the
-    /// simulation path calls it. Returns `false` when `bit` is out of
-    /// range or the filter exposes no fault surface.
-    fn flip_state_bit(&mut self, _bit: u64) -> bool {
-        false
-    }
-
-    /// The state-bit index (as addressed by [`MissFilter::flip_state_bit`])
-    /// whose corruption most directly affects `block` — e.g. the low bit
-    /// of the counter the block maps to. Used by the checker to aim an
-    /// injected fault at a resident block. `None` when the filter exposes
-    /// no fault surface or no state guards this block.
-    fn state_bit_of(&self, _block: u64) -> Option<u64> {
-        None
-    }
-
-    /// Current dynamic-state occupancy, for telemetry. The default (all
-    /// zeros) means the filter exposes no occupancy surface.
-    fn occupancy(&self) -> FilterOccupancy {
-        FilterOccupancy::default()
-    }
-}
-
-/// A miss filter whose state guards `lanes()` cache structures at once.
+/// A sound miss filter whose state guards `lanes()` cache structures at
+/// once, one lane per structure.
 ///
 /// The machine builds one filter per technique of an
 /// [`Assignment`](crate::Assignment), with one lane per structure the
 /// assignment guards, so one probe answers every guarded level: the
 /// block's hash or slice index is computed once, and the lanes' state
 /// for that index is read together (for SMNM, TMNM and Bloom, from one
-/// word). Each lane obeys the [`MissFilter`] contracts on its own:
-/// updates name their lane, and a lane's verdicts, fault surface and
-/// occupancy are exactly those of an independent 1-lane filter fed the
-/// same updates.
+/// word). A filter guarding a single structure is the 1-lane case.
+///
+/// All addresses are **MNM block addresses** — byte addresses already
+/// shifted by the MNM granularity (the L2 line size, paper §3.1); events
+/// from caches with larger lines have already been expanded into multiple
+/// block addresses by the machine. Updates name their lane and touch only
+/// it: a lane's verdicts, fault surface and occupancy are exactly those of
+/// an independent 1-lane filter fed the same updates.
+///
+/// # Soundness contract
+///
+/// If [`LaneFilter::miss_lanes`] reports lane `l` for a block, that block
+/// **must not** be resident in lane `l`'s structure. Implementations
+/// uphold this given a faithful event feed: every block installed into
+/// the structure is reported via [`LaneFilter::place`] and every removal
+/// via [`LaneFilter::replace`], in order. The reverse is not required — a
+/// "maybe" answer for an absent block merely costs a redundant probe
+/// (paper §3.6).
+///
+/// An invalidation — an inclusive back-invalidation from an outer level,
+/// or external coherence traffic (a remote core's store, a shared level's
+/// replacement) — retires a block exactly as a replacement does, so it is
+/// fed to [`LaneFilter::replace`] too. The caller guarantees the block
+/// was **actually resident and was removed**: feeding removals for blocks
+/// the structure never held breaks count-based filters (a blind decrement
+/// can zero a counter that still guards a live block, turning "definite
+/// miss" into a lie). Families whose replacement handling is asymmetric
+/// (the set-only SMNM, whose `replace` is a deliberate no-op) inherit the
+/// same argument: the filter may only get more conservative.
+///
+/// # Frame contract
+///
+/// Each update also names the block's **frame slot** in its lane's
+/// structure: its cache frame (`set × assoc + way`) times
+/// `max(1, line / grain)`, plus the MNM sub-block's index within the line
+/// ([`CacheEvent::sub_blocks`](cache_sim::CacheEvent::sub_blocks)).
+/// Every live block of a lane holds a distinct slot below the count
+/// passed to [`LaneFilter::reserve_lane`], and the removal of a block
+/// reports the slot its placement did. Filters that keep per-line state
+/// (CMNM's register tag) index it by slot; the hash- and counter-shaped
+/// filters ignore it.
 pub trait LaneFilter: std::fmt::Debug + Send {
     /// Number of guarded structures.
     fn lanes(&self) -> usize;
@@ -166,83 +90,58 @@ pub trait LaneFilter: std::fmt::Debug + Send {
     /// definitely misses `block`; never a lane outside `want`.
     fn miss_lanes(&self, block: u64, want: u64) -> u64;
 
-    /// [`MissFilter::on_place`] for lane `lane`.
+    /// A block was installed into lane `lane`'s structure, in frame slot
+    /// `frame_slot`.
     fn place(&mut self, lane: usize, block: u64, frame_slot: usize);
 
-    /// [`MissFilter::on_replace`] (and, as for every family,
-    /// [`MissFilter::on_invalidate`]) for lane `lane`.
+    /// A block was removed from lane `lane`'s structure, by its
+    /// replacement policy or by an invalidation, leaving frame slot
+    /// `frame_slot`.
     fn replace(&mut self, lane: usize, block: u64, frame_slot: usize);
 
-    /// [`MissFilter::flush`] for every lane.
+    /// Reset every lane (cache flush; paper §3.3: "The counter values are
+    /// reset when the caches are flushed").
     fn flush_lanes(&mut self);
 
-    /// [`MissFilter::storage_bits`] of one lane.
+    /// Hardware storage cost of one lane in bits (flip-flops / SRAM
+    /// bits), used by the power model.
     fn lane_storage_bits(&self) -> u64;
 
-    /// [`MissFilter::label`]; the same for every lane.
+    /// Short configuration label, e.g. `"TMNM_12x3"`, the same for every
+    /// lane. Borrowed from the filter (memoized at construction): stats
+    /// and telemetry emission can read it mid-run without allocating.
     fn technique_label(&self) -> &str;
 
-    /// [`MissFilter::reserve`] for lane `lane`.
+    /// Lane `lane`'s structure has `frame_slots` frame slots
+    /// ([`CacheConfig::frame_slots`](cache_sim::CacheConfig::frame_slots)),
+    /// an upper bound on both its live blocks and every slot an update
+    /// names. Filters with per-slot bookkeeping size it here so the
+    /// per-access hot path never allocates; the hardware-shaped tables
+    /// ignore this.
     fn reserve_lane(&mut self, _lane: usize, _frame_slots: usize) {}
 
-    /// [`MissFilter::state_bits`] of one lane.
+    /// Number of state bits of one lane addressable by
+    /// [`LaneFilter::flip_lane_bit`]. Zero means the filter exposes no
+    /// fault surface.
     fn lane_state_bits(&self) -> u64;
 
-    /// [`MissFilter::flip_state_bit`] in lane `lane`.
+    /// Fault-injection hook: XOR one bit of lane `lane`'s state, emulating
+    /// a soft error in the hardware tables. This is **only** for the
+    /// soundness checker (`crates/check`), which proves that injected
+    /// corruption is caught as a contract violation; nothing on the
+    /// simulation path calls it. Returns `false` when `bit` is out of
+    /// range or the filter exposes no fault surface.
     fn flip_lane_bit(&mut self, lane: usize, bit: u64) -> bool;
 
-    /// [`MissFilter::state_bit_of`] in lane `lane`.
+    /// The state-bit index of lane `lane` (as addressed by
+    /// [`LaneFilter::flip_lane_bit`]) whose corruption most directly
+    /// affects `block` — e.g. the low bit of the counter the block maps
+    /// to. Used by the checker to aim an injected fault at a resident
+    /// block. `None` when no state guards this block.
     fn lane_bit_of(&self, lane: usize, block: u64) -> Option<u64>;
 
-    /// [`MissFilter::occupancy`] of lane `lane`.
+    /// Lane `lane`'s current dynamic-state occupancy, for telemetry.
     fn lane_occupancy(&self, lane: usize) -> FilterOccupancy;
-}
-
-impl<F: LaneFilter> MissFilter for F {
-    fn on_place(&mut self, block: u64, frame_slot: usize) {
-        self.place(0, block, frame_slot);
-    }
-
-    fn on_replace(&mut self, block: u64, frame_slot: usize) {
-        self.replace(0, block, frame_slot);
-    }
-
-    #[inline]
-    fn is_definite_miss(&self, block: u64) -> bool {
-        self.miss_lanes(block, 1) != 0
-    }
-
-    fn flush(&mut self) {
-        self.flush_lanes();
-    }
-
-    fn storage_bits(&self) -> u64 {
-        self.lane_storage_bits()
-    }
-
-    fn label(&self) -> &str {
-        self.technique_label()
-    }
-
-    fn reserve(&mut self, frame_slots: usize) {
-        self.reserve_lane(0, frame_slots);
-    }
-
-    fn state_bits(&self) -> u64 {
-        self.lane_state_bits()
-    }
-
-    fn flip_state_bit(&mut self, bit: u64) -> bool {
-        self.flip_lane_bit(0, bit)
-    }
-
-    fn state_bit_of(&self, block: u64) -> Option<u64> {
-        self.lane_bit_of(0, block)
-    }
-
-    fn occupancy(&self) -> FilterOccupancy {
-        self.lane_occupancy(0)
-    }
 }
 
 /// The lane-interleaved layout of the hashed filters' state: their flag

@@ -58,7 +58,6 @@ mod cmnm;
 mod config;
 mod filter;
 mod machine;
-mod perfect;
 mod preset;
 mod rmnm;
 mod smnm;
@@ -71,9 +70,8 @@ pub use block::Granularity;
 pub use bloom::{BloomConfig, BloomFilter};
 pub use cmnm::{Cmnm, CmnmConfig};
 pub use config::{Assignment, MnmConfig, MnmPlacement, ParseConfigError, TechniqueConfig};
-pub use filter::{FilterOccupancy, LaneFilter, MissFilter};
+pub use filter::{FilterOccupancy, LaneFilter};
 pub use machine::{ComponentStorage, FilterKind, Mnm};
-pub use perfect::perfect_bypass;
 pub use preset::{FilterPreset, ReplayFilter};
 pub use rmnm::{Rmnm, RmnmConfig};
 pub use smnm::{SmnmChecker, SmnmConfig, SmnmFilter};

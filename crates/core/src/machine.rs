@@ -32,11 +32,6 @@ use crate::tmnm::TmnmFilter;
 /// counters and frame tags per lane and scans the registers of each
 /// lane asked about. [`LaneFilter::miss_lanes`] inlines, through this
 /// match, into [`Mnm::query`].
-///
-/// Every `FilterKind` is also a [`MissFilter`](crate::MissFilter)
-/// through its lane 0, the same as the single-structure filter of each
-/// family (the 1-lane case of the same type), which the checker and the
-/// tests talk to through that object-safe trait.
 #[derive(Debug, Clone)]
 pub enum FilterKind {
     /// Sum-hash checkers (paper §3.2).
@@ -66,10 +61,10 @@ impl FilterKind {
     /// structures (1..=64).
     pub fn build(config: TechniqueConfig, lanes: usize) -> Self {
         match config {
-            TechniqueConfig::Smnm(c) => FilterKind::Smnm(SmnmFilter::with_lanes(c, lanes)),
-            TechniqueConfig::Tmnm(c) => FilterKind::Tmnm(TmnmFilter::with_lanes(c, lanes)),
-            TechniqueConfig::Cmnm(c) => FilterKind::Cmnm(Cmnm::with_lanes(c, lanes)),
-            TechniqueConfig::Bloom(c) => FilterKind::Bloom(BloomFilter::with_lanes(c, lanes)),
+            TechniqueConfig::Smnm(c) => FilterKind::Smnm(SmnmFilter::new(c, lanes)),
+            TechniqueConfig::Tmnm(c) => FilterKind::Tmnm(TmnmFilter::new(c, lanes)),
+            TechniqueConfig::Cmnm(c) => FilterKind::Cmnm(Cmnm::new(c, lanes)),
+            TechniqueConfig::Bloom(c) => FilterKind::Bloom(BloomFilter::new(c, lanes)),
         }
     }
 }
@@ -475,17 +470,6 @@ impl Mnm {
         set
     }
 
-    /// [`Mnm::query`] over a batch: one verdict per access, appended to
-    /// `out` (cleared first, capacity retained across calls). Verdicts and
-    /// statistics are identical to querying each access individually.
-    pub fn query_many(&mut self, accesses: &[Access], out: &mut Vec<BypassSet>) {
-        out.clear();
-        out.reserve(accesses.len());
-        for &access in accesses {
-            out.push(self.query(access));
-        }
-    }
-
     /// Feed the hierarchy's placement/replacement events into the filters
     /// (the MNM bookkeeping of paper §2). Blocks from caches with lines
     /// larger than the MNM granularity expand into multiple updates
@@ -527,7 +511,7 @@ impl Mnm {
                 }
                 EventKind::Invalidated => {
                     // Every family retires an invalidated block exactly as
-                    // a replacement victim (`MissFilter::on_invalidate`).
+                    // a replacement victim (`LaneFilter::replace`).
                     let n = feed(
                         blocks,
                         si,
@@ -637,12 +621,8 @@ impl Mnm {
     ///
     /// This counts *blocks*, not filter state units, so hybrids that stack
     /// several member filters on one slot report each resident block once.
-    /// (The previous implementation summed
-    /// [`MissFilter::occupancy`](crate::MissFilter::occupancy) across
-    /// members, so an HMNM counted every block once per member filter —
-    /// roughly doubling the reported load.
-    /// Per-component state-unit occupancy is still available via
-    /// [`Mnm::component_occupancy`].)
+    /// Per-component state-unit occupancy is available via
+    /// [`Mnm::component_occupancy`].
     pub fn occupancy(&self) -> FilterOccupancy {
         let mut occ = FilterOccupancy::default();
         for slot in &self.slots {

@@ -13,7 +13,6 @@ use cache_sim::{
 use crate::config::MnmConfig;
 use crate::filter::FilterOccupancy;
 use crate::machine::Mnm;
-use crate::perfect::perfect_bypass;
 
 /// A filter choice, before it is built against a hierarchy.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +82,8 @@ impl FilterPreset {
 pub enum ReplayFilter {
     /// Never bypasses, observes nothing.
     Baseline,
-    /// Bypasses exactly the structures that miss ([`perfect_bypass`]).
+    /// Bypasses exactly the structures that miss
+    /// ([`Hierarchy::dry_run_bypass`]).
     Perfect,
     /// A real Mostly No Machine.
     Mnm(Box<Mnm>),
@@ -132,7 +132,7 @@ impl AccessFilter for ReplayFilter {
     fn query(&mut self, hierarchy: &Hierarchy, access: Access) -> BypassSet {
         match self {
             ReplayFilter::Baseline => BypassSet::none(),
-            ReplayFilter::Perfect => perfect_bypass(hierarchy, access),
+            ReplayFilter::Perfect => hierarchy.dry_run_bypass(access),
             ReplayFilter::Mnm(m) => m.query(access),
         }
     }

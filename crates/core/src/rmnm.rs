@@ -75,9 +75,10 @@ fn fingerprint_of(tag: u64) -> u8 {
 ///
 /// Unlike the other techniques, RMNM is a *single* structure covering every
 /// guarded cache (paper: "we have chosen to have a single RMNM cache that
-/// stores information about each cache level"), so it does not implement
-/// [`MissFilter`](crate::MissFilter); the machine addresses it with a
-/// `(slot, block)` pair where `slot` indexes the guarded structures.
+/// stores information about each cache level"), so it is not a
+/// [`LaneFilter`](crate::LaneFilter) of one technique: the machine
+/// addresses it with a `(slot, block)` pair where `slot` indexes the
+/// guarded structures.
 ///
 /// Beside each tag the simulator keeps a one-byte fingerprint of it,
 /// packed eight ways to a `u64` (`ceil(assoc / 8)` words per set), 0 for
@@ -252,7 +253,7 @@ impl Rmnm {
     /// structure, plus a valid bit.
     ///
     /// The tag width is derived from the full 64-bit block-address width —
-    /// the same width [`Rmnm::tag_of`] actually compares. An earlier
+    /// the same width the lookups (`Rmnm::tag_of`) compare. An earlier
     /// version modelled a 32-bit address space here; that was only a
     /// storage-accounting shortfall (lookups always used full tags), but
     /// any truncation of the *stored* tag would let two blocks differing

@@ -135,12 +135,10 @@ pub struct SmnmChecker {
 }
 
 impl SmnmChecker {
-    /// Build a one-lane checker over address bits `[offset, offset + width)`.
-    pub fn new(offset: u32, width: u32) -> Self {
-        Self::with_lanes(offset, width, LaneBits::new(1))
-    }
-
-    fn with_lanes(offset: u32, width: u32, lanes: LaneBits) -> Self {
+    /// Build a checker over address bits `[offset, offset + width)` with
+    /// `lanes` lanes (1..=64).
+    pub fn new(offset: u32, width: u32, lanes: usize) -> Self {
+        let lanes = LaneBits::new(lanes);
         let flip_flops = u64::from(max_sum(width)) + 1;
         SmnmChecker {
             offset,
@@ -212,20 +210,14 @@ pub struct SmnmFilter {
 }
 
 impl SmnmFilter {
-    /// Build an empty filter guarding one structure.
-    pub fn new(config: SmnmConfig) -> Self {
-        Self::with_lanes(config, 1)
-    }
-
     /// Build an empty filter guarding `lanes` structures (1..=64).
-    pub fn with_lanes(config: SmnmConfig, lanes: usize) -> Self {
-        let lanes = LaneBits::new(lanes);
+    pub fn new(config: SmnmConfig, lanes: usize) -> Self {
         let checkers = SLICE_OFFSETS
             .iter()
             .take(config.replication as usize)
-            .map(|&off| SmnmChecker::with_lanes(off, config.sum_width, lanes))
+            .map(|&off| SmnmChecker::new(off, config.sum_width, lanes))
             .collect();
-        SmnmFilter { checkers, lanes, label: config.label(), config }
+        SmnmFilter { checkers, lanes: LaneBits::new(lanes), label: config.label(), config }
     }
 
     /// This filter's configuration.
@@ -308,7 +300,6 @@ mod tests {
     //! SMNM ignores the frame slot, so these tests pass 0 for it.
 
     use super::*;
-    use crate::filter::MissFilter;
 
     #[test]
     fn hash_matches_paper_function() {
@@ -343,62 +334,62 @@ mod tests {
     fn equation3_flip_flop_count() {
         // Equation 3: w(w+1)(2w+1)/6 = 650 for w = 12; +1 for sum = 0.
         assert_eq!(max_sum(12), 650);
-        assert_eq!(SmnmChecker::new(0, 12).flip_flops(), 651);
+        assert_eq!(SmnmChecker::new(0, 12, 1).flip_flops(), 651);
     }
 
     #[test]
     fn never_seen_hash_is_definite_miss() {
-        let mut f = SmnmFilter::new(SmnmConfig::new(10, 1));
-        assert!(f.is_definite_miss(0b1)); // nothing admitted yet
-        f.on_place(0b1, 0);
-        assert!(!f.is_definite_miss(0b1));
+        let mut f = SmnmFilter::new(SmnmConfig::new(10, 1), 1);
+        assert!(f.miss_lanes(0b1, 1) != 0); // nothing admitted yet
+        f.place(0, 0b1, 0);
+        assert!(f.miss_lanes(0b1, 1) == 0);
         // 0b100 hashes to 9, distinct from 1 => still a definite miss.
-        assert!(f.is_definite_miss(0b100));
+        assert!(f.miss_lanes(0b100, 1) != 0);
     }
 
     #[test]
     fn replace_never_clears() {
-        let mut f = SmnmFilter::new(SmnmConfig::new(10, 2));
-        f.on_place(42, 0);
-        f.on_replace(42, 0);
-        assert!(!f.is_definite_miss(42), "set-only semantics");
+        let mut f = SmnmFilter::new(SmnmConfig::new(10, 2), 1);
+        f.place(0, 42, 0);
+        f.replace(0, 42, 0);
+        assert!(f.miss_lanes(42, 1) == 0, "set-only semantics");
     }
 
     #[test]
     fn aliasing_blocks_share_fate() {
-        let mut f = SmnmFilter::new(SmnmConfig::new(4, 1));
+        let mut f = SmnmFilter::new(SmnmConfig::new(4, 1), 1);
         // 0b0011 -> 1+4 = 5; 0b...? find another 4-bit value hashing to 5:
         // none (sums are distinct subsets of {1,4,9,16}), but values equal
         // modulo the 4-bit slice alias: 0b10011 has the same low-4 slice.
-        f.on_place(0b0011, 0);
-        assert!(!f.is_definite_miss(0b1_0011), "slice alias must not be rejected");
+        f.place(0, 0b0011, 0);
+        assert!(f.miss_lanes(0b1_0011, 1) == 0, "slice alias must not be rejected");
     }
 
     #[test]
     fn replicated_checkers_catch_high_bit_differences() {
-        let mut f = SmnmFilter::new(SmnmConfig::new(10, 3));
-        f.on_place(0x0000_0001, 0);
+        let mut f = SmnmFilter::new(SmnmConfig::new(10, 3), 1);
+        f.place(0, 0x0000_0001, 0);
         // Same low slice, different bits at offset 12 => third checker
         // rejects.
-        assert!(f.is_definite_miss(0x0000_1001 | 1 << 13));
+        assert!(f.miss_lanes(0x0000_1001 | 1 << 13, 1) != 0);
         // Single-checker filter cannot.
-        let mut f1 = SmnmFilter::new(SmnmConfig::new(10, 1));
-        f1.on_place(0x0000_0001, 0);
-        assert!(!f1.is_definite_miss(0x0000_0001 | 1 << 13));
+        let mut f1 = SmnmFilter::new(SmnmConfig::new(10, 1), 1);
+        f1.place(0, 0x0000_0001, 0);
+        assert!(f1.miss_lanes(0x0000_0001 | 1 << 13, 1) == 0);
     }
 
     #[test]
     fn flush_resets_to_all_miss() {
-        let mut f = SmnmFilter::new(SmnmConfig::new(8, 1));
-        f.on_place(3, 0);
-        f.flush();
-        assert!(f.is_definite_miss(3));
+        let mut f = SmnmFilter::new(SmnmConfig::new(8, 1), 1);
+        f.place(0, 3, 0);
+        f.flush_lanes();
+        assert!(f.miss_lanes(3, 1) != 0);
     }
 
     #[test]
     fn storage_scales_cubically() {
-        let w10 = SmnmFilter::new(SmnmConfig::new(10, 1)).storage_bits();
-        let w20 = SmnmFilter::new(SmnmConfig::new(20, 1)).storage_bits();
+        let w10 = SmnmFilter::new(SmnmConfig::new(10, 1), 1).lane_storage_bits();
+        let w20 = SmnmFilter::new(SmnmConfig::new(20, 1), 1).lane_storage_bits();
         // (20·21·41 - 10·11·21)/6: roughly 8x.
         assert!(w20 > w10 * 7 && w20 < w10 * 9);
     }
@@ -416,28 +407,28 @@ mod tests {
 
     #[test]
     fn flipping_the_guarding_flip_flop_makes_an_admitted_block_lie() {
-        let mut f = SmnmFilter::new(SmnmConfig::new(10, 2));
-        f.on_place(42, 0);
-        assert!(!f.is_definite_miss(42));
-        let bit = f.state_bit_of(42).unwrap();
-        assert!(f.flip_state_bit(bit));
-        assert!(f.is_definite_miss(42), "cleared flip-flop: the filter now lies");
-        assert!(f.flip_state_bit(bit));
-        assert!(!f.is_definite_miss(42));
-        assert_eq!(f.state_bits(), f.storage_bits());
-        assert!(!f.flip_state_bit(f.state_bits()));
+        let mut f = SmnmFilter::new(SmnmConfig::new(10, 2), 1);
+        f.place(0, 42, 0);
+        assert!(f.miss_lanes(42, 1) == 0);
+        let bit = f.lane_bit_of(0, 42).unwrap();
+        assert!(f.flip_lane_bit(0, bit));
+        assert!(f.miss_lanes(42, 1) != 0, "cleared flip-flop: the filter now lies");
+        assert!(f.flip_lane_bit(0, bit));
+        assert!(f.miss_lanes(42, 1) == 0);
+        assert_eq!(f.lane_state_bits(), f.lane_storage_bits());
+        assert!(!f.flip_lane_bit(0, f.lane_state_bits()));
     }
 
     #[test]
     fn flip_bit_addresses_every_flip_flop() {
         // The packed words must expose exactly `flip_flops` addressable
         // bits, including the last partial word.
-        let mut c = SmnmChecker::new(0, 7); // 141 flip-flops: 3 words
+        let mut c = SmnmChecker::new(0, 7, 1); // 141 flip-flops: 3 words
         assert_eq!(c.flip_flops(), 141);
         assert!(c.flip_bit(0, 140));
         assert!(!c.flip_bit(0, 141));
         // Sum 140 = max_sum(7): the all-ones slice.
-        assert_eq!(SmnmChecker::new(0, 7).present_lanes(0x7f), 0, "fresh checker rejects all");
+        assert_eq!(SmnmChecker::new(0, 7, 1).present_lanes(0x7f), 0, "fresh checker rejects all");
         assert_eq!(c.state_bit_of(0x7f), 140);
         assert_eq!(c.present_lanes(0x7f), 1, "flipped bit 140 admits the all-ones hash");
     }

@@ -85,13 +85,10 @@ pub struct TmnmTable {
 }
 
 impl TmnmTable {
-    /// Build a one-lane table over address bits `[offset, offset + bits)`
-    /// with `counter_bits`-wide saturating counters.
-    pub fn new(offset: u32, bits: u32, counter_bits: u32) -> Self {
-        Self::with_lanes(offset, bits, counter_bits, LaneBits::new(1))
-    }
-
-    fn with_lanes(offset: u32, bits: u32, counter_bits: u32, lanes: LaneBits) -> Self {
+    /// Build a table over address bits `[offset, offset + bits)` with
+    /// `counter_bits`-wide saturating counters and `lanes` lanes (1..=64).
+    pub fn new(offset: u32, bits: u32, counter_bits: u32, lanes: usize) -> Self {
+        let lanes = LaneBits::new(lanes);
         TmnmTable {
             offset,
             mask: (1u64 << bits) - 1,
@@ -212,20 +209,14 @@ pub struct TmnmFilter {
 }
 
 impl TmnmFilter {
-    /// Build an empty filter guarding one structure.
-    pub fn new(config: TmnmConfig) -> Self {
-        Self::with_lanes(config, 1)
-    }
-
     /// Build an empty filter guarding `lanes` structures (1..=64).
-    pub fn with_lanes(config: TmnmConfig, lanes: usize) -> Self {
-        let lanes = LaneBits::new(lanes);
+    pub fn new(config: TmnmConfig, lanes: usize) -> Self {
         let tables = SLICE_OFFSETS
             .iter()
             .take(config.replication as usize)
-            .map(|&off| TmnmTable::with_lanes(off, config.bits, config.counter_bits, lanes))
+            .map(|&off| TmnmTable::new(off, config.bits, config.counter_bits, lanes))
             .collect();
-        TmnmFilter { tables, lanes, label: config.label(), config }
+        TmnmFilter { tables, lanes: LaneBits::new(lanes), label: config.label(), config }
     }
 
     /// This filter's configuration.
@@ -313,41 +304,40 @@ mod tests {
     //! TMNM ignores the frame slot, so these tests pass 0 for it.
 
     use super::*;
-    use crate::filter::MissFilter;
 
     #[test]
     fn place_replace_round_trip() {
-        let mut f = TmnmFilter::new(TmnmConfig::new(6, 1));
-        assert!(f.is_definite_miss(0x12));
-        f.on_place(0x12, 0);
-        assert!(!f.is_definite_miss(0x12));
-        f.on_replace(0x12, 0);
-        assert!(f.is_definite_miss(0x12));
+        let mut f = TmnmFilter::new(TmnmConfig::new(6, 1), 1);
+        assert!(f.miss_lanes(0x12, 1) != 0);
+        f.place(0, 0x12, 0);
+        assert!(f.miss_lanes(0x12, 1) == 0);
+        f.replace(0, 0x12, 0);
+        assert!(f.miss_lanes(0x12, 1) != 0);
     }
 
     #[test]
     fn aliasing_blocks_keep_counter_positive() {
-        let mut f = TmnmFilter::new(TmnmConfig::new(4, 1));
+        let mut f = TmnmFilter::new(TmnmConfig::new(4, 1), 1);
         // 0x5 and 0x15 share the low-4 slot.
-        f.on_place(0x5, 0);
-        f.on_place(0x15, 0);
-        f.on_replace(0x5, 0);
-        assert!(!f.is_definite_miss(0x15), "one alias still live");
-        f.on_replace(0x15, 0);
-        assert!(f.is_definite_miss(0x15));
+        f.place(0, 0x5, 0);
+        f.place(0, 0x15, 0);
+        f.replace(0, 0x5, 0);
+        assert!(f.miss_lanes(0x15, 1) == 0, "one alias still live");
+        f.replace(0, 0x15, 0);
+        assert!(f.miss_lanes(0x15, 1) != 0);
     }
 
     #[test]
     fn saturation_is_sticky() {
-        let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2)); // max = 3
+        let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2), 1); // max = 3
         for i in 0..5u64 {
-            f.on_place(0x3 | (i << 4), 0); // 5 aliases of slot 3
+            f.place(0, 0x3 | (i << 4), 0); // 5 aliases of slot 3
         }
         // Removing all of them cannot drain the stuck counter.
         for i in 0..5u64 {
-            f.on_replace(0x3 | (i << 4), 0);
+            f.replace(0, 0x3 | (i << 4), 0);
         }
-        assert!(!f.is_definite_miss(0x3), "saturated slot stays 'maybe' forever");
+        assert!(f.miss_lanes(0x3, 1) == 0, "saturated slot stays 'maybe' forever");
     }
 
     #[test]
@@ -355,42 +345,42 @@ mod tests {
         // The paper: a saturated value occurs when 2^c different blocks map
         // to the same location; even max-count followed by full drain must
         // stay conservative.
-        let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2)); // max = 3
+        let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2), 1); // max = 3
         for i in 0..3u64 {
-            f.on_place(0x1 | (i << 4), 0);
+            f.place(0, 0x1 | (i << 4), 0);
         }
         for i in 0..3u64 {
-            f.on_replace(0x1 | (i << 4), 0);
+            f.replace(0, 0x1 | (i << 4), 0);
         }
         // Counter hit its max (3) with exactly 3 blocks: it cannot tell 3
         // from >3, so it must stick.
-        assert!(!f.is_definite_miss(0x1));
+        assert!(f.miss_lanes(0x1, 1) == 0);
     }
 
     #[test]
     fn replicated_tables_raise_precision() {
-        let mut one = TmnmFilter::new(TmnmConfig::new(10, 1));
-        let mut three = TmnmFilter::new(TmnmConfig::new(10, 3));
+        let mut one = TmnmFilter::new(TmnmConfig::new(10, 1), 1);
+        let mut three = TmnmFilter::new(TmnmConfig::new(10, 3), 1);
         let a = 0x0000_0400u64; // bit 10 set: invisible to the low-10 table
-        one.on_place(0, 0);
-        three.on_place(0, 0);
-        assert!(!one.is_definite_miss(a), "low slice aliases with block 0");
-        assert!(three.is_definite_miss(a), "offset-6 table sees the difference");
+        one.place(0, 0, 0);
+        three.place(0, 0, 0);
+        assert!(one.miss_lanes(a, 1) == 0, "low slice aliases with block 0");
+        assert!(three.miss_lanes(a, 1) != 0, "offset-6 table sees the difference");
     }
 
     #[test]
     fn paper_counter_width_is_three_bits() {
-        let f = TmnmFilter::new(TmnmConfig::new(12, 3));
+        let f = TmnmFilter::new(TmnmConfig::new(12, 3), 1);
         assert_eq!(f.config().counter_bits, 3);
-        assert_eq!(f.storage_bits(), 3 * 4096 * 3);
+        assert_eq!(f.lane_storage_bits(), 3 * 4096 * 3);
     }
 
     #[test]
     fn flush_resets_counters() {
-        let mut f = TmnmFilter::new(TmnmConfig::new(6, 2));
-        f.on_place(9, 0);
-        f.flush();
-        assert!(f.is_definite_miss(9));
+        let mut f = TmnmFilter::new(TmnmConfig::new(6, 2), 1);
+        f.place(0, 9, 0);
+        f.flush_lanes();
+        assert!(f.miss_lanes(9, 1) != 0);
         assert_eq!(f.tables[0].counter(0, 9), 0);
     }
 
@@ -398,7 +388,7 @@ mod tests {
     fn zero_bitset_tracks_counters_exactly() {
         // Drive one table hard and check the bitset against the counters
         // after every operation, including flips and a sub-word table.
-        let mut t = TmnmTable::new(0, 5, 2); // 32 slots: one partial word
+        let mut t = TmnmTable::new(0, 5, 2, 1); // 32 slots: one partial word
         let mut x: u64 = 0x9E37_79B9;
         for step in 0..4000u64 {
             x ^= x << 13;
@@ -434,22 +424,22 @@ mod tests {
 
     #[test]
     fn fault_surface_matches_storage() {
-        let f = TmnmFilter::new(TmnmConfig::new(6, 2));
-        assert_eq!(f.state_bits(), f.storage_bits());
-        assert_eq!(f.state_bits(), 2 * 64 * 3);
+        let f = TmnmFilter::new(TmnmConfig::new(6, 2), 1);
+        assert_eq!(f.lane_state_bits(), f.lane_storage_bits());
+        assert_eq!(f.lane_state_bits(), 2 * 64 * 3);
     }
 
     #[test]
     fn flipping_the_guarding_bit_makes_a_live_block_lie() {
-        let mut f = TmnmFilter::new(TmnmConfig::new(6, 1));
-        f.on_place(0x12, 0);
-        assert!(!f.is_definite_miss(0x12));
-        let bit = f.state_bit_of(0x12).unwrap();
-        assert!(f.flip_state_bit(bit), "bit {bit} must be in range");
-        assert!(f.is_definite_miss(0x12), "counter 1 -> 0: the filter now lies");
+        let mut f = TmnmFilter::new(TmnmConfig::new(6, 1), 1);
+        f.place(0, 0x12, 0);
+        assert!(f.miss_lanes(0x12, 1) == 0);
+        let bit = f.lane_bit_of(0, 0x12).unwrap();
+        assert!(f.flip_lane_bit(0, bit), "bit {bit} must be in range");
+        assert!(f.miss_lanes(0x12, 1) != 0, "counter 1 -> 0: the filter now lies");
         // Flipping again restores the original state.
-        assert!(f.flip_state_bit(bit));
-        assert!(!f.is_definite_miss(0x12));
-        assert!(!f.flip_state_bit(f.state_bits()), "out-of-range bit is rejected");
+        assert!(f.flip_lane_bit(0, bit));
+        assert!(f.miss_lanes(0x12, 1) == 0);
+        assert!(!f.flip_lane_bit(0, f.lane_state_bits()), "out-of-range bit is rejected");
     }
 }

@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 
 use mnm_core::{
-    BloomConfig, BloomFilter, MissFilter, Rmnm, RmnmConfig, SmnmConfig, SmnmFilter, TmnmConfig,
+    BloomConfig, BloomFilter, LaneFilter, Rmnm, RmnmConfig, SmnmConfig, SmnmFilter, TmnmConfig,
     TmnmFilter,
 };
 
@@ -88,7 +88,7 @@ impl SpecSmnm {
         self.admitted.iter().zip(self.sums(block)).any(|(set, sum)| !set.contains(&sum))
     }
 
-    /// Mirror `MissFilter::flip_state_bit`: bit `i` of checker `c` guards
+    /// Mirror `LaneFilter::flip_lane_bit`: bit `i` of checker `c` guards
     /// sum value `i`, checkers concatenated in offset order.
     fn flip_bit(&mut self, mut bit: u64) {
         let flip_flops = u64::from(max_sum(self.width)) + 1;
@@ -111,7 +111,7 @@ fn smnm_lut_hash_and_present_bitset_match_the_paper_loop() {
         [(4u32, 1u32), (7, 2), (13, 3), (20, 3), (32, 1)].iter().enumerate()
     {
         let config = SmnmConfig::new(width, repl);
-        let mut real = SmnmFilter::new(config);
+        let mut real = SmnmFilter::new(config, 1);
         let mut spec = SpecSmnm::new(config);
         let mut gen = Gen(0x51EC_0001 + case as u64);
         let mut recent = Vec::new();
@@ -120,28 +120,28 @@ fn smnm_lut_hash_and_present_bitset_match_the_paper_loop() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=4 => {
-                    real.on_place(block, 0);
+                    real.place(0, block, 0);
                     spec.on_place(block);
                     recent.push(block);
                 }
                 5 => {
                     // Replacements must be ignored by both (set-only).
-                    real.on_replace(block, 0);
+                    real.replace(0, block, 0);
                 }
                 6 => {
-                    let bit = gen.next() % real.state_bits();
-                    assert!(real.flip_state_bit(bit));
+                    let bit = gen.next() % real.lane_state_bits();
+                    assert!(real.flip_lane_bit(0, bit));
                     spec.flip_bit(bit);
                 }
                 _ => {
-                    real.flush();
+                    real.flush_lanes();
                     spec.admitted.iter_mut().for_each(HashSet::clear);
                     recent.clear();
                 }
             }
             for probe in recent.iter().rev().take(4).chain(&[block, gen.next() % 0x2_0000]) {
                 assert_eq!(
-                    real.is_definite_miss(*probe),
+                    real.miss_lanes(*probe, 1) != 0,
                     spec.is_definite_miss(*probe),
                     "SMNM_{width}x{repl}: verdicts diverged for block {probe:#x} at step {step}"
                 );
@@ -210,7 +210,7 @@ fn tmnm_zero_bitset_matches_a_naive_counter_scan() {
         [(5u32, 1u32, 3u32), (8, 2, 2), (12, 3, 3), (6, 3, 1)].iter().enumerate()
     {
         let config = TmnmConfig::with_counter_bits(bits, repl, cw);
-        let mut real = TmnmFilter::new(config);
+        let mut real = TmnmFilter::new(config, 1);
         let mut spec = SpecTmnm::new(config);
         let mut gen = Gen(0x7AB1_0001 + case as u64);
         for step in 0..2_500u64 {
@@ -218,26 +218,26 @@ fn tmnm_zero_bitset_matches_a_naive_counter_scan() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=3 => {
-                    real.on_place(block, 0);
+                    real.place(0, block, 0);
                     spec.on_place(block);
                 }
                 4..=5 => {
-                    real.on_replace(block, 0);
+                    real.replace(0, block, 0);
                     spec.on_replace(block);
                 }
                 6 => {
-                    let bit = gen.next() % real.state_bits();
-                    assert!(real.flip_state_bit(bit));
+                    let bit = gen.next() % real.lane_state_bits();
+                    assert!(real.flip_lane_bit(0, bit));
                     spec.flip_bit(bit, cw);
                 }
                 _ => {
-                    real.flush();
+                    real.flush_lanes();
                     spec.tables.iter_mut().for_each(|t| t.fill(0));
                 }
             }
             for probe in [block, gen.next() % 0x2_0000, gen.next() % 0x40] {
                 assert_eq!(
-                    real.is_definite_miss(probe),
+                    real.miss_lanes(probe, 1) != 0,
                     spec.is_definite_miss(probe),
                     "TMNM_{bits}x{repl}c{cw}: verdicts diverged for {probe:#x} at step {step}"
                 );
@@ -303,7 +303,7 @@ impl SpecBloom {
 fn bloom_zero_bitset_and_mixer_match_the_naive_model() {
     for (case, &(bits, k)) in [(5u32, 2u32), (10, 3), (12, 4), (3, 8)].iter().enumerate() {
         let config = BloomConfig::new(bits, k);
-        let mut real = BloomFilter::new(config);
+        let mut real = BloomFilter::new(config, 1);
         let mut spec = SpecBloom::new(config);
         let mut gen = Gen(0xB100_0001 + case as u64);
         for step in 0..2_500u64 {
@@ -311,27 +311,27 @@ fn bloom_zero_bitset_and_mixer_match_the_naive_model() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=3 => {
-                    real.on_place(block, 0);
+                    real.place(0, block, 0);
                     spec.on_place(block);
                 }
                 4..=5 => {
-                    real.on_replace(block, 0);
+                    real.replace(0, block, 0);
                     spec.on_replace(block);
                 }
                 6 => {
-                    let bit = gen.next() % real.state_bits();
-                    assert!(real.flip_state_bit(bit));
+                    let bit = gen.next() % real.lane_state_bits();
+                    assert!(real.flip_lane_bit(0, bit));
                     let slot = (bit / 3) as usize;
                     spec.counters[slot] ^= 1 << (bit % 3);
                 }
                 _ => {
-                    real.flush();
+                    real.flush_lanes();
                     spec.counters.fill(0);
                 }
             }
             for probe in [block, gen.next() % 0x2_0000, gen.next() % 0x100] {
                 assert_eq!(
-                    real.is_definite_miss(probe),
+                    real.miss_lanes(probe, 1) != 0,
                     spec.is_definite_miss(probe),
                     "BLOOM_{bits}x{k}: verdicts diverged for {probe:#x} at step {step}"
                 );

@@ -8,19 +8,19 @@
 //! by construction.
 
 use mnm_core::{
-    BloomConfig, BloomFilter, Cmnm, CmnmConfig, MissFilter, SmnmConfig, SmnmFilter, TmnmConfig,
+    BloomConfig, BloomFilter, Cmnm, CmnmConfig, LaneFilter, SmnmConfig, SmnmFilter, TmnmConfig,
     TmnmFilter,
 };
 
 const BLOCKS: u64 = 4;
 const DEPTH: usize = 8;
 
-fn build(kind: &str, trace: &[(bool, u64)]) -> Box<dyn MissFilter> {
-    let mut f: Box<dyn MissFilter> = match kind {
-        "smnm" => Box::new(SmnmFilter::new(SmnmConfig::new(4, 1))),
-        "tmnm" => Box::new(TmnmFilter::new(TmnmConfig::with_counter_bits(2, 1, 2))),
-        "cmnm" => Box::new(Cmnm::new(CmnmConfig::new(2, 2))),
-        "bloom" => Box::new(BloomFilter::new(BloomConfig::new(2, 2))),
+fn build(kind: &str, trace: &[(bool, u64)]) -> Box<dyn LaneFilter> {
+    let mut f: Box<dyn LaneFilter> = match kind {
+        "smnm" => Box::new(SmnmFilter::new(SmnmConfig::new(4, 1), 1)),
+        "tmnm" => Box::new(TmnmFilter::new(TmnmConfig::with_counter_bits(2, 1, 2), 1)),
+        "cmnm" => Box::new(Cmnm::new(CmnmConfig::new(2, 2), 1)),
+        "bloom" => Box::new(BloomFilter::new(BloomConfig::new(2, 2), 1)),
         other => panic!("unknown filter kind {other}"),
     };
     // Frames as a 4-frame fully associative cache hands them out: a
@@ -31,9 +31,9 @@ fn build(kind: &str, trace: &[(bool, u64)]) -> Box<dyn MissFilter> {
         if place {
             let frame = (0..).find(|fr| !frame_of.contains(fr)).unwrap();
             frame_of[b as usize] = frame;
-            f.on_place(b, frame);
+            f.place(0, b, frame);
         } else {
-            f.on_replace(b, std::mem::replace(&mut frame_of[b as usize], usize::MAX));
+            f.replace(0, b, std::mem::replace(&mut frame_of[b as usize], usize::MAX));
         }
     }
     f
@@ -53,7 +53,7 @@ fn check_exhaustively(kind: &str) -> u64 {
         for (b, &alive) in resident.iter().enumerate() {
             if alive {
                 assert!(
-                    !f.is_definite_miss(b as u64),
+                    f.miss_lanes(b as u64, 1) == 0,
                     "{kind} flagged live block {b} after {trace:?}"
                 );
             }

@@ -5,31 +5,16 @@
 //! (SMNM, TMNM, Bloom) or kept side by side (CMNM). This test drives a
 //! k-lane filter of each family, for k = 1..=5 (so lane counts that are
 //! not a power of two, whose words carry padding lanes, are covered), and
-//! k independent single-structure filters with one seeded stream of
-//! per-lane placements, replacements, invalidations, state-bit flips and
-//! flushes. After every operation it requires, lane by lane, identical
-//! verdicts, `state_bits`, `state_bit_of`, occupancy and `storage_bits`.
+//! k independent 1-lane filters with one seeded stream of per-lane
+//! placements, replacements, invalidations, state-bit flips and flushes.
+//! After every operation it requires, lane by lane, identical verdicts,
+//! state bits, aimed state bit, occupancy and storage bits.
 
 use mnm_core::{
-    BloomConfig, BloomFilter, Cmnm, CmnmConfig, FilterKind, LaneFilter, MissFilter, SmnmConfig,
-    SmnmFilter, TechniqueConfig, TmnmConfig, TmnmFilter,
+    BloomConfig, BloomFilter, Cmnm, CmnmConfig, FilterKind, LaneFilter, SmnmConfig, SmnmFilter,
+    TechniqueConfig, TmnmConfig, TmnmFilter,
 };
-use trace_synth::rng::splitmix64;
-
-/// Deterministic test inputs: the SplitMix64 stream seeded with `.0`.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let out = splitmix64(self.0);
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        out
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use trace_synth::rng::SplitMix64;
 
 /// Frame slots per lane: few enough that frames are reused constantly.
 const FRAMES: usize = 24;
@@ -48,25 +33,25 @@ fn configs() -> Vec<TechniqueConfig> {
     ]
 }
 
-/// The family's own single-structure filter.
-fn single(config: TechniqueConfig) -> Box<dyn MissFilter> {
+/// The family's own single-structure filter: a 1-lane instance.
+fn single(config: TechniqueConfig) -> Box<dyn LaneFilter> {
     match config {
-        TechniqueConfig::Smnm(c) => Box::new(SmnmFilter::new(c)),
-        TechniqueConfig::Tmnm(c) => Box::new(TmnmFilter::new(c)),
-        TechniqueConfig::Cmnm(c) => Box::new(Cmnm::new(c)),
-        TechniqueConfig::Bloom(c) => Box::new(BloomFilter::new(c)),
+        TechniqueConfig::Smnm(c) => Box::new(SmnmFilter::new(c, 1)),
+        TechniqueConfig::Tmnm(c) => Box::new(TmnmFilter::new(c, 1)),
+        TechniqueConfig::Cmnm(c) => Box::new(Cmnm::new(c, 1)),
+        TechniqueConfig::Bloom(c) => Box::new(BloomFilter::new(c, 1)),
     }
 }
 
 /// A block from a few far-apart regions, so CMNM registers must widen.
-fn block(gen: &mut Gen) -> u64 {
+fn block(gen: &mut SplitMix64) -> u64 {
     (gen.below(6) << 22) | gen.below(1 << 9)
 }
 
 /// Every per-lane observation of `multi` equals that of `singles[lane]`.
 fn assert_lanes_match(
     multi: &FilterKind,
-    singles: &[Box<dyn MissFilter>],
+    singles: &[Box<dyn LaneFilter>],
     probes: &[u64],
     what: &str,
 ) {
@@ -76,19 +61,23 @@ fn assert_lanes_match(
         for (lane, s) in singles.iter().enumerate() {
             let one = multi.miss_lanes(b, 1 << lane);
             assert_eq!(one, lanes & 1 << lane, "{what}: asking lane {lane} alone for {b:#x}");
-            assert_eq!(one != 0, s.is_definite_miss(b), "{what}: lane {lane} verdict for {b:#x}");
+            assert_eq!(one != 0, s.miss_lanes(b, 1) != 0, "{what}: lane {lane} verdict for {b:#x}");
             assert_eq!(
                 multi.lane_bit_of(lane, b),
-                s.state_bit_of(b),
+                s.lane_bit_of(0, b),
                 "{what}: lane {lane} bit of {b:#x}"
             );
         }
     }
     for (lane, s) in singles.iter().enumerate() {
-        assert_eq!(multi.lane_state_bits(), s.state_bits(), "{what}: lane {lane} state bits");
-        assert_eq!(multi.lane_storage_bits(), s.storage_bits(), "{what}: lane {lane} storage");
-        assert_eq!(multi.lane_occupancy(lane), s.occupancy(), "{what}: lane {lane} occupancy");
-        assert_eq!(multi.technique_label(), s.label(), "{what}: label");
+        assert_eq!(multi.lane_state_bits(), s.lane_state_bits(), "{what}: lane {lane} state bits");
+        assert_eq!(multi.lane_storage_bits(), s.lane_storage_bits(), "{what}: lane {lane} storage");
+        assert_eq!(
+            multi.lane_occupancy(lane),
+            s.lane_occupancy(0),
+            "{what}: lane {lane} occupancy"
+        );
+        assert_eq!(multi.technique_label(), s.technique_label(), "{what}: label");
     }
 }
 
@@ -98,14 +87,14 @@ fn k_lane_filters_equal_k_independent_filters() {
         for k in 1..=5usize {
             for seed in 0..3u64 {
                 let what = format!("{} k={k} seed {seed}", config.label());
-                let mut gen = Gen(seed ^ (k as u64) << 8);
+                let mut gen = SplitMix64::new(seed ^ (k as u64) << 8);
                 let mut multi = FilterKind::build(config, k);
                 assert_eq!(multi.lanes(), k, "{what}");
-                let mut singles: Vec<Box<dyn MissFilter>> =
+                let mut singles: Vec<Box<dyn LaneFilter>> =
                     (0..k).map(|_| single(config)).collect();
                 for (lane, s) in singles.iter_mut().enumerate() {
                     multi.reserve_lane(lane, FRAMES);
-                    s.reserve(FRAMES);
+                    s.reserve_lane(0, FRAMES);
                 }
                 // The block each lane's frames hold, as a cache would.
                 let mut frames = vec![[None::<u64>; FRAMES]; k];
@@ -120,16 +109,16 @@ fn k_lane_filters_equal_k_independent_filters() {
                         0..=9 => {
                             if let Some(old) = held {
                                 multi.replace(lane, old, frame);
-                                singles[lane].on_replace(old, frame);
+                                singles[lane].replace(0, old, frame);
                             }
                             multi.place(lane, b, frame);
-                            singles[lane].on_place(b, frame);
+                            singles[lane].place(0, b, frame);
                             frames[lane][frame] = Some(b);
                         }
                         10..=13 => {
                             if let Some(old) = held {
                                 multi.replace(lane, old, frame);
-                                singles[lane].on_replace(old, frame);
+                                singles[lane].replace(0, old, frame);
                                 frames[lane][frame] = None;
                             }
                         }
@@ -138,15 +127,19 @@ fn k_lane_filters_equal_k_independent_filters() {
                         14..=16 => {
                             if let Some(old) = held {
                                 multi.replace(lane, old, frame);
-                                singles[lane].on_invalidate(old, frame);
+                                singles[lane].replace(0, old, frame);
                                 frames[lane][frame] = None;
                             }
                         }
                         // One soft error, sometimes aimed past the surface.
                         17 | 18 => {
-                            let bit = gen.below(singles[lane].state_bits() + 2);
+                            let bit = gen.below(singles[lane].lane_state_bits() + 2);
                             let flipped = multi.flip_lane_bit(lane, bit);
-                            assert_eq!(flipped, singles[lane].flip_state_bit(bit), "{what}: flip");
+                            assert_eq!(
+                                flipped,
+                                singles[lane].flip_lane_bit(0, bit),
+                                "{what}: flip"
+                            );
                             flips += u32::from(flipped);
                         }
                         // A filter flush; the caches keep their blocks, so
@@ -155,7 +148,7 @@ fn k_lane_filters_equal_k_independent_filters() {
                             if gen.below(8) == 0 {
                                 multi.flush_lanes();
                                 for s in &mut singles {
-                                    s.flush();
+                                    s.flush_lanes();
                                 }
                                 flushes += 1;
                             }
@@ -180,6 +173,6 @@ fn k_lane_filters_equal_k_independent_filters() {
 /// The generator is the shared SplitMix64 stream.
 #[test]
 fn generator_is_the_canonical_splitmix64_stream() {
-    let mut gen = Gen(0);
-    assert_eq!([gen.next(), gen.next()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
+    let mut gen = SplitMix64::new(0);
+    assert_eq!([gen.next_u64(), gen.next_u64()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
 }

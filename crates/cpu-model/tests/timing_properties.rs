@@ -5,34 +5,23 @@
 use cache_sim::{Hierarchy, HierarchyConfig};
 use mnm_core::ReplayFilter;
 use ooo_model::{simulate, CpuConfig, LoadSpeculation};
-use trace_synth::rng::splitmix64;
+use trace_synth::rng::SplitMix64;
 use trace_synth::{profiles, Instr, InstrKind, Program};
-
-/// Deterministic test inputs: the SplitMix64 stream seeded with `.0`.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let out = splitmix64(self.0);
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        out
-    }
-}
 
 fn hier() -> Hierarchy {
     Hierarchy::new(HierarchyConfig::paper_five_level())
 }
 
 /// Random but structurally valid instruction traces.
-fn trace(gen: &mut Gen) -> Vec<Instr> {
-    let n = 50 + gen.next() % 550;
+fn trace(gen: &mut SplitMix64) -> Vec<Instr> {
+    let n = 50 + gen.next_u64() % 550;
     (0..n)
         .map(|i| {
-            let addr = (gen.next() % 0x20000) as u32;
-            let dep = (gen.next() % 4) as u8;
-            let flag = gen.next().is_multiple_of(2);
+            let addr = (gen.next_u64() % 0x20000) as u32;
+            let dep = (gen.next_u64() % 4) as u8;
+            let flag = gen.next_u64().is_multiple_of(2);
             let pc = 0x40_0000 + 4 * ((i * 7) % 512);
-            let kind = match gen.next() % 4 {
+            let kind = match gen.next_u64() % 4 {
                 0 => InstrKind::Op { latency: 1 + (addr % 4) as u8 },
                 1 => InstrKind::Load { addr: (0x1000_0000 + u64::from(addr)) & !7 },
                 2 => InstrKind::Store { addr: (0x1000_0000 + u64::from(addr)) & !7 },
@@ -47,11 +36,11 @@ fn trace(gen: &mut Gen) -> Vec<Instr> {
 /// fully-serial execution.
 #[test]
 fn cycles_within_structural_bounds() {
-    // `Gen` is the canonical SplitMix64 stream: the reference outputs for
-    // seed 0.
-    let mut g = Gen(0);
-    assert_eq!([g.next(), g.next()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
-    let mut gen = Gen(0xB0714D5);
+    // The generator is the canonical SplitMix64 stream: the reference
+    // outputs for seed 0.
+    let mut g = SplitMix64::new(0);
+    assert_eq!([g.next_u64(), g.next_u64()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
+    let mut gen = SplitMix64::new(0xB0714D5);
     for _ in 0..24 {
         let t = trace(&mut gen);
         let cfg = CpuConfig::paper_eight_way();
@@ -70,7 +59,7 @@ fn cycles_within_structural_bounds() {
 /// increase the cycle count on the same trace.
 #[test]
 fn resources_are_monotone() {
-    let mut gen = Gen(0x2E5);
+    let mut gen = SplitMix64::new(0x2E5);
     for _ in 0..24 {
         let t = trace(&mut gen);
         let small = CpuConfig {
@@ -106,7 +95,7 @@ fn resources_are_monotone() {
 /// (the bypassed walk is never longer).
 #[test]
 fn perfect_policy_dominates_baseline() {
-    let mut gen = Gen(0xD0);
+    let mut gen = SplitMix64::new(0xD0);
     for _ in 0..24 {
         let t = trace(&mut gen);
         let cfg = CpuConfig::paper_eight_way();
@@ -125,10 +114,10 @@ fn perfect_policy_dominates_baseline() {
 /// The instruction budget is respected exactly.
 #[test]
 fn budget_truncates_exactly() {
-    let mut gen = Gen(0xB4D9E7);
+    let mut gen = SplitMix64::new(0xB4D9E7);
     for _ in 0..24 {
         let t = trace(&mut gen);
-        let budget = 1 + gen.next() % 199;
+        let budget = 1 + gen.next_u64() % 199;
         let cfg = CpuConfig::paper_eight_way();
         let mut h = hier();
         let n = t.len() as u64;

@@ -3,7 +3,7 @@
 //!
 //! The sweep is the composition of the crate's robustness layers:
 //!
-//! * each job runs via [`supervisor::supervise`] — panics are isolated,
+//! * each job runs via [`supervise`] — panics are isolated,
 //!   deadlines enforced, retries bounded;
 //! * every completed job is appended (fsynced) to the [`journal`] before
 //!   the sweep moves on, so `--resume` replays completed work instead of

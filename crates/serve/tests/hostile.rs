@@ -28,34 +28,31 @@ use mnm_serve::slam::{run_slam, session_instrs, SlamOptions};
 use mnm_serve::Endpoint;
 use std::io::{Read, Write};
 use std::net::TcpListener;
-use trace_synth::rng::splitmix64;
+use trace_synth::rng::SplitMix64;
 use trace_synth::RECORD_BYTES;
 
 /// Records per frame in the serve benchmark's `serve_loopback`.
 const FRAME_RECORDS: u64 = 3072;
 
-/// A splitmix64 stream: `next()` is the k-th output for the seed.
+/// Seeded payload mutations drawn from a SplitMix64 stream.
 struct Mutator {
-    state: u64,
+    rng: SplitMix64,
 }
 
 impl Mutator {
+    /// The k-th draw for `seed` is `splitmix64(seed + (k + 1)·γ)`: the
+    /// stream steps its state before mixing.
     fn new(seed: u64) -> Mutator {
-        Mutator { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        splitmix64(self.state)
+        Mutator { rng: SplitMix64::new(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)) }
     }
 
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.rng.next_u64() % n as u64) as usize
     }
 
     /// A nonzero XOR mask: applying it always changes the byte.
     fn mask(&mut self) -> u8 {
-        1 + (self.next() % 255) as u8
+        1 + (self.rng.next_u64() % 255) as u8
     }
 
     /// One seeded structural mutation of `payload`: flipped bytes, a
@@ -76,13 +73,14 @@ impl Mutator {
                 // The kind tag of one record, to any value.
                 let records = out.len().saturating_sub(SEQ_BYTES) / RECORD_BYTES;
                 if records > 0 {
-                    out[SEQ_BYTES + self.below(records) * RECORD_BYTES + 10] = self.next() as u8;
+                    out[SEQ_BYTES + self.below(records) * RECORD_BYTES + 10] =
+                        self.rng.next_u64() as u8;
                 }
             }
             2 => out.truncate(self.below(out.len() + 1)),
             3 => {
                 for _ in 0..1 + self.below(2 * RECORD_BYTES) {
-                    out.push(self.next() as u8);
+                    out.push(self.rng.next_u64() as u8);
                 }
             }
             _ => {
@@ -239,7 +237,7 @@ fn lengths_above_the_bound_are_rejected_by_the_header() {
         lengths.extend([(1u64 << bit) - 1, 1 << bit, (1 << bit) + 1]);
     }
     lengths.push(u64::from(u32::MAX));
-    lengths.extend((0..4096).map(|_| max + 1 + m.next() % (u64::from(u32::MAX) - max)));
+    lengths.extend((0..4096).map(|_| max + 1 + m.rng.next_u64() % (u64::from(u32::MAX) - max)));
     for frame_type in [
         FrameType::Records,
         FrameType::Finish,
@@ -249,7 +247,7 @@ fn lengths_above_the_bound_are_rejected_by_the_header() {
     ] {
         let mut header = [0u8; FRAME_HEADER_BYTES];
         header[0] = frame_type as u8;
-        header[5..].copy_from_slice(&m.next().to_le_bytes()[..4]);
+        header[5..].copy_from_slice(&m.rng.next_u64().to_le_bytes()[..4]);
         for &len in &lengths {
             let len = u32::try_from(len).unwrap();
             header[1..5].copy_from_slice(&len.to_le_bytes());

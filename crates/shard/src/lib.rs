@@ -15,7 +15,7 @@
 //! cache. The default engine is **pipelined**: a dedicated resolver
 //! thread drains epoch E's shared-L3 queues while the cores already
 //! compute epoch E+1, handing off over per-core bounded channels. See
-//! [`sim`] for the execution model, the
+//! the private `sim` module for the execution model, the
 //! frozen-view soundness argument, and the two engines (pipelined /
 //! single) whose reports are bit-identical by contract.
 //!

@@ -1,6 +1,7 @@
 //! A small deterministic pseudo-random number generator, plus the
 //! workspace's one copy of the two hash helpers every seeded component
-//! derives its decisions from ([`splitmix64`], [`fnv1a`]).
+//! derives its decisions from ([`splitmix64`], [`fnv1a`]) and of the
+//! plain SplitMix64 stream ([`SplitMix64`]) that seeded tests draw from.
 //!
 //! The synthetic workload generator needs fast, seed-reproducible draws,
 //! not cryptographic quality. This is xoshiro256++ (Blackman & Vigna)
@@ -22,6 +23,37 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The SplitMix64 stream: the k-th draw is `splitmix64(seed + k·γ)`,
+/// with γ = `0x9E37_79B9_7F4A_7C15`. A stream that steps its state before
+/// mixing is this one seeded with `seed + γ`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// The stream seeded with `seed`.
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// The next 64 bits of the stream.
+    pub fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        out
+    }
+
+    /// The next draw reduced modulo `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+}
+
 /// 64-bit FNV-1a over the bytes of `s`, for hashing names and sites.
 pub fn fnv1a(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
@@ -37,8 +69,8 @@ impl Prng {
     /// Build a generator whose full 256-bit state is derived from `seed`
     /// with SplitMix64 (the initialisation the xoshiro authors recommend).
     pub fn seed_from_u64(seed: u64) -> Self {
-        let k = |i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-        Prng { s: [k(0), k(1), k(2), k(3)] }
+        let mut k = SplitMix64::new(seed);
+        Prng { s: [k.next_u64(), k.next_u64(), k.next_u64(), k.next_u64()] }
     }
 
     /// Next 64 uniformly distributed bits.
@@ -106,6 +138,19 @@ mod tests {
         assert_eq!(fnv1a("flip-seed"), 0xc9e5_74fc_d293_17d0);
         let mut r = Prng::seed_from_u64(42);
         assert_eq!([r.next_u64(), r.next_u64()], [0xd076_4d4f_4476_689f, 0x519e_4174_576f_3791]);
+    }
+
+    /// The k-th draw of the stream is `splitmix64(seed + k·γ)`.
+    #[test]
+    fn splitmix_stream_is_pinned() {
+        let mut s = SplitMix64::new(0);
+        assert_eq!([s.next_u64(), s.next_u64()], [0xe220_a839_7b1d_cdaf, 0x6e78_9e6a_a1b9_65f4]);
+        let mut s = SplitMix64::new(42);
+        for k in 0..100u64 {
+            let x = 42u64.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            assert_eq!(s.next_u64(), splitmix64(x), "draw {k}");
+        }
+        assert_eq!(SplitMix64::new(7).below(10), splitmix64(7) % 10);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod prelude {
         Access, AccessKind, AccessResult, BypassSet, CacheConfig, Hierarchy, HierarchyConfig,
         LevelConfig,
     };
-    pub use mnm_core::{perfect_bypass, FilterPreset, Mnm, MnmConfig, MnmPlacement, ReplayFilter};
+    pub use mnm_core::{FilterPreset, Mnm, MnmConfig, MnmPlacement, ReplayFilter};
     pub use ooo_model::{simulate, CpuConfig};
     pub use power_model::{account_hierarchy, mnm_total_energy, EnergyModel};
     pub use trace_synth::{profiles, AppProfile, Instr, InstrKind, Program};

@@ -7,7 +7,7 @@
 use cache_sim::{ProbeOutcome, ReplayScratch};
 use just_say_no::prelude::*;
 use mnm_check::{check_ops, Op};
-use trace_synth::rng::splitmix64;
+use trace_synth::rng::SplitMix64;
 
 const CONFIGS: [&str; 10] = [
     "RMNM_128_1",
@@ -22,30 +22,20 @@ const CONFIGS: [&str; 10] = [
     "HMNM4",
 ];
 
-/// Deterministic test inputs: the SplitMix64 stream seeded with `.0`.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let out = splitmix64(self.0);
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        out
+/// A random access within a tight (conflict-heavy) arena.
+fn random_access(gen: &mut SplitMix64) -> Access {
+    let addr = (gen.next_u64() % 0x8000) & !0x3;
+    match gen.next_u64() % 3 {
+        0 => Access::load(addr),
+        1 => Access::store(addr),
+        _ => Access::fetch(addr),
     }
+}
 
-    /// A random access within a tight (conflict-heavy) arena.
-    fn access(&mut self) -> Access {
-        let addr = (self.next() % 0x8000) & !0x3;
-        match self.next() % 3 {
-            0 => Access::load(addr),
-            1 => Access::store(addr),
-            _ => Access::fetch(addr),
-        }
-    }
-
-    fn trace(&mut self, max_len: u64) -> Vec<Access> {
-        let n = 1 + self.next() % max_len;
-        (0..n).map(|_| self.access()).collect()
-    }
+/// Between 1 and `max_len` random accesses.
+fn random_trace(gen: &mut SplitMix64, max_len: u64) -> Vec<Access> {
+    let n = 1 + gen.next_u64() % max_len;
+    (0..n).map(|_| random_access(gen)).collect()
 }
 
 fn tiny_hierarchy() -> Hierarchy {
@@ -72,14 +62,14 @@ fn tiny_hierarchy() -> Hierarchy {
 /// and residency reconcile.
 #[test]
 fn no_technique_ever_flags_a_resident_block() {
-    // `Gen` is the canonical SplitMix64 stream: the reference outputs for
-    // seed 0.
-    let mut g = Gen(0);
-    assert_eq!([g.next(), g.next()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
-    let mut gen = Gen(0x50124D);
+    // The generator is the canonical SplitMix64 stream: the reference
+    // outputs for seed 0.
+    let mut g = SplitMix64::new(0);
+    assert_eq!([g.next_u64(), g.next_u64()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
+    let mut gen = SplitMix64::new(0x50124D);
     for case in 0..48u64 {
         let config = CONFIGS[(case % CONFIGS.len() as u64) as usize];
-        let ops: Vec<Op> = gen.trace(600).into_iter().map(Op::Access).collect();
+        let ops: Vec<Op> = random_trace(&mut gen, 600).into_iter().map(Op::Access).collect();
         let mut hier = tiny_hierarchy();
         let mut mnm = Mnm::new(&hier, MnmConfig::parse(config).unwrap());
         let (_, violation) = check_ops(&ops, &mut hier, &mut mnm);
@@ -94,10 +84,10 @@ fn no_technique_ever_flags_a_resident_block() {
 /// probes of structures that would have missed anyway.
 #[test]
 fn bypassing_is_functionally_invisible() {
-    let mut gen = Gen(0x14715);
+    let mut gen = SplitMix64::new(0x14715);
     for case in 0..48u64 {
         let config = CONFIGS[(case % CONFIGS.len() as u64) as usize];
-        let trace = gen.trace(400);
+        let trace = random_trace(&mut gen, 400);
         let mut plain = tiny_hierarchy();
         let mut guarded = tiny_hierarchy();
         let mut mnm = Mnm::new(&guarded, MnmConfig::parse(config).unwrap());
@@ -115,13 +105,13 @@ fn bypassing_is_functionally_invisible() {
 /// probed misses left are L1 misses.
 #[test]
 fn perfect_oracle_is_exact() {
-    let mut gen = Gen(0x0124C1E);
+    let mut gen = SplitMix64::new(0x0124C1E);
     for _ in 0..48 {
-        let trace = gen.trace(400);
+        let trace = random_trace(&mut gen, 400);
         let mut hier = tiny_hierarchy();
         let mut scratch = ReplayScratch::new();
         for &access in &trace {
-            let bypass = perfect_bypass(&hier, access);
+            let bypass = hier.dry_run_bypass(access);
             hier.access_with_events(access, &bypass, &mut scratch);
             let non_l1_misses = scratch
                 .probes()
@@ -136,9 +126,9 @@ fn perfect_oracle_is_exact() {
 /// Flushing both sides resets to a consistent (all-cold) state.
 #[test]
 fn flush_restores_consistency() {
-    let mut gen = Gen(0xF1054);
+    let mut gen = SplitMix64::new(0xF1054);
     for _ in 0..48 {
-        let trace = gen.trace(200);
+        let trace = random_trace(&mut gen, 200);
         let mut hier = tiny_hierarchy();
         let mut mnm = Mnm::new(&hier, MnmConfig::hmnm(2));
         for &access in &trace {

@@ -10,24 +10,14 @@ use cache_sim::{
     HierarchyConfig, LevelConfig, NoFilter, ProbeRecord, ReplayScratch, StructureId,
 };
 use mnm_core::{FilterPreset, ReplayFilter};
-use trace_synth::rng::splitmix64;
+use trace_synth::rng::SplitMix64;
 
 const PAGE: u64 = 4096;
 
-/// Deterministic test inputs: the SplitMix64 stream seeded with `.0`.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        let out = splitmix64(self.0);
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        out
-    }
-
-    fn pages(&mut self, max_len: u64) -> Vec<u64> {
-        let n = 1 + self.next() % max_len;
-        (0..n).map(|_| self.next() % 64).collect()
-    }
+/// Between 1 and `max_len` random pages out of 64.
+fn random_pages(gen: &mut SplitMix64, max_len: u64) -> Vec<u64> {
+    let n = 1 + gen.next_u64() % max_len;
+    (0..n).map(|_| gen.next_u64() % 64).collect()
 }
 
 /// An 8-entry 2-way L1 TLB over a 32-entry 4-way L2 TLB, 40-cycle walk.
@@ -106,10 +96,10 @@ fn l2_events_report_pages_and_frames() {
     let mut tlb = Hierarchy::new(HierarchyConfig::two_level_tlb());
     let l2 = tlb2(&tlb);
     let mut scratch = ReplayScratch::new();
-    let mut gen = Gen(0x7EB2);
+    let mut gen = SplitMix64::new(0x7EB2);
     let mut placed = 0;
     for _ in 0..4000 {
-        let addr = (gen.next() % 2048) * PAGE + gen.next() % PAGE;
+        let addr = (gen.next_u64() % 2048) * PAGE + gen.next_u64() % PAGE;
         tlb.access_with_events(Access::load(addr), &BypassSet::none(), &mut scratch);
         for e in scratch.events().iter().filter(|e| e.structure == l2) {
             assert_eq!((e.block_base % PAGE, e.block_bytes), (0, PAGE), "{e:?}");
@@ -140,14 +130,14 @@ fn l2_events_report_pages_and_frames() {
 /// hierarchy's debug_assert double-checks).
 #[test]
 fn tlb_filter_never_flags_resident_translations() {
-    // `Gen` is the canonical SplitMix64 stream: the reference outputs for
-    // seed 0.
-    let mut g = Gen(0);
-    assert_eq!([g.next(), g.next()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
-    let mut gen = Gen(0x71B);
+    // The generator is the canonical SplitMix64 stream: the reference
+    // outputs for seed 0.
+    let mut g = SplitMix64::new(0);
+    assert_eq!([g.next_u64(), g.next_u64()], [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4]);
+    let mut gen = SplitMix64::new(0x71B);
     let mut bypassed = 0;
     for _ in 0..48 {
-        let pages = gen.pages(500);
+        let pages = random_pages(&mut gen, 500);
         let mut tlb = tiny_tlb();
         let mut filter = Audited(FilterPreset::parse("TMNM_5x1").unwrap().build(&tlb));
         for &p in &pages {
@@ -164,9 +154,9 @@ fn tlb_filter_never_flags_resident_translations() {
 /// same number of page walks and the same final L2 residency.
 #[test]
 fn tlb_filtering_never_changes_walk_count() {
-    let mut gen = Gen(0x71B2);
+    let mut gen = SplitMix64::new(0x71B2);
     for _ in 0..48 {
-        let pages = gen.pages(400);
+        let pages = random_pages(&mut gen, 400);
         let mut plain = tiny_tlb();
         let mut filtered = tiny_tlb();
         let mut filter = FilterPreset::parse("TMNM_5x1").unwrap().build(&filtered);
