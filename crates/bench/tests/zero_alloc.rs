@@ -11,7 +11,7 @@
 //! `#[test]`: nothing else in this binary allocates while a measured
 //! region is open.
 
-use cache_sim::{Access, BypassSet, Hierarchy, HierarchyConfig, ReplayScratch};
+use cache_sim::{Access, BlockRun, BypassSet, Hierarchy, HierarchyConfig, ReplayScratch};
 use mnm_bench::allocations;
 use mnm_core::{Cmnm, CmnmConfig, LaneFilter, Mnm, MnmConfig, ReplayFilter};
 
@@ -149,11 +149,11 @@ fn cmnm_churn_after_reserve() {
     f.reserve_lane(0, n as usize);
     let before = allocations();
     for i in 0..n {
-        f.place(0, block(i), frame_slot(i));
+        f.place(0, BlockRun::one(block(i), frame_slot(i)));
     }
     for i in n..101 * n {
-        f.replace(0, block(i - n), frame_slot(i - n));
-        f.place(0, block(i), frame_slot(i));
+        f.replace(0, BlockRun::one(block(i - n), frame_slot(i - n)));
+        f.place(0, BlockRun::one(block(i), frame_slot(i)));
     }
     assert_eq!(allocations() - before, 0, "CMNM place/replace churn allocated");
     let live = f.lane_occupancy(0).tracked;

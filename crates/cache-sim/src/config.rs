@@ -145,8 +145,8 @@ impl CacheConfig {
 
     /// Frame slots at MNM granularity `granularity`: one per sub-block of
     /// every frame, `sets × assoc × max(1, block_bytes / granularity)`.
-    /// Every slot [`CacheEvent::sub_blocks`](crate::CacheEvent::sub_blocks)
-    /// reports for this structure lies below it. With lines smaller than
+    /// Every slot a [`CacheEvent::run`](crate::CacheEvent::run) of this
+    /// structure covers lies below it. With lines smaller than
     /// the granularity this exceeds `size_bytes / granularity`, because
     /// two frames can then hold parts of one MNM block.
     pub fn frame_slots(&self, granularity: u64) -> u64 {

@@ -61,20 +61,97 @@ pub struct CacheEvent {
 }
 
 impl CacheEvent {
-    /// Expand this event into block addresses of granularity `granularity`
-    /// bytes (the MNM's working block size), each paired with its frame
-    /// slot. Yields `n = max(1, block_bytes / granularity)` shifted block
-    /// addresses; the `i`-th sits in slot `frame × n + i` of an array with
-    /// one entry per sub-block of every frame
+    /// This event's MNM blocks at granularity `granularity` bytes (the
+    /// MNM's working block size) as one aligned [`BlockRun`]: the single
+    /// definition of how a line expands (paper §3.1). The run holds
+    /// `count = max(1, block_bytes / granularity)` consecutive blocks
+    /// from `first = block_base / granularity`, and its `i`-th block sits
+    /// in frame slot `frame × count + i` of an array with one entry per
+    /// sub-block of every frame
     /// ([`CacheConfig::frame_slots`](crate::CacheConfig::frame_slots)
     /// long). The frame contract carries over: live sub-blocks hold
     /// distinct slots, and a removal reports the slots its placement did.
-    pub fn sub_blocks(&self, granularity: u64) -> impl Iterator<Item = (u64, usize)> {
+    #[inline]
+    pub fn run(&self, granularity: u64) -> BlockRun {
         debug_assert!(granularity.is_power_of_two());
         let count = (self.block_bytes / granularity).max(1);
+        // A line starts on a multiple of its own size, so `first` is a
+        // multiple of `count`.
         let first = self.block_base >> granularity.trailing_zeros();
-        let first_slot = self.frame as usize * count as usize;
-        (0..count).map(move |i| (first + i, first_slot + i as usize))
+        debug_assert!(first.is_multiple_of(count), "{self:?} is not line-aligned");
+        BlockRun { first, count: count as u32, first_slot: self.frame as usize * count as usize }
+    }
+
+    /// The blocks of [`CacheEvent::run`], each paired with its frame slot.
+    pub fn sub_blocks(&self, granularity: u64) -> impl Iterator<Item = (u64, usize)> {
+        self.run(granularity).blocks()
+    }
+}
+
+/// An aligned run of consecutive MNM blocks that one cache line holds,
+/// with the frame slot of each: the unit in which the MNM feeds a cache
+/// event to its filters.
+///
+/// `count` is a power of two and `first` a multiple of it, so every block
+/// of the run agrees with `first` on all address bits from
+/// [`BlockRun::shift`] up: a hash or slice of those bits is the same for
+/// the whole run. Block `first + i` sits in frame slot `first_slot + i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRun {
+    first: u64,
+    count: u32,
+    first_slot: usize,
+}
+
+impl BlockRun {
+    /// The run of `count` blocks from `first`, the first in frame slot
+    /// `first_slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `count` is a power of two and `first` a multiple of
+    /// it.
+    pub fn new(first: u64, count: u32, first_slot: usize) -> Self {
+        assert!(count.is_power_of_two(), "a run of {count} blocks");
+        assert!(first.is_multiple_of(u64::from(count)), "a run of {count} from {first:#x}");
+        BlockRun { first, count, first_slot }
+    }
+
+    /// The run of the one block `block`, in frame slot `frame_slot`.
+    #[inline]
+    pub fn one(block: u64, frame_slot: usize) -> Self {
+        BlockRun { first: block, count: 1, first_slot: frame_slot }
+    }
+
+    /// The first block.
+    #[inline]
+    pub fn first(self) -> u64 {
+        self.first
+    }
+
+    /// Number of blocks: a power of two.
+    #[inline]
+    pub fn count(self) -> u32 {
+        self.count
+    }
+
+    /// log2 of [`BlockRun::count`]: the low address bits in which the
+    /// run's blocks differ.
+    #[inline]
+    pub fn shift(self) -> u32 {
+        self.count.trailing_zeros()
+    }
+
+    /// Frame slot of the first block.
+    #[inline]
+    pub fn first_slot(self) -> usize {
+        self.first_slot
+    }
+
+    /// Each block of the run in order, paired with its frame slot.
+    #[inline]
+    pub fn blocks(self) -> impl Iterator<Item = (u64, usize)> {
+        (0..self.count).map(move |i| (self.first + u64::from(i), self.first_slot + i as usize))
     }
 }
 
@@ -123,6 +200,8 @@ mod tests {
             frame: 3,
         };
         assert_eq!(ev.sub_blocks(32).collect::<Vec<_>>(), vec![(0x40 >> 5, 3)]);
+        let run = ev.run(32);
+        assert_eq!((run.first(), run.count(), run.shift(), run.first_slot()), (0x40 >> 5, 1, 0, 3));
     }
 
     #[test]
@@ -136,6 +215,37 @@ mod tests {
         };
         let slots: Vec<_> = ev.sub_blocks(32).map(|(_, slot)| slot).collect();
         assert_eq!(slots, vec![20, 21, 22, 23]);
+        // One run of four from slot `frame × 4`.
+        assert_eq!(ev.run(32), BlockRun::new(0x1000 >> 5, 4, 5 * 4));
+        assert_eq!(ev.run(32).shift(), 2);
+    }
+
+    #[test]
+    fn a_2_kib_line_is_a_run_of_64() {
+        let ev = CacheEvent {
+            structure: StructureId::new(2),
+            kind: EventKind::Placed,
+            block_base: 0x3_0800,
+            block_bytes: 2048,
+            frame: 7,
+        };
+        let run = ev.run(32);
+        assert_eq!((run.first(), run.count(), run.shift(), run.first_slot()), (0x1840, 64, 6, 448));
+        let blocks: Vec<_> = ev.sub_blocks(32).collect();
+        assert_eq!(blocks.len(), 64);
+        assert_eq!((blocks[0], blocks[63]), ((0x1840, 448), (0x187f, 511)));
+    }
+
+    #[test]
+    #[should_panic(expected = "a run of 4 from 0x82")]
+    fn a_misaligned_run_is_rejected() {
+        BlockRun::new(0x82, 4, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a run of 3 blocks")]
+    fn a_run_is_a_power_of_two_long() {
+        BlockRun::new(0x80, 3, 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod stats;
 pub use access::{Access, AccessKind, AccessResult, BypassSet, ProbeOutcome, ProbeRecord};
 pub use cache::{Cache, Eviction};
 pub use config::{CacheConfig, ConfigError, HierarchyConfig, LevelConfig, WritePolicy};
-pub use events::{CacheEvent, EventKind};
+pub use events::{BlockRun, CacheEvent, EventKind};
 pub use hierarchy::{Hierarchy, StructureId, StructureInfo};
 pub use replacement::ReplacementPolicy;
 pub use replay::{AccessFilter, BatchSummary, NoFilter, ReplayScratch};

@@ -6,8 +6,9 @@
 //! access; the batched `run_many` entry point hoists scratch management
 //! out of the per-access loop. None of that may change a single verdict or
 //! statistic. This test rebuilds the pre-refactor machine shape — per-slot
-//! stacks of boxed 1-lane `dyn LaneFilter`s, one per technique, and one
-//! RMNM set scan per guarded structure — from public APIs, replays every
+//! stacks of boxed 1-lane `dyn LaneFilter`s, one per technique, one RMNM
+//! set scan per guarded structure, and every event fed one MNM sub-block
+//! at a time, each as a run of one — from public APIs, replays every
 //! filter family over all 20 synthetic application profiles, and requires
 //! bit-identical bypass sets on every access, then proves the batched path
 //! produces the same summaries, machine statistics, and hierarchy
@@ -15,10 +16,15 @@
 //! errors and flushes, applied to both machines alike, because the
 //! machine remembers verdicts and must forget them whenever its filter
 //! state changes.
+//!
+//! The machine hands each filter a cache line's sub-blocks as one aligned
+//! run, which the counter- and hash-shaped families apply in closed form;
+//! because the reference here still feeds one sub-block at a time, this
+//! test is also the lockstep oracle for line runs over all 20 profiles.
 
 use cache_sim::{
-    Access, AccessKind, BatchSummary, BypassSet, CacheEvent, EventKind, Hierarchy, HierarchyConfig,
-    ReplayScratch, StructureId,
+    Access, AccessKind, BatchSummary, BlockRun, BypassSet, CacheEvent, EventKind, Hierarchy,
+    HierarchyConfig, ReplayScratch, StructureId,
 };
 use mnm_check::{Op, TraceGen};
 use mnm_core::{
@@ -130,7 +136,7 @@ impl Shadow {
                 match ev.kind {
                     EventKind::Placed => {
                         for f in &mut self.filters[si] {
-                            f.place(0, block, frame_slot);
+                            f.place(0, BlockRun::one(block, frame_slot));
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_place(si, block);
@@ -138,7 +144,7 @@ impl Shadow {
                     }
                     EventKind::Replaced => {
                         for f in &mut self.filters[si] {
-                            f.replace(0, block, frame_slot);
+                            f.replace(0, BlockRun::one(block, frame_slot));
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_replace(si, block);
@@ -146,7 +152,7 @@ impl Shadow {
                     }
                     EventKind::Invalidated => {
                         for f in &mut self.filters[si] {
-                            f.replace(0, block, frame_slot);
+                            f.replace(0, BlockRun::one(block, frame_slot));
                         }
                         if let Some(r) = &mut self.rmnm {
                             r.on_invalidate(si, block);

@@ -23,6 +23,8 @@
 //! counters and zero flags by lane: the `k` hashes are computed once and
 //! each reads every lane in one load.
 
+use cache_sim::BlockRun;
+
 use crate::filter::{FilterOccupancy, LaneBits, LaneFilter};
 
 /// `BLOOM_<bits>x<hashes>`: `2^bits` counters shared by `hashes` hash
@@ -61,7 +63,7 @@ impl BloomConfig {
 
 /// A counting Bloom filter with one counter array per guarded structure
 /// (lane), interleaved by lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     config: BloomConfig,
     /// Lane `l`'s counter `s` is `counters[s × lanes + l]`.
@@ -138,29 +140,35 @@ impl LaneFilter for BloomFilter {
         want & any_zero
     }
 
-    fn place(&mut self, lane: usize, block: u64, _frame_slot: usize) {
-        let (slots, k) = self.slot_array(block);
-        for &s in &slots[..k] {
-            let i = self.lanes.counter(s, lane);
-            let c = self.counters[i];
-            if c < self.max {
-                self.counters[i] = c + 1;
-                if c == 0 {
-                    self.lanes.clear(&mut self.zero, s, lane);
+    fn place(&mut self, lane: usize, run: BlockRun) {
+        // Every hash mixes the whole block, so nothing is shared across a
+        // run: each block is counted on its own, in order.
+        for (block, _) in run.blocks() {
+            let (slots, k) = self.slot_array(block);
+            for &s in &slots[..k] {
+                let i = self.lanes.counter(s, lane);
+                let c = self.counters[i];
+                if c < self.max {
+                    self.counters[i] = c + 1;
+                    if c == 0 {
+                        self.lanes.clear(&mut self.zero, s, lane);
+                    }
                 }
             }
         }
     }
 
-    fn replace(&mut self, lane: usize, block: u64, _frame_slot: usize) {
-        let (slots, k) = self.slot_array(block);
-        for &s in &slots[..k] {
-            let i = self.lanes.counter(s, lane);
-            let c = self.counters[i];
-            if c > 0 && c < self.max {
-                self.counters[i] = c - 1;
-                if c == 1 {
-                    self.lanes.set(&mut self.zero, s, lane);
+    fn replace(&mut self, lane: usize, run: BlockRun) {
+        for (block, _) in run.blocks() {
+            let (slots, k) = self.slot_array(block);
+            for &s in &slots[..k] {
+                let i = self.lanes.counter(s, lane);
+                let c = self.counters[i];
+                if c > 0 && c < self.max {
+                    self.counters[i] = c - 1;
+                    if c == 1 {
+                        self.lanes.set(&mut self.zero, s, lane);
+                    }
                 }
             }
         }
@@ -219,9 +227,9 @@ mod tests {
     fn place_replace_round_trip() {
         let mut f = BloomFilter::new(BloomConfig::new(10, 2), 1);
         assert!(f.miss_lanes(0xAB, 1) != 0);
-        f.place(0, 0xAB, 0);
+        f.place(0, BlockRun::one(0xAB, 0));
         assert!(f.miss_lanes(0xAB, 1) == 0);
-        f.replace(0, 0xAB, 0);
+        f.replace(0, BlockRun::one(0xAB, 0));
         assert!(f.miss_lanes(0xAB, 1) != 0);
     }
 
@@ -232,11 +240,11 @@ mod tests {
         // the pairing exact, so soundness is preserved either way.
         let mut f = BloomFilter::new(BloomConfig::new(2, 4), 1); // tiny: collisions certain
         for b in 0..16u64 {
-            f.place(0, b, 0);
+            f.place(0, BlockRun::one(b, 0));
         }
         for b in 0..16u64 {
             // All other blocks still live — no flag may appear for them.
-            f.replace(0, b, 0);
+            f.replace(0, BlockRun::one(b, 0));
             for live in (b + 1)..16 {
                 assert!(f.miss_lanes(live, 1) == 0, "unsound for {live:#x} after removing {b:#x}");
             }
@@ -246,11 +254,11 @@ mod tests {
     #[test]
     fn aliasing_blocks_keep_counters_positive() {
         let mut f = BloomFilter::new(BloomConfig::new(12, 3), 1);
-        f.place(0, 1, 0);
-        f.place(0, 2, 0);
-        f.replace(0, 1, 0);
+        f.place(0, BlockRun::one(1, 0));
+        f.place(0, BlockRun::one(2, 0));
+        f.replace(0, BlockRun::one(1, 0));
         assert!(f.miss_lanes(2, 1) == 0);
-        f.replace(0, 2, 0);
+        f.replace(0, BlockRun::one(2, 0));
         assert!(f.miss_lanes(2, 1) != 0);
     }
 
@@ -258,10 +266,10 @@ mod tests {
     fn saturation_is_sticky() {
         let mut f = BloomFilter::new(BloomConfig::new(1, 1), 1); // 2 counters
         for b in 0..32u64 {
-            f.place(0, b, 0);
+            f.place(0, BlockRun::one(b, 0));
         }
         for b in 0..32u64 {
-            f.replace(0, b, 0);
+            f.replace(0, BlockRun::one(b, 0));
         }
         // Both counters saturated and stuck: nothing is ever flagged.
         for b in 0..32u64 {
@@ -278,8 +286,8 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             match step % 4 {
-                0 | 1 => f.place(0, x % 512, 0),
-                2 => f.replace(0, x % 512, 0),
+                0 | 1 => f.place(0, BlockRun::one(x % 512, 0)),
+                2 => f.replace(0, BlockRun::one(x % 512, 0)),
                 _ => {
                     f.flip_lane_bit(0, x % f.lane_state_bits());
                 }
@@ -306,8 +314,8 @@ mod tests {
         let mut tmnm = TmnmFilter::new(TmnmConfig::new(10, 1), 1);
         for i in 0..256u64 {
             let block = i << 10; // all low 10 bits zero
-            bloom.place(0, block, 0);
-            tmnm.place(0, block, 0);
+            bloom.place(0, BlockRun::one(block, 0));
+            tmnm.place(0, BlockRun::one(block, 0));
         }
         // A fresh strided block: TMNM cannot flag it (slot 0 is saturated),
         // the Bloom filter usually can.

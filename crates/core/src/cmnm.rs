@@ -28,6 +28,12 @@
 //! keeps the counters exact and the filter sound. The tags are one byte
 //! per frame slot, indexed by the slot the event reports, so an update
 //! touches the bytes of its own line and nothing is hashed or searched.
+//! An update is the aligned run of MNM blocks one line holds; when the
+//! run varies only in the table's low `m` bits, its blocks share one high
+//! portion, so the register is found (or installed) once per run, while
+//! counters and tags are still kept per block.
+
+use cache_sim::BlockRun;
 
 use crate::filter::{FilterOccupancy, LaneFilter};
 
@@ -70,7 +76,7 @@ impl CmnmConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Register {
     /// High address portion captured at install time.
     value: u64,
@@ -92,7 +98,7 @@ impl Register {
 
 /// The state of one guarded structure: CMNM keeps everything per
 /// structure, registers included.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct CmnmLane {
     regs: Vec<Register>,
     counters: Vec<u8>,
@@ -153,7 +159,7 @@ impl CmnmLane {
 
 /// A Common-Address MNM filter: one virtual-tag finder, counter table and
 /// set of frame tags per guarded structure (lane).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cmnm {
     config: CmnmConfig,
     lanes: Vec<CmnmLane>,
@@ -200,6 +206,26 @@ impl Cmnm {
         ((reg as usize) << self.config.table_bits) | low as usize
     }
 
+    /// Count a block with low bits `low`, placed in lane `lane`'s frame
+    /// slot `frame_slot`, under register `reg`, and tag the slot with it.
+    #[inline]
+    fn count_in(&mut self, lane: usize, reg: u32, low: u64, frame_slot: usize) {
+        let idx = self.table_index(reg, low);
+        let l = &mut self.lanes[lane];
+        if l.counters[idx] < self.counter_max {
+            l.counters[idx] += 1;
+        }
+        if frame_slot >= l.tags.len() {
+            // Only a lane `reserve_lane` never sized grows.
+            l.tags.resize(frame_slot + 1, Self::NO_TAG);
+        }
+        // Registers number at most 128, so the tag fits a byte.
+        let tag = std::mem::replace(&mut l.tags[frame_slot], reg as u8 + 1);
+        if tag == Self::NO_TAG {
+            l.live += 1;
+        }
+    }
+
     /// Counter value a block currently maps to in lane `lane`, if any
     /// register matches (for tests/diagnostics).
     pub fn counter_for(&self, lane: usize, block: u64) -> Option<u8> {
@@ -229,41 +255,43 @@ impl LaneFilter for Cmnm {
         miss
     }
 
-    fn place(&mut self, lane: usize, block: u64, frame_slot: usize) {
-        let (high, low) = self.split(block);
-        let reg = self.lanes[lane].cover(high, self.high_bits);
-        let idx = self.table_index(reg, low);
-        let l = &mut self.lanes[lane];
-        if l.counters[idx] < self.counter_max {
-            l.counters[idx] += 1;
-        }
-        if frame_slot >= l.tags.len() {
-            // Only a lane `reserve_lane` never sized grows.
-            l.tags.resize(frame_slot + 1, Self::NO_TAG);
-        }
-        // Registers number at most 128, so the tag fits a byte.
-        let tag = std::mem::replace(&mut l.tags[frame_slot], reg as u8 + 1);
-        if tag == Self::NO_TAG {
-            l.live += 1;
+    #[inline]
+    fn place(&mut self, lane: usize, run: BlockRun) {
+        if self.config.table_bits >= run.shift() {
+            // The run's blocks differ only in their low `table_bits`: one
+            // high portion, so one register covers them all.
+            let (high, low) = self.split(run.first());
+            let reg = self.lanes[lane].cover(high, self.high_bits);
+            for (i, (_, frame_slot)) in run.blocks().enumerate() {
+                self.count_in(lane, reg, low + i as u64, frame_slot);
+            }
+        } else {
+            for (block, frame_slot) in run.blocks() {
+                let (high, low) = self.split(block);
+                let reg = self.lanes[lane].cover(high, self.high_bits);
+                self.count_in(lane, reg, low, frame_slot);
+            }
         }
     }
 
-    fn replace(&mut self, lane: usize, block: u64, frame_slot: usize) {
-        let l = &mut self.lanes[lane];
-        // Pair the decrement with the exact counter the placement used.
-        let Some(tag) = l.tags.get_mut(frame_slot) else {
-            return; // a slot beyond any placement: never tagged
-        };
-        let reg = std::mem::replace(tag, Self::NO_TAG);
-        if reg == Self::NO_TAG {
-            return; // replacement of a block placed before a flush
-        }
-        l.live -= 1;
-        let (_, low) = self.split(block);
-        let idx = self.table_index(u32::from(reg - 1), low);
-        let c = &mut self.lanes[lane].counters[idx];
-        if *c > 0 && *c < self.counter_max {
-            *c -= 1;
+    fn replace(&mut self, lane: usize, run: BlockRun) {
+        for (block, frame_slot) in run.blocks() {
+            let l = &mut self.lanes[lane];
+            // Pair the decrement with the exact counter the placement used.
+            let Some(tag) = l.tags.get_mut(frame_slot) else {
+                continue; // a slot beyond any placement: never tagged
+            };
+            let reg = std::mem::replace(tag, Self::NO_TAG);
+            if reg == Self::NO_TAG {
+                continue; // replacement of a block placed before a flush
+            }
+            l.live -= 1;
+            let (_, low) = self.split(block);
+            let idx = self.table_index(u32::from(reg - 1), low);
+            let c = &mut self.lanes[lane].counters[idx];
+            if *c > 0 && *c < self.counter_max {
+                *c -= 1;
+            }
         }
     }
 
@@ -351,7 +379,7 @@ mod tests {
     #[test]
     fn unseen_region_is_definite_miss() {
         let mut f = cmnm(4, 10);
-        f.place(0, 0x0040_0001, 0);
+        f.place(0, BlockRun::one(0x0040_0001, 0));
         assert!(f.miss_lanes(0x0040_0001, 1) == 0);
         // Same region, different low bits: counter 0 => miss.
         assert!(f.miss_lanes(0x0040_0002, 1) != 0);
@@ -362,9 +390,9 @@ mod tests {
     #[test]
     fn place_replace_round_trip() {
         let mut f = cmnm(2, 8);
-        f.place(0, 0x1234_5600 | 0x7f, 3);
+        f.place(0, BlockRun::one(0x1234_5600 | 0x7f, 3));
         assert!(f.miss_lanes(0x1234_5600 | 0x7f, 1) == 0);
-        f.replace(0, 0x1234_5600 | 0x7f, 3);
+        f.replace(0, BlockRun::one(0x1234_5600 | 0x7f, 3));
         assert!(f.miss_lanes(0x1234_5600 | 0x7f, 1) != 0);
     }
 
@@ -372,10 +400,10 @@ mod tests {
     fn widening_keeps_old_blocks_matching() {
         let mut f = cmnm(2, 4);
         // Fill both registers with far-apart regions.
-        f.place(0, 0x1000_0000, 0);
-        f.place(0, 0x2000_0000, 1);
+        f.place(0, BlockRun::one(0x1000_0000, 0));
+        f.place(0, BlockRun::one(0x2000_0000, 1));
         // A third region forces widening of some register.
-        f.place(0, 0x1000_1000, 2);
+        f.place(0, BlockRun::one(0x1000_1000, 2));
         // The original blocks must still be recognized as maybe-hits.
         assert!(f.miss_lanes(0x1000_0000, 1) == 0);
         assert!(f.miss_lanes(0x2000_0000, 1) == 0);
@@ -385,14 +413,14 @@ mod tests {
     #[test]
     fn widened_replacement_decrements_the_right_counter() {
         let mut f = cmnm(2, 4);
-        f.place(0, 0x1000_0000, 0); // reg 0
-        f.place(0, 0x2000_0000, 1); // reg 1
-        f.place(0, 0x1000_1000, 2); // widens a register (same low nibble as reg0's block!)
-                                    // Replace the widened block; the original block must stay a
-                                    // maybe-hit even though both share low bits.
-        f.replace(0, 0x1000_1000, 2);
+        f.place(0, BlockRun::one(0x1000_0000, 0)); // reg 0
+        f.place(0, BlockRun::one(0x2000_0000, 1)); // reg 1
+        f.place(0, BlockRun::one(0x1000_1000, 2)); // widens a register (same low nibble as reg0's block!)
+                                                   // Replace the widened block; the original block must stay a
+                                                   // maybe-hit even though both share low bits.
+        f.replace(0, BlockRun::one(0x1000_1000, 2));
         assert!(f.miss_lanes(0x1000_0000, 1) == 0, "sound pairing of place/replace");
-        f.replace(0, 0x1000_0000, 0);
+        f.replace(0, BlockRun::one(0x1000_0000, 0));
         assert!(f.miss_lanes(0x1000_0000, 1) != 0);
     }
 
@@ -401,10 +429,10 @@ mod tests {
         let mut f = cmnm(1, 2);
         // 8+ blocks with the same low 2 bits in one region.
         for i in 0..10u64 {
-            f.place(0, 0x100 + (i << 2), i as usize);
+            f.place(0, BlockRun::one(0x100 + (i << 2), i as usize));
         }
         for i in 0..10u64 {
-            f.replace(0, 0x100 + (i << 2), i as usize);
+            f.replace(0, BlockRun::one(0x100 + (i << 2), i as usize));
         }
         assert!(f.miss_lanes(0x100, 1) == 0, "stuck counter stays conservative");
     }
@@ -412,11 +440,11 @@ mod tests {
     #[test]
     fn flush_forgets_everything() {
         let mut f = cmnm(4, 8);
-        f.place(0, 0xdead_be00, 5);
+        f.place(0, BlockRun::one(0xdead_be00, 5));
         f.flush_lanes();
         assert!(f.miss_lanes(0xdead_be00, 1) != 0);
         // Replacement after a flush for a pre-flush block is ignored.
-        f.replace(0, 0xdead_be00, 5);
+        f.replace(0, BlockRun::one(0xdead_be00, 5));
         assert!(f.miss_lanes(0xdead_be00, 1) != 0);
         assert_eq!(f.lane_occupancy(0).tracked, 0);
     }
@@ -431,17 +459,17 @@ mod tests {
         f.reserve_lane(0, 64);
         assert_eq!(f.lanes[0].tags.len(), 64);
         for slot in 0..64 {
-            f.place(0, 0x4000 + slot as u64, slot);
+            f.place(0, BlockRun::one(0x4000 + slot as u64, slot));
         }
         assert_eq!((f.lanes[0].tags.len(), f.lane_occupancy(0).tracked), (64, 64));
-        f.replace(0, 0x4000, 0);
-        f.replace(0, 0x4000, 0);
-        f.replace(0, 0x9000, 1_000);
+        f.replace(0, BlockRun::one(0x4000, 0));
+        f.replace(0, BlockRun::one(0x4000, 0));
+        f.replace(0, BlockRun::one(0x9000, 1_000));
         assert_eq!((f.lanes[0].tags.len(), f.lane_occupancy(0).tracked), (64, 63));
 
         let mut grown = cmnm(8, 12);
-        grown.replace(0, 0x4000, 9);
-        grown.place(0, 0x4000, 9);
+        grown.replace(0, BlockRun::one(0x4000, 9));
+        grown.place(0, BlockRun::one(0x4000, 9));
         assert_eq!((grown.lanes[0].tags.len(), grown.lane_occupancy(0).tracked), (10, 1));
     }
 
@@ -451,11 +479,11 @@ mod tests {
     #[test]
     fn two_frames_of_one_block_pair_exactly() {
         let mut f = cmnm(2, 8);
-        f.place(0, 0x77, 0);
-        f.place(0, 0x77, 1);
-        f.replace(0, 0x77, 0);
+        f.place(0, BlockRun::one(0x77, 0));
+        f.place(0, BlockRun::one(0x77, 1));
+        f.replace(0, BlockRun::one(0x77, 0));
         assert!(f.miss_lanes(0x77, 1) == 0, "the other frame still holds part of the block");
-        f.replace(0, 0x77, 1);
+        f.replace(0, BlockRun::one(0x77, 1));
         assert!(f.miss_lanes(0x77, 1) != 0);
         assert_eq!(f.counter_for(0, 0x77), Some(0));
     }
@@ -523,8 +551,9 @@ mod tests {
     }
 
     /// Pairing identity: on real `Hierarchy` event streams the frame-tagged
-    /// CMNM keeps the same registers, counters, live count and verdicts
-    /// as the block-keyed model after every access. A 2-register, 16-entry
+    /// CMNM, fed each line as one run, keeps the same registers, counters,
+    /// live count and verdicts as the block-keyed model, fed block by
+    /// block, after every access. A 2-register, 16-entry
     /// CMNM per guarded structure makes masks widen and counters saturate;
     /// the streams mix loads, stores and fetches, filter-only flushes
     /// mid-stream (`Mnm::flush`: the caches keep their blocks, so
@@ -600,15 +629,16 @@ mod tests {
                     for ev in &events {
                         let Some(si) = slot_of[ev.structure.index()] else { continue };
                         let (real, model) = &mut pairs[si];
-                        for (block, frame_slot) in ev.sub_blocks(grain) {
-                            if ev.kind == EventKind::Placed {
-                                real.place(0, block, frame_slot);
-                                model.place(block);
-                            } else {
-                                real.replace(0, block, frame_slot);
-                                model.remove(block);
-                                removed += 1;
-                            }
+                        // The filter takes the line as one run, the model
+                        // its blocks one by one.
+                        let run = ev.run(grain);
+                        if ev.kind == EventKind::Placed {
+                            real.place(0, run);
+                            run.blocks().for_each(|(block, _)| model.place(block));
+                        } else {
+                            real.replace(0, run);
+                            run.blocks().for_each(|(block, _)| model.remove(block));
+                            removed += u64::from(run.count());
                         }
                     }
                     let probe = addr / grain;
@@ -640,7 +670,7 @@ mod tests {
     #[test]
     fn flipping_the_guarding_counter_bit_makes_a_live_block_lie() {
         let mut f = cmnm(4, 8);
-        f.place(0, 0x0040_0001, 0);
+        f.place(0, BlockRun::one(0x0040_0001, 0));
         assert!(f.miss_lanes(0x0040_0001, 1) == 0);
         let bit = f.lane_bit_of(0, 0x0040_0001).expect("resident block matches a register");
         assert!(f.flip_lane_bit(0, bit));

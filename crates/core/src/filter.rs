@@ -1,5 +1,7 @@
 //! The per-structure miss-filter abstraction.
 
+use cache_sim::BlockRun;
+
 /// Point-in-time occupancy of a filter's dynamic state, for telemetry
 /// (`jsn serve` exports it per session as a scrapeable gauge).
 ///
@@ -44,11 +46,17 @@ impl FilterOccupancy {
 /// word). A filter guarding a single structure is the 1-lane case.
 ///
 /// All addresses are **MNM block addresses** — byte addresses already
-/// shifted by the MNM granularity (the L2 line size, paper §3.1); events
-/// from caches with larger lines have already been expanded into multiple
-/// block addresses by the machine. Updates name their lane and touch only
-/// it: a lane's verdicts, fault surface and occupancy are exactly those of
-/// an independent 1-lane filter fed the same updates.
+/// shifted by the MNM granularity (the L2 line size, paper §3.1). Updates
+/// arrive as [`BlockRun`]s: the aligned run of MNM blocks one cache line
+/// holds ([`CacheEvent::run`](cache_sim::CacheEvent::run)), so an event
+/// from a cache with lines longer than the grain is one update, not one
+/// per sub-block. Applying a run must equal applying its blocks one by
+/// one, in order, each as a run of one; a family may only skip work that
+/// provably repeats within the run (a table slice or hash that ignores the
+/// run's low [`BlockRun::shift`] bits sees one index `count` times).
+/// Updates name their lane and touch only it: a lane's verdicts, fault
+/// surface and occupancy are exactly those of an independent 1-lane
+/// filter fed the same updates.
 ///
 /// # Soundness contract
 ///
@@ -73,15 +81,14 @@ impl FilterOccupancy {
 ///
 /// # Frame contract
 ///
-/// Each update also names the block's **frame slot** in its lane's
-/// structure: its cache frame (`set × assoc + way`) times
-/// `max(1, line / grain)`, plus the MNM sub-block's index within the line
-/// ([`CacheEvent::sub_blocks`](cache_sim::CacheEvent::sub_blocks)).
-/// Every live block of a lane holds a distinct slot below the count
-/// passed to [`LaneFilter::reserve_lane`], and the removal of a block
-/// reports the slot its placement did. Filters that keep per-line state
-/// (CMNM's register tag) index it by slot; the hash- and counter-shaped
-/// filters ignore it.
+/// Each update also names the **frame slot** of every block of its run in
+/// its lane's structure: block `first + i` sits in slot `first_slot + i`,
+/// where `first_slot` is the line's cache frame (`set × assoc + way`)
+/// times `max(1, line / grain)`. Every live block of a lane holds a
+/// distinct slot below the count passed to [`LaneFilter::reserve_lane`],
+/// and the removal of a block reports the slot its placement did. Filters
+/// that keep per-line state (CMNM's register tag) index it by slot; the
+/// hash- and counter-shaped filters ignore it.
 pub trait LaneFilter: std::fmt::Debug + Send {
     /// Number of guarded structures.
     fn lanes(&self) -> usize;
@@ -90,14 +97,14 @@ pub trait LaneFilter: std::fmt::Debug + Send {
     /// definitely misses `block`; never a lane outside `want`.
     fn miss_lanes(&self, block: u64, want: u64) -> u64;
 
-    /// A block was installed into lane `lane`'s structure, in frame slot
-    /// `frame_slot`.
-    fn place(&mut self, lane: usize, block: u64, frame_slot: usize);
+    /// The blocks of `run` were installed into lane `lane`'s structure,
+    /// each in its frame slot.
+    fn place(&mut self, lane: usize, run: BlockRun);
 
-    /// A block was removed from lane `lane`'s structure, by its
-    /// replacement policy or by an invalidation, leaving frame slot
-    /// `frame_slot`.
-    fn replace(&mut self, lane: usize, block: u64, frame_slot: usize);
+    /// The blocks of `run` were removed from lane `lane`'s structure, by
+    /// its replacement policy or by an invalidation, each leaving its
+    /// frame slot.
+    fn replace(&mut self, lane: usize, run: BlockRun);
 
     /// Reset every lane (cache flush; paper §3.3: "The counter values are
     /// reset when the caches are flushed").

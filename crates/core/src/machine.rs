@@ -3,8 +3,8 @@
 use std::ops::Range;
 
 use cache_sim::{
-    Access, AccessFilter, AccessResult, BatchSummary, BypassSet, CacheEvent, EventKind, Hierarchy,
-    ProbeOutcome, ProbeRecord, StructureId,
+    Access, AccessFilter, AccessResult, BatchSummary, BlockRun, BypassSet, CacheEvent, EventKind,
+    Hierarchy, ProbeOutcome, ProbeRecord, StructureId,
 };
 
 use crate::block::Granularity;
@@ -32,7 +32,7 @@ use crate::tmnm::TmnmFilter;
 /// counters and frame tags per lane and scans the registers of each
 /// lane asked about. [`LaneFilter::miss_lanes`] inlines, through this
 /// match, into [`Mnm::query`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FilterKind {
     /// Sum-hash checkers (paper §3.2).
     Smnm(SmnmFilter),
@@ -80,13 +80,13 @@ impl LaneFilter for FilterKind {
     }
 
     #[inline]
-    fn place(&mut self, lane: usize, block: u64, frame_slot: usize) {
-        dispatch!(self, f => f.place(lane, block, frame_slot))
+    fn place(&mut self, lane: usize, run: BlockRun) {
+        dispatch!(self, f => f.place(lane, run))
     }
 
     #[inline]
-    fn replace(&mut self, lane: usize, block: u64, frame_slot: usize) {
-        dispatch!(self, f => f.replace(lane, block, frame_slot))
+    fn replace(&mut self, lane: usize, run: BlockRun) {
+        dispatch!(self, f => f.replace(lane, run))
     }
 
     fn flush_lanes(&mut self) {
@@ -225,34 +225,6 @@ fn probe_cost(t: TechniqueConfig) -> u8 {
         TechniqueConfig::Bloom(_) => 2,
         TechniqueConfig::Cmnm(_) => 3,
     }
-}
-
-/// Apply one cache event's MNM sub-blocks, each with its frame slot, to
-/// slot `si`, in order: for each sub-block, `filter_op` on the slot's lane
-/// of every filter guarding it, then `rmnm_op` on the shared RMNM. Generic
-/// over the two operations, so each event kind compiles to its own loop
-/// with the calls inlined. Returns the number of sub-blocks.
-#[inline(always)]
-fn feed(
-    blocks: impl Iterator<Item = (u64, usize)>,
-    si: usize,
-    members: &[(usize, usize)],
-    filters: &mut [FilterKind],
-    mut rmnm: Option<&mut Rmnm>,
-    filter_op: impl Fn(&mut FilterKind, usize, u64, usize),
-    rmnm_op: impl Fn(&mut Rmnm, usize, u64),
-) -> u64 {
-    let mut n = 0;
-    for (block, frame_slot) in blocks {
-        for &(fi, lane) in members {
-            filter_op(&mut filters[fi], lane, block, frame_slot);
-        }
-        if let Some(r) = rmnm.as_deref_mut() {
-            rmnm_op(r, si, block);
-        }
-        n += 1;
-    }
-    n
 }
 
 /// Storage cost of one MNM component, for the power model.
@@ -472,9 +444,13 @@ impl Mnm {
 
     /// Feed the hierarchy's placement/replacement events into the filters
     /// (the MNM bookkeeping of paper §2). Blocks from caches with lines
-    /// larger than the MNM granularity expand into multiple updates
-    /// (paper §3.1), each with its frame slot
-    /// ([`CacheEvent::sub_blocks`]).
+    /// larger than the MNM granularity expand into several MNM blocks
+    /// (paper §3.1): each filter guarding the structure takes the line's
+    /// whole [`BlockRun`] ([`CacheEvent::run`]) in
+    /// one update, and the shared RMNM takes its blocks one by one.
+    /// Filters are independent, so this equals feeding every sub-block to
+    /// every filter in turn; each filter still sees its own updates in
+    /// event order. The statistics count sub-blocks.
     pub fn observe_events(&mut self, events: &[CacheEvent]) {
         let grain = self.granularity.bytes();
         for ev in events {
@@ -485,48 +461,32 @@ impl Mnm {
             for &s in &slot.stacks {
                 self.stacks[s].bump();
             }
+            let run = ev.run(grain);
+            let n = u64::from(run.count());
             let st = &mut self.stats.slots[si];
-            let rmnm = self.rmnm.as_mut();
-            let blocks = ev.sub_blocks(grain);
-            let (members, filters) = (&slot.members[..], &mut self.filters[..]);
-            let n = match ev.kind {
-                EventKind::Placed => {
-                    let n =
-                        feed(blocks, si, members, filters, rmnm, FilterKind::place, Rmnm::on_place);
-                    slot.live_blocks += n;
-                    n
-                }
-                EventKind::Replaced => {
-                    let n = feed(
-                        blocks,
-                        si,
-                        members,
-                        filters,
-                        rmnm,
-                        FilterKind::replace,
-                        Rmnm::on_replace,
-                    );
-                    slot.live_blocks = slot.live_blocks.saturating_sub(n);
-                    n
-                }
-                EventKind::Invalidated => {
-                    // Every family retires an invalidated block exactly as
-                    // a replacement victim (`LaneFilter::replace`).
-                    let n = feed(
-                        blocks,
-                        si,
-                        members,
-                        filters,
-                        rmnm,
-                        FilterKind::replace,
-                        Rmnm::on_invalidate,
-                    );
-                    slot.live_blocks = slot.live_blocks.saturating_sub(n);
-                    st.invalidations += n;
-                    n
-                }
-            };
             st.updates += n;
+            if ev.kind == EventKind::Invalidated {
+                st.invalidations += n;
+            }
+            if ev.kind == EventKind::Placed {
+                for &(fi, lane) in &slot.members {
+                    self.filters[fi].place(lane, run);
+                }
+                slot.live_blocks += n;
+            } else {
+                // Every family retires an invalidated block exactly as a
+                // replacement victim (`LaneFilter::replace`).
+                for &(fi, lane) in &slot.members {
+                    self.filters[fi].replace(lane, run);
+                }
+                slot.live_blocks = slot.live_blocks.saturating_sub(n);
+            }
+            let Some(rmnm) = self.rmnm.as_mut() else { continue };
+            match ev.kind {
+                EventKind::Placed => run.blocks().for_each(|(b, _)| rmnm.on_place(si, b)),
+                EventKind::Replaced => run.blocks().for_each(|(b, _)| rmnm.on_replace(si, b)),
+                EventKind::Invalidated => run.blocks().for_each(|(b, _)| rmnm.on_invalidate(si, b)),
+            }
         }
     }
 

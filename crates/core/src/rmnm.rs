@@ -186,6 +186,7 @@ impl Rmnm {
     /// A block was replaced from structure `slot`: remember the definite
     /// miss. May evict an older RMNM entry (losing only *miss* information,
     /// which is safe).
+    #[inline]
     pub fn on_replace(&mut self, slot: usize, block: u64) {
         debug_assert!(slot < self.num_slots);
         self.clock += 1;
@@ -216,6 +217,7 @@ impl Rmnm {
 
     /// A block was placed into structure `slot`: the miss bit must be
     /// cleared (the block is resident again).
+    #[inline]
     pub fn on_place(&mut self, slot: usize, block: u64) {
         debug_assert!(slot < self.num_slots);
         if let Some(i) = self.find(block) {

@@ -26,7 +26,11 @@
 //! word so a probe is one load plus a shift per checker instead of a
 //! per-bit loop — same function values, same verdicts. A filter guarding
 //! several structures (one lane each) interleaves their flip-flops by
-//! lane, so that one hash and one load answer every lane.
+//! lane, so that one hash and one load answer every lane. A placement is
+//! the aligned run of MNM blocks one cache line holds; a checker whose
+//! slice starts at or above the run's varying bits admits once per run.
+
+use cache_sim::BlockRun;
 
 use crate::filter::{FilterOccupancy, LaneBits, LaneFilter};
 
@@ -124,7 +128,7 @@ pub fn max_sum(width: u32) -> u32 {
 
 /// One checker circuit (paper Figure 6): a flip-flop per possible sum and
 /// lane, packed lane-interleaved, 64 to a word.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmnmChecker {
     offset: u32,
     width: u32,
@@ -154,10 +158,21 @@ impl SmnmChecker {
         sum_hash(block >> self.offset, self.width) as usize
     }
 
-    /// Record the hash of a block placed in lane `lane`'s structure.
-    pub fn admit(&mut self, lane: usize, block: u64) {
-        let h = self.hash(block);
-        self.lanes.set(&mut self.present, h, lane);
+    /// Record the hashes of the blocks of `run`, placed in lane `lane`'s
+    /// structure. A checker whose slice starts at or above the run's
+    /// varying bits hashes every block of the run alike, so it admits
+    /// once.
+    #[inline]
+    pub fn admit(&mut self, lane: usize, run: BlockRun) {
+        if self.offset >= run.shift() {
+            let h = self.hash(run.first());
+            self.lanes.set(&mut self.present, h, lane);
+        } else {
+            for (block, _) in run.blocks() {
+                let h = self.hash(block);
+                self.lanes.set(&mut self.present, h, lane);
+            }
+        }
     }
 
     /// The flip-flops guarding `block`, lane `l` at bit `l` (1 = the
@@ -201,7 +216,7 @@ impl SmnmChecker {
 
 /// An SMNM filter: `replication` parallel checkers, each with one lane
 /// per guarded structure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SmnmFilter {
     config: SmnmConfig,
     checkers: Vec<SmnmChecker>,
@@ -242,13 +257,14 @@ impl LaneFilter for SmnmFilter {
         want & !all_present
     }
 
-    fn place(&mut self, lane: usize, block: u64, _frame_slot: usize) {
+    #[inline]
+    fn place(&mut self, lane: usize, run: BlockRun) {
         for c in &mut self.checkers {
-            c.admit(lane, block);
+            c.admit(lane, run);
         }
     }
 
-    fn replace(&mut self, _lane: usize, _block: u64, _frame_slot: usize) {
+    fn replace(&mut self, _lane: usize, _run: BlockRun) {
         // Set-only: several live blocks may share a hash value, so a
         // replacement cannot clear any flip-flop (soundness).
     }
@@ -341,7 +357,7 @@ mod tests {
     fn never_seen_hash_is_definite_miss() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 1), 1);
         assert!(f.miss_lanes(0b1, 1) != 0); // nothing admitted yet
-        f.place(0, 0b1, 0);
+        f.place(0, BlockRun::one(0b1, 0));
         assert!(f.miss_lanes(0b1, 1) == 0);
         // 0b100 hashes to 9, distinct from 1 => still a definite miss.
         assert!(f.miss_lanes(0b100, 1) != 0);
@@ -350,8 +366,8 @@ mod tests {
     #[test]
     fn replace_never_clears() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 2), 1);
-        f.place(0, 42, 0);
-        f.replace(0, 42, 0);
+        f.place(0, BlockRun::one(42, 0));
+        f.replace(0, BlockRun::one(42, 0));
         assert!(f.miss_lanes(42, 1) == 0, "set-only semantics");
     }
 
@@ -361,27 +377,27 @@ mod tests {
         // 0b0011 -> 1+4 = 5; 0b...? find another 4-bit value hashing to 5:
         // none (sums are distinct subsets of {1,4,9,16}), but values equal
         // modulo the 4-bit slice alias: 0b10011 has the same low-4 slice.
-        f.place(0, 0b0011, 0);
+        f.place(0, BlockRun::one(0b0011, 0));
         assert!(f.miss_lanes(0b1_0011, 1) == 0, "slice alias must not be rejected");
     }
 
     #[test]
     fn replicated_checkers_catch_high_bit_differences() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 3), 1);
-        f.place(0, 0x0000_0001, 0);
+        f.place(0, BlockRun::one(0x0000_0001, 0));
         // Same low slice, different bits at offset 12 => third checker
         // rejects.
         assert!(f.miss_lanes(0x0000_1001 | 1 << 13, 1) != 0);
         // Single-checker filter cannot.
         let mut f1 = SmnmFilter::new(SmnmConfig::new(10, 1), 1);
-        f1.place(0, 0x0000_0001, 0);
+        f1.place(0, BlockRun::one(0x0000_0001, 0));
         assert!(f1.miss_lanes(0x0000_0001 | 1 << 13, 1) == 0);
     }
 
     #[test]
     fn flush_resets_to_all_miss() {
         let mut f = SmnmFilter::new(SmnmConfig::new(8, 1), 1);
-        f.place(0, 3, 0);
+        f.place(0, BlockRun::one(3, 0));
         f.flush_lanes();
         assert!(f.miss_lanes(3, 1) != 0);
     }
@@ -408,7 +424,7 @@ mod tests {
     #[test]
     fn flipping_the_guarding_flip_flop_makes_an_admitted_block_lie() {
         let mut f = SmnmFilter::new(SmnmConfig::new(10, 2), 1);
-        f.place(0, 42, 0);
+        f.place(0, BlockRun::one(42, 0));
         assert!(f.miss_lanes(42, 1) == 0);
         let bit = f.lane_bit_of(0, 42).unwrap();
         assert!(f.flip_lane_bit(0, bit));

@@ -18,6 +18,14 @@
 //! couple dozen cache lines). A filter guarding several structures (one
 //! lane each) interleaves their counters and zero flags by lane, so one
 //! slice index and one load answer every lane.
+//!
+//! An update is a run of `count` aligned blocks (one cache line). A table
+//! whose slice starts at or above bit log2(count) maps the whole run to
+//! one counter, so it applies the `count` updates in closed form; the
+//! offset-0 table, and every table given a single block, steps counter by
+//! counter.
+
+use cache_sim::BlockRun;
 
 use crate::filter::{FilterOccupancy, LaneBits, LaneFilter};
 use crate::smnm::SLICE_OFFSETS;
@@ -71,7 +79,7 @@ impl TmnmConfig {
 
 /// One counter table over a slice of the block address, with one counter
 /// per slot and lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TmnmTable {
     offset: u32,
     mask: u64,
@@ -114,30 +122,67 @@ impl TmnmTable {
         self.lanes.assign(&mut self.zero, slot, lane, empty);
     }
 
-    /// Increment lane `lane`'s counter on placement; saturates at the
-    /// maximum.
-    pub fn increment(&mut self, lane: usize, block: u64) {
-        let s = self.slot(block);
-        let i = self.lanes.counter(s, lane);
-        let c = self.counters[i];
-        if c < self.max {
-            self.counters[i] = c + 1;
-            if c == 0 {
-                self.lanes.clear(&mut self.zero, s, lane);
+    /// Increment lane `lane`'s counter of each block of `run` on
+    /// placement; each saturates at the maximum.
+    #[inline]
+    pub fn increment(&mut self, lane: usize, run: BlockRun) {
+        if run.count() > 1 && self.offset >= run.shift() {
+            // The slice starts above the run's varying bits, so every
+            // block indexes one counter: `count` saturating increments
+            // give `min(c + count, max)`. A single block takes the step
+            // below, which the run-exactness test holds this form to.
+            let s = self.slot(run.first());
+            let i = self.lanes.counter(s, lane);
+            let c = self.counters[i];
+            if c < self.max {
+                self.counters[i] = (u32::from(c) + run.count()).min(u32::from(self.max)) as u8;
+                if c == 0 {
+                    self.lanes.clear(&mut self.zero, s, lane);
+                }
+            }
+            return;
+        }
+        for (block, _) in run.blocks() {
+            let s = self.slot(block);
+            let i = self.lanes.counter(s, lane);
+            let c = self.counters[i];
+            if c < self.max {
+                self.counters[i] = c + 1;
+                if c == 0 {
+                    self.lanes.clear(&mut self.zero, s, lane);
+                }
             }
         }
     }
 
-    /// Decrement lane `lane`'s counter on replacement — unless saturated,
-    /// which is sticky.
-    pub fn decrement(&mut self, lane: usize, block: u64) {
-        let s = self.slot(block);
-        let i = self.lanes.counter(s, lane);
-        let c = self.counters[i];
-        if c > 0 && c < self.max {
-            self.counters[i] = c - 1;
-            if c == 1 {
-                self.lanes.set(&mut self.zero, s, lane);
+    /// Decrement lane `lane`'s counter of each block of `run` on
+    /// replacement — unless saturated, which is sticky.
+    #[inline]
+    pub fn decrement(&mut self, lane: usize, run: BlockRun) {
+        if run.count() > 1 && self.offset >= run.shift() {
+            // One counter, as in `increment`: a saturated counter stays,
+            // any other falls by `count`, floored at 0.
+            let s = self.slot(run.first());
+            let i = self.lanes.counter(s, lane);
+            let c = self.counters[i];
+            if c > 0 && c < self.max {
+                let left = u32::from(c).saturating_sub(run.count()) as u8;
+                self.counters[i] = left;
+                if left == 0 {
+                    self.lanes.set(&mut self.zero, s, lane);
+                }
+            }
+            return;
+        }
+        for (block, _) in run.blocks() {
+            let s = self.slot(block);
+            let i = self.lanes.counter(s, lane);
+            let c = self.counters[i];
+            if c > 0 && c < self.max {
+                self.counters[i] = c - 1;
+                if c == 1 {
+                    self.lanes.set(&mut self.zero, s, lane);
+                }
             }
         }
     }
@@ -200,7 +245,7 @@ impl TmnmTable {
 
 /// A TMNM filter: `replication` parallel tables, each with one lane per
 /// guarded structure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TmnmFilter {
     config: TmnmConfig,
     tables: Vec<TmnmTable>,
@@ -241,15 +286,17 @@ impl LaneFilter for TmnmFilter {
         want & any_zero
     }
 
-    fn place(&mut self, lane: usize, block: u64, _frame_slot: usize) {
+    #[inline]
+    fn place(&mut self, lane: usize, run: BlockRun) {
         for t in &mut self.tables {
-            t.increment(lane, block);
+            t.increment(lane, run);
         }
     }
 
-    fn replace(&mut self, lane: usize, block: u64, _frame_slot: usize) {
+    #[inline]
+    fn replace(&mut self, lane: usize, run: BlockRun) {
         for t in &mut self.tables {
-            t.decrement(lane, block);
+            t.decrement(lane, run);
         }
     }
 
@@ -309,9 +356,9 @@ mod tests {
     fn place_replace_round_trip() {
         let mut f = TmnmFilter::new(TmnmConfig::new(6, 1), 1);
         assert!(f.miss_lanes(0x12, 1) != 0);
-        f.place(0, 0x12, 0);
+        f.place(0, BlockRun::one(0x12, 0));
         assert!(f.miss_lanes(0x12, 1) == 0);
-        f.replace(0, 0x12, 0);
+        f.replace(0, BlockRun::one(0x12, 0));
         assert!(f.miss_lanes(0x12, 1) != 0);
     }
 
@@ -319,11 +366,11 @@ mod tests {
     fn aliasing_blocks_keep_counter_positive() {
         let mut f = TmnmFilter::new(TmnmConfig::new(4, 1), 1);
         // 0x5 and 0x15 share the low-4 slot.
-        f.place(0, 0x5, 0);
-        f.place(0, 0x15, 0);
-        f.replace(0, 0x5, 0);
+        f.place(0, BlockRun::one(0x5, 0));
+        f.place(0, BlockRun::one(0x15, 0));
+        f.replace(0, BlockRun::one(0x5, 0));
         assert!(f.miss_lanes(0x15, 1) == 0, "one alias still live");
-        f.replace(0, 0x15, 0);
+        f.replace(0, BlockRun::one(0x15, 0));
         assert!(f.miss_lanes(0x15, 1) != 0);
     }
 
@@ -331,11 +378,11 @@ mod tests {
     fn saturation_is_sticky() {
         let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2), 1); // max = 3
         for i in 0..5u64 {
-            f.place(0, 0x3 | (i << 4), 0); // 5 aliases of slot 3
+            f.place(0, BlockRun::one(0x3 | (i << 4), 0)); // 5 aliases of slot 3
         }
         // Removing all of them cannot drain the stuck counter.
         for i in 0..5u64 {
-            f.replace(0, 0x3 | (i << 4), 0);
+            f.replace(0, BlockRun::one(0x3 | (i << 4), 0));
         }
         assert!(f.miss_lanes(0x3, 1) == 0, "saturated slot stays 'maybe' forever");
     }
@@ -347,10 +394,10 @@ mod tests {
         // stay conservative.
         let mut f = TmnmFilter::new(TmnmConfig::with_counter_bits(4, 1, 2), 1); // max = 3
         for i in 0..3u64 {
-            f.place(0, 0x1 | (i << 4), 0);
+            f.place(0, BlockRun::one(0x1 | (i << 4), 0));
         }
         for i in 0..3u64 {
-            f.replace(0, 0x1 | (i << 4), 0);
+            f.replace(0, BlockRun::one(0x1 | (i << 4), 0));
         }
         // Counter hit its max (3) with exactly 3 blocks: it cannot tell 3
         // from >3, so it must stick.
@@ -362,8 +409,8 @@ mod tests {
         let mut one = TmnmFilter::new(TmnmConfig::new(10, 1), 1);
         let mut three = TmnmFilter::new(TmnmConfig::new(10, 3), 1);
         let a = 0x0000_0400u64; // bit 10 set: invisible to the low-10 table
-        one.place(0, 0, 0);
-        three.place(0, 0, 0);
+        one.place(0, BlockRun::one(0, 0));
+        three.place(0, BlockRun::one(0, 0));
         assert!(one.miss_lanes(a, 1) == 0, "low slice aliases with block 0");
         assert!(three.miss_lanes(a, 1) != 0, "offset-6 table sees the difference");
     }
@@ -378,7 +425,7 @@ mod tests {
     #[test]
     fn flush_resets_counters() {
         let mut f = TmnmFilter::new(TmnmConfig::new(6, 2), 1);
-        f.place(0, 9, 0);
+        f.place(0, BlockRun::one(9, 0));
         f.flush_lanes();
         assert!(f.miss_lanes(9, 1) != 0);
         assert_eq!(f.tables[0].counter(0, 9), 0);
@@ -396,8 +443,8 @@ mod tests {
             x ^= x << 17;
             let block = x % 64;
             match step % 4 {
-                0 | 1 => t.increment(0, block),
-                2 => t.decrement(0, block),
+                0 | 1 => t.increment(0, BlockRun::one(block, 0)),
+                2 => t.decrement(0, BlockRun::one(block, 0)),
                 _ => {
                     t.flip_bit(0, x % t.state_bits());
                 }
@@ -432,7 +479,7 @@ mod tests {
     #[test]
     fn flipping_the_guarding_bit_makes_a_live_block_lie() {
         let mut f = TmnmFilter::new(TmnmConfig::new(6, 1), 1);
-        f.place(0, 0x12, 0);
+        f.place(0, BlockRun::one(0x12, 0));
         assert!(f.miss_lanes(0x12, 1) == 0);
         let bit = f.lane_bit_of(0, 0x12).unwrap();
         assert!(f.flip_lane_bit(0, bit), "bit {bit} must be in range");

@@ -17,6 +17,7 @@
 
 use std::collections::HashSet;
 
+use cache_sim::BlockRun;
 use mnm_core::{
     BloomConfig, BloomFilter, LaneFilter, Rmnm, RmnmConfig, SmnmConfig, SmnmFilter, TmnmConfig,
     TmnmFilter,
@@ -120,13 +121,13 @@ fn smnm_lut_hash_and_present_bitset_match_the_paper_loop() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=4 => {
-                    real.place(0, block, 0);
+                    real.place(0, BlockRun::one(block, 0));
                     spec.on_place(block);
                     recent.push(block);
                 }
                 5 => {
                     // Replacements must be ignored by both (set-only).
-                    real.replace(0, block, 0);
+                    real.replace(0, BlockRun::one(block, 0));
                 }
                 6 => {
                     let bit = gen.next() % real.lane_state_bits();
@@ -218,11 +219,11 @@ fn tmnm_zero_bitset_matches_a_naive_counter_scan() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=3 => {
-                    real.place(0, block, 0);
+                    real.place(0, BlockRun::one(block, 0));
                     spec.on_place(block);
                 }
                 4..=5 => {
-                    real.replace(0, block, 0);
+                    real.replace(0, BlockRun::one(block, 0));
                     spec.on_replace(block);
                 }
                 6 => {
@@ -311,11 +312,11 @@ fn bloom_zero_bitset_and_mixer_match_the_naive_model() {
             let block = gen.next() % 0x2_0000;
             match r % 8 {
                 0..=3 => {
-                    real.place(0, block, 0);
+                    real.place(0, BlockRun::one(block, 0));
                     spec.on_place(block);
                 }
                 4..=5 => {
-                    real.replace(0, block, 0);
+                    real.replace(0, BlockRun::one(block, 0));
                     spec.on_replace(block);
                 }
                 6 => {

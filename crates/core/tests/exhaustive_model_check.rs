@@ -7,6 +7,7 @@
 //! the update/query logic that a random sampler could miss is caught here
 //! by construction.
 
+use cache_sim::BlockRun;
 use mnm_core::{
     BloomConfig, BloomFilter, Cmnm, CmnmConfig, LaneFilter, SmnmConfig, SmnmFilter, TmnmConfig,
     TmnmFilter,
@@ -31,9 +32,12 @@ fn build(kind: &str, trace: &[(bool, u64)]) -> Box<dyn LaneFilter> {
         if place {
             let frame = (0..).find(|fr| !frame_of.contains(fr)).unwrap();
             frame_of[b as usize] = frame;
-            f.place(0, b, frame);
+            f.place(0, BlockRun::one(b, frame));
         } else {
-            f.replace(0, b, std::mem::replace(&mut frame_of[b as usize], usize::MAX));
+            f.replace(
+                0,
+                BlockRun::one(b, std::mem::replace(&mut frame_of[b as usize], usize::MAX)),
+            );
         }
     }
     f

@@ -5,6 +5,7 @@
 
 use std::collections::HashMap;
 
+use cache_sim::BlockRun;
 use mnm_core::{
     Cmnm, CmnmConfig, LaneFilter, Rmnm, RmnmConfig, SmnmConfig, SmnmFilter, TmnmConfig, TmnmFilter,
 };
@@ -45,10 +46,10 @@ fn check_filter_soundness(filter: &mut dyn LaneFilter, trace: &CacheTrace) {
     let mut live: HashMap<u64, bool> = HashMap::new();
     for &(is_place, block, frame) in &trace.ops {
         if is_place {
-            filter.place(0, block, frame);
+            filter.place(0, BlockRun::one(block, frame));
             live.insert(block, true);
         } else {
-            filter.replace(0, block, frame);
+            filter.replace(0, BlockRun::one(block, frame));
             live.insert(block, false);
         }
         // Soundness: every *live* block must be a maybe.
@@ -142,10 +143,10 @@ fn tmnm_is_exact_without_aliasing() {
         let mut live: HashMap<u64, bool> = HashMap::new();
         for &(is_place, block, frame) in &trace.ops {
             if is_place {
-                f.place(0, block, frame);
+                f.place(0, BlockRun::one(block, frame));
                 live.insert(block, true);
             } else {
-                f.replace(0, block, frame);
+                f.replace(0, BlockRun::one(block, frame));
                 live.insert(block, false);
             }
         }
@@ -171,9 +172,9 @@ fn flush_makes_everything_a_definite_miss_again() {
         for f in &mut filters {
             for &(is_place, block, frame) in &trace.ops {
                 if is_place {
-                    f.place(0, block, frame);
+                    f.place(0, BlockRun::one(block, frame));
                 } else {
-                    f.replace(0, block, frame);
+                    f.replace(0, BlockRun::one(block, frame));
                 }
             }
             f.flush_lanes();
@@ -199,9 +200,9 @@ fn storage_is_history_independent() {
         let before = (f.technique_label().to_owned(), f.lane_storage_bits());
         for &(is_place, block, frame) in &trace.ops {
             if is_place {
-                f.place(0, block, frame)
+                f.place(0, BlockRun::one(block, frame))
             } else {
-                f.replace(0, block, frame)
+                f.replace(0, BlockRun::one(block, frame))
             }
         }
         assert_eq!(before, (f.technique_label().to_owned(), f.lane_storage_bits()));
