@@ -17,7 +17,7 @@ use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig};
 use mnm_bench::{allocations, render_report, ScenarioResult, LEGACY_ALLOCS_PER_ACCESS};
 use mnm_core::{Mnm, MnmConfig, ReplayFilter};
 use mnm_experiments::json::Json;
-use trace_synth::{profiles, InstrKind, Program};
+use trace_synth::{profiles, FetchRule, Program, RefKind, RefStream};
 
 #[global_allocator]
 static ALLOC: mnm_bench::CountingAlloc = mnm_bench::CountingAlloc;
@@ -47,33 +47,22 @@ const FAMILY_SCENARIOS: [(&str, &str); 7] = [
     ("session_hmnm4_batched", "HMNM4"),
 ];
 
-/// Materialize the reference stream of one profile (fetch-block fetches
-/// plus every load/store), so generation cost and its allocations stay
-/// outside the measured region.
+/// Materialize exactly `n` references of one profile by the figures'
+/// [`FetchRule::Blocks`] rule at the paper hierarchy's L1-I line size, so
+/// generation cost and its allocations stay outside the measured region.
 fn materialize(profile_name: &str, n: usize) -> Vec<Access> {
     let profile = profiles::by_name(profile_name).expect("profile");
-    let mut out = Vec::with_capacity(n);
-    let mut cur_block = u64::MAX;
-    for instr in Program::new(profile) {
-        let block = instr.pc >> 5;
-        if block != cur_block {
-            cur_block = block;
-            out.push(Access::fetch(instr.pc));
-        }
-        match instr.kind {
-            InstrKind::Load { addr } => out.push(Access::load(addr)),
-            InstrKind::Store { addr } => out.push(Access::store(addr)),
-            InstrKind::Branch { mispredicted } => {
-                if mispredicted {
-                    cur_block = u64::MAX;
-                }
-            }
-            InstrKind::Op { .. } => {}
-        }
-        if out.len() >= n {
-            break;
-        }
-    }
+    let block_bytes = HierarchyConfig::paper_five_level().fetch_block_bytes();
+    let refs = RefStream::new(Program::new(profile), FetchRule::Blocks { block_bytes });
+    let out: Vec<Access> = refs
+        .take(n)
+        .map(|r| match r.kind {
+            RefKind::Fetch => Access::fetch(r.addr),
+            RefKind::Load => Access::load(r.addr),
+            RefKind::Store => Access::store(r.addr),
+        })
+        .collect();
+    assert_eq!(out.len(), n, "a synthetic program is endless");
     out
 }
 
@@ -148,7 +137,6 @@ fn floor_failures(results: &[ScenarioResult]) -> Vec<String> {
 
 fn main() {
     let stream = materialize("164.gzip", WARMUP + MEASURE);
-    assert!(stream.len() == WARMUP + MEASURE, "trace too short");
     let mut results = Vec::new();
 
     // Baseline: the per-access protocol with no filter.

@@ -261,6 +261,14 @@ impl HierarchyConfig {
         self.levels.len()
     }
 
+    /// The L1-I line size: the fetch block of an instruction stream.
+    pub fn fetch_block_bytes(&self) -> u64 {
+        match &self.levels[0] {
+            LevelConfig::Split { instr, .. } => instr.block_bytes,
+            LevelConfig::Unified(cache) => cache.block_bytes,
+        }
+    }
+
     /// The paper's 5-level simulated processor (Section 4.1):
     /// 4 KB direct-mapped split L1 (32 B, 2 cycles), 16 KB 2-way split L2
     /// (32 B, 8 cycles), 128 KB 4-way U3 (64 B, 18 cycles), 512 KB 4-way U4
@@ -386,6 +394,7 @@ mod tests {
         assert_eq!(cfg.num_levels(), 5);
         assert_eq!(cfg.memory_latency, 320);
         assert!(!cfg.inclusive);
+        assert_eq!(cfg.fetch_block_bytes(), 32);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use cache_sim::Access;
 use trace_synth::rng::{fnv1a, splitmix64};
-use trace_synth::{profiles, Prng, Program};
+use trace_synth::{profiles, FetchRule, Prng, Program, RefKind, RefStream};
 
 /// One step of a checked replay: a memory access or a full system flush
 /// (caches and filters cleared in the same step).
@@ -83,22 +83,14 @@ fn generate_profile(seed: u64, len: usize, ops: &mut Vec<Op>) {
     // Vary the window into the program by seed so different seeds of the
     // same profile see different phases.
     let skip = ((seed >> 8) % 4096) as usize;
-    for instr in Program::new(profile).skip(skip) {
-        if ops.len() >= len {
-            break;
-        }
-        ops.push(Op::Access(Access::fetch(instr.pc)));
-        if let Some(addr) = instr.data_addr() {
-            if ops.len() >= len {
-                break;
-            }
-            let access = match instr.kind {
-                trace_synth::InstrKind::Store { .. } => Access::store(addr),
-                _ => Access::load(addr),
-            };
-            ops.push(Op::Access(access));
-        }
-    }
+    let refs = RefStream::new(Program::new(profile).skip(skip), FetchRule::EveryInstr);
+    ops.extend(refs.take(len).map(|r| {
+        Op::Access(match r.kind {
+            RefKind::Fetch => Access::fetch(r.addr),
+            RefKind::Load => Access::load(r.addr),
+            RefKind::Store => Access::store(r.addr),
+        })
+    }));
 }
 
 /// Random accesses confined to a small arena. `flush_inv` > 0 inserts a

@@ -6,7 +6,7 @@ use cache_sim::{Access, AccessKind, Hierarchy, HierarchyConfig};
 use mnm_core::{FilterPreset, Mnm, MnmConfig, MnmPlacement, ReplayFilter};
 use ooo_model::{CpuConfig, LoadSpeculation};
 use power_model::EnergyModel;
-use trace_synth::{profiles, AppProfile, Program};
+use trace_synth::{profiles, AppProfile, FetchRule, Program, RefStream};
 
 use crate::params::RunParams;
 use crate::report::Table;
@@ -77,9 +77,9 @@ pub fn tlb_filter_table(params: RunParams) -> Table {
 fn replay_tlb(app: &AppProfile, label: &str, measure: u64) -> (Hierarchy, ReplayFilter) {
     let mut hier = Hierarchy::new(HierarchyConfig::two_level_tlb());
     let mut filter = FilterPreset::parse(label).expect("TLB filter preset").build(&hier);
-    let addrs = Program::new(app.clone()).filter_map(|instr| instr.data_addr());
-    for addr in addrs.take(measure as usize) {
-        hier.step(&mut filter, Access::load(addr));
+    let refs = RefStream::new(Program::new(app.clone()), FetchRule::DataOnly);
+    for r in refs.take(measure as usize) {
+        hier.step(&mut filter, Access::load(r.addr));
     }
     (hier, filter)
 }

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use cache_sim::{Access, Hierarchy, HierarchyConfig, HierarchyStats};
 use mnm_core::{FilterPreset, MnmStats, ReplayFilter};
 use ooo_model::{simulate, CpuConfig, CpuStats};
-use trace_synth::{AppProfile, InstrKind, Program};
+use trace_synth::{AppProfile, FetchRule, MemRef, Program, RefKind, RefStream};
 
 use crate::params::{worker_threads, RunParams};
 
@@ -75,9 +75,10 @@ pub fn run_app_timed(
     finish(profile, preset, hierarchy, filter, cpu)
 }
 
-/// Drive one application through the hierarchy only (no core timing):
-/// instruction fetches at fetch-block granularity plus every load/store.
-/// Much faster than [`run_app_timed`]; used for the coverage and power
+/// Drive one application through the hierarchy only (no core timing),
+/// by the timed model's [`FetchRule::Blocks`] rule at the L1-I line size,
+/// so functional and timed runs see identical reference streams. Much
+/// faster than [`run_app_timed`]; used for the coverage and power
 /// experiments, which do not need cycles.
 pub fn run_app_functional(
     profile: &AppProfile,
@@ -87,52 +88,24 @@ pub fn run_app_functional(
 ) -> AppRun {
     let mut hierarchy = Hierarchy::new(hier_cfg.clone());
     let mut filter = preset.build(&hierarchy);
-    let fetch_shift = hierarchy
-        .structures()
-        .iter()
-        .find(|s| s.level == 1 && !s.data_only)
-        .map(|s| s.block_bytes.trailing_zeros())
-        .expect("L1 instruction structure");
-
-    let mut program = Program::new(profile.clone());
-    // Mirrors the timed model's fetch behaviour exactly (including the
-    // refetch after a mispredict and the fresh fetch block per phase) so
-    // functional and timed runs see identical reference streams.
-    let mut drive = |hierarchy: &mut Hierarchy, filter: &mut ReplayFilter, n: u64| {
-        let mut cur_block = u64::MAX;
-        let mut done = 0;
-        for instr in &mut program {
-            let block = instr.pc >> fetch_shift;
-            if block != cur_block {
-                cur_block = block;
-                hierarchy.step(filter, Access::fetch(instr.pc));
-            }
-            match instr.kind {
-                InstrKind::Load { addr } => {
-                    hierarchy.step(filter, Access::load(addr));
-                }
-                InstrKind::Store { addr } => {
-                    hierarchy.step(filter, Access::store(addr));
-                }
-                InstrKind::Branch { mispredicted } => {
-                    if mispredicted {
-                        cur_block = u64::MAX;
-                    }
-                }
-                InstrKind::Op { .. } => {}
-            }
-            done += 1;
-            if done >= n {
-                break;
-            }
-        }
-    };
-
-    drive(&mut hierarchy, &mut filter, params.warmup);
+    let rule = FetchRule::Blocks { block_bytes: hier_cfg.fetch_block_bytes() };
+    let mut refs = RefStream::new(Program::new(profile.clone()), rule);
+    for r in refs.phase(params.warmup) {
+        hierarchy.step(&mut filter, access(r));
+    }
     reset_stats(&mut hierarchy, &mut filter);
-    drive(&mut hierarchy, &mut filter, params.measure);
-
+    for r in refs.phase(params.measure) {
+        hierarchy.step(&mut filter, access(r));
+    }
     finish(profile, preset, hierarchy, filter, CpuStats::default())
+}
+
+fn access(r: MemRef) -> Access {
+    match r.kind {
+        RefKind::Fetch => Access::fetch(r.addr),
+        RefKind::Load => Access::load(r.addr),
+        RefKind::Store => Access::store(r.addr),
+    }
 }
 
 /// End of warm-up: zero the counters, keep cache and filter state.

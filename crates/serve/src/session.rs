@@ -6,13 +6,14 @@
 //! bit-identical to an offline replay of the same trace — the property
 //! `jsn slam --verify` checks end-to-end.
 //!
-//! Records are converted exactly like the functional replay path of
-//! `jsn run`: loads and stores become data-side cache accesses; ops and
-//! branches advance the record count but touch no cache.
+//! A client sends records, not a program, so records become accesses by
+//! the [`FetchRule::DataOnly`] rule, unlike `jsn run` and the figures:
+//! loads and stores become data-side accesses; ops and branches only
+//! advance the record count.
 
 use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig, StructureStats};
 use mnm_core::{FilterOccupancy, FilterPreset, ReplayFilter};
-use trace_synth::{Instr, InstrKind};
+use trace_synth::{FetchRule, Instr, RefKind, RefStream};
 
 use crate::protocol::{SessionStatsWire, StructureVerdictsWire};
 
@@ -54,17 +55,15 @@ impl SessionCore {
         })
     }
 
-    /// Replay one frame of records. Loads/stores become data accesses;
-    /// other record kinds only advance the record count.
+    /// Replay one frame of records (data references only).
     pub fn feed(&mut self, instrs: &[Instr]) -> BatchSummary {
         self.batch.clear();
-        for instr in instrs {
-            match instr.kind {
-                InstrKind::Load { addr } => self.batch.push(Access::load(addr)),
-                InstrKind::Store { addr } => self.batch.push(Access::store(addr)),
-                InstrKind::Op { .. } | InstrKind::Branch { .. } => {}
-            }
-        }
+        let refs = RefStream::new(instrs.iter().copied(), FetchRule::DataOnly);
+        self.batch.extend(refs.map(|r| match r.kind {
+            RefKind::Fetch => Access::fetch(r.addr),
+            RefKind::Load => Access::load(r.addr),
+            RefKind::Store => Access::store(r.addr),
+        }));
         self.records += instrs.len() as u64;
         self.frames += 1;
         let summary = self.hierarchy.run(&mut self.filter, &self.batch);

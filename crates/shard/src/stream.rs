@@ -2,50 +2,34 @@
 
 use cache_sim::Access;
 use trace_synth::sharing::{sharded_programs, SharingSpec};
-use trace_synth::{AppProfile, InstrKind};
+use trace_synth::{AppProfile, FetchRule, MemRef, RefKind, RefStream};
 
 /// Materialize `accesses_per_core` cache accesses for each core from
-/// `profile` under `spec`, using the same instruction-to-access
-/// convention as the single-core experiment runner: one instruction
-/// fetch per new fetch block (`fetch_block_bytes`, normally the L1-I
-/// line size, refetched after a misprediction), one data access per
-/// load/store.
+/// `profile` under `spec`, by the single-core experiment runner's
+/// [`FetchRule::Blocks`] rule: one instruction fetch per new fetch block
+/// (`fetch_block_bytes`, normally the L1-I line size, refetched after a
+/// misprediction), one data access per load/store.
 pub fn sharded_streams(
     profile: &AppProfile,
     spec: &SharingSpec,
     accesses_per_core: usize,
     fetch_block_bytes: u64,
 ) -> Vec<Vec<Access>> {
-    assert!(fetch_block_bytes.is_power_of_two(), "fetch block size must be a power of two");
-    let fetch_shift = fetch_block_bytes.trailing_zeros();
+    let rule = FetchRule::Blocks { block_bytes: fetch_block_bytes };
     sharded_programs(profile, spec)
         .into_iter()
-        .map(|mut program| {
+        .map(|program| {
             let mut out = Vec::with_capacity(accesses_per_core);
-            let mut cur_block = u64::MAX;
-            while out.len() < accesses_per_core {
-                let instr = program.next().expect("synthetic programs are endless");
-                let block = instr.pc >> fetch_shift;
-                if block != cur_block {
-                    cur_block = block;
-                    out.push(Access::fetch(instr.pc));
-                    if out.len() >= accesses_per_core {
-                        break;
-                    }
-                }
-                match instr.kind {
-                    InstrKind::Load { addr } => out.push(Access::load(addr)),
-                    InstrKind::Store { addr } => out.push(Access::store(addr)),
-                    InstrKind::Branch { mispredicted } => {
-                        if mispredicted {
-                            cur_block = u64::MAX;
-                        }
-                    }
-                    InstrKind::Op { .. } => {}
-                }
-            }
-            out.truncate(accesses_per_core);
+            out.extend(RefStream::new(program, rule).take(accesses_per_core).map(access));
             out
         })
         .collect()
+}
+
+fn access(r: MemRef) -> Access {
+    match r.kind {
+        RefKind::Fetch => Access::fetch(r.addr),
+        RefKind::Load => Access::load(r.addr),
+        RefKind::Store => Access::store(r.addr),
+    }
 }

@@ -44,6 +44,7 @@ mod program;
 mod record;
 mod regions;
 mod stats;
+mod stream;
 
 pub mod profiles;
 pub mod rng;
@@ -57,3 +58,4 @@ pub use regions::{Region, RegionKind};
 pub use rng::Prng;
 pub use sharing::{sharded_programs, SharedProgram, SharingSpec};
 pub use stats::{characterize, TraceStats};
+pub use stream::{FetchRule, MemRef, RefKind, RefStream};

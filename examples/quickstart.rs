@@ -1,6 +1,6 @@
 //! Quickstart: attach the paper's best hybrid MNM (HMNM4) to the paper's
 //! 5-level hierarchy, run a synthetic SPEC2000-like workload, and report
-//! coverage and the mean data-access-time win.
+//! coverage and the mean access-time win.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -16,29 +16,29 @@ fn main() {
     let mut guarded = Hierarchy::new(config);
     let mut mnm = Mnm::new(&guarded, MnmConfig::hmnm(4));
 
-    // A gzip-like instruction stream; we drive its loads and stores.
+    // A gzip-like instruction stream, turned into references the way the
+    // paper's figures are: one fetch per new L1-I line (again after a
+    // mispredicted branch), then each load or store.
     let profile = profiles::by_name("164.gzip").expect("bundled profile");
     println!("workload: {} ({} bytes of data touched)", profile.name, profile.data_footprint());
 
-    let program = Program::new(profile);
-    for instr in program.take(400_000) {
-        if let Some(addr) = instr.data_addr() {
-            let access = if matches!(instr.kind, InstrKind::Store { .. }) {
-                Access::store(addr)
-            } else {
-                Access::load(addr)
-            };
-            plain.access(access, &BypassSet::none());
-            mnm.run_access(&mut guarded, access);
-        }
+    let rule = FetchRule::Blocks { block_bytes: guarded.config().fetch_block_bytes() };
+    for r in RefStream::new(Program::new(profile), rule).phase(400_000) {
+        let access = match r.kind {
+            RefKind::Fetch => Access::fetch(r.addr),
+            RefKind::Load => Access::load(r.addr),
+            RefKind::Store => Access::store(r.addr),
+        };
+        plain.access(access, &BypassSet::none());
+        mnm.run_access(&mut guarded, access);
     }
 
     let cov = mnm.stats().coverage() * 100.0;
     let t_plain = plain.stats().mean_access_time();
     let t_mnm = guarded.stats().mean_access_time();
     println!("bypassable misses identified (coverage): {cov:.1}%");
-    println!("mean data access time without MNM: {t_plain:.2} cycles");
-    println!("mean data access time with HMNM4:  {t_mnm:.2} cycles");
+    println!("mean access time without MNM: {t_plain:.2} cycles");
+    println!("mean access time with HMNM4:  {t_mnm:.2} cycles");
     println!("reduction: {:.1}%", 100.0 * (t_plain - t_mnm) / t_plain);
 
     // The MNM's verdicts are sound by construction: every bypass was

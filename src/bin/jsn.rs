@@ -14,13 +14,13 @@ use std::time::Duration;
 use just_say_no::mnm_check::{ShardWorkload, TraceGen};
 use just_say_no::mnm_experiments::json::Json;
 use just_say_no::mnm_experiments::metrics::diff_documents;
+use just_say_no::mnm_experiments::runner::{run_app_functional, run_app_timed, AppRun};
+use just_say_no::mnm_experiments::RunParams;
 use just_say_no::mnm_serve::chaos::ChaosPlan;
 use just_say_no::mnm_serve::protocol::MAX_FRAME_RECORDS;
 use just_say_no::mnm_serve::server::Endpoint;
 use just_say_no::prelude::*;
 use trace_synth::{characterize, write_trace};
-
-const DEFAULT_INSTRUCTIONS: u64 = 500_000;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -235,11 +235,13 @@ const COMMANDS: &[Command] = &[
     Command {
         usage: "run <app>",
         help: "simulate one application on the paper's five-level hierarchy\n\
+               The figures' runner: fetch-block stream, JSN_WARMUP warm-up (none with\n\
+               --cpu), -n measured instructions.\n\
                LABEL: baseline, perfect (any case), HMNM1..4, TMNM_<b>x<r>, CMNM_<k>_<m>,\n\
                RMNM_<blocks>_<assoc>, SMNM_<w>x<r> or BLOOM_<b>x<k>.",
         flags: &[
             flag("--config", PRESET, "HMNM4", "filter preset"),
-            flag("-n", Int(1, MAX), "500000", "instructions to simulate"),
+            flag("-n", Int(1, MAX), "500000", "instructions measured after the warm-up"),
             flag("--cpu", Switch, "", "time the run on the 8-wide out-of-order core model"),
             flag("--json", Switch, "", "print a jsn-run/v1 document"),
         ],
@@ -265,6 +267,8 @@ const COMMANDS: &[Command] = &[
     Command {
         usage: "coverage <app> [LABEL...]",
         help: "per-configuration coverage for one application\n\
+               The figures' runner at JSN_WARMUP / JSN_MEASURE, so a row equals the\n\
+               figure's row at that budget.\n\
                Default labels: RMNM_4096_8 SMNM_20x3 TMNM_12x3 CMNM_8_12 HMNM4.",
         flags: &[],
         run: cmd_coverage,
@@ -434,60 +438,45 @@ fn cmd_apps(_: &Args) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Replay the data accesses of `profile`'s first `n` instructions through
-/// `hier` and `filter`, stores as stores.
-fn replay(hier: &mut Hierarchy, filter: &mut ReplayFilter, profile: AppProfile, n: u64) {
-    for instr in Program::new(profile).take(n as usize) {
-        if let Some(addr) = instr.data_addr() {
-            let access = match instr.kind {
-                InstrKind::Store { .. } => Access::store(addr),
-                _ => Access::load(addr),
-            };
-            hier.step(filter, access);
-        }
-    }
-}
-
 fn cmd_run(a: &Args) -> Result<ExitCode, String> {
     let (app, profile) = a.app()?;
-    let n = a.get("-n");
+    let (measure, timed) = (a.get("-n"), a.on("--cpu"));
     let preset = FilterPreset::parse(&a.get::<String>("--config"))?;
-    let label = &preset.label();
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let mut filter = preset.build(&hier);
-
-    let cpu = if a.on("--cpu") {
-        let cpu = CpuConfig::paper_eight_way();
-        Some(simulate(&cpu, &mut hier, &mut filter, Program::new(profile), n))
+    let hier_cfg = HierarchyConfig::paper_five_level();
+    let stream = FetchRule::Blocks { block_bytes: hier_cfg.fetch_block_bytes() }.name();
+    let (run, warmup) = if timed {
+        let params = RunParams { warmup: 0, measure };
+        (run_app_timed(&profile, &hier_cfg, &CpuConfig::paper_eight_way(), &preset, params), 0)
     } else {
-        replay(&mut hier, &mut filter, profile, n);
-        None
+        let params = RunParams { measure, ..RunParams::try_from_env()? };
+        (run_app_functional(&profile, &hier_cfg, &preset, params), params.warmup)
     };
     if a.on("--json") {
-        print!("{}", run_json(app, label, &hier, filter.mnm(), cpu.as_ref()).render_pretty());
+        print!("{}", run_json(&run, stream, warmup, timed).render_pretty());
         return Ok(ExitCode::SUCCESS);
     }
-    if let Some(stats) = cpu {
-        println!("app: {app}   config: {label}   instructions: {}", stats.instructions);
-        println!("cycles: {}   IPC: {:.3}", stats.cycles, stats.ipc());
+    println!("app: {app}   config: {}   stream: {stream}   warm-up: {warmup}", run.config);
+    let (cpu, st) = (&run.cpu, &run.hierarchy);
+    if timed {
         println!(
-            "loads: {}   mean load latency: {:.1} cycles",
-            stats.loads,
-            stats.mean_load_latency()
+            "instructions: {}   cycles: {}   IPC: {:.3}",
+            cpu.instructions,
+            cpu.cycles,
+            cpu.ipc()
         );
-        println!("branches: {} ({} mispredicted)", stats.branches, stats.mispredicts);
+        println!("loads: {}   mean load latency: {:.1} cycles", cpu.loads, cpu.mean_load_latency());
+        println!("branches: {} ({} mispredicted)", cpu.branches, cpu.mispredicts);
     } else {
-        println!("app: {app}   config: {label}   data accesses: {}", hier.stats().accesses);
-        println!("mean data access time: {:.2} cycles", hier.stats().mean_access_time());
-        println!("miss-time fraction: {:.1}%", hier.stats().miss_time_fraction() * 100.0);
+        println!("instructions: {measure}   accesses: {} ({} data)", st.accesses, st.data_accesses);
+        println!("mean data access time: {:.2} cycles", st.mean_access_time());
+        println!("miss-time fraction: {:.1}%", st.miss_time_fraction() * 100.0);
     }
-
-    if let Some(m) = filter.mnm() {
+    if let Some(m) = &run.mnm {
+        let bits: u64 = run.mnm_storage.iter().map(|c| c.bits).sum();
+        let parts = run.mnm_storage.len();
         println!(
-            "coverage: {:.1}%   MNM state: {} bits in {} components",
-            m.stats().coverage() * 100.0,
-            m.storage_bits(),
-            m.storage().len()
+            "coverage: {:.1}%   MNM state: {bits} bits in {parts} components",
+            m.coverage() * 100.0
         );
     }
     Ok(ExitCode::SUCCESS)
@@ -495,22 +484,14 @@ fn cmd_run(a: &Args) -> Result<ExitCode, String> {
 
 /// The `jsn run --json` document: one run's counters, schema
 /// `jsn-run/v1`.
-fn run_json(
-    app: &str,
-    label: &str,
-    hier: &Hierarchy,
-    mnm: Option<&Mnm>,
-    cpu: Option<&just_say_no::ooo_model::CpuStats>,
-) -> Json {
-    let st = hier.stats();
+fn run_json(run: &AppRun, stream: &str, warmup: u64, timed: bool) -> Json {
+    let st = &run.hierarchy;
     let structures = Json::Arr(
-        hier.structures()
-            .iter()
-            .map(|meta| {
-                let s = st.structures[meta.id.index()];
+        (run.structure_names.iter().zip(&run.level_of_structure).zip(&st.structures))
+            .map(|((name, &level), s)| {
                 Json::obj(vec![
-                    ("name", Json::str(&meta.name)),
-                    ("level", Json::num(meta.level as f64)),
+                    ("name", Json::str(name)),
+                    ("level", Json::num(level as f64)),
                     ("probes", Json::num(s.probes as f64)),
                     ("hits", Json::num(s.hits as f64)),
                     ("misses", Json::num(s.misses as f64)),
@@ -523,8 +504,10 @@ fn run_json(
     );
     let mut pairs = vec![
         ("schema", Json::str("jsn-run/v1")),
-        ("app", Json::str(app)),
-        ("config", Json::str(label)),
+        ("app", Json::str(&run.app)),
+        ("config", Json::str(&run.config)),
+        ("stream", Json::str(stream)),
+        ("warmup", Json::num(warmup as f64)),
         (
             "hierarchy",
             Json::obj(vec![
@@ -541,7 +524,8 @@ fn run_json(
             ]),
         ),
     ];
-    if let Some(cpu) = cpu {
+    if timed {
+        let cpu = &run.cpu;
         pairs.push((
             "cpu",
             Json::obj(vec![
@@ -555,15 +539,18 @@ fn run_json(
             ]),
         ));
     }
-    if let Some(m) = mnm {
+    if let Some(m) = &run.mnm {
         pairs.push((
             "mnm",
             Json::obj(vec![
-                ("coverage", Json::num(m.stats().coverage())),
-                ("identified_misses", Json::num(m.stats().identified_misses() as f64)),
-                ("bypassable_misses", Json::num(m.stats().bypassable_misses() as f64)),
-                ("storage_bits", Json::num(m.storage_bits() as f64)),
-                ("components", Json::num(m.storage().len() as f64)),
+                ("coverage", Json::num(m.coverage())),
+                ("identified_misses", Json::num(m.identified_misses() as f64)),
+                ("bypassable_misses", Json::num(m.bypassable_misses() as f64)),
+                (
+                    "storage_bits",
+                    Json::num(run.mnm_storage.iter().map(|c| c.bits).sum::<u64>() as f64),
+                ),
+                ("components", Json::num(run.mnm_storage.len() as f64)),
             ]),
         ));
     }
@@ -687,21 +674,24 @@ fn cmd_run_all(a: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_coverage(a: &Args) -> Result<ExitCode, String> {
-    let (_, profile) = a.app()?;
+    let (app, profile) = a.app()?;
     let defaults = ["RMNM_4096_8", "SMNM_20x3", "TMNM_12x3", "CMNM_8_12", "HMNM4"];
     let labels: Vec<&str> = match &a.operands[1..] {
         [] => defaults.to_vec(),
         given => given.iter().map(String::as_str).collect(),
     };
+    let params = RunParams::try_from_env()?;
+    let hier_cfg = HierarchyConfig::paper_five_level();
 
+    let stream = FetchRule::Blocks { block_bytes: hier_cfg.fetch_block_bytes() }.name();
+    let (warmup, measure) = (params.warmup, params.measure);
+    println!("app: {app}   stream: {stream}   warm-up: {warmup}   measured: {measure}");
     println!("{:<14}{:>10}", "config", "coverage");
     for label in labels {
         let config = MnmConfig::parse(label).map_err(|e| e.to_string())?;
-        let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-        let mut filter = FilterPreset::Mnm(config).build(&hier);
-        replay(&mut hier, &mut filter, profile.clone(), DEFAULT_INSTRUCTIONS);
-        let mnm = filter.mnm().expect("an MNM preset builds an MNM filter");
-        println!("{:<14}{:>9.1}%", label, mnm.stats().coverage() * 100.0);
+        let run = run_app_functional(&profile, &hier_cfg, &FilterPreset::Mnm(config), params);
+        let mnm = run.mnm.expect("an MNM preset builds an MNM filter");
+        println!("{:<14}{:>9.1}%", label, mnm.coverage() * 100.0);
     }
     Ok(ExitCode::SUCCESS)
 }

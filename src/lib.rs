@@ -27,12 +27,17 @@
 //! let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
 //! let mut mnm = Mnm::new(&hier, MnmConfig::hmnm(4));
 //!
-//! // Drive a synthetic mcf-like workload through it.
-//! let mut program = Program::new(profiles::by_name("181.mcf").unwrap());
-//! for instr in (&mut program).take(50_000) {
-//!     if let Some(addr) = instr.data_addr() {
-//!         mnm.run_access(&mut hier, Access::load(addr));
-//!     }
+//! // Drive a synthetic mcf-like workload through it: its instruction
+//! // fetches, one per L1-I line, plus every load and store.
+//! let program = Program::new(profiles::by_name("181.mcf").unwrap());
+//! let rule = FetchRule::Blocks { block_bytes: hier.config().fetch_block_bytes() };
+//! for r in RefStream::new(program, rule).take(50_000) {
+//!     let access = match r.kind {
+//!         RefKind::Fetch => Access::fetch(r.addr),
+//!         RefKind::Load => Access::load(r.addr),
+//!         RefKind::Store => Access::store(r.addr),
+//!     };
+//!     mnm.run_access(&mut hier, access);
 //! }
 //! println!("coverage: {:.1}%", mnm.stats().coverage() * 100.0);
 //! ```
@@ -56,5 +61,7 @@ pub mod prelude {
     pub use mnm_core::{FilterPreset, Mnm, MnmConfig, MnmPlacement, ReplayFilter};
     pub use ooo_model::{simulate, CpuConfig};
     pub use power_model::{account_hierarchy, mnm_total_energy, EnergyModel};
-    pub use trace_synth::{profiles, AppProfile, Instr, InstrKind, Program};
+    pub use trace_synth::{
+        profiles, AppProfile, FetchRule, Instr, InstrKind, MemRef, Program, RefKind, RefStream,
+    };
 }

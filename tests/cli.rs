@@ -130,6 +130,50 @@ fn run_json_timed_includes_cpu() {
     assert!(cpu.get("cycles").and_then(Json::as_f64).unwrap() > 0.0);
 }
 
+/// `jsn run` and `jsn coverage` drive the figures' runner, so at one
+/// budget a coverage row equals `run_app_functional`'s, and both say
+/// which stream and warm-up they ran.
+const FIGURE_BUDGET: [(&str, &str); 2] = [("JSN_WARMUP", "0"), ("JSN_MEASURE", "50000")];
+
+fn jsn_at_figure_budget(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_jsn"))
+        .args(args)
+        .envs(FIGURE_BUDGET)
+        .output()
+        .expect("jsn runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+#[test]
+fn coverage_equals_the_figures_runner_at_the_same_budget() {
+    use just_say_no::mnm_experiments::runner::{preset, run_app_functional};
+    use just_say_no::mnm_experiments::RunParams;
+    use just_say_no::prelude::*;
+    let text = jsn_at_figure_budget(&["coverage", "181.mcf", "HMNM4"]);
+    let row = text.lines().find(|l| l.starts_with("HMNM4")).expect("an HMNM4 row");
+    let printed = row.split_whitespace().nth(1).expect("a coverage cell");
+
+    let profile = profiles::by_name("181.mcf").unwrap();
+    let params = RunParams { warmup: 0, measure: 50_000 };
+    let cfg = HierarchyConfig::paper_five_level();
+    let run = run_app_functional(&profile, &cfg, &preset("HMNM4"), params);
+    let coverage = run.mnm.expect("MNM stats").coverage() * 100.0;
+    assert_eq!(printed, format!("{coverage:.1}%"), "{text}");
+    assert!(text.contains("stream: fetch-blocks") && text.contains("warm-up: 0"), "{text}");
+}
+
+#[test]
+fn run_reports_its_stream_and_warmup() {
+    use just_say_no::mnm_experiments::json::Json;
+    let args = ["run", "164.gzip", "--config", "TMNM_10x1", "-n", "20000"];
+    let doc = Json::parse(&jsn_at_figure_budget(&[&args[..], &["--json"]].concat())).unwrap();
+    assert_eq!(doc.get("stream").and_then(Json::as_str), Some("fetch-blocks"));
+    assert_eq!(doc.get("warmup").and_then(Json::as_f64), Some(0.0));
+    let text = jsn_at_figure_budget(&args);
+    assert!(text.contains("stream: fetch-blocks   warm-up: 0"), "{text}");
+}
+
 /// `jsn diff` passes identical documents, flags an injected regression
 /// with a nonzero exit, and honours `--tol`.
 #[test]
