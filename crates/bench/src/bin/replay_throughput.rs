@@ -17,7 +17,8 @@ use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig};
 use mnm_bench::{allocations, render_report, ScenarioResult, LEGACY_ALLOCS_PER_ACCESS};
 use mnm_core::{Mnm, MnmConfig, ReplayFilter};
 use mnm_experiments::json::Json;
-use trace_synth::{profiles, FetchRule, Program, RefKind, RefStream};
+use mnm_experiments::runner::access;
+use trace_synth::{profiles, FetchRule, Program, RefStream};
 
 #[global_allocator]
 static ALLOC: mnm_bench::CountingAlloc = mnm_bench::CountingAlloc;
@@ -54,14 +55,7 @@ fn materialize(profile_name: &str, n: usize) -> Vec<Access> {
     let profile = profiles::by_name(profile_name).expect("profile");
     let block_bytes = HierarchyConfig::paper_five_level().fetch_block_bytes();
     let refs = RefStream::new(Program::new(profile), FetchRule::Blocks { block_bytes });
-    let out: Vec<Access> = refs
-        .take(n)
-        .map(|r| match r.kind {
-            RefKind::Fetch => Access::fetch(r.addr),
-            RefKind::Load => Access::load(r.addr),
-            RefKind::Store => Access::store(r.addr),
-        })
-        .collect();
+    let out: Vec<Access> = refs.take(n).map(access).collect();
     assert_eq!(out.len(), n, "a synthetic program is endless");
     out
 }

@@ -97,7 +97,7 @@ impl HierarchyStats {
         }
     }
 
-    /// Mean data-access time in cycles over all accesses.
+    /// Mean access time in cycles over all accesses, fetches included.
     pub fn mean_access_time(&self) -> f64 {
         if self.accesses == 0 {
             0.0

@@ -8,8 +8,9 @@
 //! and saturation (sticky counters pinned at their ceiling).
 
 use cache_sim::Access;
+use mnm_experiments::runner::access;
 use trace_synth::rng::{fnv1a, splitmix64};
-use trace_synth::{profiles, FetchRule, Prng, Program, RefKind, RefStream};
+use trace_synth::{profiles, FetchRule, Prng, Program, RefStream};
 
 /// One step of a checked replay: a memory access or a full system flush
 /// (caches and filters cleared in the same step).
@@ -84,13 +85,7 @@ fn generate_profile(seed: u64, len: usize, ops: &mut Vec<Op>) {
     // same profile see different phases.
     let skip = ((seed >> 8) % 4096) as usize;
     let refs = RefStream::new(Program::new(profile).skip(skip), FetchRule::EveryInstr);
-    ops.extend(refs.take(len).map(|r| {
-        Op::Access(match r.kind {
-            RefKind::Fetch => Access::fetch(r.addr),
-            RefKind::Load => Access::load(r.addr),
-            RefKind::Store => Access::store(r.addr),
-        })
-    }));
+    ops.extend(refs.take(len).map(|r| Op::Access(access(r))));
 }
 
 /// Random accesses confined to a small arena. `flush_inv` > 0 inserts a

@@ -32,14 +32,18 @@ impl RunParams {
     /// allowed). A malformed value is rejected with a message naming the
     /// variable and the offending text.
     pub fn try_from_env() -> Result<Self, String> {
-        let mut p = Self::standard();
-        if let Some(w) = parse_env_u64("JSN_WARMUP", read_env("JSN_WARMUP").as_deref())? {
-            p.warmup = w;
-        }
+        let mut p = RunParams { warmup: Self::try_warmup_from_env()?, ..Self::standard() };
         if let Some(m) = parse_env_u64("JSN_MEASURE", read_env("JSN_MEASURE").as_deref())? {
             p.measure = m.max(1);
         }
         Ok(p)
+    }
+
+    /// The warm-up alone: `JSN_WARMUP`, or the standard one when unset.
+    /// For commands whose measured budget comes from a flag.
+    pub fn try_warmup_from_env() -> Result<u64, String> {
+        let w = parse_env_u64("JSN_WARMUP", read_env("JSN_WARMUP").as_deref())?;
+        Ok(w.unwrap_or(Self::standard().warmup))
     }
 
     /// Total instructions driven per run.

@@ -100,7 +100,9 @@ pub fn run_app_functional(
     finish(profile, preset, hierarchy, filter, CpuStats::default())
 }
 
-fn access(r: MemRef) -> Access {
+/// The hierarchy access a trace reference asks for.
+#[inline]
+pub fn access(r: MemRef) -> Access {
     match r.kind {
         RefKind::Fetch => Access::fetch(r.addr),
         RefKind::Load => Access::load(r.addr),

@@ -13,7 +13,8 @@
 
 use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig, StructureStats};
 use mnm_core::{FilterOccupancy, FilterPreset, ReplayFilter};
-use trace_synth::{FetchRule, Instr, RefKind, RefStream};
+use mnm_experiments::runner::access;
+use trace_synth::{FetchRule, Instr, RefStream};
 
 use crate::protocol::{SessionStatsWire, StructureVerdictsWire};
 
@@ -59,11 +60,7 @@ impl SessionCore {
     pub fn feed(&mut self, instrs: &[Instr]) -> BatchSummary {
         self.batch.clear();
         let refs = RefStream::new(instrs.iter().copied(), FetchRule::DataOnly);
-        self.batch.extend(refs.map(|r| match r.kind {
-            RefKind::Fetch => Access::fetch(r.addr),
-            RefKind::Load => Access::load(r.addr),
-            RefKind::Store => Access::store(r.addr),
-        }));
+        self.batch.extend(refs.map(access));
         self.records += instrs.len() as u64;
         self.frames += 1;
         let summary = self.hierarchy.run(&mut self.filter, &self.batch);

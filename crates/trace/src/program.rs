@@ -327,6 +327,13 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_replay() {
+        let a: Vec<_> = Program::new(test_profile()).take(5000).collect();
+        let b: Vec<_> = Program::new(test_profile()).take(5000).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn different_seeds_differ() {
         let mut p2 = test_profile();
         p2.seed = 43;

@@ -50,6 +50,11 @@ impl Instr {
             _ => None,
         }
     }
+
+    /// Whether this instruction reads or writes the data cache.
+    pub fn is_memory(&self) -> bool {
+        self.data_addr().is_some()
+    }
 }
 
 #[cfg(test)]
@@ -61,6 +66,8 @@ mod tests {
         let ld = Instr { pc: 0, kind: InstrKind::Load { addr: 0x10 }, src1: 0, src2: 0 };
         let op = Instr { pc: 0, kind: InstrKind::Op { latency: 1 }, src1: 1, src2: 2 };
         assert_eq!(ld.data_addr(), Some(0x10));
+        assert!(ld.is_memory());
         assert_eq!(op.data_addr(), None);
+        assert!(!op.is_memory());
     }
 }

@@ -41,17 +41,6 @@ pub enum FetchRule {
     DataOnly,
 }
 
-impl FetchRule {
-    /// The name reports use: `fetch-blocks`, `every-instr` or `data-only`.
-    pub fn name(self) -> &'static str {
-        match self {
-            FetchRule::Blocks { .. } => "fetch-blocks",
-            FetchRule::EveryInstr => "every-instr",
-            FetchRule::DataOnly => "data-only",
-        }
-    }
-}
-
 /// The references of an instruction stream under one [`FetchRule`],
 /// within an instruction budget. [`RefStream::phase`] starts a budget in
 /// a fresh fetch block, so a warm-up and a measured phase run back to

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use just_say_no::mnm_experiments::runner::access;
 use just_say_no::prelude::*;
 
 fn main() {
@@ -24,13 +25,9 @@ fn main() {
 
     let rule = FetchRule::Blocks { block_bytes: guarded.config().fetch_block_bytes() };
     for r in RefStream::new(Program::new(profile), rule).phase(400_000) {
-        let access = match r.kind {
-            RefKind::Fetch => Access::fetch(r.addr),
-            RefKind::Load => Access::load(r.addr),
-            RefKind::Store => Access::store(r.addr),
-        };
-        plain.access(access, &BypassSet::none());
-        mnm.run_access(&mut guarded, access);
+        let a = access(r);
+        plain.access(a, &BypassSet::none());
+        mnm.run_access(&mut guarded, a);
     }
 
     let cov = mnm.stats().coverage() * 100.0;

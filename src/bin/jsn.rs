@@ -22,6 +22,10 @@ use just_say_no::mnm_serve::server::Endpoint;
 use just_say_no::prelude::*;
 use trace_synth::{characterize, write_trace};
 
+/// The reference stream `jsn run` and `jsn coverage` replay: the figures'
+/// `FetchRule::Blocks` at the L1-I line size.
+const STREAM: &str = "fetch-blocks";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = args.first().map_or("help", String::as_str);
@@ -443,19 +447,18 @@ fn cmd_run(a: &Args) -> Result<ExitCode, String> {
     let (measure, timed) = (a.get("-n"), a.on("--cpu"));
     let preset = FilterPreset::parse(&a.get::<String>("--config"))?;
     let hier_cfg = HierarchyConfig::paper_five_level();
-    let stream = FetchRule::Blocks { block_bytes: hier_cfg.fetch_block_bytes() }.name();
     let (run, warmup) = if timed {
         let params = RunParams { warmup: 0, measure };
         (run_app_timed(&profile, &hier_cfg, &CpuConfig::paper_eight_way(), &preset, params), 0)
     } else {
-        let params = RunParams { measure, ..RunParams::try_from_env()? };
+        let params = RunParams { warmup: RunParams::try_warmup_from_env()?, measure };
         (run_app_functional(&profile, &hier_cfg, &preset, params), params.warmup)
     };
     if a.on("--json") {
-        print!("{}", run_json(&run, stream, warmup, timed).render_pretty());
+        print!("{}", run_json(&run, warmup, timed).render_pretty());
         return Ok(ExitCode::SUCCESS);
     }
-    println!("app: {app}   config: {}   stream: {stream}   warm-up: {warmup}", run.config);
+    println!("app: {app}   config: {}   stream: {STREAM}   warm-up: {warmup}", run.config);
     let (cpu, st) = (&run.cpu, &run.hierarchy);
     if timed {
         println!(
@@ -468,7 +471,7 @@ fn cmd_run(a: &Args) -> Result<ExitCode, String> {
         println!("branches: {} ({} mispredicted)", cpu.branches, cpu.mispredicts);
     } else {
         println!("instructions: {measure}   accesses: {} ({} data)", st.accesses, st.data_accesses);
-        println!("mean data access time: {:.2} cycles", st.mean_access_time());
+        println!("mean access time: {:.2} cycles", st.mean_access_time());
         println!("miss-time fraction: {:.1}%", st.miss_time_fraction() * 100.0);
     }
     if let Some(m) = &run.mnm {
@@ -484,7 +487,7 @@ fn cmd_run(a: &Args) -> Result<ExitCode, String> {
 
 /// The `jsn run --json` document: one run's counters, schema
 /// `jsn-run/v1`.
-fn run_json(run: &AppRun, stream: &str, warmup: u64, timed: bool) -> Json {
+fn run_json(run: &AppRun, warmup: u64, timed: bool) -> Json {
     let st = &run.hierarchy;
     let structures = Json::Arr(
         (run.structure_names.iter().zip(&run.level_of_structure).zip(&st.structures))
@@ -506,7 +509,7 @@ fn run_json(run: &AppRun, stream: &str, warmup: u64, timed: bool) -> Json {
         ("schema", Json::str("jsn-run/v1")),
         ("app", Json::str(&run.app)),
         ("config", Json::str(&run.config)),
-        ("stream", Json::str(stream)),
+        ("stream", Json::str(STREAM)),
         ("warmup", Json::num(warmup as f64)),
         (
             "hierarchy",
@@ -682,10 +685,8 @@ fn cmd_coverage(a: &Args) -> Result<ExitCode, String> {
     };
     let params = RunParams::try_from_env()?;
     let hier_cfg = HierarchyConfig::paper_five_level();
-
-    let stream = FetchRule::Blocks { block_bytes: hier_cfg.fetch_block_bytes() }.name();
     let (warmup, measure) = (params.warmup, params.measure);
-    println!("app: {app}   stream: {stream}   warm-up: {warmup}   measured: {measure}");
+    println!("app: {app}   stream: {STREAM}   warm-up: {warmup}   measured: {measure}");
     println!("{:<14}{:>10}", "config", "coverage");
     for label in labels {
         let config = MnmConfig::parse(label).map_err(|e| e.to_string())?;

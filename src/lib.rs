@@ -21,6 +21,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use just_say_no::mnm_experiments::runner::access;
 //! use just_say_no::prelude::*;
 //!
 //! // The paper's 5-level hierarchy with the best hybrid MNM.
@@ -32,12 +33,7 @@
 //! let program = Program::new(profiles::by_name("181.mcf").unwrap());
 //! let rule = FetchRule::Blocks { block_bytes: hier.config().fetch_block_bytes() };
 //! for r in RefStream::new(program, rule).take(50_000) {
-//!     let access = match r.kind {
-//!         RefKind::Fetch => Access::fetch(r.addr),
-//!         RefKind::Load => Access::load(r.addr),
-//!         RefKind::Store => Access::store(r.addr),
-//!     };
-//!     mnm.run_access(&mut hier, access);
+//!     mnm.run_access(&mut hier, access(r));
 //! }
 //! println!("coverage: {:.1}%", mnm.stats().coverage() * 100.0);
 //! ```

@@ -2,8 +2,11 @@
 
 use std::process::Command;
 
+/// Run `jsn` with no warm-up, so a `jsn run` replays just its `-n`
+/// instructions whatever `JSN_WARMUP` the caller has set.
 fn jsn(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_jsn")).args(args).output().expect("jsn runs")
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_jsn"));
+    cmd.args(args).env("JSN_WARMUP", "0").output().expect("jsn runs")
 }
 
 #[test]
@@ -23,7 +26,7 @@ fn run_reports_coverage() {
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("coverage:"));
-    assert!(text.contains("mean data access time"));
+    assert!(text.contains("mean access time"));
 }
 
 #[test]
@@ -172,6 +175,18 @@ fn run_reports_its_stream_and_warmup() {
     assert_eq!(doc.get("warmup").and_then(Json::as_f64), Some(0.0));
     let text = jsn_at_figure_budget(&args);
     assert!(text.contains("stream: fetch-blocks   warm-up: 0"), "{text}");
+}
+
+/// `jsn run` takes its measured budget from `-n` alone: it reads
+/// `JSN_WARMUP` but not `JSN_MEASURE`.
+#[test]
+fn run_reads_no_jsn_measure() {
+    let out = Command::new(env!("CARGO_BIN_EXE_jsn"))
+        .args(["run", "164.gzip", "-n", "1000"])
+        .envs([("JSN_WARMUP", "0"), ("JSN_MEASURE", "bogus")])
+        .output()
+        .expect("jsn runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// `jsn diff` passes identical documents, flags an injected regression
