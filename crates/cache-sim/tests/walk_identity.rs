@@ -150,8 +150,26 @@ fn write_through_chain() -> HierarchyConfig {
     cfg
 }
 
-/// Every configuration with its name, in a fixed order.
-fn configs() -> Vec<(String, HierarchyConfig)> {
+/// One configuration of the walk under test.
+struct Case {
+    name: String,
+    config: HierarchyConfig,
+    /// The level number of the first configured level.
+    base_level: u8,
+    /// Addresses span `[0, span)`, half the accesses in its first eighth.
+    span: u64,
+}
+
+impl Case {
+    /// A full hierarchy whose largest structure holds 16 sets × `assoc`
+    /// × 128 bytes; addresses span four times that.
+    fn full(name: String, config: HierarchyConfig, assoc: u64) -> Self {
+        Case { name, config, base_level: 1, span: 4 * 16 * 128 * assoc }
+    }
+}
+
+/// Every configuration, in a fixed order.
+fn configs() -> Vec<Case> {
     let mut out = Vec::new();
     for (pname, policy) in [
         ("lru", ReplacementPolicy::Lru),
@@ -161,11 +179,30 @@ fn configs() -> Vec<(String, HierarchyConfig)> {
         for assoc in [1, 2, 4, 8] {
             for inclusive in [false, true] {
                 let name = format!("{pname}-{assoc}way{}", if inclusive { "-incl" } else { "" });
-                out.push((name, three_level(assoc, policy, inclusive)));
+                out.push(Case::full(name, three_level(assoc, policy, inclusive), u64::from(assoc)));
             }
         }
     }
-    out.push(("write-through-chain".to_string(), write_through_chain()));
+    out.push(Case::full("write-through-chain".to_string(), write_through_chain(), 2));
+    // The sharded simulator's shared L3: one unified level numbered 3, so
+    // the first structure on every path is a guarded, bypassable one.
+    out.push(Case {
+        name: "shared-l3".to_string(),
+        config: HierarchyConfig {
+            levels: vec![LevelConfig::Unified(CacheConfig::new("ul3", 16 * 4 * 128, 4, 128, 15))],
+            memory_latency: 90,
+            inclusive: false,
+        },
+        base_level: 3,
+        span: 4 * 16 * 4 * 128,
+    });
+    // Page-grained: 64 tlb1 entries and 512 tlb2 entries of 4 KiB pages.
+    out.push(Case {
+        name: "two-level-tlb".to_string(),
+        config: HierarchyConfig::two_level_tlb(),
+        base_level: 1,
+        span: 4 * 512 * 4096,
+    });
     out
 }
 
@@ -182,17 +219,15 @@ enum Bypass {
     Unsound,
 }
 
-/// Replay `ACCESSES` seeded fetches, loads and stores through `config`,
+/// Replay `ACCESSES` seeded fetches, loads and stores through `case`,
 /// with an occasional external invalidation, and fold everything the walk
 /// reports.
-fn digest(config: &HierarchyConfig, seed: u64, bypass_mode: Bypass) -> u64 {
-    let mut hier = Hierarchy::new(config.clone());
+fn digest(case: &Case, seed: u64, bypass_mode: Bypass) -> u64 {
+    let mut hier = Hierarchy::with_base_level(case.config.clone(), case.base_level);
     let mut scratch = ReplayScratch::new();
     let mut events = Vec::new();
     let mut d = Digest(seed);
-    // The largest structure holds 16 sets × assoc × 128 bytes; addresses
-    // span four times that, with half the accesses in a hot eighth.
-    let span = 4 * 16 * 128 * config_assoc(config);
+    let span = case.span;
     // The stream steps its state before mixing: seeded with `seed + γ`.
     let mut rng = SplitMix64::new(seed.wrapping_add(0x9E37_79B9_7F4A_7C15));
     for i in 0..ACCESSES {
@@ -229,17 +264,9 @@ fn digest(config: &HierarchyConfig, seed: u64, bypass_mode: Bypass) -> u64 {
     d.0
 }
 
-/// The associativity every structure of `config` shares.
-fn config_assoc(config: &HierarchyConfig) -> u64 {
-    match &config.levels[0] {
-        LevelConfig::Split { data, .. } => u64::from(data.assoc),
-        LevelConfig::Unified(c) => u64::from(c.assoc),
-    }
-}
-
 fn check(expected: &[(&str, u64)], seed: u64, mode: Bypass) {
     let got: Vec<(String, u64)> =
-        configs().into_iter().map(|(name, cfg)| (name, digest(&cfg, seed, mode))).collect();
+        configs().into_iter().map(|case| (case.name.clone(), digest(&case, seed, mode))).collect();
     let table: String =
         got.iter().map(|(name, d)| format!("        (\"{name}\", {d:#018x}),\n")).collect();
     assert_eq!(got.len(), expected.len(), "configuration list changed; digests now:\n{table}");
@@ -291,6 +318,8 @@ const SOUND: &[(&str, u64)] = &[
     ("random-8way", 0x6eeab9f7e9dcc93c),
     ("random-8way-incl", 0xe4f3c8318ffdf726),
     ("write-through-chain", 0x2452c51aba201970),
+    ("shared-l3", 0xbb52bb230915462b),
+    ("two-level-tlb", 0xef00cbacbaba3b19),
 ];
 
 #[cfg(not(debug_assertions))]
@@ -320,4 +349,6 @@ const UNSOUND: &[(&str, u64)] = &[
     ("random-8way", 0xf20ec71e2ed2abd4),
     ("random-8way-incl", 0x99af49fc1fcdd9eb),
     ("write-through-chain", 0x6b451245c9221663),
+    ("shared-l3", 0x3afff897118bb656),
+    ("two-level-tlb", 0xc930af94f8dea34c),
 ];
