@@ -132,6 +132,7 @@ impl Cache {
     /// pick the way to refill, and the block is installed there. Stamps,
     /// the clock and the random state advance exactly as a one-tick probe
     /// followed, on a miss, by [`Cache::fill`] would advance them.
+    #[inline]
     pub(crate) fn access(&mut self, addr: u64) -> Scan {
         let block = self.block_addr(addr);
         let set = self.set_of(block);

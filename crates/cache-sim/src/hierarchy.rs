@@ -72,6 +72,16 @@ pub struct Hierarchy {
     scratch: ReplayScratch,
 }
 
+/// Running totals of one access's walk through the hierarchy.
+#[derive(Debug, Clone, Copy, Default)]
+struct Walk {
+    latency: u64,
+    miss_latency: u64,
+    misses: u32,
+    bypassed: u32,
+    probed_beyond_l1: u32,
+}
+
 impl Hierarchy {
     /// Build an empty hierarchy.
     ///
@@ -304,9 +314,21 @@ impl Hierarchy {
     /// construction, through the write-through structures to the
     /// write-back structure that absorbs it.
     ///
+    /// The walk has a short inline head and an out-of-line level loop.
+    /// The head probes the first structure on the path and, on a hit,
+    /// closes the access there: an L1 hit, the common case, pays for one
+    /// probe and none of the loop's set-up. Only a miss there, which
+    /// continues from the next structure, or a bypassed first structure
+    /// (a hierarchy built [`with_base_level`](Hierarchy::with_base_level)
+    /// above 1) enters the loop. Both record every probe through one
+    /// helper and close every access through another, so the head is the
+    /// loop's first step, not a second walk: trail, events, stats and
+    /// result are the same either way.
+    ///
     /// The scratch buffer is cleared on entry and reused across calls:
     /// in steady state this path performs **zero heap allocations** per
     /// access (no path clone, no per-access probe or event vector).
+    #[inline]
     pub fn access_with_events(
         &mut self,
         access: Access,
@@ -314,19 +336,39 @@ impl Hierarchy {
         scratch: &mut ReplayScratch,
     ) -> AccessResult {
         scratch.clear();
+        let (sid, level) = if access.kind.is_instruction() {
+            (self.instr_path[0], self.instr_levels[0])
+        } else {
+            (self.data_path[0], self.data_levels[0])
+        };
+        let mut walk = Walk::default();
+        if level > 1 && bypass.contains(sid) {
+            return self.walk_from(0, access, bypass, scratch, walk);
+        }
+        if self.probe(sid, level, access.addr, scratch, &mut walk) {
+            return self.finish(access, level, walk);
+        }
+        self.walk_from(1, access, bypass, scratch, walk)
+    }
+
+    /// The level loop of [`Hierarchy::access_with_events`]: walk the
+    /// access's path from step `start` on, carrying the totals of the
+    /// steps before it, until a structure supplies the block or memory
+    /// does.
+    #[inline(never)]
+    fn walk_from(
+        &mut self,
+        start: usize,
+        access: Access,
+        bypass: &BypassSet,
+        scratch: &mut ReplayScratch,
+        mut walk: Walk,
+    ) -> AccessResult {
         let is_instr = access.kind.is_instruction();
         let path_len = if is_instr { self.instr_path.len() } else { self.data_path.len() };
-
-        let mut latency = 0u64;
-        let mut miss_latency = 0u64;
-        let mut misses = 0u32;
-        let mut bypassed = 0u32;
-        let mut probed_beyond_l1 = 0u32;
-        let mut supply_level = self.memory_level();
-
         // The paths are fixed at construction; indexing them afresh each
         // step borrows cleanly against the cache mutations.
-        for i in 0..path_len {
+        for i in start..path_len {
             let (sid, level) = if is_instr {
                 (self.instr_path[i], self.instr_levels[i])
             } else {
@@ -340,7 +382,7 @@ impl Hierarchy {
                     access.addr
                 );
                 self.stats.structures[sid.0].bypasses += 1;
-                bypassed += 1;
+                walk.bypassed += 1;
                 scratch.probes.push(ProbeRecord {
                     structure: sid,
                     level,
@@ -359,57 +401,71 @@ impl Hierarchy {
                 }
                 continue;
             }
-            let cache = &mut self.caches[sid.0];
-            let scan = cache.access(access.addr);
-            let config = cache.config();
-            let st = &mut self.stats.structures[sid.0];
-            st.probes += 1;
-            if level > 1 {
-                probed_beyond_l1 += 1;
-            }
-            match scan {
-                Scan::Hit { mru } => {
-                    st.hits += 1;
-                    st.mru_hits += u64::from(mru);
-                    let lat = config.hit_latency;
-                    latency += lat;
-                    scratch.probes.push(ProbeRecord {
-                        structure: sid,
-                        level,
-                        outcome: ProbeOutcome::Hit,
-                        latency: lat,
-                    });
-                    supply_level = level;
-                    break;
-                }
-                Scan::Miss { frame, victim } => {
-                    st.misses += 1;
-                    misses += 1;
-                    let lat = config.miss_latency;
-                    latency += lat;
-                    miss_latency += lat;
-                    scratch.probes.push(ProbeRecord {
-                        structure: sid,
-                        level,
-                        outcome: ProbeOutcome::Miss,
-                        latency: lat,
-                    });
-                    self.placed(sid, access.addr, frame, victim, &mut scratch.events);
-                }
+            if self.probe(sid, level, access.addr, scratch, &mut walk) {
+                return self.finish(access, level, walk);
             }
         }
+        walk.latency += self.config.memory_latency;
+        self.stats.memory_supplies += 1;
+        self.finish(access, self.memory_level(), walk)
+    }
 
-        if supply_level == self.memory_level() {
-            latency += self.config.memory_latency;
-            self.stats.memory_supplies += 1;
+    /// Probe `sid`, the structure at `level`, for `addr` and record it:
+    /// its stats, its trail record and, after a miss, the refill the probe
+    /// made. Returns whether it hit. The walk's only probe accounting.
+    #[inline(always)]
+    fn probe(
+        &mut self,
+        sid: StructureId,
+        level: u8,
+        addr: u64,
+        scratch: &mut ReplayScratch,
+        walk: &mut Walk,
+    ) -> bool {
+        let cache = &mut self.caches[sid.0];
+        let scan = cache.access(addr);
+        let config = cache.config();
+        let st = &mut self.stats.structures[sid.0];
+        st.probes += 1;
+        if level > 1 {
+            walk.probed_beyond_l1 += 1;
         }
+        let (outcome, lat) = match scan {
+            Scan::Hit { mru } => {
+                st.hits += 1;
+                st.mru_hits += u64::from(mru);
+                (ProbeOutcome::Hit, config.hit_latency)
+            }
+            Scan::Miss { .. } => {
+                st.misses += 1;
+                walk.misses += 1;
+                walk.miss_latency += config.miss_latency;
+                (ProbeOutcome::Miss, config.miss_latency)
+            }
+        };
+        walk.latency += lat;
+        scratch.probes.push(ProbeRecord { structure: sid, level, outcome, latency: lat });
+        match scan {
+            Scan::Hit { .. } => true,
+            Scan::Miss { frame, victim } => {
+                self.placed(sid, addr, frame, victim, &mut scratch.events);
+                false
+            }
+        }
+    }
 
-        // Write handling: each write-through structure on the store's
-        // route forwards the write (one write transaction of traffic) until
-        // the write-back structure absorbs it as a dirty mark, matching the
-        // paper's traffic accounting. A non-resident block at the absorbing
-        // level is left alone (write-no-allocate beyond L1; the traffic was
-        // already counted at the forwarding level).
+    /// Close an access that `supply_level` supplied: route a store, then
+    /// count the access and its latency. The walk's only access
+    /// bookkeeping.
+    ///
+    /// Write handling: each write-through structure on the store's route
+    /// forwards the write (one write transaction of traffic) until the
+    /// write-back structure absorbs it as a dirty mark, matching the
+    /// paper's traffic accounting. A non-resident block at the absorbing
+    /// level is left alone (write-no-allocate beyond L1; the traffic was
+    /// already counted at the forwarding level).
+    #[inline(always)]
+    fn finish(&mut self, access: Access, supply_level: u8, walk: Walk) -> AccessResult {
         if access.kind == crate::AccessKind::Store {
             for sid in &self.store_through {
                 self.stats.structures[sid.0].writebacks += 1;
@@ -418,18 +474,16 @@ impl Hierarchy {
                 self.caches[sid.0].mark_dirty(access.addr);
             }
         }
-
-        // Bookkeeping.
         self.stats.accesses += 1;
-        if is_instr {
+        if access.kind.is_instruction() {
             self.stats.instr_accesses += 1;
         } else {
             self.stats.data_accesses += 1;
         }
-        self.stats.total_latency += latency;
-        self.stats.miss_latency += miss_latency;
+        self.stats.total_latency += walk.latency;
+        self.stats.miss_latency += walk.miss_latency;
         self.stats.supplies_by_level[(supply_level - self.base_level) as usize] += 1;
-
+        let Walk { latency, miss_latency: _, misses, bypassed, probed_beyond_l1 } = walk;
         AccessResult { supply_level, latency, misses, bypassed, probed_beyond_l1 }
     }
 

@@ -451,7 +451,20 @@ impl Mnm {
     /// Filters are independent, so this equals feeding every sub-block to
     /// every filter in turn; each filter still sees its own updates in
     /// event order. The statistics count sub-blocks.
+    ///
+    /// An access that hit at L1 produced no events, so this returns at
+    /// once on an empty list; the update itself stays out of line.
+    #[inline]
     pub fn observe_events(&mut self, events: &[CacheEvent]) {
+        if !events.is_empty() {
+            self.apply_events(events);
+        }
+    }
+
+    /// The body of [`Mnm::observe_events`], kept out of line so every
+    /// family's update code stays out of the replay loop.
+    #[inline(never)]
+    fn apply_events(&mut self, events: &[CacheEvent]) {
         let grain = self.granularity.bytes();
         for ev in events {
             let Some(si) = self.slot_of_structure[ev.structure.index()] else {
@@ -1144,6 +1157,52 @@ mod tests {
     fn answered_from_memo(mnm: &Mnm, addr: u64) -> bool {
         let (e, current) = memo_entry(mnm, addr);
         current && e.asked != 0 && e.block == mnm.granularity.block_of(addr)
+    }
+
+    /// An access that hit at L1 hands feedback an empty event list: it
+    /// changes no statistic, no filter state and no remembered verdict.
+    #[test]
+    fn empty_feedback_changes_nothing() {
+        let mut hier = tiny_hierarchy();
+        let mut mnm = Mnm::new(&hier, MnmConfig::parse("HMNM2").unwrap());
+        mnm.run_access(&mut hier, Access::load(0x1000));
+        mnm.query(Access::load(0x1000));
+        assert!(answered_from_memo(&mnm, 0x1000));
+        let stats = mnm.stats().clone();
+        let versions: Vec<u32> = mnm.stacks.iter().map(|s| s.version).collect();
+        let occupancy = (mnm.occupancy(), mnm.component_occupancy());
+
+        mnm.observe_events(&[]);
+        assert_eq!(mnm.stats(), &stats);
+        assert_eq!(mnm.stacks.iter().map(|s| s.version).collect::<Vec<_>>(), versions);
+        assert_eq!((mnm.occupancy(), mnm.component_occupancy()), occupancy);
+        assert!(answered_from_memo(&mnm, 0x1000));
+    }
+
+    /// A trail of one record counts when its structure is guarded: the
+    /// shard resolver hands a core its shared-L3 probe this way, so no
+    /// shortcut may key on the trail's length. An L1 record never counts.
+    #[test]
+    fn a_single_guarded_probe_record_counts() {
+        let hier = tiny_hierarchy();
+        let mut mnm = Mnm::new(&hier, MnmConfig::parse("TMNM_12x1").unwrap());
+        let ul3 = mnm.slot_structures()[1];
+        let dl1 = hier.path(cache_sim::AccessKind::Load)[0];
+        let record =
+            |structure, level, outcome| ProbeRecord { structure, level, outcome, latency: 0 };
+        let counted = |mnm: &Mnm| {
+            let st = &mnm.stats().slots[1];
+            (st.bypassable_misses, st.identified_misses)
+        };
+
+        mnm.note_probes(&[record(ul3, 3, ProbeOutcome::Miss)]);
+        assert_eq!(counted(&mnm), (1, 0));
+        mnm.note_probes(&[record(ul3, 3, ProbeOutcome::Bypassed)]);
+        assert_eq!(counted(&mnm), (2, 1));
+        mnm.note_probes(&[record(ul3, 3, ProbeOutcome::Hit)]);
+        mnm.note_probes(&[record(dl1, 1, ProbeOutcome::Miss)]);
+        assert_eq!(counted(&mnm), (2, 1));
+        assert_eq!(mnm.stats().slots[0], crate::stats::SlotStats::default());
     }
 
     #[test]
