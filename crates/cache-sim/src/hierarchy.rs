@@ -336,11 +336,7 @@ impl Hierarchy {
         scratch: &mut ReplayScratch,
     ) -> AccessResult {
         scratch.clear();
-        let (sid, level) = if access.kind.is_instruction() {
-            (self.instr_path[0], self.instr_levels[0])
-        } else {
-            (self.data_path[0], self.data_levels[0])
-        };
+        let (sid, level) = self.path_step(access.kind.is_instruction(), 0);
         let mut walk = Walk::default();
         if level > 1 && bypass.contains(sid) {
             return self.walk_from(0, access, bypass, scratch, walk);
@@ -366,14 +362,8 @@ impl Hierarchy {
     ) -> AccessResult {
         let is_instr = access.kind.is_instruction();
         let path_len = if is_instr { self.instr_path.len() } else { self.data_path.len() };
-        // The paths are fixed at construction; indexing them afresh each
-        // step borrows cleanly against the cache mutations.
         for i in start..path_len {
-            let (sid, level) = if is_instr {
-                (self.instr_path[i], self.instr_levels[i])
-            } else {
-                (self.data_path[i], self.data_levels[i])
-            };
+            let (sid, level) = self.path_step(is_instr, i);
             if level > 1 && bypass.contains(sid) {
                 debug_assert!(
                     !self.caches[sid.0].contains(access.addr),
@@ -408,6 +398,18 @@ impl Hierarchy {
         walk.latency += self.config.memory_latency;
         self.stats.memory_supplies += 1;
         self.finish(access, self.memory_level(), walk)
+    }
+
+    /// The structure and level of step `i` of the instruction or data
+    /// path. The paths are fixed at construction; indexing them afresh
+    /// each step borrows cleanly against the cache mutations.
+    #[inline(always)]
+    fn path_step(&self, is_instr: bool, i: usize) -> (StructureId, u8) {
+        if is_instr {
+            (self.instr_path[i], self.instr_levels[i])
+        } else {
+            (self.data_path[i], self.data_levels[i])
+        }
     }
 
     /// Probe `sid`, the structure at `level`, for `addr` and record it:
@@ -445,13 +447,9 @@ impl Hierarchy {
         };
         walk.latency += lat;
         scratch.probes.push(ProbeRecord { structure: sid, level, outcome, latency: lat });
-        match scan {
-            Scan::Hit { .. } => true,
-            Scan::Miss { frame, victim } => {
-                self.placed(sid, addr, frame, victim, &mut scratch.events);
-                false
-            }
-        }
+        let Scan::Miss { frame, victim } = scan else { return true };
+        self.placed(sid, addr, frame, victim, &mut scratch.events);
+        false
     }
 
     /// Close an access that `supply_level` supplied: route a store, then
@@ -626,6 +624,12 @@ impl Hierarchy {
     /// the resulting bypass set, then feed the event stream and probe
     /// trail back — the full per-access protocol. Reuses the internal
     /// scratch, so it allocates nothing in steady state.
+    ///
+    /// An access that hits the first structure on its path stays in the
+    /// walk's inline head ([`Hierarchy::access_with_events`]): one probe,
+    /// a one-record trail and no events, which the MNM's feedback
+    /// (`Mnm::observe_events`) returns from at once. Only a miss there
+    /// enters the level loop and feeds updates back.
     ///
     /// ```
     /// use cache_sim::{Access, Hierarchy, HierarchyConfig, NoFilter};
