@@ -18,9 +18,9 @@
 //! * cores compute epoch **E+1** while the resolver drains epoch **E**'s
 //!   queues;
 //! * the results of resolving epoch E (coherence invalidations, the
-//!   global L3 event list, probe records, per-core counter deltas) are
-//!   applied at the start of epoch **E+2**, the first epoch that begins
-//!   after the resolution is guaranteed complete.
+//!   global L3 event list, probe records) are applied at the start of
+//!   epoch **E+2**, the first epoch that begins after the resolution is
+//!   guaranteed complete.
 //!
 //! Epoch E therefore runs against the L3 image left by resolution of
 //! epoch E−2 — a *frozen view*. Requests resolve serially in core-major
@@ -31,27 +31,29 @@
 //!
 //! ## Engines
 //!
-//! Two drivers execute the identical schedule and must produce
-//! bit-identical [`ShardReport`]s (asserted in tests, the
-//! `shard_scaling` bench, and CI):
+//! Both engines run one schedule, built from two turns, and must produce
+//! bit-identical [`ShardReport`]s (asserted in tests, the `shard_scaling`
+//! bench, and CI). A core turn applies the resolution round that arrived,
+//! if any, then computes an epoch through [`Hierarchy::run`], the loop
+//! every other driver runs. A resolver turn counts the round, then stops
+//! the run or resolves the round's requests.
 //!
 //! * [`Engine::Pipelined`] (the default, [`ShardedSim::run`]) — one host
-//!   thread per core plus a dedicated resolver thread. Each core hands
-//!   off over two bounded `std::sync::mpsc` channels: an outbox (epoch
-//!   requests + published store lines) and an inbox (resolution
-//!   results). Cores never touch a shared lock.
-//! * [`Engine::Single`] ([`ShardedSim::run_single_threaded`]) — the
-//!   whole schedule on the calling thread; the reference execution and
-//!   the only driver that invokes a [`ShardObserver`].
+//!   thread per core plus a resolver thread, handing off over two bounded
+//!   `std::sync::mpsc` channels per core: an outbox (epoch requests +
+//!   store lines) and an inbox (resolution results). No shared lock.
+//! * [`Engine::Single`] ([`ShardedSim::run_single_threaded`]) — every
+//!   turn on the calling thread, each round's results queued one round as
+//!   the channels queue them; the only driver that invokes a
+//!   [`ShardObserver`].
 //!
 //! ### Why the handoff channels never fill
 //!
-//! A core entering epoch E+2 blocks until resolution of epoch E arrives
-//! in its inbox, so a core can run at most ~1.5 epochs ahead of the
-//! resolver; symmetrically the resolver blocks on each core's outbox.
-//! Per direction at most two messages are ever in flight, so a channel
-//! of `HANDOFF_DEPTH` slots never blocks a sender. The resolver ends
-//! the run by dropping its inbox senders; a thread that panics drops
+//! A core computing epoch E+2 needs the results of round E, so it runs at
+//! most ~1.5 epochs ahead of the resolver, which in turn waits on every
+//! outbox. At most two messages are in flight per direction, so a
+//! channel of `HANDOFF_DEPTH` slots never blocks a sender. The resolver
+//! ends the run by dropping its inbox senders; a thread that panics drops
 //! its channel ends too, so its peers stop instead of waiting forever
 //! and the scope re-raises the panic.
 //!
@@ -74,8 +76,8 @@
 use crate::config::ShardConfig;
 use crate::report::{CoreReport, ShardReport, ShardTiming};
 use cache_sim::{
-    Access, AccessKind, BypassSet, CacheEvent, EventKind, Hierarchy, ProbeRecord, ReplayScratch,
-    StructureId,
+    Access, AccessFilter, AccessKind, BypassSet, CacheEvent, EventKind, Hierarchy, ProbeOutcome,
+    ProbeRecord, ReplayScratch, StructureId,
 };
 use mnm_core::Mnm;
 use std::collections::HashSet;
@@ -211,45 +213,9 @@ struct OutMsg {
     exhausted: bool,
 }
 
-impl OutMsg {
-    fn empty() -> Self {
-        OutMsg { requests: Vec::new(), stores: Vec::new(), exhausted: true }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.requests.is_empty() && self.stores.is_empty()
-    }
-}
-
-/// Per-core counter deltas accumulated by the resolver; folded into the
-/// core's own [`CoreReport`] when the core applies the resolution (the
-/// resolver never touches core-owned state).
-#[derive(Debug, Clone, Copy, Default)]
-struct ResolveDelta {
-    l3_requests: u64,
-    l3_hits: u64,
-    l3_misses: u64,
-    l3_bypasses: u64,
-    stale_bypass_rescues: u64,
-    unsound_verdicts: u64,
-    cycles: u64,
-    store_lines_published: u64,
-}
-
-impl ResolveDelta {
-    fn is_zero(&self) -> bool {
-        self.l3_requests == 0
-            && self.l3_hits == 0
-            && self.l3_misses == 0
-            && self.l3_bypasses == 0
-            && self.stale_bypass_rescues == 0
-            && self.unsound_verdicts == 0
-            && self.cycles == 0
-            && self.store_lines_published == 0
-    }
-}
-
-/// One resolution round's results for one core (resolver → core).
+/// One resolution round's results for one core (resolver → core). The
+/// default is the empty round that primes the pipeline.
+#[derive(Default)]
 struct ResolvedMsg {
     /// Coherence invalidations: L3 victims (every core) then other
     /// cores' store lines, deduplicated, in deterministic order.
@@ -259,26 +225,6 @@ struct ResolvedMsg {
     events: Arc<Vec<CacheEvent>>,
     /// This core's L3 probe records for coverage accounting.
     probes: Vec<ProbeRecord>,
-    /// Counter deltas this core folds into its report.
-    delta: ResolveDelta,
-}
-
-impl ResolvedMsg {
-    fn prime() -> Self {
-        ResolvedMsg {
-            invals: Vec::new(),
-            events: Arc::new(Vec::new()),
-            probes: Vec::new(),
-            delta: ResolveDelta::default(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.invals.is_empty()
-            && self.events.is_empty()
-            && self.probes.is_empty()
-            && self.delta.is_zero()
-    }
 }
 
 /// Everything one core owns. Exactly one thread touches a `CoreState`
@@ -290,13 +236,12 @@ struct CoreState {
     mnm: Mnm,
     stream: Vec<Access>,
     pos: usize,
-    pending: Vec<L3Request>,
-    store_lines: Vec<u64>,
     store_seen: LineSet,
+    /// The counters the core keeps: accesses, private cycles and
+    /// invalidations received.
     report: CoreReport,
-    scratch: ReplayScratch,
     ev_buf: Vec<CacheEvent>,
-    /// Nanoseconds this core spent computing epochs + applying inboxes.
+    /// Nanoseconds this core spent in its turns (applying + computing).
     compute_nanos: u64,
     /// Nanoseconds this core spent stalled waiting for handoff.
     stall_nanos: u64,
@@ -317,6 +262,11 @@ struct ResolverState {
     /// Lines already listed in the invalidation message being built.
     inval_seen: LineSet,
     scratch: ReplayScratch,
+    /// Each core's shared-L3 counters, joined with the core's own in the
+    /// report.
+    tallies: Vec<CoreReport>,
+    /// The previous round's outboxes were all empty.
+    prev_empty: bool,
     /// Rounds executed — the number of epochs the schedule ran.
     rounds: u64,
     /// Nanoseconds spent inside [`resolve_round`].
@@ -327,7 +277,6 @@ struct ResolverState {
 #[derive(Clone, Copy)]
 struct Ctx {
     l3_template_id: StructureId,
-    private_memory_level: u8,
     l3_block_bytes: u64,
     min_private_block: u64,
     epoch: usize,
@@ -339,7 +288,6 @@ pub struct ShardedSim {
     cores: Vec<CoreState>,
     resolver: ResolverState,
     ctx: Ctx,
-    timing: ShardTiming,
 }
 
 impl ShardedSim {
@@ -377,11 +325,8 @@ impl ShardedSim {
                 mnm: Mnm::new(&template, config.mnm.clone()),
                 stream,
                 pos: 0,
-                pending: Vec::new(),
-                store_lines: Vec::new(),
                 store_seen: LineSet::default(),
                 report: CoreReport::default(),
-                scratch: ReplayScratch::new(),
                 ev_buf: Vec::new(),
                 compute_nanos: 0,
                 stall_nanos: 0,
@@ -397,17 +342,18 @@ impl ShardedSim {
             victim_seen: LineSet::default(),
             inval_seen: LineSet::default(),
             scratch: ReplayScratch::new(),
+            tallies: vec![CoreReport::default(); config.cores],
+            prev_empty: true,
             rounds: 0,
             resolve_nanos: 0,
         };
         let ctx = Ctx {
             l3_template_id,
-            private_memory_level: Hierarchy::new(private_cfg).memory_level(),
             l3_block_bytes: config.l3.block_bytes,
             min_private_block,
             epoch: config.epoch,
         };
-        ShardedSim { config, cores, resolver, ctx, timing: ShardTiming::default() }
+        ShardedSim { config, cores, resolver, ctx }
     }
 
     /// The configuration this simulation was built with.
@@ -431,7 +377,11 @@ impl ShardedSim {
     /// Run the selected engine.
     pub fn run_engine(&mut self, engine: Engine) -> ShardReport {
         match engine {
-            Engine::Pipelined => self.run_pipelined(),
+            Engine::Pipelined => {
+                let wall = Instant::now();
+                self.run_pipelined();
+                self.build_report(engine, wall)
+            }
             Engine::Single => self.run_single_threaded_observed(&mut NoopObserver),
         }
     }
@@ -440,148 +390,89 @@ impl ShardedSim {
     pub fn run_single_threaded_observed(&mut self, obs: &mut dyn ShardObserver) -> ShardReport {
         let ctx = self.ctx;
         let wall = Instant::now();
-        let n = self.cores.len();
-        let mut inbox: Vec<Option<ResolvedMsg>> = (0..n).map(|_| None).collect();
-        let mut prev_outs: Vec<OutMsg> = (0..n).map(|_| OutMsg::empty()).collect();
-        let mut compute_nanos = 0u64;
+        // Results wait a round before the cores apply them, as they wait
+        // in the channels; the empty primer is the first to arrive.
+        let mut queued: Vec<_> = self.cores.iter().map(|_| Some(ResolvedMsg::default())).collect();
+        let mut arrived: Vec<Option<ResolvedMsg>> = self.cores.iter().map(|_| None).collect();
         loop {
-            self.resolver.rounds += 1;
-            // Epoch start: the frozen view advances past the resolution
-            // round being applied (if any) — tell the observer first so
-            // its ledger matches the filters when verdicts are checked.
-            if let Some(msg) = inbox.iter().flatten().next() {
+            // The frozen view advances past the round being applied: tell
+            // the observer first, so its ledger matches the filters.
+            if let Some(msg) = arrived.iter().flatten().next() {
                 obs.l3_events(&msg.events);
             }
-            let t0 = Instant::now();
-            let mut cur_outs = Vec::with_capacity(n);
-            for (ci, core) in self.cores.iter_mut().enumerate() {
-                if let Some(msg) = inbox[ci].take() {
-                    apply_inbox(ctx, core, &msg, obs);
-                }
-                cur_outs.push(run_epoch_compute(ctx, core, obs));
-            }
-            compute_nanos += elapsed_nanos(t0);
-            let outs = std::mem::replace(&mut prev_outs, cur_outs);
-            let msgs = resolve_round(ctx, outs, &mut self.resolver, obs);
-            let done = prev_outs.iter().all(|o| o.exhausted && o.is_empty())
-                && msgs.iter().all(ResolvedMsg::is_empty);
-            for (ci, m) in msgs.into_iter().enumerate() {
-                inbox[ci] = Some(m);
-            }
-            if done {
-                break;
-            }
+            let outs = (self.cores.iter_mut().zip(&mut arrived))
+                .map(|(core, msg)| core_turn(ctx, core, msg.take(), obs))
+                .collect();
+            let Some(msgs) = resolver_turn(ctx, &mut self.resolver, outs, obs) else { break };
+            arrived = std::mem::replace(&mut queued, msgs.into_iter().map(Some).collect());
         }
-        self.timing = ShardTiming {
-            engine: Engine::Single.label().to_owned(),
-            wall_nanos: elapsed_nanos(wall),
-            compute_nanos,
-            resolve_nanos: self.resolver.resolve_nanos,
-            stall_nanos: 0,
-        };
-        self.build_report()
+        self.build_report(Engine::Single, wall)
     }
 
     /// The pipelined engine: compute overlaps resolution, handoff over
     /// per-core bounded channels, no shared locks anywhere on the hot path.
-    fn run_pipelined(&mut self) -> ShardReport {
+    fn run_pipelined(&mut self) {
         let ctx = self.ctx;
-        let wall = Instant::now();
         let n = self.config.cores;
         let (out_tx, out_rx): (Vec<SyncSender<OutMsg>>, Vec<Receiver<OutMsg>>) =
             (0..n).map(|_| sync_channel(HANDOFF_DEPTH)).unzip();
         let (in_tx, in_rx): (Vec<SyncSender<ResolvedMsg>>, Vec<Receiver<ResolvedMsg>>) =
             (0..n).map(|_| sync_channel(HANDOFF_DEPTH)).unzip();
-        let cores = &mut self.cores;
         let resolver = &mut self.resolver;
         std::thread::scope(|scope| {
-            for ((core, outbox), inbox) in cores.iter_mut().zip(out_tx).zip(in_rx) {
+            for ((core, outbox), inbox) in self.cores.iter_mut().zip(out_tx).zip(in_rx) {
                 scope.spawn(move || {
-                    let mut noop = NoopObserver;
-                    // Epoch 0 primes the pipeline: no results exist yet.
-                    let t0 = Instant::now();
-                    let out = run_epoch_compute(ctx, core, &mut noop);
-                    core.compute_nanos += elapsed_nanos(t0);
-                    if outbox.send(out).is_err() {
-                        return;
-                    }
-                    loop {
-                        let t1 = Instant::now();
+                    let mut arrived = None;
+                    // A closed channel: the resolver finished the run (or
+                    // panicked).
+                    while outbox.send(core_turn(ctx, core, arrived, &mut NoopObserver)).is_ok() {
+                        let t = Instant::now();
                         let msg = inbox.recv();
-                        core.stall_nanos += elapsed_nanos(t1);
-                        // Disconnected: the resolver finished the run
-                        // (or panicked).
+                        core.stall_nanos += elapsed_nanos(t);
                         let Ok(msg) = msg else { break };
-                        let t2 = Instant::now();
-                        apply_inbox(ctx, core, &msg, &mut noop);
-                        let out = run_epoch_compute(ctx, core, &mut noop);
-                        core.compute_nanos += elapsed_nanos(t2);
-                        if outbox.send(out).is_err() {
-                            break;
-                        }
+                        arrived = Some(msg);
                     }
                 });
             }
             scope.spawn(move || {
-                let mut noop = NoopObserver;
-                // Prime each core with an empty round-(-1) result so
-                // epoch 1 starts without waiting on resolution of epoch 0
-                // — that is the pipeline.
-                for inbox in &in_tx {
-                    if inbox.send(ResolvedMsg::prime()).is_err() {
-                        return;
-                    }
-                }
-                let mut prev_empty = true;
-                loop {
-                    // Disconnected: a core panicked; returning drops the
-                    // inbox senders so the other cores stop too.
-                    let Ok(outs) = out_rx.iter().map(Receiver::recv).collect::<Result<Vec<_>, _>>()
-                    else {
+                // The primer lets epoch 1 start before epoch 0 is
+                // resolved: that is the pipeline. A closed channel means a
+                // core panicked; returning drops the inbox senders, which
+                // ends every core loop, as it does when the run is over.
+                let mut msgs: Vec<ResolvedMsg> = (0..n).map(|_| ResolvedMsg::default()).collect();
+                while in_tx.iter().zip(msgs).all(|(inbox, m)| inbox.send(m).is_ok()) {
+                    let Ok(outs) = out_rx.iter().map(Receiver::recv).collect() else { return };
+                    let Some(next) = resolver_turn(ctx, resolver, outs, &mut NoopObserver) else {
                         return;
                     };
-                    resolver.rounds += 1;
-                    if prev_empty && outs.iter().all(|o| o.exhausted && o.is_empty()) {
-                        // Dropping `in_tx` on return ends every core loop.
-                        return;
-                    }
-                    let msgs = resolve_round(ctx, outs, resolver, &mut noop);
-                    prev_empty = msgs.iter().all(ResolvedMsg::is_empty);
-                    for (inbox, m) in in_tx.iter().zip(msgs) {
-                        if inbox.send(m).is_err() {
-                            return;
-                        }
-                    }
+                    msgs = next;
                 }
             });
         });
-        self.timing = ShardTiming {
-            engine: Engine::Pipelined.label().to_owned(),
-            wall_nanos: elapsed_nanos(wall),
-            compute_nanos: self.cores.iter().map(|c| c.compute_nanos).sum(),
-            resolve_nanos: self.resolver.resolve_nanos,
-            stall_nanos: self.cores.iter().map(|c| c.stall_nanos).sum(),
-        };
-        self.build_report()
     }
 
-    fn build_report(&self) -> ShardReport {
-        let cores = self
-            .cores
-            .iter()
-            .map(|core| {
-                let mut r = core.report.clone();
-                r.private = core.hier.stats().clone();
-                r.mnm = core.mnm.stats().clone();
-                r
+    /// The report of the run that started at `wall`: each core's own
+    /// counters joined with the resolver's tally of its L3 requests.
+    fn build_report(&self, engine: Engine, wall: Instant) -> ShardReport {
+        let rs = &self.resolver;
+        let cores = (self.cores.iter().zip(&rs.tallies))
+            .map(|(core, tally)| CoreReport {
+                accesses: core.report.accesses,
+                cycles: core.report.cycles + tally.cycles,
+                invalidations_received: core.report.invalidations_received,
+                private: core.hier.stats().clone(),
+                mnm: core.mnm.stats().clone(),
+                ..tally.clone()
             })
             .collect();
-        ShardReport {
-            cores,
-            l3: self.resolver.l3.stats().clone(),
-            epochs: self.resolver.rounds,
-            timing: self.timing.clone(),
-        }
+        let timing = ShardTiming {
+            engine: engine.label().to_owned(),
+            wall_nanos: elapsed_nanos(wall),
+            compute_nanos: self.cores.iter().map(|c| c.compute_nanos).sum(),
+            resolve_nanos: rs.resolve_nanos,
+            stall_nanos: self.cores.iter().map(|c| c.stall_nanos).sum(),
+        };
+        ShardReport { cores, l3: rs.l3.stats().clone(), epochs: rs.rounds, timing }
     }
 }
 
@@ -589,11 +480,68 @@ fn elapsed_nanos(since: Instant) -> u64 {
     since.elapsed().as_nanos() as u64
 }
 
+/// A core's turn: apply the resolution round that arrived, if any, then
+/// run up to `ctx.epoch` accesses on private state, queuing shared-L3
+/// requests and published store lines into the epoch's outbox.
+fn core_turn(
+    ctx: Ctx,
+    core: &mut CoreState,
+    arrived: Option<ResolvedMsg>,
+    obs: &mut dyn ShardObserver,
+) -> OutMsg {
+    let t = Instant::now();
+    if let Some(msg) = arrived {
+        apply_inbox(ctx, core, &msg, obs);
+    }
+    let end = core.stream.len().min(core.pos + ctx.epoch);
+    let mut filter = CoreFilter {
+        ctx,
+        core: core.id,
+        mnm: &mut core.mnm,
+        obs,
+        store_seen: &mut core.store_seen,
+        out: OutMsg {
+            requests: Vec::new(),
+            stores: Vec::new(),
+            exhausted: end == core.stream.len(),
+        },
+        access: Access::load(0),
+        verdict: BypassSet::none(),
+    };
+    let summary = core.hier.run(&mut filter, &core.stream[core.pos..end]);
+    let out = filter.out;
+    core.pos = end;
+    core.report.accesses += summary.accesses;
+    core.report.cycles += summary.total_latency;
+    core.store_seen.clear();
+    core.compute_nanos += elapsed_nanos(t);
+    out
+}
+
+/// The resolver's turn: count the round, then stop (`None`) or resolve
+/// it. A round's results are empty exactly when its outboxes are, so the
+/// run is over once the previous round's outboxes were empty and this
+/// round's are empty and exhausted: nothing is left to apply or compute.
+fn resolver_turn(
+    ctx: Ctx,
+    rs: &mut ResolverState,
+    outs: Vec<OutMsg>,
+    obs: &mut dyn ShardObserver,
+) -> Option<Vec<ResolvedMsg>> {
+    rs.rounds += 1;
+    let empty = outs.iter().all(|o| o.requests.is_empty() && o.stores.is_empty());
+    if rs.prev_empty && empty && outs.iter().all(|o| o.exhausted) {
+        return None;
+    }
+    rs.prev_empty = empty;
+    Some(resolve_round(ctx, outs, rs, obs))
+}
+
 /// Apply one resolution round's results to a core: coherence
 /// invalidations first (they reflect resolution-time state and must land
 /// before any new access queries the filters), then the global shared-L3
 /// event list and this core's probe records in one batched filter
-/// refresh, then the resolver's counter deltas.
+/// refresh.
 fn apply_inbox(ctx: Ctx, core: &mut CoreState, msg: &ResolvedMsg, obs: &mut dyn ShardObserver) {
     for &line in &msg.invals {
         core.ev_buf.clear();
@@ -611,57 +559,57 @@ fn apply_inbox(ctx: Ctx, core: &mut CoreState, msg: &ResolvedMsg, obs: &mut dyn 
     }
     core.mnm.observe_events(&msg.events);
     core.mnm.note_probes(&msg.probes);
-    let d = &msg.delta;
-    core.report.l3_requests += d.l3_requests;
-    core.report.l3_hits += d.l3_hits;
-    core.report.l3_misses += d.l3_misses;
-    core.report.l3_bypasses += d.l3_bypasses;
-    core.report.stale_bypass_rescues += d.stale_bypass_rescues;
-    core.report.unsound_verdicts += d.unsound_verdicts;
-    core.report.cycles += d.cycles;
-    core.report.store_lines_published += d.store_lines_published;
 }
 
-/// One core's compute phase: run up to `ctx.epoch` accesses on private
-/// state, queuing shared-L3 requests and published store lines into the
-/// epoch's outbox.
-fn run_epoch_compute(ctx: Ctx, core: &mut CoreState, obs: &mut dyn ShardObserver) -> OutMsg {
-    for _ in 0..ctx.epoch {
-        let Some(&access) = core.stream.get(core.pos) else {
-            break;
-        };
-        core.pos += 1;
-        let verdict = core.mnm.query(access);
-        obs.verdict(core.id, access, verdict);
-        let res = core.hier.access_with_events(access, &verdict, &mut core.scratch);
-        core.mnm.observe_events(core.scratch.events());
-        core.mnm.note_probes(core.scratch.probes());
-        obs.private_step(core.id, access, core.scratch.events());
-        core.report.accesses += 1;
-        core.report.cycles += res.latency;
+/// A core's `Mnm` as the filter [`Hierarchy::run`] drives through an
+/// epoch, reporting to the observer and filling the epoch's outbox.
+struct CoreFilter<'a> {
+    ctx: Ctx,
+    core: usize,
+    mnm: &'a mut Mnm,
+    obs: &'a mut dyn ShardObserver,
+    store_seen: &'a mut LineSet,
+    out: OutMsg,
+    /// The access in flight and its verdict.
+    access: Access,
+    verdict: BypassSet,
+}
+
+impl AccessFilter for CoreFilter<'_> {
+    fn query(&mut self, _: &Hierarchy, access: Access) -> BypassSet {
+        self.access = access;
+        self.verdict = self.mnm.query(access);
+        self.obs.verdict(self.core, access, self.verdict);
+        self.verdict
+    }
+
+    fn observe_events(&mut self, _: &Hierarchy, events: &[CacheEvent]) {
+        self.mnm.observe_events(events);
+        self.obs.private_step(self.core, self.access, events);
+    }
+
+    /// The walk stops at its first hit, so memory supplied the access
+    /// exactly when its last probe is not a hit: then it goes to the L3.
+    fn note_probes(&mut self, access: Access, probes: &[ProbeRecord]) {
+        self.mnm.note_probes(probes);
         if access.kind == AccessKind::Store {
-            let line = access.addr & !(ctx.l3_block_bytes - 1);
-            if core.store_seen.insert(line) {
-                core.store_lines.push(line);
+            let line = access.addr & !(self.ctx.l3_block_bytes - 1);
+            if self.store_seen.insert(line) {
+                self.out.stores.push(line);
             }
         }
-        if res.supply_level == ctx.private_memory_level {
-            core.pending
-                .push(L3Request { access, bypass_l3: verdict.contains(ctx.l3_template_id) });
+        if probes.last().is_some_and(|p| p.outcome != ProbeOutcome::Hit) {
+            let bypass_l3 = self.verdict.contains(self.ctx.l3_template_id);
+            self.out.requests.push(L3Request { access, bypass_l3 });
         }
-    }
-    core.store_seen.clear();
-    OutMsg {
-        requests: std::mem::take(&mut core.pending),
-        stores: std::mem::take(&mut core.store_lines),
-        exhausted: core.pos >= core.stream.len(),
     }
 }
 
 /// The serial resolution phase: resolve every queued L3 request in
 /// core-major program order — each request sees every earlier request's
-/// fills — then package per-core results (invalidations, the global event list, probe records, counter
-/// deltas) for application two epochs after the requests were issued.
+/// fills — tally each core's outcomes, and package per-core results
+/// (invalidations, the global event list, probe records) for application
+/// two epochs after the requests were issued.
 fn resolve_round(
     ctx: Ctx,
     outs: Vec<OutMsg>,
@@ -680,13 +628,21 @@ fn resolve_round(
     let mut victims: Vec<u64> = Vec::new();
     let mut store_pub: Vec<Vec<u64>> = Vec::with_capacity(n);
     let mut probes_out: Vec<Vec<ProbeRecord>> = (0..n).map(|_| Vec::new()).collect();
-    let mut deltas: Vec<ResolveDelta> = vec![ResolveDelta::default(); n];
 
-    let ResolverState { l3, placed_cur, placed_prev, victim_seen, inval_seen, scratch, .. } = rs;
+    let ResolverState {
+        l3,
+        placed_cur,
+        placed_prev,
+        victim_seen,
+        inval_seen,
+        scratch,
+        tallies,
+        ..
+    } = rs;
     victim_seen.clear();
     for (ci, out) in outs.into_iter().enumerate() {
-        let delta = &mut deltas[ci];
-        delta.l3_requests += out.requests.len() as u64;
+        let tally = &mut tallies[ci];
+        tally.l3_requests += out.requests.len() as u64;
         let probes = &mut probes_out[ci];
         for req in &out.requests {
             let access = req.access;
@@ -712,18 +668,18 @@ fn resolve_round(
             } else {
                 L3Outcome::Miss
             };
-            delta.cycles += res.latency;
+            tally.cycles += res.latency;
             match outcome {
-                L3Outcome::Hit => delta.l3_hits += 1,
-                L3Outcome::Miss => delta.l3_misses += 1,
-                L3Outcome::Bypassed => delta.l3_bypasses += 1,
+                L3Outcome::Hit => tally.l3_hits += 1,
+                L3Outcome::Miss => tally.l3_misses += 1,
+                L3Outcome::Bypassed => tally.l3_bypasses += 1,
                 L3Outcome::Rescued => {
-                    delta.stale_bypass_rescues += 1;
-                    delta.l3_hits += 1;
+                    tally.stale_bypass_rescues += 1;
+                    tally.l3_hits += 1;
                 }
                 L3Outcome::Unsound => {
-                    delta.unsound_verdicts += 1;
-                    delta.l3_hits += 1;
+                    tally.unsound_verdicts += 1;
+                    tally.l3_hits += 1;
                 }
             }
             obs.l3_resolution(ci, access, outcome);
@@ -745,7 +701,7 @@ fn resolve_round(
                 probes.push(ProbeRecord { structure: ctx.l3_template_id, ..*p });
             }
         }
-        deltas[ci].store_lines_published += out.stores.len() as u64;
+        tally.store_lines_published += out.stores.len() as u64;
         store_pub.push(out.stores);
     }
 
@@ -775,7 +731,6 @@ fn resolve_round(
                 invals,
                 events: events.clone(),
                 probes: std::mem::take(&mut probes_out[ci]),
-                delta: deltas[ci],
             }
         })
         .collect();
