@@ -113,10 +113,16 @@ impl ShardReport {
         self.cores.iter().map(|c| c.accesses).sum()
     }
 
-    /// Total unsound verdicts across all cores (must be zero for a sound
+    /// Total unsound verdicts across all cores: the shared L3's plus the
+    /// private structures' unsound bypasses (must be zero for a sound
     /// filter configuration).
     pub fn total_unsound(&self) -> u64 {
-        self.cores.iter().map(|c| c.unsound_verdicts).sum()
+        let private = self.cores.iter().flat_map(|c| &c.private.structures);
+        self.cores
+            .iter()
+            .map(|c| c.unsound_verdicts)
+            .chain(private.map(|s| s.unsound_bypasses))
+            .sum()
     }
 
     /// Serialize as the `jsn-shard/v1` JSON document.
@@ -182,5 +188,20 @@ impl ShardReport {
         s.push_str("  ]\n");
         s.push_str("}\n");
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cache_sim::StructureStats;
+
+    #[test]
+    fn total_unsound_counts_private_unsound_bypasses() {
+        let mut core = CoreReport { unsound_verdicts: 2, ..CoreReport::default() };
+        let bad = StructureStats { unsound_bypasses: 1, ..StructureStats::default() };
+        core.private.structures = vec![StructureStats::default(), bad];
+        let report = ShardReport { cores: vec![CoreReport::default(), core], ..Default::default() };
+        assert_eq!(report.total_unsound(), 3);
     }
 }

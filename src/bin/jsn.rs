@@ -881,6 +881,7 @@ fn cmd_shard(a: &Args) -> Result<ExitCode, String> {
         );
     }
     let epoch = config.epoch;
+    let private = Hierarchy::new(config.private_hierarchy());
     let report = ShardedSim::new(config, streams).run_engine(engine);
     if a.on("--json") {
         print!("{}", report.to_json(&label, cores, epoch, sharing));
@@ -921,13 +922,21 @@ fn cmd_shard(a: &Args) -> Result<ExitCode, String> {
                 100.0 * c.mnm.coverage()
             );
         }
-        let unsound = report.total_unsound();
-        println!("  unsound verdicts: {unsound}");
-        if unsound > 0 {
-            return Ok(ExitCode::FAILURE);
+        println!("  unsound verdicts: {}", report.total_unsound());
+    }
+    // Either output mode fails on an unsound verdict, naming where it was.
+    for (i, c) in report.cores.iter().enumerate() {
+        if c.unsound_verdicts > 0 {
+            eprintln!("jsn shard: core {i} shared L3: {} unsound verdicts", c.unsound_verdicts);
+        }
+        for s in private.structures() {
+            let n = c.private.structures[s.id.index()].unsound_bypasses;
+            if n > 0 {
+                eprintln!("jsn shard: core {i} {}: {n} unsound bypasses", s.name);
+            }
         }
     }
-    Ok(ExitCode::SUCCESS)
+    Ok(if report.total_unsound() > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }
 
 fn cmd_trace(a: &Args) -> Result<ExitCode, String> {
