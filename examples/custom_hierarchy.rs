@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example custom_hierarchy`
 
+use just_say_no::mnm_experiments::runner::access;
 use just_say_no::prelude::*;
 use mnm_core::{Assignment, CmnmConfig, TechniqueConfig, TmnmConfig};
 use mnm_experiments::analytic::{eq2_access_time, LevelModel};
@@ -46,12 +47,11 @@ fn main() {
     let mut hier = Hierarchy::new(config.clone());
     let mut mnm = Mnm::new(&hier, mnm_config);
 
-    // An equake-like mixed workload.
+    // An equake-like mixed workload, its loads and stores only: Equation 2
+    // below models the data path alone.
     let profile = profiles::by_name("183.equake").expect("bundled profile");
-    for instr in Program::new(profile).take(400_000) {
-        if let Some(addr) = instr.data_addr() {
-            mnm.run_access(&mut hier, Access::load(addr));
-        }
+    for r in RefStream::new(Program::new(profile), FetchRule::DataOnly).phase(400_000) {
+        mnm.run_access(&mut hier, access(r));
     }
 
     println!("custom 3-level hierarchy + custom MNM mix");

@@ -4,24 +4,20 @@
 //!
 //! Run with: `cargo run --release --example power_report`
 
+use just_say_no::mnm_experiments::runner::access;
 use just_say_no::prelude::*;
 
-fn drive(hier: &mut Hierarchy, filter: &mut ReplayFilter, n: usize) {
+/// `n` instructions of 300.twolf, fetches included, as the figures run them.
+fn drive(hier: &mut Hierarchy, filter: &mut ReplayFilter, n: u64) {
     let profile = profiles::by_name("300.twolf").expect("bundled profile");
-    for instr in Program::new(profile).take(n) {
-        if let Some(addr) = instr.data_addr() {
-            let access = if matches!(instr.kind, InstrKind::Store { .. }) {
-                Access::store(addr)
-            } else {
-                Access::load(addr)
-            };
-            hier.step(filter, access);
-        }
+    let rule = FetchRule::Blocks { block_bytes: hier.config().fetch_block_bytes() };
+    for r in RefStream::new(Program::new(profile), rule).phase(n) {
+        hier.step(filter, access(r));
     }
 }
 
 fn main() {
-    const N: usize = 400_000;
+    const N: u64 = 400_000;
     let model = EnergyModel::default();
 
     // Baseline energy.

@@ -7,7 +7,7 @@
 
 use just_say_no::prelude::*;
 
-const N: usize = 400_000;
+const N: u64 = 400_000;
 
 fn run(app: &str, filtered: bool) -> (f64, f64, u64) {
     let profile = profiles::by_name(app).expect("bundled profile");
@@ -16,9 +16,9 @@ fn run(app: &str, filtered: bool) -> (f64, f64, u64) {
     let label = if filtered { "TMNM_12x1" } else { "baseline" };
     let mut filter = FilterPreset::parse(label).expect("valid preset").build(&tlb);
 
-    for instr in Program::new(profile).take(N) {
-        let Some(addr) = instr.data_addr() else { continue };
-        tlb.step(&mut filter, Access::load(addr));
+    // A data TLB translates every load and store alike, as ext01 does.
+    for r in RefStream::new(Program::new(profile), FetchRule::DataOnly).phase(N) {
+        tlb.step(&mut filter, Access::load(r.addr));
     }
     let stats = tlb.stats();
     let l2 = stats.structures[tlb.path(AccessKind::Load)[1].index()];

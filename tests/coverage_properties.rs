@@ -1,19 +1,24 @@
 //! Coverage-metric properties: monotonicity relations the paper's Figures
 //! 10–14 rest on, verified on identical traces through the public API.
 
+use just_say_no::mnm_experiments::runner::access;
 use just_say_no::prelude::*;
 use mnm_core::{Assignment, RmnmConfig, TechniqueConfig, TmnmConfig};
 
-fn run_coverage(config: MnmConfig, seed_app: &str, n: usize) -> f64 {
+/// `n` instructions of `app` through the paper's hierarchy, fetches
+/// included, as the figures run them.
+fn run(config: MnmConfig, app: &str, n: u64) -> Mnm {
     let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
     let mut mnm = Mnm::new(&hier, config);
-    let profile = profiles::by_name(seed_app).unwrap();
-    for instr in Program::new(profile).take(n) {
-        if let Some(addr) = instr.data_addr() {
-            mnm.run_access(&mut hier, Access::load(addr));
-        }
+    let rule = FetchRule::Blocks { block_bytes: hier.config().fetch_block_bytes() };
+    for r in RefStream::new(Program::new(profiles::by_name(app).unwrap()), rule).phase(n) {
+        mnm.run_access(&mut hier, access(r));
     }
-    mnm.stats().coverage()
+    mnm
+}
+
+fn run_coverage(config: MnmConfig, app: &str, n: u64) -> f64 {
+    run(config, app, n).stats().coverage()
 }
 
 /// Adding a sound component to a fixed technique stack can only help:
@@ -73,14 +78,7 @@ fn coverage_stays_in_unit_interval() {
 /// weighted mean of per-structure coverages.
 #[test]
 fn per_slot_coverage_decomposition() {
-    let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
-    let mut mnm = Mnm::new(&hier, MnmConfig::hmnm(3));
-    let profile = profiles::by_name("176.gcc").unwrap();
-    for instr in Program::new(profile).take(60_000) {
-        if let Some(addr) = instr.data_addr() {
-            mnm.run_access(&mut hier, Access::load(addr));
-        }
-    }
+    let mnm = run(MnmConfig::hmnm(3), "176.gcc", 60_000);
     let st = mnm.stats();
     let total: u64 = st.slots.iter().map(|s| s.bypassable_misses).sum();
     let identified: u64 = st.slots.iter().map(|s| s.identified_misses).sum();

@@ -1,6 +1,7 @@
 //! Cross-crate end-to-end tests: workload → hierarchy → MNM → OoO core →
 //! energy model, checking the orderings the paper's evaluation relies on.
 
+use just_say_no::mnm_experiments::runner::access;
 use just_say_no::prelude::*;
 
 const N: u64 = 40_000;
@@ -48,11 +49,10 @@ fn serial_mnm_trades_latency_for_energy() {
         let mut mnm =
             Mnm::new(&hier, MnmConfig::parse("TMNM_12x3").unwrap().with_placement(placement));
         let mut latency_sum = 0u64;
-        for instr in Program::new(profile.clone()).take(N as usize) {
-            if let Some(addr) = instr.data_addr() {
-                let r = mnm.run_access(&mut hier, Access::load(addr));
-                latency_sum += mnm.adjusted_latency(&r);
-            }
+        let rule = FetchRule::Blocks { block_bytes: hier.config().fetch_block_bytes() };
+        for r in RefStream::new(Program::new(profile.clone()), rule).phase(N) {
+            let r = mnm.run_access(&mut hier, access(r));
+            latency_sum += mnm.adjusted_latency(&r);
         }
         let l1_misses: u64 = hier
             .structures()
@@ -72,10 +72,8 @@ fn serial_mnm_trades_latency_for_energy() {
 fn energy_accounting_covers_all_structures() {
     let mut hier = Hierarchy::new(HierarchyConfig::paper_five_level());
     let profile = profiles::by_name("171.swim").unwrap();
-    for instr in Program::new(profile).take(20_000) {
-        if let Some(addr) = instr.data_addr() {
-            hier.access(Access::load(addr), &BypassSet::none());
-        }
+    for r in RefStream::new(Program::new(profile), FetchRule::DataOnly).phase(20_000) {
+        hier.access(access(r), &BypassSet::none());
     }
     let breakdown = account_hierarchy(&hier, &EnergyModel::default());
     assert_eq!(breakdown.structures.len(), 7);
