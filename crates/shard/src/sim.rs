@@ -377,11 +377,7 @@ impl ShardedSim {
     /// Run the selected engine.
     pub fn run_engine(&mut self, engine: Engine) -> ShardReport {
         match engine {
-            Engine::Pipelined => {
-                let wall = Instant::now();
-                self.run_pipelined();
-                self.build_report(engine, wall)
-            }
+            Engine::Pipelined => self.run_pipelined(),
             Engine::Single => self.run_single_threaded_observed(&mut NoopObserver),
         }
     }
@@ -411,8 +407,9 @@ impl ShardedSim {
 
     /// The pipelined engine: compute overlaps resolution, handoff over
     /// per-core bounded channels, no shared locks anywhere on the hot path.
-    fn run_pipelined(&mut self) {
+    fn run_pipelined(&mut self) -> ShardReport {
         let ctx = self.ctx;
+        let wall = Instant::now();
         let n = self.config.cores;
         let (out_tx, out_rx): (Vec<SyncSender<OutMsg>>, Vec<Receiver<OutMsg>>) =
             (0..n).map(|_| sync_channel(HANDOFF_DEPTH)).unzip();
@@ -449,6 +446,7 @@ impl ShardedSim {
                 }
             });
         });
+        self.build_report(Engine::Pipelined, wall)
     }
 
     /// The report of the run that started at `wall`: each core's own
