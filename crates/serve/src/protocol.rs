@@ -33,11 +33,11 @@
 //! type u8 | payload_len u32 LE | crc32 u32 LE | payload
 //! ```
 //!
-//! The CRC-32 (IEEE, slicing-by-16, from `trace-synth`) covers the type
-//! byte, the length field, and the payload, so any wire corruption —
-//! flipped bits, duplicated or sheared writes — is *detected* rather
-//! than mis-decoded into plausible records. A frame whose CRC fails is
-//! a [`WireError::Crc`], never a decode.
+//! The CRC-32 (IEEE, three-lane slicing-by-16, from `trace-synth`)
+//! covers the type byte, the length field, and the payload, so any wire
+//! corruption — flipped bits, duplicated or sheared writes — is
+//! *detected* rather than mis-decoded into plausible records. A frame
+//! whose CRC fails is a [`WireError::Crc`], never a decode.
 //!
 //! | type | direction | payload |
 //! |------|-----------|---------|
@@ -61,7 +61,11 @@
 //! All decode paths return [`WireError`] — never panic — because each
 //! byte may come from a torn write, a short read or a malicious peer.
 
-use trace_synth::{crc32, decode_record, Crc32, Instr, RECORD_BYTES};
+use cache_sim::{Access, AccessKind};
+use trace_synth::{
+    crc32, decode_record, record_tag_and_addr, Crc32, Instr, RECORD_BYTES, TAG_BRANCH, TAG_LOAD,
+    TAG_OP, TAG_STORE,
+};
 
 /// Connection magic: first four bytes of every hello.
 pub const MAGIC: [u8; 4] = *b"JSNS";
@@ -370,29 +374,105 @@ pub fn encode_records_payload(seq: u64, instrs: &[Instr], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a `Records` payload into its sequence number and
-/// accesses-to-be: every record must decode, and the payload must be
-/// whole records behind the seq prefix.
-pub fn decode_records(payload: &[u8], out: &mut Vec<Instr>) -> Result<u64, WireError> {
-    if payload.len() < SEQ_BYTES {
+/// Split a `Records` payload into its sequence number and its record
+/// body, which must be whole records.
+fn records_body(payload: &[u8]) -> Result<(u64, &[u8]), WireError> {
+    let Some((seq, body)) = payload.split_first_chunk::<SEQ_BYTES>() else {
         return Err(WireError::BadRecords(format!(
             "payload of {} bytes is shorter than the {SEQ_BYTES}-byte seq prefix",
             payload.len()
         )));
-    }
-    let seq = u64::from_le_bytes(payload[..SEQ_BYTES].try_into().unwrap());
-    let body = &payload[SEQ_BYTES..];
+    };
     if !body.len().is_multiple_of(RECORD_BYTES) {
         return Err(WireError::BadRecords(format!(
             "record body of {} bytes is not a multiple of the {RECORD_BYTES}-byte record size",
             body.len()
         )));
     }
+    Ok((u64::from_le_bytes(*seq), body))
+}
+
+/// Decode a `Records` payload into its sequence number and
+/// accesses-to-be: every record must decode, and the payload must be
+/// whole records behind the seq prefix.
+pub fn decode_records(payload: &[u8], out: &mut Vec<Instr>) -> Result<u64, WireError> {
+    let (seq, body) = records_body(payload)?;
     out.reserve(body.len() / RECORD_BYTES);
     for rec in body.chunks_exact(RECORD_BYTES) {
         out.push(decode_record(rec).map_err(|e| WireError::BadRecords(e.to_string()))?);
     }
     Ok(seq)
+}
+
+/// Records [`decode_accesses`] converts per pass through its stack
+/// buffer.
+const ACCESS_CHUNK: usize = 64;
+
+/// What [`decode_accesses`] makes of a record with a given tag byte.
+#[derive(Clone, Copy)]
+struct TagRule {
+    /// The kind of access the record becomes, if it becomes one.
+    kind: AccessKind,
+    /// Whether the record becomes an access (a load or a store).
+    access: bool,
+    /// Whether the tag is one of the record codec's four.
+    known: bool,
+}
+
+/// The rule of every tag byte: [`FetchRule::DataOnly`] over wire
+/// records.
+///
+/// [`FetchRule::DataOnly`]: trace_synth::FetchRule::DataOnly
+const TAG_RULES: [TagRule; 256] = {
+    let unknown = TagRule { kind: AccessKind::Load, access: false, known: false };
+    let mut rules = [unknown; 256];
+    rules[TAG_OP as usize] = TagRule { known: true, ..unknown };
+    rules[TAG_BRANCH as usize] = TagRule { known: true, ..unknown };
+    rules[TAG_LOAD as usize] = TagRule { kind: AccessKind::Load, access: true, known: true };
+    rules[TAG_STORE as usize] = TagRule { kind: AccessKind::Store, access: true, known: true };
+    rules
+};
+
+/// Decode a `Records` payload straight into the accesses it replays,
+/// appended to `out`, returning its sequence number and record count.
+///
+/// The payload is checked exactly as [`decode_records`] checks it, with
+/// the same first error, and the accesses are those
+/// [`FetchRule::DataOnly`] makes of the records `decode_records` returns:
+/// a load or a store becomes a data access, an op or a branch only
+/// counts as a record. No [`Instr`] is built. Each run of 64 records
+/// is written to a stack buffer with no branch
+/// on the record kind, then appended whole once its tags are all known;
+/// so on an error `out` holds at most one access per record before the
+/// bad one.
+///
+/// [`FetchRule::DataOnly`]: trace_synth::FetchRule::DataOnly
+pub fn decode_accesses(payload: &[u8], out: &mut Vec<Access>) -> Result<(u64, u64), WireError> {
+    let (seq, body) = records_body(payload)?;
+    let (records, _) = body.as_chunks::<RECORD_BYTES>();
+    out.reserve(records.len());
+    let mut buf = [Access::load(0); ACCESS_CHUNK];
+    for chunk in records.chunks(ACCESS_CHUNK) {
+        let mut n = 0;
+        let mut unknown = false;
+        for rec in chunk {
+            let (tag, addr) = record_tag_and_addr(rec);
+            let rule = TAG_RULES[usize::from(tag)];
+            unknown |= !rule.known;
+            // `n` counts the accesses before this record in the chunk,
+            // so it is below ACCESS_CHUNK; a record that makes none is
+            // overwritten by the next.
+            buf[n % ACCESS_CHUNK] = Access { addr, kind: rule.kind };
+            n += usize::from(rule.access);
+        }
+        if unknown {
+            let e = chunk.iter().find_map(|rec| decode_record(rec).err());
+            let e = e.expect("a chunk with an unknown tag has a record that fails to decode");
+            return Err(WireError::BadRecords(e.to_string()));
+        }
+        out.extend_from_slice(&buf[..n]);
+    }
+    Ok((seq, records.len() as u64))
 }
 
 /// Encode a batch summary payload (`seq` + 5 × u64 LE).
@@ -673,6 +753,16 @@ mod tests {
         let mut back = Vec::new();
         assert_eq!(decode_records(&payload, &mut back).unwrap(), 41);
         assert_eq!(back, instrs);
+        let mut accesses = Vec::new();
+        assert_eq!(decode_accesses(&payload, &mut accesses).unwrap(), (41, 3));
+        assert_eq!(accesses, [Access::load(0xdead_beef), Access::store(0x1234)]);
+
+        // An unknown tag fails both decoders with the same error.
+        let mut forged = payload.clone();
+        forged[SEQ_BYTES + 2 * RECORD_BYTES + 10] = 7;
+        let want = decode_records(&forged, &mut back).unwrap_err().to_string();
+        let got = decode_accesses(&forged, &mut accesses).unwrap_err().to_string();
+        assert_eq!(got, want);
 
         // A ragged payload is rejected.
         let mut ragged = Vec::new();

@@ -1013,7 +1013,7 @@ fn run_session(
         Phase::Finished(_) => Vec::new(),
     };
     let mut deltas: Vec<(u64, u64, u64)> = Vec::with_capacity(prev.len());
-    let mut records_scratch = Vec::new();
+    let mut batch = Vec::new();
     // Once shutdown is observed the session may keep serving until the
     // drain budget runs out, then is told to go away.
     let mut drain_deadline: Option<Instant> = None;
@@ -1035,10 +1035,10 @@ fn run_session(
                 match header.frame_type {
                     FrameType::Records => {
                         let t0 = Instant::now();
-                        records_scratch.clear();
-                        let seq =
-                            match crate::protocol::decode_records(&payload, &mut records_scratch) {
-                                Ok(seq) => seq,
+                        batch.clear();
+                        let (seq, records) =
+                            match crate::protocol::decode_accesses(&payload, &mut batch) {
+                                Ok(decoded) => decoded,
                                 Err(e) => {
                                     // The frame passed its CRC, so this is
                                     // not wire damage: fail, don't park.
@@ -1083,13 +1083,21 @@ fn run_session(
                                 break SessionEnd::Failed;
                             }
                         };
-                        let summary = core.feed(&records_scratch);
+                        let summary = core.feed_accesses(records, &batch);
+                        if let Some((n, first)) = core.unsound() {
+                            // A definite-miss verdict was wrong: refuse
+                            // the frame's summary and end the session
+                            // rather than serve or park a broken replay.
+                            let msg = format!(
+                                "unsound verdict: {n} bypasses of resident blocks, first in {first}"
+                            );
+                            let _ = write_all_frame(conn, FrameType::Error, msg.as_bytes());
+                            break SessionEnd::Failed;
+                        }
                         state.last_acked = seq;
                         registry.frames_in.fetch_add(1, Ordering::Relaxed);
                         registry.frames_applied.fetch_add(1, Ordering::Relaxed);
-                        registry
-                            .records_in
-                            .fetch_add(records_scratch.len() as u64, Ordering::Relaxed);
+                        registry.records_in.fetch_add(records, Ordering::Relaxed);
                         registry.accesses.fetch_add(summary.accesses, Ordering::Relaxed);
                         deltas.clear();
                         for (now, before) in core.structure_stats().iter().zip(&prev) {

@@ -9,7 +9,11 @@
 //! A client sends records, not a program, so records become accesses by
 //! the [`FetchRule::DataOnly`] rule, unlike `jsn run` and the figures:
 //! loads and stores become data-side accesses; ops and branches only
-//! advance the record count.
+//! advance the record count. The server converts wire records with
+//! [`decode_accesses`](crate::protocol::decode_accesses), that rule
+//! applied to the bytes, and replays them through
+//! [`SessionCore::feed_accesses`]; the offline verifier feeds decoded
+//! records through [`SessionCore::feed`]. Both end in one replay call.
 
 use cache_sim::{Access, BatchSummary, Hierarchy, HierarchyConfig, StructureStats};
 use mnm_core::{FilterOccupancy, FilterPreset, ReplayFilter};
@@ -58,15 +62,41 @@ impl SessionCore {
 
     /// Replay one frame of records (data references only).
     pub fn feed(&mut self, instrs: &[Instr]) -> BatchSummary {
-        self.batch.clear();
-        let refs = RefStream::new(instrs.iter().copied(), FetchRule::DataOnly);
-        self.batch.extend(refs.map(access));
-        self.records += instrs.len() as u64;
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.extend(RefStream::new(instrs.iter().copied(), FetchRule::DataOnly).map(access));
+        let summary = self.replay(instrs.len() as u64, &batch);
+        self.batch = batch;
+        summary
+    }
+
+    /// Replay one frame of `records` records already converted to their
+    /// `accesses`, as [`decode_accesses`](crate::protocol::decode_accesses)
+    /// converts a wire frame: the same replay as [`SessionCore::feed`] of
+    /// those records.
+    pub fn feed_accesses(&mut self, records: u64, accesses: &[Access]) -> BatchSummary {
+        self.replay(records, accesses)
+    }
+
+    fn replay(&mut self, records: u64, accesses: &[Access]) -> BatchSummary {
+        self.records += records;
         self.frames += 1;
-        let summary = self.hierarchy.run(&mut self.filter, &self.batch);
+        let summary = self.hierarchy.run(&mut self.filter, accesses);
         self.accesses += summary.accesses;
         self.total_latency += summary.total_latency;
         summary
+    }
+
+    /// The unsound bypasses the session's hierarchy has counted (a
+    /// definite-miss verdict on a block the structure held, which release
+    /// builds count instead of asserting), summed over its structures,
+    /// with the name of the first structure that has any; `None` while
+    /// every verdict has been sound.
+    pub fn unsound(&self) -> Option<(u64, &str)> {
+        let stats = &self.hierarchy.stats().structures;
+        let total = stats.iter().map(|s| s.unsound_bypasses).sum();
+        let first = stats.iter().position(|s| s.unsound_bypasses > 0)?;
+        Some((total, &self.hierarchy.structures()[first].name))
     }
 
     /// Cumulative per-structure stats (the verdict histogram source).
@@ -180,5 +210,43 @@ mod tests {
         let occ = core.occupancy();
         assert!(occ.capacity > 0);
         assert!(occ.tracked > 0, "a warm HMNM tracks state");
+        assert_eq!(core.unsound(), None, "a sound filter is never refused");
+    }
+
+    /// A soft error that makes the filter flag a resident block: the
+    /// next load of that block is an unsound bypass, which release
+    /// builds count (debug builds assert) and the session reports by
+    /// the structure's name. Only the load path's structures above
+    /// level 1 whose closer structures miss the block can be reached.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn an_unsound_bypass_is_reported_by_structure() {
+        let mut core = SessionCore::new("HMNM4").unwrap();
+        core.feed(&sample_instrs(20_000));
+        assert_eq!(core.unsound(), None);
+        let hier = &core.hierarchy;
+        let path = hier.path(cache_sim::AccessKind::Load);
+        let mnm = core.filter.mnm_mut().expect("HMNM4 is a real MNM");
+        let slots = mnm.slot_structures();
+        let lie = mnm.fault_surface().into_iter().find_map(|(slot, filter, _)| {
+            let sid = slots[slot];
+            let depth = path.iter().position(|&s| s == sid).filter(|&d| d > 0)?;
+            let reachable =
+                |&addr: &u64| !path[..depth].iter().any(|&s| hier.cache(s).contains(addr));
+            hier.cache(sid).resident_blocks().filter(reachable).find_map(|addr| {
+                let bit = mnm.state_bit_of(slot, filter, addr)?;
+                mnm.flip_filter_bit(slot, filter, bit);
+                if mnm.query(Access::load(addr)).contains(sid) {
+                    return Some((sid, addr));
+                }
+                mnm.flip_filter_bit(slot, filter, bit);
+                None
+            })
+        });
+        let (sid, addr) = lie.expect("some flipped bit makes the filter flag a resident block");
+        let name = core.hierarchy.structures()[sid.index()].name.clone();
+        let load = Instr { pc: 0, kind: trace_synth::InstrKind::Load { addr }, src1: 0, src2: 0 };
+        core.feed(&[load]);
+        assert_eq!(core.unsound(), Some((1, name.as_str())));
     }
 }

@@ -14,22 +14,29 @@
 //! 2. A payload that is wrong but carries a *correct* CRC (a buggy or
 //!    malicious peer, not the wire) decodes or fails with
 //!    [`WireError::BadRecords`] — never a panic, never another error.
+//!    The server's one-pass `decode_accesses` accepts exactly the
+//!    `Records` payloads `decode_records` accepts, with the accesses
+//!    `FetchRule::DataOnly` makes of its records, and otherwise fails
+//!    with the same error text.
 //! 3. No declared length above the payload bound gets past the header:
 //!    checked for the 4096 lengths just above it, each power of two
 //!    (and its neighbours) up to `u32::MAX`, and 4096 seeded lengths.
 //!    The slam client holds server frames to the same bound.
 
+use cache_sim::Access;
+use mnm_experiments::runner::access;
 use mnm_serve::protocol::{
-    decode_records, decode_summary, encode_frame, encode_hello_reply_ok, encode_records_payload,
-    encode_summary, parse_frame_header, verify_frame_crc, FrameType, SessionStatsWire,
-    StructureVerdictsWire, WireError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, SEQ_BYTES,
+    decode_accesses, decode_records, decode_summary, encode_frame, encode_hello_reply_ok,
+    encode_records_payload, encode_summary, parse_frame_header, verify_frame_crc, FrameType,
+    SessionStatsWire, StructureVerdictsWire, WireError, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
+    SEQ_BYTES,
 };
 use mnm_serve::slam::{run_slam, session_instrs, SlamOptions};
 use mnm_serve::Endpoint;
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use trace_synth::rng::SplitMix64;
-use trace_synth::RECORD_BYTES;
+use trace_synth::{FetchRule, Instr, RefStream, RECORD_BYTES};
 
 /// Records per frame in the serve benchmark's `serve_loopback`.
 const FRAME_RECORDS: u64 = 3072;
@@ -194,6 +201,7 @@ fn mutated_payloads_with_a_valid_crc_decode_or_fail_cleanly() {
     let summary = encode_summary(9, [10, 2000, 7, 3, 5]);
     let stats = stats_payload();
     let (mut decoded, mut rejected) = (0, 0);
+    let mut records_outcomes = [0; 2];
     let mut instrs = Vec::new();
     for round in 0..300 {
         let (frame_type, mutated) = match round % 3 {
@@ -213,9 +221,14 @@ fn mutated_payloads_with_a_valid_crc_decode_or_fail_cleanly() {
         instrs.clear();
         let outcome = match frame_type {
             // A decoded Records payload holds one instruction per record.
-            FrameType::Records => decode_records(payload, &mut instrs).map(|_| {
-                assert_eq!(instrs.len(), (payload.len() - SEQ_BYTES) / RECORD_BYTES);
-            }),
+            FrameType::Records => {
+                let decoded = decode_records(payload, &mut instrs).inspect(|_| {
+                    assert_eq!(instrs.len(), (payload.len() - SEQ_BYTES) / RECORD_BYTES);
+                });
+                accesses_agree(round, payload, &decoded, &instrs);
+                records_outcomes[usize::from(decoded.is_ok())] += 1;
+                decoded.map(drop)
+            }
             FrameType::Summary => decode_summary(payload).map(drop),
             _ => SessionStatsWire::decode(payload).map(drop),
         };
@@ -226,6 +239,38 @@ fn mutated_payloads_with_a_valid_crc_decode_or_fail_cleanly() {
         }
     }
     assert!(decoded > 0 && rejected > 0, "mutator is one-sided: {decoded} ok, {rejected} rejected");
+    let [bad, good] = records_outcomes;
+    assert!(good > 0 && bad > 0, "Records mutations one-sided: {good} ok, {bad} rejected");
+}
+
+/// The one-pass decoder against `decode_records` over the same payload:
+/// it accepts exactly what `decode_records` accepts, with the same seq
+/// and record count and the accesses `FetchRule::DataOnly` makes of the
+/// decoded records; it rejects with the same error text, having added
+/// at most one access per record.
+fn accesses_agree(
+    round: usize,
+    payload: &[u8],
+    decoded: &Result<u64, WireError>,
+    instrs: &[Instr],
+) {
+    let mut accesses = vec![Access::store(0xA5)];
+    let outcome = decode_accesses(payload, &mut accesses);
+    assert_eq!(accesses.remove(0), Access::store(0xA5), "round {round}: appends, never clears");
+    match (decoded, outcome) {
+        (Ok(seq), Ok((got_seq, records))) => {
+            assert_eq!((got_seq, records), (*seq, instrs.len() as u64), "round {round}");
+            let want: Vec<Access> =
+                RefStream::new(instrs.iter().copied(), FetchRule::DataOnly).map(access).collect();
+            assert_eq!(accesses, want, "round {round}: accesses of the decoded records");
+        }
+        (Err(want), Err(got)) => {
+            assert_eq!(got.to_string(), want.to_string(), "round {round}");
+            let records = payload.len().saturating_sub(SEQ_BYTES) / RECORD_BYTES;
+            assert!(accesses.len() <= records, "round {round}: {} accesses", accesses.len());
+        }
+        (want, got) => panic!("round {round}: decode_records {want:?}, decode_accesses {got:?}"),
+    }
 }
 
 #[test]

@@ -13,10 +13,14 @@ use crate::record::{Instr, InstrKind};
 const MAGIC: &[u8; 4] = b"JSNT";
 const VERSION: u16 = 1;
 
-const TAG_OP: u8 = 0;
-const TAG_LOAD: u8 = 1;
-const TAG_STORE: u8 = 2;
-const TAG_BRANCH: u8 = 3;
+/// Kind tag of an [`InstrKind::Op`] record.
+pub const TAG_OP: u8 = 0;
+/// Kind tag of an [`InstrKind::Load`] record.
+pub const TAG_LOAD: u8 = 1;
+/// Kind tag of an [`InstrKind::Store`] record.
+pub const TAG_STORE: u8 = 2;
+/// Kind tag of an [`InstrKind::Branch`] record.
+pub const TAG_BRANCH: u8 = 3;
 
 /// Size of one encoded instruction record in bytes. The same fixed-width
 /// little-endian encoding is used by trace files (behind the `JSNT`
@@ -54,9 +58,8 @@ pub fn decode_record(rec: &[u8]) -> Result<Instr, TraceIoError> {
     let pc = u64::from_le_bytes(rec[0..8].try_into().unwrap());
     let src1 = rec[8];
     let src2 = rec[9];
-    let tag = rec[10];
+    let (tag, addr) = record_tag_and_addr(rec);
     let aux = rec[11];
-    let addr = u64::from_le_bytes(rec[12..20].try_into().unwrap());
     let kind = match tag {
         TAG_OP => InstrKind::Op { latency: aux },
         TAG_LOAD => InstrKind::Load { addr },
@@ -65,6 +68,15 @@ pub fn decode_record(rec: &[u8]) -> Result<Instr, TraceIoError> {
         other => return Err(TraceIoError::BadRecord(other)),
     };
     Ok(Instr { pc, kind, src1, src2 })
+}
+
+/// A record's kind tag (one of the `TAG_*` constants, if well formed) and
+/// its address field, the two fields a reader of data references needs,
+/// read without decoding the rest. The address is 0 unless the record
+/// is a load or a store.
+#[inline]
+pub fn record_tag_and_addr(rec: &[u8; RECORD_BYTES]) -> (u8, u64) {
+    (rec[10], u64::from_le_bytes(rec[12..20].try_into().unwrap()))
 }
 
 /// Errors produced when reading a persisted trace.

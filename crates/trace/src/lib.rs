@@ -51,7 +51,10 @@ pub mod rng;
 pub mod sharing;
 
 pub use crc::{crc32, Crc32};
-pub use io::{decode_record, encode_record, read_trace, write_trace, TraceIoError, RECORD_BYTES};
+pub use io::{
+    decode_record, encode_record, read_trace, record_tag_and_addr, write_trace, TraceIoError,
+    RECORD_BYTES, TAG_BRANCH, TAG_LOAD, TAG_OP, TAG_STORE,
+};
 pub use program::{AppCategory, AppProfile, PhaseDrift, Program, RegionSpec};
 pub use record::{Instr, InstrKind};
 pub use regions::{Region, RegionKind};
