@@ -440,11 +440,10 @@ const TAG_RULES: [TagRule; 256] = {
 /// the same first error, and the accesses are those
 /// [`FetchRule::DataOnly`] makes of the records `decode_records` returns:
 /// a load or a store becomes a data access, an op or a branch only
-/// counts as a record. No [`Instr`] is built. Each run of 64 records
-/// is written to a stack buffer with no branch
-/// on the record kind, then appended whole once its tags are all known;
-/// so on an error `out` holds at most one access per record before the
-/// bad one.
+/// counts as a record. No [`Instr`] is built. Each run of 64 records is
+/// written to a stack buffer with no branch on the record kind, then
+/// appended whole once its tags are all known; so on an error `out`
+/// holds at most one access per record before the bad one.
 ///
 /// [`FetchRule::DataOnly`]: trace_synth::FetchRule::DataOnly
 pub fn decode_accesses(payload: &[u8], out: &mut Vec<Access>) -> Result<(u64, u64), WireError> {
